@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .metrics import NONTARGET, TARGET, TrialRecord
+from .metrics import NONTARGET, TARGET, Trials, target_mask
 
 # canonical feature order; a feature set is any subset of these names
 FEATURE_ORDER = ("raw", "lns", "cu", "wcu")
@@ -42,44 +42,49 @@ class CalibrationModel:
             raise ValueError("coefficient count must equal feature count")
 
 
-def build_features(trials: list[TrialRecord], qmfs: dict[str, dict[str, float]],
+def build_features(trials: Trials, qmfs: dict[str, dict[str, float]],
                    feature_set) -> tuple[np.ndarray, tuple[str, ...]]:
     """Assemble the (n, d) feature matrix in canonical feature order.
 
     ``raw`` comes from the trial score; ``lns``, ``cu``, ``wcu`` come from
     the per-test QMF map (``lns`` may be given directly or derived from
-    ``net_speech``).
+    ``net_speech``), read once per test and gathered to the trials.
     """
     names = tuple(n for n in FEATURE_ORDER if n in set(feature_set))
     unknown = set(feature_set) - set(FEATURE_ORDER)
     if unknown:
         raise ValueError(f"unknown feature names: {sorted(unknown)}")
-    rows = []
-    for t in trials:
-        row = []
-        for name in names:
-            if name == "raw":
-                row.append(t.raw_score)
-                continue
-            q = qmfs.get(t.test_id)
-            if q is None:
-                raise ValueError(f"missing QMF values for test {t.test_id!r}")
-            if name == "lns":
-                if "lns" in q:
-                    row.append(q["lns"])
-                elif "net_speech" in q:
-                    row.append(log_net_speech(q["net_speech"]))
-                else:
-                    raise ValueError(f"no lns/net_speech for test {t.test_id!r}")
-            else:
-                if name not in q:
-                    raise ValueError(f"missing QMF {name!r} for test {t.test_id!r}")
-                row.append(q[name])
-        rows.append(row)
-    X = np.asarray(rows, dtype=float).reshape(len(trials), len(names))
+    qmf_names = tuple(n for n in names if n != "raw")
+    X = np.empty((len(trials), 0))
+    if qmf_names:
+        tests, codes = trials.test_index()
+        table = np.array([_qmf_row(qmfs, test_id, qmf_names) for test_id in tests], dtype=float)
+        X = table.reshape(len(tests), len(qmf_names))[codes]
+    if "raw" in names:  # first in canonical order
+        X = np.hstack([trials.scores[:, None], X])
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature value")
     return X, names
+
+
+def _qmf_row(qmfs: dict[str, dict[str, float]], test_id: str, names) -> list[float]:
+    q = qmfs.get(test_id)
+    if q is None:
+        raise ValueError(f"missing QMF values for test {test_id!r}")
+    row = []
+    for name in names:
+        if name == "lns":
+            if "lns" in q:
+                row.append(q["lns"])
+            elif "net_speech" in q:
+                row.append(log_net_speech(q["net_speech"]))
+            else:
+                raise ValueError(f"no lns/net_speech for test {test_id!r}")
+        else:
+            if name not in q:
+                raise ValueError(f"missing QMF {name!r} for test {test_id!r}")
+            row.append(q[name])
+    return row
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -92,17 +97,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_lr(features: np.ndarray, labels, feature_names=(), class_weighting: bool = True) -> CalibrationModel:
+def fit_lr(features: np.ndarray, is_target, feature_names=(), class_weighting: bool = True) -> CalibrationModel:
     """Newton/IRLS fit of class-weighted logistic regression.
 
-    labels are 1 for target, 0 for nontarget (or the string labels).
-    Deterministic: zero initialization, convergence when max |gradient|
-    < 1e-8, at most 100 iterations, ridge 1e-9 on the Hessian.
+    ``is_target`` is the boolean target mask of the rows. Deterministic:
+    zero initialization, convergence when max |gradient| < 1e-8, ridge 1e-9
+    on the Hessian, and at most 100 iterations. A fit also stops, with
+    ``converged`` False, at a floating-point fixed point: once an accepted
+    Newton step leaves the coefficients bitwise unchanged, every later
+    iteration would repeat it.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
         raise ValueError("features must be a 2-D array")
-    y = np.array([1.0 if lab in (1, 1.0, True, TARGET) else 0.0 for lab in labels])
+    y = target_mask(is_target).astype(float)
     n, d = X.shape
     if y.size != n:
         raise ValueError("feature/label count mismatch")
@@ -122,8 +130,7 @@ def fit_lr(features: np.ndarray, labels, feature_names=(), class_weighting: bool
 
     Xb = np.hstack([np.ones((n, 1)), X])  # intercept first
 
-    def loglik(b):
-        z = Xb @ b
+    def loglik(z):
         return float(np.sum(sample_w * (y * z - np.logaddexp(0.0, z))))
 
     beta = np.zeros(d + 1)
@@ -141,13 +148,15 @@ def fit_lr(features: np.ndarray, labels, feature_names=(), class_weighting: bool
         # halve the Newton step until the weighted log-likelihood does not
         # decrease; keeps separable data growing monotonically instead of
         # oscillating once the Hessian degenerates
-        base = loglik(beta)
+        base = loglik(z)
         for _ in range(30):
-            if loglik(beta + step) >= base:
+            if loglik(Xb @ (beta + step)) >= base:
                 break
             step = step / 2.0
         else:
             break
+        if np.array_equal(beta + step, beta):
+            break  # floating-point fixed point: every later iteration replays this one
         beta = beta + step
 
     return CalibrationModel(
@@ -169,18 +178,18 @@ def apply_lr(model: CalibrationModel, features: np.ndarray, feature_names=None) 
     return model.intercept + X @ model.coefficients
 
 
-def stratified_folds(labels: list[str], k: int, seed: int) -> np.ndarray:
+def stratified_folds(is_target, k: int, seed: int) -> np.ndarray:
     """Seeded shuffle then round-robin fold assignment within each class.
 
     Returns an array of fold indices in [0, k). Per-class fold counts
     differ by at most one trial.
     """
-    labels = list(labels)
-    n = len(labels)
+    if k < 1:
+        raise ValueError(f"folds must be at least 1, got {k}")
+    mask = target_mask(is_target)
     rng = np.random.default_rng(seed)
-    folds = np.empty(n, dtype=int)
-    for label in (TARGET, NONTARGET):
-        idx = np.array([i for i, lab in enumerate(labels) if lab == label])
+    folds = np.empty(mask.size, dtype=int)
+    for label, idx in ((TARGET, np.flatnonzero(mask)), (NONTARGET, np.flatnonzero(~mask))):
         if idx.size < k:
             raise ValueError(f"need at least {k} {label} trials for {k}-fold split, got {idx.size}")
         rng.shuffle(idx)
@@ -188,44 +197,34 @@ def stratified_folds(labels: list[str], k: int, seed: int) -> np.ndarray:
     return folds
 
 
-def cross_validated_calibration(trials: list[TrialRecord], qmfs: dict[str, dict[str, float]],
+def cross_validated_calibration(trials: Trials, qmfs: dict[str, dict[str, float]],
                                 feature_set, k: int = 5, seed: int = 0):
     """Out-of-fold calibrated scores from stratified k-fold logistic regression.
 
-    Each fold is scored by the model fit on the other k-1 folds; pooled
-    scores are returned in the original trial order together with the
-    per-fold models.
+    Each fold is scored by the model fit on the other k-1 folds; the
+    trials come back in their original order with the pooled scores,
+    together with the per-fold models.
     """
     X, names = build_features(trials, qmfs, feature_set)
-    labels = [t.label for t in trials]
 
     if k == 1:
         # degenerate case: train on everything, score everything
-        model = fit_lr(X, labels, feature_names=names, class_weighting=True)
+        model = fit_lr(X, trials.is_target, feature_names=names, class_weighting=True)
         model.seed = seed
-        scores = apply_lr(model, X)
-        calibrated = [TrialRecord(t.model_id, t.test_id, t.label, float(scores[i]))
-                      for i, t in enumerate(trials)]
-        return calibrated, [model]
+        return replace(trials, scores=apply_lr(model, X)), [model]
 
-    folds = stratified_folds(labels, k, seed)
+    folds = stratified_folds(trials.is_target, k, seed)
 
     pooled = np.empty(len(trials))
     models = []
     for fold in range(k):
         train = folds != fold
         test = ~train
-        model = fit_lr(X[train], [labels[i] for i in np.flatnonzero(train)],
-                       feature_names=names, class_weighting=True)
+        model = fit_lr(X[train], trials.is_target[train], feature_names=names, class_weighting=True)
         model.seed = seed
         pooled[test] = apply_lr(model, X[test])
         models.append(model)
-
-    calibrated = [
-        TrialRecord(t.model_id, t.test_id, t.label, float(pooled[i]))
-        for i, t in enumerate(trials)
-    ]
-    return calibrated, models
+    return replace(trials, scores=pooled), models
 
 
 def save_model(model: CalibrationModel, path: str | Path, provenance: str | None = None) -> None:

@@ -7,8 +7,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
@@ -20,8 +18,8 @@ from .metrics import (compute_eer, compute_min_c_primary, correlation_report,
                       protocol_stats)
 from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
                         load_inventory_jsonl, load_protocol)
-from .richness import (RichnessWeights, count_unique, fit_weights, load_weights,
-                       save_weights, weight_report, weighted_count_unique)
+from .richness import (count_unique, fit_weights, load_weights, save_weights, weight_report,
+                       weighted_count_unique)
 from .simulator import SimConfig, simulate_corpus
 
 
@@ -90,12 +88,11 @@ def cmd_fit_weights(args) -> int:
     presence = {rec["utterance_id"]: rec for rec in read_jsonl(args.presence)}
     trials = read_scores(args.scores)
     pairs = []
-    for t in trials:
-        if t.label != "target":
-            continue
-        rec = presence.get(t.test_id)
+    for test_id, target, score in zip(trials.test_ids, trials.is_target.tolist(),
+                                      trials.scores.tolist()):
+        rec = presence.get(test_id) if target else None
         if rec is not None:
-            pairs.append((PresenceVector.from_bitstring(rec["bits"], t.test_id), t.raw_score))
+            pairs.append((PresenceVector.from_bitstring(rec["bits"], test_id), score))
     if not pairs:
         print("error: no positive trials joined with presence vectors", file=sys.stderr)
         return 1
@@ -365,6 +362,9 @@ def main(argv=None) -> int:
         if path and not Path(path).exists():
             print(f"error: input file not found: {path}", file=sys.stderr)
             return 1
+    if getattr(args, "folds", 1) < 1:
+        print(f"error: --folds must be at least 1, got {args.folds}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -6,8 +6,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .metrics import TrialRecord
+from .metrics import NONTARGET, TARGET, Trials
+
+SCORE_COLUMNS = ["model_id", "test_id", "label", "raw_score"]
 
 
 def file_digest(path: str | Path) -> str:
@@ -35,7 +39,7 @@ def write_tsv(path: str | Path, header: list[str], rows, provenance: str | None 
         lines.append(provenance)
     lines.append("\t".join(header))
     for row in rows:
-        lines.append("\t".join(str(c) for c in row))
+        lines.append("\t".join(map(str, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -76,17 +80,67 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
-def write_scores(path: str | Path, trials: list[TrialRecord], provenance: str | None = None) -> None:
-    rows = [(t.model_id, t.test_id, t.label, f"{t.raw_score:.17g}") for t in trials]
-    write_tsv(path, ["model_id", "test_id", "label", "raw_score"], rows, provenance)
+def write_scores(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
+    rows = zip(trials.model_ids, trials.test_ids, trials.labels(),
+               [f"{s:.17g}" for s in trials.scores.tolist()])
+    write_tsv(path, SCORE_COLUMNS, rows, provenance)
 
 
-def read_scores(path: str | Path) -> list[TrialRecord]:
-    header, rows = read_tsv(path)
-    expected = ["model_id", "test_id", "label", "raw_score"]
-    if header != expected:
-        raise ValueError(f"{path}: expected columns {expected}, got {header}")
-    return [TrialRecord(m, t, lab, float(s)) for m, t, lab, s in rows]
+def read_scores(path: str | Path) -> Trials:
+    """Scores TSV straight into columns; a malformed row fails with its file and line."""
+    lines = Path(path).read_text().splitlines()
+    kept = [line for line in lines if line and not line.startswith("#")]
+
+    def line_of(row: int) -> int:
+        """File line of data row ``row`` (-1: the header), counted only when one is reported."""
+        return [i for i, line in enumerate(lines, start=1) if line and not line.startswith("#")][row + 1]
+
+    def fail(row: int, message: str):
+        raise ValueError(f"{path}:{line_of(row)}: {message}")
+
+    if not kept:
+        raise ValueError(f"{path}: no header line found")
+    header, rows = kept[0].split("\t"), kept[1:]
+    if header != SCORE_COLUMNS:
+        fail(-1, f"expected columns {SCORE_COLUMNS}, got {header}")
+
+    fields = np.array([row.count("\t") for row in rows], dtype=int) + 1
+    if np.any(fields != 4):
+        row = int(np.argmax(fields != 4))
+        fail(row, f"expected 4 tab-separated fields, got {fields[row]}")
+    cells = "\t".join(rows).split("\t") if rows else []
+    model_ids, test_ids, labels, scores = cells[0::4], cells[1::4], cells[2::4], cells[3::4]
+
+    if set(labels) - {TARGET, NONTARGET}:
+        row = next(i for i, label in enumerate(labels) if label not in (TARGET, NONTARGET))
+        fail(row, f"label must be target/nontarget, got {labels[row]!r}")
+    try:
+        values = np.array(list(map(float, scores)), dtype=float)
+    except ValueError:
+        row = next(i for i, s in enumerate(scores) if not _parses_as_float(s))
+        fail(row, f"score is not a number: {scores[row]!r}")
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        fail(row, f"non-finite score {scores[row]!r}")
+    keys = list(map("\t".join, zip(model_ids, test_ids)))
+    if len(set(keys)) < len(keys):
+        first: dict[str, int] = {}
+        for row, key in enumerate(keys):
+            if key in first:
+                fail(row, f"duplicate trial ({model_ids[row]}, {test_ids[row]}), "
+                          f"first at line {line_of(first[key])}")
+            first[key] = row
+    return Trials(model_ids, test_ids, np.array([label == TARGET for label in labels], dtype=bool),
+                  values)
+
+
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def read_qmfs(path: str | Path) -> dict[str, dict[str, float]]:

@@ -14,34 +14,50 @@ TARGET = "target"
 NONTARGET = "nontarget"
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One verification trial: enrollment model vs. test utterance."""
-
-    model_id: str
-    test_id: str
-    label: str  # "target" or "nontarget"
-    raw_score: float
-
-    def __post_init__(self):
-        if self.label not in (TARGET, NONTARGET):
-            raise ValueError(f"label must be target/nontarget, got {self.label!r}")
-        if not math.isfinite(self.raw_score):
-            raise ValueError(f"non-finite score for trial ({self.model_id}, {self.test_id})")
+def target_mask(is_target) -> np.ndarray:
+    """A boolean per-trial target mask; strings or numbers are refused, not cast."""
+    mask = np.asarray(is_target)
+    if mask.size and mask.dtype != bool:
+        raise ValueError(f"target mask must be boolean, got dtype {mask.dtype}")
+    return mask.astype(bool, copy=False)
 
 
 @dataclass
-class MetricsReport:
-    eer: float
-    min_c_primary: float
-    n_target: int
-    n_nontarget: int
-    threshold_at_eer: float
+class Trials:
+    """Verification trials as columns: enrollment model vs. test utterance, one entry each."""
+
+    model_ids: list[str]
+    test_ids: list[str]
+    is_target: np.ndarray  # bool
+    scores: np.ndarray  # float64
+
+    def __post_init__(self):
+        self.is_target = target_mask(self.is_target)
+        self.scores = np.asarray(self.scores, dtype=float)
+        n = len(self.model_ids)
+        if len(self.test_ids) != n or self.is_target.shape != (n,) or self.scores.shape != (n,):
+            raise ValueError("trial columns differ in length")
+        finite = np.isfinite(self.scores)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"non-finite score for trial ({self.model_ids[i]}, {self.test_ids[i]})")
+
+    def __len__(self) -> int:
+        return len(self.model_ids)
+
+    def labels(self) -> list[str]:
+        return [TARGET if t else NONTARGET for t in self.is_target.tolist()]
+
+    def test_index(self) -> tuple[list[str], np.ndarray]:
+        """Distinct test ids in order of first appearance, and each trial's index into them."""
+        index: dict[str, int] = {}
+        codes = [index.setdefault(t, len(index)) for t in self.test_ids]
+        return list(index), np.array(codes, dtype=np.intp)
 
 
-def split_scores(trials: list[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
-    tar = np.array([t.raw_score for t in trials if t.label == TARGET], dtype=float)
-    non = np.array([t.raw_score for t in trials if t.label == NONTARGET], dtype=float)
+def split_scores(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
+    tar = trials.scores[trials.is_target]
+    non = trials.scores[~trials.is_target]
     if tar.size == 0 or non.size == 0:
         raise ValueError("need at least one target and one nontarget trial")
     return tar, non
@@ -65,7 +81,7 @@ def roc_points(tar: np.ndarray, non: np.ndarray):
     return thresholds, far, frr
 
 
-def compute_eer(trials: list[TrialRecord]) -> tuple[float, float]:
+def compute_eer(trials: Trials) -> tuple[float, float]:
     """Equal error rate with linear interpolation between adjacent ROC points."""
     tar, non = split_scores(trials)
     return eer_from_scores(tar, non)
@@ -85,7 +101,7 @@ def eer_from_scores(tar, non) -> tuple[float, float]:
     return float(eer), float(thr)
 
 
-def compute_min_c_primary(trials: list[TrialRecord]) -> float:
+def compute_min_c_primary(trials: Trials) -> float:
     """Mean normalized minimum detection cost at target priors 0.01 and 0.005."""
     tar, non = split_scores(trials)
     return min_c_primary_from_scores(tar, non)
@@ -100,31 +116,28 @@ def min_c_primary_from_scores(tar, non) -> float:
     return float(np.mean(costs))
 
 
-def _count_inversions(seq: list[int]) -> int:
-    """Merge-sort inversion count."""
+def _count_inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], by bottom-up merge levels.
 
-    def sort(a):
-        n = len(a)
-        if n <= 1:
-            return a, 0
-        left, li = sort(a[: n // 2])
-        right, ri = sort(a[n // 2:])
-        merged = []
-        inv = li + ri
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    return sort(list(seq))[1]
+    At width w the sequence is cut into blocks of w and each block is
+    sorted. Every pair meets exactly once as (left block, right sibling
+    block), where each right element counts, by binary search, the
+    elements of its sorted left sibling that exceed it.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    n = ranks.size
+    span = int(ranks.max()) + 1 if n else 1
+    pos = np.arange(n)
+    inversions = 0
+    width = 1
+    while width < n:
+        block = pos // width
+        keys = np.sort(block * span + ranks)  # sorting keeps every element in its block
+        right = np.flatnonzero(block % 2 == 1)
+        below = keys[right] - span  # same value, keyed into the left sibling block
+        inversions += int((block[right] * width - np.searchsorted(keys, below, side="right")).sum())
+        width *= 2
+    return inversions
 
 
 def _tied_pairs(values: np.ndarray) -> int:
@@ -135,8 +148,9 @@ def _tied_pairs(values: np.ndarray) -> int:
 def kendall_tau(x, y) -> float:
     """Kendall's tau-b: (C - D) / sqrt((n0 - tx)(n0 - ty)) with tie corrections.
 
-    Knight's construction: sort by (x, y), count inversions of y for the
-    discordant pairs, and correct concordant counts for ties.
+    Knight's (1966) O(n log n) construction: sort by (x, y), count
+    inversions of y for the discordant pairs, and correct concordant
+    counts for ties.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -161,37 +175,41 @@ def kendall_tau(x, y) -> float:
     txy = int((group_sizes * (group_sizes - 1) // 2).sum())
 
     # inversions of y after the (x, y) sort; tied-x pairs contribute none
-    y_ranks = np.searchsorted(np.unique(ys), ys).tolist()
-    discordant = _count_inversions(y_ranks)
+    discordant = _count_inversions(np.searchsorted(np.unique(ys), ys))
     concordant = n0 - tx - ty + txy - discordant
     return float((concordant - discordant) / math.sqrt((n0 - tx) * (n0 - ty)))
 
 
-def correlation_report(trials: list[TrialRecord], qmfs: dict[str, dict[str, float]]):
+def correlation_report(trials: Trials, qmfs: dict[str, dict[str, float]]):
     """Per class and per QMF: tau between the QMF and the raw score.
 
     Returns (taus, scatter_rows) where taus maps (label, qmf_name) -> tau
     and scatter_rows are (test_id, qmf_name, qmf_value, score, label).
+    The QMF names are those of the first trial's test.
     """
-    qmf_names = None
-    for t in trials:
-        if t.test_id not in qmfs:
-            raise ValueError(f"missing QMF values for test {t.test_id!r}")
-        names = sorted(qmfs[t.test_id])
-        qmf_names = names if qmf_names is None else qmf_names
+    tests, codes = trials.test_index()
+    for test_id in tests:
+        if test_id not in qmfs:
+            raise ValueError(f"missing QMF values for test {test_id!r}")
+    qmf_names = sorted(qmfs[tests[0]]) if tests else []
+    table = np.empty((len(tests), len(qmf_names)))
+    for i, test_id in enumerate(tests):
+        for j, name in enumerate(qmf_names):
+            if name not in qmfs[test_id]:
+                raise ValueError(f"missing QMF {name!r} for test {test_id!r}")
+            table[i, j] = qmfs[test_id][name]
+    values = table[codes]
     taus: dict[tuple[str, str], float] = {}
-    scatter = []
-    for label in (TARGET, NONTARGET):
-        subset = [t for t in trials if t.label == label]
-        if not subset:
+    for label, mask in ((TARGET, trials.is_target), (NONTARGET, ~trials.is_target)):
+        if not mask.any():
             continue
-        scores = [t.raw_score for t in subset]
-        for name in qmf_names or []:
-            values = [qmfs[t.test_id][name] for t in subset]
-            taus[(label, name)] = kendall_tau(values, scores)
-    for t in trials:
-        for name in qmf_names or []:
-            scatter.append((t.test_id, name, qmfs[t.test_id][name], t.raw_score, t.label))
+        scores = trials.scores[mask]
+        for j, name in enumerate(qmf_names):
+            taus[(label, name)] = kendall_tau(values[mask, j], scores)
+    scatter = [(test_id, name, value, score, label)
+               for test_id, row, score, label in zip(trials.test_ids, values.tolist(),
+                                                     trials.scores.tolist(), trials.labels())
+               for name, value in zip(qmf_names, row)]
     return taus, scatter
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .inventory import PhonemeInventory
 from .lexicon import Lexicon, presence_vector, transcribe
 from .calibration import log_net_speech
-from .metrics import TrialRecord
+from .metrics import Trials
 from .protocols import ProtocolSpec
 from .richness import count_unique
 
@@ -60,7 +60,7 @@ def cosine_score(a: Embedding, b: Embedding) -> float:
 class SimResult:
     model_embeddings: dict[str, Embedding]
     test_embeddings: dict[str, Embedding]
-    trials: list[TrialRecord]
+    trials: Trials
     qmfs: dict[str, dict[str, float]]
 
 
@@ -114,11 +114,8 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
             "lns": log_net_speech(t.net_speech),
         }
 
-    trials = []
-    for m_id, t_id in protocol.positive_trials:
-        score = cosine_score(model_embeddings[m_id], test_embeddings[t_id])
-        trials.append(TrialRecord(m_id, t_id, "target", score))
-    for m_id, t_id in protocol.negative_trials:
-        score = cosine_score(model_embeddings[m_id], test_embeddings[t_id])
-        trials.append(TrialRecord(m_id, t_id, "nontarget", score))
+    pairs = protocol.positive_trials + protocol.negative_trials
+    trials = Trials([m_id for m_id, _ in pairs], [t_id for _, t_id in pairs],
+                    np.arange(len(pairs)) < len(protocol.positive_trials),
+                    [cosine_score(model_embeddings[m_id], test_embeddings[t_id]) for m_id, t_id in pairs])
     return SimResult(model_embeddings, test_embeddings, trials, qmfs)

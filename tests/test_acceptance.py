@@ -141,10 +141,11 @@ def test_criterion_4_wcu_reduces_to_cu():
 def test_criterion_5_simulator_correlation_direction(simulator_run):
     result, setup_time = simulator_run
     t0 = time.time()
-    pos = [t for t in result.trials if t.label == "target"]
-    cu = [result.qmfs[t.test_id]["cu"] for t in pos]
-    lns = [result.qmfs[t.test_id]["lns"] for t in pos]
-    scores = [t.raw_score for t in pos]
+    trials = result.trials
+    pos = [t for t, y in zip(trials.test_ids, trials.is_target.tolist()) if y]
+    cu = [result.qmfs[t]["cu"] for t in pos]
+    lns = [result.qmfs[t]["lns"] for t in pos]
+    scores = trials.scores[trials.is_target].tolist()
     tau_cu = kendall_tau(cu, scores)
     tau_lns = kendall_tau(lns, scores)
     elapsed = setup_time + time.time() - t0
@@ -209,14 +210,20 @@ def test_criterion_8_determinism(tmp_path):
         cal = work / "cal.tsv"
         cli_main(["calibrate", "--scores", str(scores), "--qmf", str(qmf),
                   "--features", "raw,cu", "--folds", "5", "--seed", "34",
-                  "--out-scores", str(cal)])
+                  "--out-scores", str(cal), "--out-models", str(work / "model")])
+        evaluated = work / "eval.tsv"
+        scatter = work / "scatter.csv"
+        cli_main(["evaluate", "--scores", str(scores), "--qmf", str(qmf), "--features", "none",
+                  "--features", "raw,cu", "--folds", "5", "--seed", "34", "--out", str(evaluated),
+                  "--correlation-out", str(scatter)])
+        models = [work / f"model.fold{i}.txt" for i in range(5)]
         outputs.append([p.read_bytes() for p in
                         (corpus, work / "rep.trials.tsv", work / "rep.manifest.jsonl",
-                         work / "rep.models.jsonl", scores, qmf, cal)])
+                         work / "rep.models.jsonl", scores, qmf, cal, evaluated, scatter, *models)])
     byte_identical = outputs[0] == outputs[1]
 
     labels = ["target"] * 37 + ["nontarget"] * 148
-    folds = stratified_folds(labels, 5, seed=35)
+    folds = stratified_folds(np.array(labels) == "target", 5, seed=35)
     strat_ok = True
     for label in ("target", "nontarget"):
         sizes = [sum(1 for i, lab in enumerate(labels) if lab == label and folds[i] == f)

@@ -6,20 +6,24 @@ import pytest
 from phonrich.calibration import (CalibrationModel, apply_lr, build_features,
                                   cross_validated_calibration, fit_lr, load_model,
                                   log_net_speech, save_model, stratified_folds)
-from phonrich.metrics import TrialRecord, compute_eer
+from phonrich.metrics import Trials, compute_eer
 
 
 def make_trials(tar, non):
-    trials = [TrialRecord("m", f"t{i}", "target", s) for i, s in enumerate(tar)]
-    trials += [TrialRecord("m", f"n{i}", "nontarget", s) for i, s in enumerate(non)]
-    return trials
+    return Trials(["m"] * (len(tar) + len(non)),
+                  [f"t{i}" for i in range(len(tar))] + [f"n{i}" for i in range(len(non))],
+                  [True] * len(tar) + [False] * len(non), list(tar) + list(non))
+
+
+def is_target(labels):
+    return np.array(labels) == "target"
 
 
 class TestFitLr:
     def test_separable_data_orders_correctly(self):
         X = np.array([[5.0], [6.0], [-5.0], [-6.0]])
         labels = ["target", "target", "nontarget", "nontarget"]
-        model = fit_lr(X, labels, feature_names=("raw",))
+        model = fit_lr(X, is_target(labels), feature_names=("raw",))
         out = apply_lr(model, X)
         assert min(out[:2]) > max(out[2:])
 
@@ -27,20 +31,20 @@ class TestFitLr:
         # 1:4 imbalance; weighting equalizes the classes so log-odds is 0
         X = np.zeros((50, 0))
         labels = ["target"] * 10 + ["nontarget"] * 40
-        model = fit_lr(X, labels, class_weighting=True)
+        model = fit_lr(X, is_target(labels), class_weighting=True)
         assert model.intercept == pytest.approx(0.0, abs=1e-7)
         assert model.converged
 
     def test_intercept_only_unweighted_is_log_odds(self):
         X = np.zeros((30, 0))
         labels = ["target"] * 10 + ["nontarget"] * 20
-        model = fit_lr(X, labels, class_weighting=False)
+        model = fit_lr(X, is_target(labels), class_weighting=False)
         assert model.intercept == pytest.approx(math.log(10 / 20), abs=1e-7)
 
     def test_zero_features_give_zero_coefficients(self):
         X = np.zeros((40, 2))
         labels = ["target"] * 10 + ["nontarget"] * 30
-        model = fit_lr(X, labels, feature_names=("a", "b"))
+        model = fit_lr(X, is_target(labels), feature_names=("a", "b"))
         np.testing.assert_allclose(model.coefficients, 0.0, atol=1e-7)
         assert model.intercept == pytest.approx(0.0, abs=1e-7)
 
@@ -50,19 +54,23 @@ class TestFitLr:
         labels = ["target" if v > 0 else "nontarget" for v in X[:, 0] + 0.3 * rng.standard_normal(30)]
         if len(set(labels)) < 2:
             pytest.skip("degenerate draw")
-        m1 = fit_lr(X, labels)
-        m2 = fit_lr(np.vstack([X, X]), labels + labels)
+        m1 = fit_lr(X, is_target(labels))
+        m2 = fit_lr(np.vstack([X, X]), is_target(labels + labels))
         np.testing.assert_allclose(m1.coefficients, m2.coefficients, atol=1e-6)
         assert m1.intercept == pytest.approx(m2.intercept, abs=1e-6)
 
     def test_single_class_error(self):
         with pytest.raises(ValueError, match="both classes"):
-            fit_lr(np.ones((3, 1)), ["target"] * 3)
+            fit_lr(np.ones((3, 1)), is_target(["target"] * 3))
+
+    def test_string_labels_refused(self):
+        with pytest.raises(ValueError, match="boolean"):
+            fit_lr(np.array([[1.0], [0.0]]), ["target", "nontarget"])
 
     def test_non_finite_feature_error(self):
         X = np.array([[1.0], [np.inf]])
         with pytest.raises(ValueError, match="non-finite"):
-            fit_lr(X, ["target", "nontarget"])
+            fit_lr(X, is_target(["target", "nontarget"]))
 
 
 class TestApplyLr:
@@ -100,7 +108,7 @@ class TestApplyLr:
 class TestBuildFeatures:
     def test_canonical_order_and_lns_derivation(self):
         trials = make_trials([0.5], [0.1])
-        qmfs = {t.test_id: {"cu": 3.0, "net_speech": 2.0} for t in trials}
+        qmfs = {t: {"cu": 3.0, "net_speech": 2.0} for t in trials.test_ids}
         X, names = build_features(trials, qmfs, {"cu", "raw", "lns"})
         assert names == ("raw", "lns", "cu")
         assert X[0, 1] == pytest.approx(math.log(2.0))
@@ -121,7 +129,7 @@ class TestBuildFeatures:
 class TestStratifiedFolds:
     def test_counts_within_one(self):
         labels = ["target"] * 23 + ["nontarget"] * 77
-        folds = stratified_folds(labels, 5, seed=0)
+        folds = stratified_folds(is_target(labels), 5, seed=0)
         for label, count in (("target", 23), ("nontarget", 77)):
             sizes = [sum(1 for i, lab in enumerate(labels) if lab == label and folds[i] == f)
                      for f in range(5)]
@@ -130,16 +138,21 @@ class TestStratifiedFolds:
 
     def test_deterministic(self):
         labels = ["target"] * 10 + ["nontarget"] * 40
-        np.testing.assert_array_equal(stratified_folds(labels, 5, 7), stratified_folds(labels, 5, 7))
-        assert not np.array_equal(stratified_folds(labels, 5, 7), stratified_folds(labels, 5, 8))
+        np.testing.assert_array_equal(stratified_folds(is_target(labels), 5, 7), stratified_folds(is_target(labels), 5, 7))
+        assert not np.array_equal(stratified_folds(is_target(labels), 5, 7), stratified_folds(is_target(labels), 5, 8))
 
     def test_insufficient_class_error(self):
         with pytest.raises(ValueError, match="at least"):
-            stratified_folds(["target"] * 3 + ["nontarget"] * 30, 5, 0)
+            stratified_folds(is_target(["target"] * 3 + ["nontarget"] * 30), 5, 0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_folds_below_one_error(self, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            stratified_folds(is_target(["target"] * 5 + ["nontarget"] * 5), k, 0)
 
     def test_boundary_one_rare_trial_per_fold(self):
         labels = ["target"] * 5 + ["nontarget"] * 50
-        folds = stratified_folds(labels, 5, 0)
+        folds = stratified_folds(is_target(labels), 5, 0)
         rare = folds[:5]
         assert sorted(rare) == [0, 1, 2, 3, 4]
 
@@ -150,8 +163,8 @@ class TestCrossValidatedCalibration:
         tar = rng.standard_normal(n) * 0.3 + 1.0
         non = rng.standard_normal(n) * 0.3
         trials = make_trials(tar, non)
-        qmfs = {t.test_id: {"cu": float(rng.integers(3, 30)), "net_speech": float(rng.uniform(1, 5))}
-                for t in trials}
+        qmfs = {t: {"cu": float(rng.integers(3, 30)), "net_speech": float(rng.uniform(1, 5))}
+                for t in trials.test_ids}
         return trials, qmfs
 
     def test_raw_only_close_to_uncalibrated(self):
@@ -174,13 +187,13 @@ class TestCrossValidatedCalibration:
         trials, qmfs = self._simulated()
         a, _ = cross_validated_calibration(trials, qmfs, ("raw", "cu"), k=5, seed=9)
         b, _ = cross_validated_calibration(trials, qmfs, ("raw", "cu"), k=5, seed=9)
-        assert [t.raw_score for t in a] == [t.raw_score for t in b]
+        assert a.scores.tolist() == b.scores.tolist()
 
     def test_pooled_order_matches_input(self):
         trials, qmfs = self._simulated(50)
         calibrated, _ = cross_validated_calibration(trials, qmfs, ("raw",), k=5, seed=2)
-        assert [(t.model_id, t.test_id, t.label) for t in calibrated] == \
-            [(t.model_id, t.test_id, t.label) for t in trials]
+        assert list(zip(calibrated.model_ids, calibrated.test_ids, calibrated.labels())) == \
+            list(zip(trials.model_ids, trials.test_ids, trials.labels()))
 
 
 class TestModelFile:

@@ -198,3 +198,152 @@ class TestDeterminism:
                          (corpus, work / "rep.trials.tsv", work / "rep.manifest.jsonl",
                           scores, qmf, cal)])
         assert outs[0] == outs[1]
+
+
+SCORES_HEADER = "# provenance\nmodel_id\ttest_id\tlabel\traw_score\n"
+GOOD_ROWS = ["m1\tt1\ttarget\t0.9", "m1\tt2\tnontarget\t0.1", "m2\tt2\ttarget\t0.8",
+             "m2\tt1\tnontarget\t0.2"]
+
+
+def only_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured
+
+
+class TestFolds:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rows = [f"m{i % 3}\tt{i}\t{'target' if i % 4 == 0 else 'nontarget'}\t{0.01 * i}"
+                for i in range(40)]
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "\n".join(rows) + "\n")
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text("\n".join(json.dumps({"test_id": f"t{i}", "cu": float(i % 7)})
+                                 for i in range(40)) + "\n")
+        return scores, qmf
+
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_evaluate_rejects_folds_below_one(self, inputs, folds, capsys):
+        scores, qmf = inputs
+        assert run(["evaluate", "--scores", scores, "--qmf", qmf, "--features", "raw,cu",
+                    "--folds", folds]) == 1
+        captured = only_error_line(capsys)
+        assert "--folds" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_calibrate_rejects_folds_below_one(self, inputs, folds, tmp_path, capsys):
+        scores, qmf = inputs
+        out = tmp_path / "cal.tsv"
+        assert run(["calibrate", "--scores", scores, "--qmf", qmf, "--features", "raw,cu",
+                    "--folds", folds, "--seed", 1, "--out-scores", out]) == 1
+        assert "--folds" in only_error_line(capsys).err
+        assert not out.exists()
+
+
+class TestScoresFile:
+    """A malformed scores file fails with one error line naming the file and line."""
+
+    def evaluate(self, tmp_path, rows):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "\n".join(rows) + "\n")
+        return scores, run(["evaluate", "--scores", scores, "--features", "none"])
+
+    @pytest.mark.parametrize("row, message", [
+        ("m3\tt3\ttarget", "expected 4 tab-separated fields, got 3"),
+        ("m3\tt3\ttarget\t0.5\textra", "expected 4 tab-separated fields, got 5"),
+        ("m3\tt3\timpostor\t0.5", "label must be target/nontarget"),
+        ("m3\tt3\ttarget\tnan", "non-finite score"),
+        ("m3\tt3\tnontarget\t-inf", "non-finite score"),
+        ("m3\tt3\ttarget\tabc", "score is not a number"),
+        ("m1\tt2\ttarget\t0.5", "duplicate trial (m1, t2), first at line 4"),
+    ], ids=["short-row", "long-row", "bad-label", "nan-score", "inf-score", "text-score",
+            "duplicate"])
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        # the bad row is the fourth data row, line 6 after the comment and the header
+        scores, code = self.evaluate(tmp_path, GOOD_ROWS[:3] + [row] + GOOD_ROWS[3:])
+        assert code == 1
+        err = only_error_line(capsys).err
+        assert f"{scores}:6: " in err
+        assert message in err
+
+    def test_comment_lines_keep_line_numbers(self, tmp_path, capsys):
+        scores, code = self.evaluate(tmp_path, GOOD_ROWS[:1] + ["# note", ""] + ["m3\tt3\tx\t0.5"])
+        assert code == 1
+        assert f"{scores}:6: " in only_error_line(capsys).err
+
+    def test_valid_file_reads(self, tmp_path, capsys):
+        scores, code = self.evaluate(tmp_path, GOOD_ROWS)
+        assert code == 0
+        trials = read_scores(scores)
+        assert trials.model_ids == ["m1", "m1", "m2", "m2"]
+        assert trials.is_target.tolist() == [True, False, True, False]
+        assert trials.scores.tolist() == [0.9, 0.1, 0.8, 0.2]
+
+
+class TestPinnedStall:
+    """The protocol on which two LR folds stall at a floating-point fixed point.
+
+    Seeds 1046-1049, 50 speakers x 10 probes with every matching-gender
+    impostor, features raw,lns,wcu, 5 folds. Folds 0 and 1 reach a Newton
+    step that no longer changes the coefficients, short of the gradient
+    tolerance; the fit must stop there with the coefficients it had.
+    """
+
+    # .17g values written by the fit that replayed the fixed point to MAX_ITER
+    FROZEN = {
+        0: ["-5.2612405617668072", "21.23107609957902", "-0.20838762912134212",
+            "-2.4265128691677829"],
+        1: ["-5.3344026912116309", "22.262311400470558", "-0.54474050837154298",
+            "-2.2993510754160873"],
+    }
+
+    def test_stalled_folds_stop_early_with_frozen_coefficients(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        from phonrich import calibration
+        from phonrich.data import demo_lexicon_lines
+
+        corpus, prefix = tmp_path / "corpus.jsonl", tmp_path / "rep"
+        scores, presence = tmp_path / "scores.tsv", tmp_path / "presence.jsonl"
+        weights, qmf = tmp_path / "weights.txt", tmp_path / "qmf.jsonl"
+        assert run(["make-demo", "--speakers", 50, "--seed", 1046, "--out", corpus]) == 0
+        assert run(["gen-protocol", "--corpus", corpus, "--protocol", "repetitive",
+                    "--probes-per-speaker", 10, "--seed", 1047, "--out-prefix", prefix]) == 0
+        assert run(["simulate", "--trials", f"{prefix}.trials.tsv",
+                    "--manifest", f"{prefix}.manifest.jsonl", "--models", f"{prefix}.models.jsonl",
+                    "--seed", 1048, "--out-scores", scores, "--out-qmf", tmp_path / "sim.jsonl"]) == 0
+        transcripts, lexicon = tmp_path / "tr.jsonl", tmp_path / "lex.txt"
+        write_transcripts(transcripts, [(m["test_id"], m["transcript"])
+                                        for m in read_jsonl(f"{prefix}.manifest.jsonl")])
+        lexicon.write_text(demo_lexicon_lines())
+        assert run(["g2p", "--transcripts", transcripts, "--lexicon", lexicon, "--out", presence]) == 0
+        assert run(["fit-weights", "--presence", presence, "--scores", scores, "--out", weights]) == 0
+        assert run(["richness", "--presence", presence, "--weights", weights,
+                    "--manifest", f"{prefix}.manifest.jsonl", "--out", qmf]) == 0
+
+        solves = []
+        solve, fit_lr = np.linalg.solve, calibration.fit_lr
+
+        def counted_solve(*args, **kwargs):
+            solves[-1] += 1
+            return solve(*args, **kwargs)
+
+        def counted_fit(*args, **kwargs):
+            solves.append(0)
+            return fit_lr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(calibration, "fit_lr", counted_fit)
+        assert run(["calibrate", "--scores", scores, "--qmf", qmf, "--features", "raw,lns,wcu",
+                    "--folds", 5, "--seed", 1049, "--out-scores", tmp_path / "cal.tsv",
+                    "--out-models", tmp_path / "model"]) == 0
+        assert len(solves) == 5
+        for fold, frozen in self.FROZEN.items():
+            model = calibration.load_model(tmp_path / f"model.fold{fold}.txt")
+            assert model.converged is False
+            assert solves[fold] < calibration.MAX_ITER
+            assert [f"{v:.17g}" for v in (model.intercept, *model.coefficients)] == frozen

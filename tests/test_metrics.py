@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonrich.metrics import (TrialRecord, compute_eer, compute_min_c_primary,
+from phonrich.metrics import (Trials, compute_eer, compute_min_c_primary,
                               correlation_report, eer_from_scores, kendall_tau,
                               min_c_primary_from_scores, protocol_stats)
 
@@ -10,9 +10,9 @@ from oracles import (brute_force_eer, brute_force_min_c_primary, brute_force_tau
 
 
 def make_trials(tar, non):
-    trials = [TrialRecord("m", f"t{i}", "target", s) for i, s in enumerate(tar)]
-    trials += [TrialRecord("m", f"n{i}", "nontarget", s) for i, s in enumerate(non)]
-    return trials
+    return Trials(["m"] * (len(tar) + len(non)),
+                  [f"t{i}" for i in range(len(tar))] + [f"n{i}" for i in range(len(non))],
+                  [True] * len(tar) + [False] * len(non), list(tar) + list(non))
 
 
 class TestEer:
@@ -31,7 +31,7 @@ class TestEer:
 
     def test_missing_class_error(self):
         with pytest.raises(ValueError):
-            compute_eer([TrialRecord("m", "t", "target", 0.5)])
+            compute_eer(make_trials([0.5], []))
 
     def test_label_swap_preserves_eer(self):
         rng = np.random.default_rng(0)
@@ -65,7 +65,7 @@ class TestEer:
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError):
-            TrialRecord("m", "t", "target", float("nan"))
+            make_trials([float("nan")], [])
 
 
 class TestMinCPrimary:
@@ -124,6 +124,22 @@ class TestKendallTau:
         with pytest.raises(ValueError):
             kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("tied", ["x", "y", "both"])
+    def test_equals_brute_force_exactly_under_heavy_ties(self, tied):
+        rng = np.random.default_rng(8)
+        checked = 0
+        for _ in range(80):
+            n = int(rng.integers(2, 150))
+            x = rng.integers(0, 4, n).astype(float) if tied != "y" else rng.standard_normal(n)
+            y = rng.integers(0, 4, n).astype(float) if tied != "x" else rng.standard_normal(n)
+            try:
+                got = kendall_tau(x, y)
+            except ValueError:
+                continue
+            assert got == brute_force_tau(x, y)
+            checked += 1
+        assert checked >= 70
+
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
@@ -137,10 +153,26 @@ class TestKendallTau:
             assert got == pytest.approx(brute_force_tau(x, y), abs=1e-10)
 
 
+class TestTrials:
+    def test_string_labels_refused_as_mask(self):
+        with pytest.raises(ValueError, match="boolean"):
+            Trials(["m"], ["t"], ["nontarget"], [0.5])
+
+    def test_column_length_mismatch(self):
+        with pytest.raises(ValueError, match="length"):
+            Trials(["m", "m"], ["t"], [True], [0.5])
+
+    def test_test_index_in_first_seen_order(self):
+        trials = Trials(["a", "b", "c"], ["t2", "t1", "t2"], [True, False, False], [0.1, 0.2, 0.3])
+        tests, codes = trials.test_index()
+        assert tests == ["t2", "t1"]
+        assert codes.tolist() == [0, 1, 0]
+
+
 class TestCorrelationReport:
     def test_per_class_taus_and_scatter(self):
         trials = make_trials([0.9, 0.7, 0.5], [0.3, 0.2, 0.4])
-        qmfs = {t.test_id: {"cu": float(i)} for i, t in enumerate(trials)}
+        qmfs = {t: {"cu": float(i)} for i, t in enumerate(trials.test_ids)}
         taus, scatter = correlation_report(trials, qmfs)
         assert ("target", "cu") in taus and ("nontarget", "cu") in taus
         assert len(scatter) == len(trials)
@@ -153,7 +185,7 @@ class TestCorrelationReport:
 
     def test_constant_qmf_error(self):
         trials = make_trials([0.9, 0.7], [0.3, 0.2])
-        qmfs = {t.test_id: {"cu": 5.0} for t in trials}
+        qmfs = {t: {"cu": 5.0} for t in trials.test_ids}
         with pytest.raises(ValueError, match="tied"):
             correlation_report(trials, qmfs)
 

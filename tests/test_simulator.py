@@ -20,6 +20,12 @@ def protocol():
     return build_repetitive_protocol(words, sentences, 60, seed=2, negatives_per_probe=3)
 
 
+def targets(trials):
+    """(test_id, score) of the target trials, in trial order."""
+    return [(t, s) for t, y, s in zip(trials.test_ids, trials.is_target.tolist(), trials.scores.tolist())
+            if y]
+
+
 def config(protocol, **kw):
     defaults = dict(n_speakers=10, sigma0=0.6, kappa=2.0, seed=4,
                     vocabulary=DEMO_VOCABULARY, dim=32)
@@ -68,33 +74,33 @@ class TestSimulateCorpus:
     def test_reproducible(self, protocol):
         r1 = simulate_corpus(config(protocol), protocol)
         r2 = simulate_corpus(config(protocol), protocol)
-        assert [t.raw_score for t in r1.trials] == [t.raw_score for t in r2.trials]
+        assert r1.trials.scores.tolist() == r2.trials.scores.tolist()
 
     def test_seed_changes_scores(self, protocol):
         r1 = simulate_corpus(config(protocol), protocol)
         r2 = simulate_corpus(config(protocol, seed=5), protocol)
-        assert [t.raw_score for t in r1.trials] != [t.raw_score for t in r2.trials]
+        assert r1.trials.scores.tolist() != r2.trials.scores.tolist()
 
     def test_kappa_zero_decouples_cu(self, protocol):
         res = simulate_corpus(config(protocol, kappa=0.0, seed=6), protocol)
-        pos = [t for t in res.trials if t.label == "target"]
+        pos = targets(res.trials)
         assert len(pos) >= 500
-        cu = [res.qmfs[t.test_id]["cu"] for t in pos]
-        scores = [t.raw_score for t in pos]
+        cu = [res.qmfs[t]["cu"] for t, _ in pos]
+        scores = [s for _, s in pos]
         assert abs(kendall_tau(cu, scores)) < 0.05
 
     def test_small_noise_separates_classes(self, protocol):
         res = simulate_corpus(config(protocol, sigma0=0.01, kappa=0.0), protocol)
         eer, _ = compute_eer(res.trials)
         assert eer == 0.0
-        pos_scores = [t.raw_score for t in res.trials if t.label == "target"]
+        pos_scores = [s for _, s in targets(res.trials)]
         assert min(pos_scores) > 0.99
 
     def test_quartile_monotonicity(self, protocol):
         res = simulate_corpus(config(protocol), protocol)
-        pos = [t for t in res.trials if t.label == "target"]
-        cu = np.array([res.qmfs[t.test_id]["cu"] for t in pos])
-        scores = np.array([t.raw_score for t in pos])
+        pos = targets(res.trials)
+        cu = np.array([res.qmfs[t]["cu"] for t, _ in pos])
+        scores = np.array([s for _, s in pos])
         lo, hi = np.quantile(cu, [0.25, 0.75])
         assert scores[cu >= hi].mean() > scores[cu <= lo].mean()
 
