@@ -16,8 +16,8 @@ from .io import (provenance_line, read_jsonl, read_qmfs, read_scores, read_tsv,
 from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import (compute_eer, compute_min_c_primary, correlation_report,
                       protocol_stats)
-from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
-                        load_inventory_jsonl, load_protocol)
+from .protocols import (build_clip_protocol, build_enrollment, build_repetitive_protocol,
+                        emit_trials, load_inventory_jsonl, load_protocol)
 from .richness import (count_unique, fit_weights, load_weights, save_weights, weight_report,
                        weighted_count_unique)
 from .simulator import SimConfig, simulate_corpus
@@ -96,7 +96,7 @@ def cmd_fit_weights(args) -> int:
     if not pairs:
         print("error: no positive trials joined with presence vectors", file=sys.stderr)
         return 1
-    w = fit_weights(pairs, seed=args.seed)
+    w = fit_weights(pairs)
     prov = provenance_line("fit-weights", args.seed, [args.presence, args.scores])
     save_weights(w, args.out, inventory, prov)
     print(f"fit-weights: n_train={w.n_train} fit_residual={w.fit_residual:.6g}")
@@ -115,11 +115,12 @@ def cmd_gen_protocol(args) -> int:
             print("error: --target is required for the clip protocol", file=sys.stderr)
             return 1
         base = [r for r in inventory if r.kind in ("sentence", "free")]
-        trials = None
+        trials = models = None
         if args.base_trials:
             _, rows = read_tsv(args.base_trials)
             trials = [(m, t, lab) for m, t, lab in rows]
-        spec = build_clip_protocol(base, args.target, args.seed, trials=trials)
+            models = build_enrollment(inventory)
+        spec = build_clip_protocol(base, args.target, args.seed, trials=trials, models=models)
     prov = provenance_line("gen-protocol", args.seed, [args.corpus])
     prefix = args.out_prefix
     emit_trials(spec, f"{prefix}.trials.tsv", f"{prefix}.manifest.jsonl",
@@ -138,18 +139,16 @@ def _vocabulary_from_args(args) -> dict:
 
 def cmd_simulate(args) -> int:
     protocol = load_protocol(args.trials, args.manifest, args.models)
-    config = SimConfig(
-        n_speakers=len({m.speaker_id for m in protocol.models}),
-        sigma0=args.sigma0, kappa=args.kappa, seed=args.seed,
-        vocabulary=_vocabulary_from_args(args), dim=args.dim,
-    )
+    config = SimConfig(sigma0=args.sigma0, kappa=args.kappa, seed=args.seed,
+                       vocabulary=_vocabulary_from_args(args), dim=args.dim)
     result = simulate_corpus(config, protocol)
     inputs = [args.trials, args.manifest, args.models]
     prov = provenance_line("simulate", args.seed, inputs)
     write_scores(args.out_scores, result.trials, prov)
     qmf_records = [{"test_id": tid, **vals} for tid, vals in sorted(result.qmfs.items())]
     write_jsonl(args.out_qmf, qmf_records, prov)
-    print(f"simulate: scored {len(result.trials)} trials over {config.n_speakers} speakers")
+    n_speakers = len({m.speaker_id for m in protocol.models})
+    print(f"simulate: scored {len(result.trials)} trials over {n_speakers} speakers")
     return 0
 
 
@@ -195,10 +194,12 @@ def cmd_evaluate(args) -> int:
             scored, _ = cross_validated_calibration(trials, qmfs, fs, k=args.folds, seed=args.seed)
         else:
             scored = trials
-        eer, _ = compute_eer(scored)
-        minc = compute_min_c_primary(scored)
+        eer, _ = compute_eer(*scored.class_scores())
+        minc = compute_min_c_primary(*scored.class_scores())
         name = ",".join(fs) if fs else "none"
         rows.append((name, f"{100 * eer:.2f}", f"{minc:.3f}"))
+    # the report can still fail, so it runs before anything is printed or written
+    taus, scatter = correlation_report(trials, qmfs) if args.correlation_out else ({}, [])
     header = ["features", "eer_percent", "min_c_primary"]
     for row in rows:
         print("\t".join(row))
@@ -206,7 +207,6 @@ def cmd_evaluate(args) -> int:
         inputs = [args.scores] + ([args.qmf] if args.qmf else [])
         write_tsv(args.out, header, rows, provenance_line("evaluate", args.seed, inputs))
     if args.correlation_out:
-        taus, scatter = correlation_report(trials, qmfs)
         lines = ["test_id,qmf_name,qmf_value,score,label"]
         lines += [f"{tid},{name},{val:.17g},{score:.17g},{label}"
                   for tid, name, val, score, label in scatter]

@@ -68,15 +68,22 @@ def write_jsonl(path: str | Path, records, provenance: str | None = None) -> Non
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> list[dict]:
+    """One JSON object per line, each holding the ``required`` keys; '#' lines are comments."""
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
-            records.append(json.loads(line))
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: malformed JSONL line: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
+        for key in required:
+            if key not in rec:
+                raise ValueError(f"{path}:{lineno}: record has no {key}")
+        records.append(rec)
     return records
 
 
@@ -146,7 +153,7 @@ def _parses_as_float(text: str) -> bool:
 def read_qmfs(path: str | Path) -> dict[str, dict[str, float]]:
     """QMF JSONL: one object per test utterance, keyed by test_id."""
     qmfs = {}
-    for rec in read_jsonl(path):
+    for rec in read_jsonl(path, required=("test_id",)):
         test_id = rec.pop("test_id")
         qmfs[test_id] = {k: float(v) for k, v in rec.items() if isinstance(v, (int, float))}
     return qmfs

@@ -54,13 +54,9 @@ class Trials:
         codes = [index.setdefault(t, len(index)) for t in self.test_ids]
         return list(index), np.array(codes, dtype=np.intp)
 
-
-def split_scores(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
-    tar = trials.scores[trials.is_target]
-    non = trials.scores[~trials.is_target]
-    if tar.size == 0 or non.size == 0:
-        raise ValueError("need at least one target and one nontarget trial")
-    return tar, non
+    def class_scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """Target scores and nontarget scores, each in trial order."""
+        return self.scores[self.is_target], self.scores[~self.is_target]
 
 
 def roc_points(tar: np.ndarray, non: np.ndarray):
@@ -72,6 +68,8 @@ def roc_points(tar: np.ndarray, non: np.ndarray):
     """
     tar = np.sort(np.asarray(tar, dtype=float))
     non = np.sort(np.asarray(non, dtype=float))
+    if tar.size == 0 or non.size == 0:
+        raise ValueError("need at least one target and one nontarget trial")
     thresholds = np.unique(np.concatenate([tar, non]))
     far = 1.0 - np.searchsorted(non, thresholds, side="left") / non.size
     frr = np.searchsorted(tar, thresholds, side="left") / tar.size
@@ -81,14 +79,9 @@ def roc_points(tar: np.ndarray, non: np.ndarray):
     return thresholds, far, frr
 
 
-def compute_eer(trials: Trials) -> tuple[float, float]:
+def compute_eer(tar, non) -> tuple[float, float]:
     """Equal error rate with linear interpolation between adjacent ROC points."""
-    tar, non = split_scores(trials)
-    return eer_from_scores(tar, non)
-
-
-def eer_from_scores(tar, non) -> tuple[float, float]:
-    thresholds, far, frr = roc_points(np.asarray(tar), np.asarray(non))
+    thresholds, far, frr = roc_points(tar, non)
     diff = far - frr  # non-increasing along the sweep, starts at 1, ends at -1
     idx = int(np.argmax(diff <= 0))
     if diff[idx] == 0 or idx == 0:
@@ -101,14 +94,9 @@ def eer_from_scores(tar, non) -> tuple[float, float]:
     return float(eer), float(thr)
 
 
-def compute_min_c_primary(trials: Trials) -> float:
+def compute_min_c_primary(tar, non) -> float:
     """Mean normalized minimum detection cost at target priors 0.01 and 0.005."""
-    tar, non = split_scores(trials)
-    return min_c_primary_from_scores(tar, non)
-
-
-def min_c_primary_from_scores(tar, non) -> float:
-    _, far, frr = roc_points(np.asarray(tar), np.asarray(non))
+    _, far, frr = roc_points(tar, non)
     costs = []
     for p_target in MIN_C_PRIMARY_PRIORS:
         dcf = p_target * frr + (1.0 - p_target) * far

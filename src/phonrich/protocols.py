@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,10 @@ class ProtocolSpec:
         neg = set(self.negative_trials)
         if pos & neg:
             raise ValueError("positive and negative trial lists overlap")
+        for m_id, t_id in self.positive_trials + self.negative_trials:
+            if m_id not in speaker_of_model or t_id not in speaker_of_test:
+                unknown = "model" if m_id not in speaker_of_model else "test"
+                raise ValueError(f"trial ({m_id}, {t_id}) names an unknown {unknown}")
         for m_id, t_id in self.positive_trials:
             if speaker_of_model[m_id] != speaker_of_test[t_id]:
                 raise ValueError(f"positive trial ({m_id}, {t_id}) crosses speakers")
@@ -175,12 +179,11 @@ def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
         ))
     positive, negative = [], []
     for m_id, t_id, label in trials or []:
-        pair = (m_id, id_map[t_id])
+        if label not in ("target", "nontarget"):
+            raise ValueError(f"base trial ({m_id}, {t_id}): label must be target/nontarget, got {label!r}")
+        pair = (m_id, id_map.get(t_id, t_id))  # an unknown id is reported by validate()
         (positive if label == "target" else negative).append(pair)
-    spec = ProtocolSpec(name or f"clip{target:g}s", positive, negative, tests, models or [])
-    if models:
-        spec.validate()
-    return spec
+    return ProtocolSpec(name or f"clip{target:g}s", positive, negative, tests, models or [])
 
 
 def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
@@ -263,18 +266,19 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
             ))
             positive.append((spk, test_id))
 
+    models_by_gender: dict[str, list[ModelRecord]] = {}
+    for m in models:
+        models_by_gender.setdefault(m.gender, []).append(m)
     negative = []
     for t in tests:
-        impostors = [m.model_id for m in models
-                     if m.speaker_id != t.speaker_id and m.gender == t.gender]
+        impostors = [m.model_id for m in models_by_gender.get(t.gender, [])
+                     if m.speaker_id != t.speaker_id]
         if negatives_per_probe is not None and len(impostors) > negatives_per_probe:
             chosen = rng.choice(len(impostors), size=negatives_per_probe, replace=False)
             impostors = [impostors[i] for i in sorted(chosen)]
         negative.extend((m_id, t.test_id) for m_id in impostors)
 
-    spec = ProtocolSpec(name, positive, negative, tests, models)
-    spec.validate()
-    return spec
+    return ProtocolSpec(name, positive, negative, tests, models)
 
 
 def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str | Path,

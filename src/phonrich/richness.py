@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +40,13 @@ def weighted_count_unique(p: PresenceVector, w: RichnessWeights) -> float:
     return float(w.weights @ p.bits)
 
 
-def fit_weights(pairs: list[tuple[PresenceVector, float]], seed: int = 0) -> RichnessWeights:
+def fit_weights(pairs: list[tuple[PresenceVector, float]]) -> RichnessWeights:
     """Fit non-negative per-phoneme weights to positive-trial scores.
 
     Solves min_w ||P w - s||^2 subject to w >= 0 with no intercept, where
     row u of P is the presence vector of utterance u and s_u is the ASV
     score of that utterance against its own speaker's enrollment. The
-    active-set solve is deterministic; ``seed`` is accepted for interface
-    uniformity and recorded nowhere.
+    active-set solve is deterministic.
     """
     if not pairs:
         raise ValueError("fit_weights requires a non-empty training set")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ _TEST_STREAM = 3
 
 @dataclass
 class SimConfig:
-    n_speakers: int
     sigma0: float
     kappa: float
     seed: int
@@ -37,29 +36,22 @@ class SimConfig:
             raise ValueError("kappa must be >= 0")
 
 
-@dataclass
-class Embedding:
-    vector: np.ndarray
-    utterance_id: str = ""
+def cosine_score(models: np.ndarray, tests: np.ndarray, model_rows: np.ndarray,
+                 test_rows: np.ndarray) -> np.ndarray:
+    """Per trial k, the dot product of unit rows models[model_rows[k]] and tests[test_rows[k]].
 
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=float)
-        norm = np.linalg.norm(self.vector)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"embedding {self.utterance_id!r} is not unit-norm (|v| = {norm})")
-
-
-def cosine_score(a: Embedding, b: Embedding) -> float:
-    """Dot product of unit vectors, in [-1, 1]."""
-    if a.vector.shape != b.vector.shape:
-        raise ValueError("embedding dimension mismatch")
-    return float(a.vector @ b.vector)
+    A stack of (1, dim) @ (dim, 1) products, each equal bit for bit to the
+    vector product ``models[i] @ tests[j]``; a row-wise einsum or
+    multiply-and-sum rounds differently in the last bits. Rows of unequal
+    length raise a ValueError.
+    """
+    return np.matmul(models[model_rows][:, None, :], tests[test_rows][:, :, None])[:, 0, 0]
 
 
 @dataclass
 class SimResult:
-    model_embeddings: dict[str, Embedding]
-    test_embeddings: dict[str, Embedding]
+    models: np.ndarray  # unit rows, one per model in sorted model-id order
+    tests: np.ndarray  # unit rows, one per test in sorted test-id order
     trials: Trials
     qmfs: dict[str, dict[str, float]]
 
@@ -93,29 +85,37 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
         rng = np.random.default_rng([config.seed, _SPEAKER_STREAM, idx])
         means[spk] = _unit(rng.standard_normal(config.dim))
 
-    model_embeddings = {}
-    for idx, m in enumerate(sorted(protocol.models, key=lambda m: m.model_id)):
-        rng = np.random.default_rng([config.seed, _MODEL_STREAM, idx])
-        vec = _noisy_embedding(means[m.speaker_id], config.sigma0 / 4.0, rng)
-        model_embeddings[m.model_id] = Embedding(vec, m.model_id)
+    models = sorted(protocol.models, key=lambda m: m.model_id)
+    model_matrix = np.array([
+        _noisy_embedding(means[m.speaker_id], config.sigma0 / 4.0,
+                         np.random.default_rng([config.seed, _MODEL_STREAM, idx]))
+        for idx, m in enumerate(models)], dtype=float).reshape(-1, config.dim)
 
-    test_embeddings = {}
+    tests = sorted(protocol.tests, key=lambda t: t.test_id)
+    test_vectors = []
     qmfs = {}
-    for idx, t in enumerate(sorted(protocol.tests, key=lambda t: t.test_id)):
+    for idx, t in enumerate(tests):
         trans = transcribe(t.transcript, lexicon, t.test_id)
         cu = count_unique(presence_vector(trans, inventory))
         sigma = config.sigma0 * (1.0 + config.kappa * (39 - cu) / 39.0)
         rng = np.random.default_rng([config.seed, _TEST_STREAM, idx])
-        vec = _noisy_embedding(means[t.speaker_id], sigma, rng)
-        test_embeddings[t.test_id] = Embedding(vec, t.test_id)
+        test_vectors.append(_noisy_embedding(means[t.speaker_id], sigma, rng))
         qmfs[t.test_id] = {
             "cu": float(cu),
             "net_speech": float(t.net_speech),
             "lns": log_net_speech(t.net_speech),
         }
+    test_matrix = np.array(test_vectors, dtype=float).reshape(-1, config.dim)
 
+    model_row = {m.model_id: i for i, m in enumerate(models)}
+    test_row = {t.test_id: i for i, t in enumerate(tests)}
     pairs = protocol.positive_trials + protocol.negative_trials
+    try:
+        rows = np.array([(model_row[m_id], test_row[t_id]) for m_id, t_id in pairs],
+                        dtype=np.intp).reshape(-1, 2)
+    except KeyError as exc:
+        raise ValueError(f"a trial names unknown model or test {exc}") from None
     trials = Trials([m_id for m_id, _ in pairs], [t_id for _, t_id in pairs],
                     np.arange(len(pairs)) < len(protocol.positive_trials),
-                    [cosine_score(model_embeddings[m_id], test_embeddings[t_id]) for m_id, t_id in pairs])
-    return SimResult(model_embeddings, test_embeddings, trials, qmfs)
+                    cosine_score(model_matrix, test_matrix, rows[:, 0], rows[:, 1]))
+    return SimResult(model_matrix, test_matrix, trials, qmfs)

@@ -14,8 +14,7 @@ from phonrich.cli import main as cli_main
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
 from phonrich.inventory import ARPABET_39, PhonemeInventory, PresenceVector
 from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
-from phonrich.metrics import (compute_eer, eer_from_scores, kendall_tau,
-                              min_c_primary_from_scores)
+from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
 from phonrich.richness import RichnessWeights, count_unique, fit_weights, weighted_count_unique
 from phonrich.simulator import SimConfig, simulate_corpus
@@ -56,7 +55,7 @@ def simulator_run():
     sentences = [r for r in inv if r.kind == "sentence"]
     protocol = build_repetitive_protocol(words, sentences, 200, seed=11,
                                          negatives_per_probe=4)
-    config = SimConfig(n_speakers=50, sigma0=0.6, kappa=2.0, seed=13,
+    config = SimConfig(sigma0=0.6, kappa=2.0, seed=13,
                        vocabulary=DEMO_VOCABULARY, dim=80)
     result = simulate_corpus(config, protocol)
     return result, time.time() - t0
@@ -76,8 +75,8 @@ def test_criterion_1_metric_oracle_equivalence():
         else:
             tar = rng.standard_normal(n_tar) + 0.4
             non = rng.standard_normal(n_non)
-        worst_eer = max(worst_eer, abs(eer_from_scores(tar, non)[0] - brute_force_eer(tar, non)))
-        worst_minc = max(worst_minc, abs(min_c_primary_from_scores(tar, non)
+        worst_eer = max(worst_eer, abs(compute_eer(tar, non)[0] - brute_force_eer(tar, non)))
+        worst_minc = max(worst_minc, abs(compute_min_c_primary(tar, non)
                                          - brute_force_min_c_primary(tar, non)))
         n = int(rng.integers(2, 201))
         x = rng.integers(0, 8, n).astype(float)
@@ -101,10 +100,10 @@ def test_criterion_2_eer_monotone_invariance():
         n_non = int(rng.integers(2, 80))
         tar = rng.standard_normal(n_tar) + rng.uniform(0, 1.5)
         non = rng.standard_normal(n_non)
-        ref, _ = eer_from_scores(tar, non)
+        ref, _ = compute_eer(tar, non)
         for _ in range(100):
             f = random_monotone_transform(rng)
-            got, _ = eer_from_scores(f(tar), f(non))
+            got, _ = compute_eer(f(tar), f(non))
             worst = max(worst, abs(got - ref))
     report(2, worst < 1e-12, f"max EER change under monotone transforms = {worst:.2e}")
 
@@ -162,7 +161,7 @@ def test_criterion_6_calibration_benefit_direction(simulator_run):
     for fs in [(), ("raw",), ("raw", "cu"), ("raw", "lns"), ("raw", "lns", "cu")]:
         scored = result.trials if not fs else \
             cross_validated_calibration(result.trials, result.qmfs, fs, k=5, seed=3)[0]
-        eer[fs] = compute_eer(scored)[0]
+        eer[fs] = compute_eer(*scored.class_scores())[0]
     directions = (
         eer[("raw", "cu")] < eer[("raw",)]
         and eer[("raw",)] <= eer[()] + 0.001

@@ -284,6 +284,85 @@ class TestScoresFile:
         assert trials.scores.tolist() == [0.9, 0.1, 0.8, 0.2]
 
 
+class TestQmfFile:
+    """A QMF record that is not an object with a test_id fails with one error line naming it."""
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"cu": 3}', "record has no test_id"),
+        ("3", "expected a JSON object, got 3"),
+    ], ids=["no-test-id", "not-an-object"])
+    @pytest.mark.parametrize("command", ["evaluate", "stats"])
+    def test_bad_record_names_file_and_line(self, tmp_path, capsys, command, record, message):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "\n".join(GOOD_ROWS) + "\n")
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text('# provenance\n{"test_id": "t1", "cu": 5, "net_speech": 2.0}\n' + record + "\n")
+        argv = {"evaluate": ["evaluate", "--scores", scores, "--qmf", qmf, "--features", "none"],
+                "stats": ["stats", "--qmf", qmf]}[command]
+        assert run(argv) == 1
+        captured = only_error_line(capsys)
+        assert f"{qmf}:3: " in captured.err
+        assert message in captured.err
+        assert captured.out == ""
+
+
+class TestEvaluateOutputOrder:
+    def test_failed_correlation_report_prints_and_writes_nothing(self, tmp_path, capsys):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "m1\tt1\ttarget\t0.9\nm1\tt2\tnontarget\t0.1\n")
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text('{"test_id": "t1", "cu": 5}\n{"test_id": "t2", "cu": 7}\n')
+        out, scatter = tmp_path / "eval.tsv", tmp_path / "scatter.csv"
+        assert run(["evaluate", "--scores", scores, "--qmf", qmf, "--features", "none",
+                    "--out", out, "--correlation-out", scatter]) == 1
+        captured = only_error_line(capsys)
+        assert "kendall_tau needs at least 2 observations" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+        assert not scatter.exists()
+
+
+class TestClipBaseTrials:
+    """gen-protocol --protocol clip --base-trials: models are the corpus speakers' enrollments."""
+
+    def gen(self, tmp_path, rows):
+        corpus = tmp_path / "corpus.jsonl"
+        assert run(["make-demo", "--speakers", 4, "--seed", 1, "--out", corpus]) == 0
+        base = tmp_path / "base.tsv"
+        base.write_text("model_id\ttest_id\tlabel\n" + "".join(f"{m}\t{t}\t{lab}\n" for m, t, lab in rows))
+        prefix = tmp_path / "clip"
+        code = run(["gen-protocol", "--corpus", corpus, "--protocol", "clip", "--target", 2.0,
+                    "--base-trials", base, "--seed", 5, "--out-prefix", prefix])
+        return code, prefix
+
+    def test_valid_base_trials(self, tmp_path, capsys):
+        code, prefix = self.gen(tmp_path, [("spk000", "spk000_sent0", "target"),
+                                           ("spk001", "spk000_sent0", "nontarget")])
+        assert code == 0
+        _, rows = read_tsv(f"{prefix}.trials.tsv")
+        assert rows == [["spk000", "spk000_sent0@2s", "target"],
+                        ["spk001", "spk000_sent0@2s", "nontarget"]]
+        models = read_jsonl(f"{prefix}.models.jsonl")
+        assert [m["model_id"] for m in models] == ["spk000", "spk001", "spk002", "spk003"]
+        assert all(m["model_id"] == m["speaker_id"] for m in models)
+        scores = tmp_path / "scores.tsv"
+        assert run(["simulate", "--trials", f"{prefix}.trials.tsv", "--manifest", f"{prefix}.manifest.jsonl",
+                    "--models", f"{prefix}.models.jsonl", "--seed", 3, "--out-scores", scores,
+                    "--out-qmf", tmp_path / "qmf.jsonl"]) == 0
+        assert read_scores(scores).model_ids == ["spk000", "spk001"]
+
+    @pytest.mark.parametrize("row, message", [
+        (("nobody", "spk000_sent0", "target"), "trial (nobody, spk000_sent0@2s) names an unknown model"),
+        (("spk000", "nothing", "target"), "trial (spk000, nothing) names an unknown test"),
+        (("spk001", "spk000_sent0", "impostor"), "label must be target/nontarget, got 'impostor'"),
+    ], ids=["unknown-model", "unknown-test", "bad-label"])
+    def test_bad_base_trial_is_one_error_line(self, tmp_path, capsys, row, message):
+        code, prefix = self.gen(tmp_path, [row])
+        assert code == 1
+        assert message in only_error_line(capsys).err
+        assert not (tmp_path / "clip.trials.tsv").exists()
+
+
 class TestPinnedStall:
     """The protocol on which two LR folds stall at a floating-point fixed point.
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from phonrich.metrics import (Trials, compute_eer, compute_min_c_primary,
-                              correlation_report, eer_from_scores, kendall_tau,
-                              min_c_primary_from_scores, protocol_stats)
+                              correlation_report, kendall_tau, protocol_stats)
 
 from oracles import (brute_force_eer, brute_force_min_c_primary, brute_force_tau,
                      random_monotone_transform)
@@ -17,39 +16,43 @@ def make_trials(tar, non):
 
 class TestEer:
     def test_perfect_separation(self):
-        eer, _ = compute_eer(make_trials([0.9, 0.8], [0.1, 0.2]))
+        eer, _ = compute_eer([0.9, 0.8], [0.1, 0.2])
         assert eer == 0.0
 
     def test_identical_classes(self):
-        eer, _ = compute_eer(make_trials([0.3, 0.5], [0.3, 0.5]))
+        eer, _ = compute_eer([0.3, 0.5], [0.3, 0.5])
         assert eer == pytest.approx(0.5)
 
     def test_hand_enumerated_third(self):
-        eer, thr = compute_eer(make_trials([0.8, 0.6, 0.4], [0.7, 0.3, 0.2]))
+        eer, thr = compute_eer([0.8, 0.6, 0.4], [0.7, 0.3, 0.2])
         assert eer == pytest.approx(1 / 3)
         assert 0.4 < thr <= 0.7
 
     def test_missing_class_error(self):
-        with pytest.raises(ValueError):
-            compute_eer(make_trials([0.5], []))
+        with pytest.raises(ValueError, match="at least one target and one nontarget"):
+            compute_eer([0.5], [])
+        with pytest.raises(ValueError, match="at least one target and one nontarget"):
+            compute_eer([], [0.5])
+        with pytest.raises(ValueError, match="at least one target and one nontarget"):
+            compute_min_c_primary(np.array([0.5]), np.array([]))
 
     def test_label_swap_preserves_eer(self):
         rng = np.random.default_rng(0)
         tar = rng.standard_normal(50) + 1
         non = rng.standard_normal(70)
-        eer1, _ = eer_from_scores(tar, non)
+        eer1, _ = compute_eer(tar, non)
         # swapping classes maps FAR<->FRR; EER unchanged when scores are negated
-        eer2, _ = eer_from_scores(-non, -tar)
+        eer2, _ = compute_eer(-non, -tar)
         assert eer1 == pytest.approx(eer2, abs=1e-12)
 
     def test_monotone_invariance(self):
         rng = np.random.default_rng(1)
         tar = rng.standard_normal(40) + 0.5
         non = rng.standard_normal(60)
-        eer_ref, _ = eer_from_scores(tar, non)
+        eer_ref, _ = compute_eer(tar, non)
         for k in range(20):
             f = random_monotone_transform(rng)
-            eer_t, _ = eer_from_scores(f(tar), f(non))
+            eer_t, _ = compute_eer(f(tar), f(non))
             assert abs(eer_t - eer_ref) < 1e-12
 
     def test_matches_brute_force(self):
@@ -60,7 +63,7 @@ class TestEer:
             # quantized scores force ties across and within classes
             tar = np.round(rng.standard_normal(nt) + 0.5, 1)
             non = np.round(rng.standard_normal(nn), 1)
-            got, _ = eer_from_scores(tar, non)
+            got, _ = compute_eer(tar, non)
             assert got == pytest.approx(brute_force_eer(tar, non), abs=1e-10)
 
     def test_non_finite_score_rejected(self):
@@ -70,16 +73,15 @@ class TestEer:
 
 class TestMinCPrimary:
     def test_perfect_separation(self):
-        assert compute_min_c_primary(make_trials([0.9, 0.8], [0.1, 0.2])) == 0.0
+        assert compute_min_c_primary([0.9, 0.8], [0.1, 0.2]) == 0.0
 
     def test_identical_classes_hit_do_nothing_bound(self):
-        assert compute_min_c_primary(make_trials([0.4, 0.6], [0.4, 0.6])) == pytest.approx(1.0)
+        assert compute_min_c_primary([0.4, 0.6], [0.4, 0.6]) == pytest.approx(1.0)
 
     def test_hand_case_and_perturbation(self):
-        assert compute_min_c_primary(make_trials([0.8, 0.6], [0.5, 0.1])) == 0.0
-        perturbed = make_trials([0.8, 0.4], [0.5, 0.1])
-        got = compute_min_c_primary(perturbed)
+        assert compute_min_c_primary([0.8, 0.6], [0.5, 0.1]) == 0.0
         tar, non = np.array([0.8, 0.4]), np.array([0.5, 0.1])
+        got = compute_min_c_primary(tar, non)
         assert got == pytest.approx(brute_force_min_c_primary(tar, non), abs=1e-12)
 
     def test_never_exceeds_one(self):
@@ -87,14 +89,14 @@ class TestMinCPrimary:
         for _ in range(100):
             tar = rng.standard_normal(int(rng.integers(1, 30)))
             non = rng.standard_normal(int(rng.integers(1, 30))) + 1  # badly inverted
-            assert min_c_primary_from_scores(tar, non) <= 1 + 1e-12
+            assert compute_min_c_primary(tar, non) <= 1 + 1e-12
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             tar = np.round(rng.standard_normal(int(rng.integers(1, 40))) + 0.3, 1)
             non = np.round(rng.standard_normal(int(rng.integers(1, 40))), 1)
-            got = min_c_primary_from_scores(tar, non)
+            got = compute_min_c_primary(tar, non)
             assert got == pytest.approx(brute_force_min_c_primary(tar, non), abs=1e-10)
 
 
@@ -167,6 +169,13 @@ class TestTrials:
         tests, codes = trials.test_index()
         assert tests == ["t2", "t1"]
         assert codes.tolist() == [0, 1, 0]
+
+    def test_class_scores_split_by_mask_in_trial_order(self):
+        trials = Trials(["a", "b", "c", "d"], ["t1", "t2", "t3", "t4"], [False, True, False, True],
+                        [0.1, 0.2, 0.3, 0.4])
+        tar, non = trials.class_scores()
+        assert tar.tolist() == [0.2, 0.4]
+        assert non.tolist() == [0.1, 0.3]
 
 
 class TestCorrelationReport:

@@ -213,6 +213,14 @@ class TestEmitAndLoad:
             spec.validate()
 
 
+    def test_validate_names_a_trial_with_an_unknown_id(self):
+        tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
+        models = [ModelRecord("a", "a", 10.0, ["s"])]
+        with pytest.raises(ValueError, match=r"trial \(b, t1\) names an unknown model"):
+            ProtocolSpec("bad", [("b", "t1")], [], tests, models).validate()
+        with pytest.raises(ValueError, match=r"trial \(a, t2\) names an unknown test"):
+            ProtocolSpec("bad", [], [("a", "t2")], tests, models).validate()
+
 class TestUtteranceRecord:
     def test_nonpositive_net_speech_rejected(self):
         with pytest.raises(ValueError):

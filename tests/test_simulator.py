@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
 from phonrich.metrics import compute_eer, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
-from phonrich.simulator import Embedding, SimConfig, SimResult, cosine_score, simulate_corpus
+from phonrich.simulator import SimConfig, cosine_score, simulate_corpus
 
 
 def unit(v):
@@ -27,49 +29,62 @@ def targets(trials):
 
 
 def config(protocol, **kw):
-    defaults = dict(n_speakers=10, sigma0=0.6, kappa=2.0, seed=4,
+    defaults = dict(sigma0=0.6, kappa=2.0, seed=4,
                     vocabulary=DEMO_VOCABULARY, dim=32)
     defaults.update(kw)
     return SimConfig(**defaults)
 
 
+def score_pair(a, b):
+    """cosine_score of the single pair (a, b), given as two one-row matrices."""
+    return cosine_score(np.atleast_2d(a), np.atleast_2d(b), [0], [0])[0]
+
+
 class TestCosineScore:
     def test_self_similarity(self):
-        a = Embedding(unit([1.0, 2.0, 3.0]))
-        assert cosine_score(a, a) == pytest.approx(1.0)
+        a = unit([1.0, 2.0, 3.0])
+        assert score_pair(a, a) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        a = Embedding(np.array([1.0, 0.0]))
-        b = Embedding(np.array([0.0, 1.0]))
-        assert cosine_score(a, b) == pytest.approx(0.0)
+        assert score_pair([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
 
     def test_antipodal(self):
-        a = Embedding(unit([1.0, -2.0]))
-        b = Embedding(-a.vector)
-        assert cosine_score(a, b) == pytest.approx(-1.0)
+        a = unit([1.0, -2.0])
+        assert score_pair(a, -a) == pytest.approx(-1.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        a = Embedding(unit(rng.standard_normal(16)))
-        b = Embedding(unit(rng.standard_normal(16)))
-        assert cosine_score(a, b) == cosine_score(b, a)
+        M = np.array([unit(rng.standard_normal(16)) for _ in range(5)])
+        T = np.array([unit(rng.standard_normal(16)) for _ in range(7)])
+        a, b = rng.integers(0, 5, 40), rng.integers(0, 7, 40)
+        assert cosine_score(M, T, a, b).tolist() == cosine_score(T, M, b, a).tolist()
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            cosine_score(Embedding(np.array([1.0, 0.0])), Embedding(unit(np.ones(3))))
-
-
-class TestEmbedding:
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError, match="unit-norm"):
-            Embedding(np.array([1.0, 1.0]))
+            cosine_score(np.ones((1, 2)), np.ones((1, 3)), [0], [0])
 
 
 class TestSimulateCorpus:
     def test_all_embeddings_unit_norm(self, protocol):
         res = simulate_corpus(config(protocol), protocol)
-        for emb in list(res.model_embeddings.values()) + list(res.test_embeddings.values()):
-            assert abs(np.linalg.norm(emb.vector) - 1.0) < 1e-9
+        assert res.models.shape == (len(protocol.models), 32)
+        assert res.tests.shape == (len(protocol.tests), 32)
+        norms = np.linalg.norm(np.vstack([res.models, res.tests]), axis=1)
+        assert np.all(np.abs(norms - 1.0) < 1e-9)
+
+    def test_each_score_is_its_pair_dot_product_exactly(self, protocol):
+        res = simulate_corpus(config(protocol), protocol)
+        model_row = {m: i for i, m in enumerate(sorted(m.model_id for m in protocol.models))}
+        test_row = {t: j for j, t in enumerate(sorted(t.test_id for t in protocol.tests))}
+        expected = [float(res.models[model_row[m]] @ res.tests[test_row[t]])
+                    for m, t in zip(res.trials.model_ids, res.trials.test_ids)]
+        assert res.trials.scores.tolist() == expected
+
+    def test_unknown_trial_id_rejected(self, protocol):
+        bad = copy.copy(protocol)
+        bad.negative_trials = protocol.negative_trials + [("nobody", protocol.tests[0].test_id)]
+        with pytest.raises(ValueError, match="nobody"):
+            simulate_corpus(config(protocol), bad)
 
     def test_reproducible(self, protocol):
         r1 = simulate_corpus(config(protocol), protocol)
@@ -91,7 +106,7 @@ class TestSimulateCorpus:
 
     def test_small_noise_separates_classes(self, protocol):
         res = simulate_corpus(config(protocol, sigma0=0.01, kappa=0.0), protocol)
-        eer, _ = compute_eer(res.trials)
+        eer, _ = compute_eer(*res.trials.class_scores())
         assert eer == 0.0
         pos_scores = [s for _, s in targets(res.trials)]
         assert min(pos_scores) > 0.99
@@ -116,8 +131,8 @@ class TestSimulateCorpus:
 class TestSimConfig:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            SimConfig(5, sigma0=0.0, kappa=1.0, seed=0, vocabulary={})
+            SimConfig(sigma0=0.0, kappa=1.0, seed=0, vocabulary={})
         with pytest.raises(ValueError):
-            SimConfig(5, sigma0=0.5, kappa=-1.0, seed=0, vocabulary={})
+            SimConfig(sigma0=0.5, kappa=-1.0, seed=0, vocabulary={})
         with pytest.raises(ValueError):
-            SimConfig(5, sigma0=0.5, kappa=1.0, seed=0, vocabulary={}, dim=1)
+            SimConfig(sigma0=0.5, kappa=1.0, seed=0, vocabulary={}, dim=1)
