@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .inventory import ARPABET_39, PhonemeInventory, PresenceVector
+from .inventory import ARPABET_39, PresenceVector
 from .lexicon import Lexicon, PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .richness import RichnessWeights, count_unique, fit_weights, weighted_count_unique
 from .metrics import Trials, compute_eer, compute_min_c_primary, kendall_tau

@@ -97,12 +97,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_lr(features: np.ndarray, is_target, feature_names=(), class_weighting: bool = True) -> CalibrationModel:
+def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationModel:
     """Newton/IRLS fit of class-weighted logistic regression.
 
-    ``is_target`` is the boolean target mask of the rows. Deterministic:
-    zero initialization, convergence when max |gradient| < 1e-8, ridge 1e-9
-    on the Hessian, and at most 100 iterations. A fit also stops, with
+    Each row is weighted n / (2 * n_class), so the two classes carry equal
+    total weight. ``is_target`` is the boolean target mask of the rows.
+    Deterministic: zero initialization, convergence when max |gradient| <
+    1e-8, ridge 1e-9 on the Hessian, and at most 100 iterations. A fit also stops, with
     ``converged`` False, at a floating-point fixed point: once an accepted
     Newton step leaves the coefficients bitwise unchanged, every later
     iteration would repeat it.
@@ -121,11 +122,8 @@ def fit_lr(features: np.ndarray, is_target, feature_names=(), class_weighting: b
     if n_tar == 0 or n_non == 0:
         raise ValueError("fit_lr requires both classes present")
 
-    if class_weighting:
-        w_tar = n / (2.0 * n_tar)
-        w_non = n / (2.0 * n_non)
-    else:
-        w_tar = w_non = 1.0
+    w_tar = n / (2.0 * n_tar)
+    w_non = n / (2.0 * n_non)
     sample_w = np.where(y == 1.0, w_tar, w_non)
 
     Xb = np.hstack([np.ones((n, 1)), X])  # intercept first
@@ -209,7 +207,7 @@ def cross_validated_calibration(trials: Trials, qmfs: dict[str, dict[str, float]
 
     if k == 1:
         # degenerate case: train on everything, score everything
-        model = fit_lr(X, trials.is_target, feature_names=names, class_weighting=True)
+        model = fit_lr(X, trials.is_target, feature_names=names)
         model.seed = seed
         return replace(trials, scores=apply_lr(model, X)), [model]
 
@@ -220,7 +218,7 @@ def cross_validated_calibration(trials: Trials, qmfs: dict[str, dict[str, float]
     for fold in range(k):
         train = folds != fold
         test = ~train
-        model = fit_lr(X[train], trials.is_target[train], feature_names=names, class_weighting=True)
+        model = fit_lr(X[train], trials.is_target[train], feature_names=names)
         model.seed = seed
         pooled[test] = apply_lr(model, X[test])
         models.append(model)

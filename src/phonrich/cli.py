@@ -10,35 +10,28 @@ from pathlib import Path
 from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
-from .inventory import PhonemeInventory, PresenceVector
-from .io import (provenance_line, read_jsonl, read_qmfs, read_scores, read_tsv,
+from .inventory import PresenceVector
+from .io import (provenance_line, read_jsonl, read_qmfs, read_scores,
                  write_jsonl, write_scores, write_tsv)
 from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import (compute_eer, compute_min_c_primary, correlation_report,
                       protocol_stats)
 from .protocols import (build_clip_protocol, build_enrollment, build_repetitive_protocol,
-                        emit_trials, load_inventory_jsonl, load_protocol)
+                        emit_trials, load_inventory_jsonl, load_protocol, read_trials)
 from .richness import (count_unique, fit_weights, load_weights, save_weights, weight_report,
                        weighted_count_unique)
 from .simulator import SimConfig, simulate_corpus
 
 
-def _inventory(args) -> PhonemeInventory:
-    if getattr(args, "inventory", None):
-        return PhonemeInventory.from_file(args.inventory)
-    return PhonemeInventory()
-
-
 def cmd_g2p(args) -> int:
-    inventory = _inventory(args)
-    lexicon = load_lexicon(args.lexicon, inventory)
-    transcripts = read_jsonl(args.transcripts)
+    lexicon = load_lexicon(args.lexicon)
+    transcripts = read_jsonl(args.transcripts, required=("utterance_id", "transcript"))
     records = []
     total_words = 0
     total_oov = 0
     for rec in transcripts:
         trans = transcribe(rec["transcript"], lexicon, rec["utterance_id"])
-        pv = presence_vector(trans, inventory)
+        pv = presence_vector(trans)
         total_oov += trans.oov_words
         total_words += len(rec["transcript"].split())
         records.append({
@@ -58,12 +51,11 @@ def cmd_g2p(args) -> int:
 
 
 def cmd_richness(args) -> int:
-    inventory = _inventory(args)
-    presence = read_jsonl(args.presence)
-    weights = load_weights(args.weights, inventory) if args.weights else None
+    presence = read_jsonl(args.presence, required=("utterance_id", "bits"))
+    weights = load_weights(args.weights) if args.weights else None
     net_speech = {}
     if args.manifest:
-        for rec in read_jsonl(args.manifest):
+        for rec in read_jsonl(args.manifest, required=("test_id", "net_speech")):
             net_speech[rec["test_id"]] = float(rec["net_speech"])
     records = []
     for rec in presence:
@@ -84,8 +76,8 @@ def cmd_richness(args) -> int:
 
 
 def cmd_fit_weights(args) -> int:
-    inventory = _inventory(args)
-    presence = {rec["utterance_id"]: rec for rec in read_jsonl(args.presence)}
+    presence = {rec["utterance_id"]: rec
+                for rec in read_jsonl(args.presence, required=("utterance_id", "bits"))}
     trials = read_scores(args.scores)
     pairs = []
     for test_id, target, score in zip(trials.test_ids, trials.is_target.tolist(),
@@ -98,7 +90,7 @@ def cmd_fit_weights(args) -> int:
         return 1
     w = fit_weights(pairs)
     prov = provenance_line("fit-weights", args.seed, [args.presence, args.scores])
-    save_weights(w, args.out, inventory, prov)
+    save_weights(w, args.out, prov)
     print(f"fit-weights: n_train={w.n_train} fit_residual={w.fit_residual:.6g}")
     return 0
 
@@ -117,8 +109,7 @@ def cmd_gen_protocol(args) -> int:
         base = [r for r in inventory if r.kind in ("sentence", "free")]
         trials = models = None
         if args.base_trials:
-            _, rows = read_tsv(args.base_trials)
-            trials = [(m, t, lab) for m, t, lab in rows]
+            trials = read_trials(args.base_trials)
             models = build_enrollment(inventory)
         spec = build_clip_protocol(base, args.target, args.seed, trials=trials, models=models)
     prov = provenance_line("gen-protocol", args.seed, [args.corpus])
@@ -158,17 +149,17 @@ def _parse_feature_set(text: str) -> tuple[str, ...]:
     names = tuple(n.strip().lower() for n in text.split(",") if n.strip())
     unknown = set(names) - set(FEATURE_ORDER)
     if unknown:
-        raise argparse.ArgumentTypeError(f"unknown features {sorted(unknown)}; pick from {FEATURE_ORDER}")
+        raise ValueError(f"unknown features {sorted(unknown)}; pick from {FEATURE_ORDER}")
     return names
 
 
 def cmd_calibrate(args) -> int:
-    trials = read_scores(args.scores)
-    qmfs = read_qmfs(args.qmf)
     feature_set = _parse_feature_set(args.features)
     if not feature_set:
         print("error: calibrate needs a non-empty feature set", file=sys.stderr)
         return 1
+    trials = read_scores(args.scores)
+    qmfs = read_qmfs(args.qmf)
     calibrated, models = cross_validated_calibration(trials, qmfs, feature_set,
                                                      k=args.folds, seed=args.seed)
     prov = provenance_line("calibrate", args.seed, [args.scores, args.qmf])
@@ -182,15 +173,15 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    feature_sets = [_parse_feature_set(f) for f in args.features] or [()]
+    if not args.qmf and any(f != "raw" for fs in feature_sets for f in fs):
+        print("error: --qmf is required for features beyond raw", file=sys.stderr)
+        return 1
     trials = read_scores(args.scores)
     qmfs = read_qmfs(args.qmf) if args.qmf else {}
-    feature_sets = [_parse_feature_set(f) for f in args.features] or [()]
     rows = []
     for fs in feature_sets:
         if fs:
-            if not args.qmf and any(f != "raw" for f in fs):
-                print("error: --qmf is required for features beyond raw", file=sys.stderr)
-                return 1
             scored, _ = cross_validated_calibration(trials, qmfs, fs, k=args.folds, seed=args.seed)
         else:
             scored = trials
@@ -217,11 +208,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report_weights(args) -> int:
-    inventory = _inventory(args)
-    weights = load_weights(args.weights, inventory)
+    weights = load_weights(args.weights)
     corpus = [PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"]))
-              for rec in read_jsonl(args.presence)]
-    rows = weight_report(weights, corpus, inventory)
+              for rec in read_jsonl(args.presence, required=("utterance_id", "phonemes"))]
+    rows = weight_report(weights, corpus)
     out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]
     header = ["phoneme", "normalized_weight", "frequency"]
     if args.out:
@@ -269,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("g2p", help="transcripts -> phoneme presence vectors")
     p.add_argument("--transcripts", required=True)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--inventory")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_g2p)
 
@@ -277,14 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presence", required=True)
     p.add_argument("--weights")
     p.add_argument("--manifest", help="manifest JSONL supplying net_speech")
-    p.add_argument("--inventory")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_richness)
 
     p = sub.add_parser("fit-weights", help="fit WCU weights from positive-trial scores")
     p.add_argument("--presence", required=True)
     p.add_argument("--scores", required=True)
-    p.add_argument("--inventory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit_weights)
@@ -337,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report-weights", help="normalized weights vs corpus phoneme frequency")
     p.add_argument("--weights", required=True)
     p.add_argument("--presence", required=True)
-    p.add_argument("--inventory")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report_weights)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -15,55 +14,22 @@ ARPABET_39 = (
     "L", "M", "N", "NG", "OW", "OY", "P", "R", "S", "SH",
     "T", "TH", "UH", "UW", "V", "W", "Y", "Z", "ZH",
 )
-
-
-@dataclass(frozen=True)
-class PhonemeInventory:
-    """Ordered phoneme alphabet defining the axes of presence vectors."""
-
-    symbols: tuple[str, ...] = ARPABET_39
-
-    def __post_init__(self):
-        if len(self.symbols) != 39:
-            raise ValueError(f"inventory must have exactly 39 symbols, got {len(self.symbols)}")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("inventory symbols must be unique")
-
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
-    def index(self, symbol: str) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise KeyError(f"symbol {symbol!r} not in inventory") from None
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.symbols
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PhonemeInventory":
-        """Load an inventory override: one symbol per line, blank lines ignored."""
-        symbols = []
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                symbols.append(line.upper())
-        return cls(tuple(symbols))
+# symbol -> its axis in presence vectors and weight vectors
+PHONEME_INDEX = {sym: i for i, sym in enumerate(ARPABET_39)}
 
 
 @dataclass
 class PresenceVector:
-    """Binary indicator of which inventory phonemes occur in one utterance."""
+    """Binary indicator of which ARPABET_39 phonemes occur in one utterance."""
 
     bits: np.ndarray
     utterance_id: str = ""
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.int8)
-        if self.bits.ndim != 1 or self.bits.shape[0] != 39:
-            raise ValueError(f"presence vector must have length 39, got shape {self.bits.shape}")
+        if self.bits.ndim != 1 or self.bits.shape[0] != len(ARPABET_39):
+            raise ValueError(f"presence vector must have length {len(ARPABET_39)}, "
+                             f"got shape {self.bits.shape}")
         if not np.all((self.bits == 0) | (self.bits == 1)):
             raise ValueError("presence vector components must be 0 or 1")
 

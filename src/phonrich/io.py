@@ -59,6 +59,12 @@ def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def data_line(path: str | Path, row: int) -> int:
+    """File line of data row ``row`` of a TSV (-1: the header), skipping blank and '#' lines."""
+    lines = Path(path).read_text().splitlines()
+    return [i for i, line in enumerate(lines, start=1) if line and not line.startswith("#")][row + 1]
+
+
 def write_jsonl(path: str | Path, records, provenance: str | None = None) -> None:
     lines = []
     if provenance:
@@ -95,15 +101,10 @@ def write_scores(path: str | Path, trials: Trials, provenance: str | None = None
 
 def read_scores(path: str | Path) -> Trials:
     """Scores TSV straight into columns; a malformed row fails with its file and line."""
-    lines = Path(path).read_text().splitlines()
-    kept = [line for line in lines if line and not line.startswith("#")]
-
-    def line_of(row: int) -> int:
-        """File line of data row ``row`` (-1: the header), counted only when one is reported."""
-        return [i for i, line in enumerate(lines, start=1) if line and not line.startswith("#")][row + 1]
+    kept = [line for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
 
     def fail(row: int, message: str):
-        raise ValueError(f"{path}:{line_of(row)}: {message}")
+        raise ValueError(f"{path}:{data_line(path, row)}: {message}")
 
     if not kept:
         raise ValueError(f"{path}: no header line found")
@@ -136,7 +137,7 @@ def read_scores(path: str | Path) -> Trials:
         for row, key in enumerate(keys):
             if key in first:
                 fail(row, f"duplicate trial ({model_ids[row]}, {test_ids[row]}), "
-                          f"first at line {line_of(first[key])}")
+                          f"first at line {data_line(path, first[key])}")
             first[key] = row
     return Trials(model_ids, test_ids, np.array([label == TARGET for label in labels], dtype=bool),
                   values)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .inventory import PhonemeInventory, PresenceVector
+from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
 
 _STRESS_RE = re.compile(r"^([A-Z]+)([0-2])$")
 _VARIANT_RE = re.compile(r"^(.*)\((\d+)\)$")
@@ -27,10 +27,9 @@ def strip_stress(symbol: str) -> str:
 
 @dataclass
 class Lexicon:
-    """Immutable word-to-pronunciations map over a fixed inventory."""
+    """Immutable word-to-pronunciations map over the ARPABET_39 symbols."""
 
     entries: dict[str, list[tuple[str, ...]]]
-    inventory: PhonemeInventory = field(default_factory=PhonemeInventory)
 
     def lookup(self, word: str) -> list[tuple[str, ...]]:
         return self.entries.get(word.lower(), [])
@@ -39,10 +38,8 @@ class Lexicon:
         return len(self.entries)
 
     @classmethod
-    def from_entries(cls, entries: dict[str, list[tuple[str, ...]] | tuple[str, ...] | list[str]],
-                     inventory: PhonemeInventory | None = None) -> "Lexicon":
+    def from_entries(cls, entries: dict[str, list[tuple[str, ...]] | tuple[str, ...] | list[str]]) -> "Lexicon":
         """Build a lexicon from in-memory word -> pronunciation(s) pairs."""
-        inventory = inventory or PhonemeInventory()
         normalized: dict[str, list[tuple[str, ...]]] = {}
         for word, prons in entries.items():
             if prons and isinstance(prons[0], str):
@@ -51,14 +48,14 @@ class Lexicon:
             for pron in prons:
                 pron = tuple(strip_stress(p.upper()) for p in pron)
                 for sym in pron:
-                    if sym not in inventory:
+                    if sym not in PHONEME_INDEX:
                         raise LexiconError(f"symbol {sym!r} for word {word!r} not in inventory")
                 variants.append(pron)
             normalized[word.lower()] = variants
-        return cls(normalized, inventory)
+        return cls(normalized)
 
 
-def load_lexicon(path: str | Path, inventory: PhonemeInventory | None = None) -> Lexicon:
+def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a CMU-dictionary-style text file.
 
     One entry per line: ``WORD  PH1 PH2 ...``. Variant entries carry a
@@ -66,7 +63,6 @@ def load_lexicon(path: str | Path, inventory: PhonemeInventory | None = None) ->
     order. Stress digits 0-2 are stripped from symbols. Lines starting
     with ``;;;`` are comments.
     """
-    inventory = inventory or PhonemeInventory()
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
@@ -88,11 +84,11 @@ def load_lexicon(path: str | Path, inventory: PhonemeInventory | None = None) ->
         pron = []
         for raw in parts[1:]:
             sym = strip_stress(raw.upper())
-            if sym not in inventory:
+            if sym not in PHONEME_INDEX:
                 raise LexiconError(f"{path}:{lineno}: symbol {raw!r} not in inventory after stress stripping")
             pron.append(sym)
         entries.setdefault(word.lower(), []).append(tuple(pron))
-    return Lexicon(entries, inventory)
+    return Lexicon(entries)
 
 
 @dataclass
@@ -127,12 +123,8 @@ def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTr
     return PhonemeTranscription(utterance_id, tuple(phonemes), oov)
 
 
-def presence_vector(trans: PhonemeTranscription, inventory: PhonemeInventory | None = None) -> PresenceVector:
-    """Binary vector: component i is 1 iff inventory symbol i occurs in the transcription."""
-    inventory = inventory or PhonemeInventory()
-    bits = np.zeros(inventory.size, dtype=np.int8)
+def presence_vector(trans: PhonemeTranscription) -> PresenceVector:
+    """Binary vector: component i is 1 iff ARPABET_39[i] occurs in the transcription."""
     present = set(trans.phonemes)
-    for i, sym in enumerate(inventory.symbols):
-        if sym in present:
-            bits[i] = 1
+    bits = np.array([sym in present for sym in ARPABET_39], dtype=np.int8)
     return PresenceVector(bits, trans.utterance_id)

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+# a coordinate enters the passive set only while its gradient exceeds TOL
+TOL = 1e-10
+# inner iterations allowed per column of A before the solve is abandoned
+ITERATIONS_PER_COLUMN = 10
 
-def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, maxiter: int | None = None):
+
+def nnls(A: np.ndarray, b: np.ndarray):
     """Minimize ||A x - b||_2 subject to x >= 0.
 
     Classic active-set iteration: start from x = 0, move the most
@@ -22,8 +27,7 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, maxiter: int | None =
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    if maxiter is None:
-        maxiter = 10 * n
+    max_iterations = ITERATIONS_PER_COLUMN * n
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -32,7 +36,7 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, maxiter: int | None =
     it = 0
     while True:
         inactive = ~passive
-        if not inactive.any() or np.max(w[inactive]) <= tol:
+        if not inactive.any() or np.max(w[inactive]) <= TOL:
             break
         # argmax over the inactive set, lowest index on ties
         candidates = np.flatnonzero(inactive)
@@ -41,8 +45,8 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, maxiter: int | None =
 
         while True:
             it += 1
-            if it > maxiter:
-                raise RuntimeError(f"nnls did not converge in {maxiter} iterations")
+            if it > max_iterations:
+                raise RuntimeError(f"nnls did not converge in {max_iterations} iterations")
             cols = np.flatnonzero(passive)
             z = np.zeros(n)
             z[cols], *_ = np.linalg.lstsq(A[:, cols], b, rcond=None)

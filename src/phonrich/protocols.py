@@ -7,9 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import read_jsonl, read_tsv, write_jsonl, write_tsv
+from .io import data_line, read_jsonl, read_tsv, write_jsonl, write_tsv
+from .metrics import NONTARGET, TARGET
 
 MAX_PROBE_REDRAWS = 20
+TRIAL_COLUMNS = ["model_id", "test_id", "label"]
+# keys load_protocol reads from each manifest and models record
+MANIFEST_KEYS = ("test_id", "speaker_id", "transcript", "net_speech", "source_ids")
+MODEL_KEYS = ("model_id", "speaker_id", "net_speech", "source_ids")
 
 
 @dataclass
@@ -59,7 +64,6 @@ class ModelRecord:
 
 @dataclass
 class ProtocolSpec:
-    name: str
     positive_trials: list[tuple[str, str]]
     negative_trials: list[tuple[str, str]]
     tests: list[ProbeEntry]
@@ -142,15 +146,15 @@ def _clip_window(durations: list[float], target: float, rng: np.random.Generator
 
 def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
                         trials: list[tuple[str, str, str]] | None = None,
-                        models: list[ModelRecord] | None = None,
-                        name: str | None = None) -> ProtocolSpec:
+                        models: list[ModelRecord] | None = None) -> ProtocolSpec:
     """Fixed-duration protocol: one random word-boundary clip per base test.
 
     Clips are realized as contiguous word subsequences (with end-to-end
     repetition when the utterance is shorter than the target), so net
     speech and transcript of each clip are fully determined by the chosen
     word window. ``trials`` is an optional passthrough list of
-    (model_id, test_id, label) rows over the base utterance ids.
+    (model_id, test_id, label) rows over the base utterance ids, as
+    ``read_trials`` returns them.
     """
     if target <= 0:
         raise ValueError("target duration must be > 0")
@@ -179,11 +183,9 @@ def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
         ))
     positive, negative = [], []
     for m_id, t_id, label in trials or []:
-        if label not in ("target", "nontarget"):
-            raise ValueError(f"base trial ({m_id}, {t_id}): label must be target/nontarget, got {label!r}")
         pair = (m_id, id_map.get(t_id, t_id))  # an unknown id is reported by validate()
-        (positive if label == "target" else negative).append(pair)
-    return ProtocolSpec(name or f"clip{target:g}s", positive, negative, tests, models or [])
+        (positive if label == TARGET else negative).append(pair)
+    return ProtocolSpec(positive, negative, tests, models or [])
 
 
 def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
@@ -222,8 +224,7 @@ def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
 
 def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[UtteranceRecord],
                               n_probes_per_speaker: int, seed: int,
-                              negatives_per_probe: int | None = None,
-                              name: str = "repetitive") -> ProtocolSpec:
+                              negatives_per_probe: int | None = None) -> ProtocolSpec:
     """Word-concatenation protocol with independently controlled length and diversity.
 
     Each probe concatenates T ~ uniform{2..10} single-word recordings over
@@ -278,16 +279,16 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
             impostors = [impostors[i] for i in sorted(chosen)]
         negative.extend((m_id, t.test_id) for m_id in impostors)
 
-    return ProtocolSpec(name, positive, negative, tests, models)
+    return ProtocolSpec(positive, negative, tests, models)
 
 
 def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str | Path,
                 models_path: str | Path | None = None, provenance: str | None = None) -> None:
     """Write the trial TSV and manifest/models JSONL; byte-stable for a given spec."""
     spec.validate()
-    rows = [(m, t, "target") for m, t in spec.positive_trials]
-    rows += [(m, t, "nontarget") for m, t in spec.negative_trials]
-    write_tsv(trials_path, ["model_id", "test_id", "label"], rows, provenance)
+    rows = [(m, t, TARGET) for m, t in spec.positive_trials]
+    rows += [(m, t, NONTARGET) for m, t in spec.negative_trials]
+    write_tsv(trials_path, TRIAL_COLUMNS, rows, provenance)
     write_jsonl(manifest_path, [
         {"test_id": t.test_id, "speaker_id": t.speaker_id, "transcript": t.transcript,
          "net_speech": t.net_speech, "source_ids": t.source_ids, "gender": t.gender}
@@ -301,28 +302,53 @@ def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str 
         ], provenance)
 
 
+def read_trials(path: str | Path) -> list[tuple[str, str, str]]:
+    """Trial TSV -> (model_id, test_id, label) rows.
+
+    A wrong header, a row with other than three fields, a label other
+    than target/nontarget or a repeated (model_id, test_id) fails with
+    the file and line.
+    """
+    header, rows = read_tsv(path)
+
+    def fail(row: int, message: str):
+        raise ValueError(f"{path}:{data_line(path, row)}: {message}")
+
+    if header != TRIAL_COLUMNS:
+        fail(-1, f"expected columns {TRIAL_COLUMNS}, got {header}")
+    first: dict[tuple[str, str], int] = {}
+    for row, cells in enumerate(rows):
+        if len(cells) != 3:
+            fail(row, f"expected 3 tab-separated fields, got {len(cells)}")
+        m_id, t_id, label = cells
+        if label not in (TARGET, NONTARGET):
+            fail(row, f"label must be target/nontarget, got {label!r}")
+        if first.setdefault((m_id, t_id), row) != row:
+            fail(row, f"duplicate trial ({m_id}, {t_id}), "
+                      f"first at line {data_line(path, first[m_id, t_id])}")
+    return [tuple(cells) for cells in rows]
+
+
 def load_protocol(trials_path: str | Path, manifest_path: str | Path,
-                  models_path: str | Path | None = None, name: str = "loaded") -> ProtocolSpec:
-    header, rows = read_tsv(trials_path)
-    if header != ["model_id", "test_id", "label"]:
-        raise ValueError(f"{trials_path}: unexpected columns {header}")
-    positive = [(m, t) for m, t, lab in rows if lab == "target"]
-    negative = [(m, t) for m, t, lab in rows if lab == "nontarget"]
+                  models_path: str | Path | None = None) -> ProtocolSpec:
+    rows = read_trials(trials_path)
+    positive = [(m, t) for m, t, lab in rows if lab == TARGET]
+    negative = [(m, t) for m, t, lab in rows if lab == NONTARGET]
     tests = [ProbeEntry(r["test_id"], r["speaker_id"], r["transcript"], r["net_speech"],
                        list(r["source_ids"]), r.get("gender", ""))
-             for r in read_jsonl(manifest_path)]
+             for r in read_jsonl(manifest_path, required=MANIFEST_KEYS)]
     models = []
     if models_path is not None:
         models = [ModelRecord(r["model_id"], r["speaker_id"], r["net_speech"],
                               list(r["source_ids"]), r.get("transcript", ""), r.get("gender", ""))
-                  for r in read_jsonl(models_path)]
-    return ProtocolSpec(name, positive, negative, tests, models)
+                  for r in read_jsonl(models_path, required=MODEL_KEYS)]
+    return ProtocolSpec(positive, negative, tests, models)
 
 
 def load_inventory_jsonl(path: str | Path) -> list[UtteranceRecord]:
     """Utterance inventory JSONL -> records (see README for the field list)."""
     records = []
-    for rec in read_jsonl(path):
+    for rec in read_jsonl(path, required=("utterance_id", "speaker_id", "kind", "net_speech")):
         records.append(UtteranceRecord(
             utterance_id=rec["utterance_id"],
             speaker_id=rec["speaker_id"],

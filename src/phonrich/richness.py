@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .inventory import PhonemeInventory, PresenceVector
+from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
 from .lexicon import PhonemeTranscription
 from .nnls import nnls
 
 
 def count_unique(p: PresenceVector) -> int:
-    """Number of distinct inventory phonemes present in the utterance."""
+    """Number of distinct ARPABET_39 phonemes present in the utterance."""
     return int(p.bits.sum())
 
 
@@ -27,8 +27,8 @@ class RichnessWeights:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (39,):
-            raise ValueError(f"weights must have length 39, got shape {self.weights.shape}")
+        if self.weights.shape != (len(ARPABET_39),):
+            raise ValueError(f"weights must have length {len(ARPABET_39)}, got shape {self.weights.shape}")
         if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
 
@@ -59,43 +59,40 @@ def fit_weights(pairs: list[tuple[PresenceVector, float]]) -> RichnessWeights:
     return RichnessWeights(w, fit_residual=float(rms), n_train=len(pairs))
 
 
-def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription],
-                  inventory: PhonemeInventory | None = None) -> list[tuple[str, float, float]]:
+def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription]) -> list[tuple[str, float, float]]:
     """Per phoneme: weight normalized to sum to one vs. corpus token frequency.
 
-    Rows are in inventory order: (symbol, normalized_weight, frequency).
+    Rows are in ARPABET_39 order: (symbol, normalized_weight, frequency).
     """
-    inventory = inventory or PhonemeInventory()
     if not corpus:
         raise ValueError("weight_report requires a non-empty corpus")
     total_weight = w.weights.sum()
     if total_weight == 0:
         raise ValueError("all-zero weight vector: normalization undefined")
-    counts = np.zeros(inventory.size)
+    counts = np.zeros(len(ARPABET_39))
     for trans in corpus:
         for sym in trans.phonemes:
-            counts[inventory.index(sym)] += 1
+            if sym not in PHONEME_INDEX:
+                raise ValueError(f"{trans.utterance_id}: phoneme {sym!r} is not an ARPABET-39 symbol")
+            counts[PHONEME_INDEX[sym]] += 1
     total_tokens = counts.sum()
     freqs = counts / total_tokens if total_tokens > 0 else counts
     norm = w.weights / total_weight
-    return [(sym, float(norm[i]), float(freqs[i])) for i, sym in enumerate(inventory.symbols)]
+    return [(sym, float(norm[i]), float(freqs[i])) for i, sym in enumerate(ARPABET_39)]
 
 
-def save_weights(w: RichnessWeights, path: str | Path,
-                 inventory: PhonemeInventory | None = None, provenance: str | None = None) -> None:
+def save_weights(w: RichnessWeights, path: str | Path, provenance: str | None = None) -> None:
     """Persist weights as PHONEME<TAB>weight lines, 17 significant digits."""
-    inventory = inventory or PhonemeInventory()
     lines = []
     if provenance:
         lines.append(provenance)
     lines.append(f"# n_train={w.n_train}\tfit_residual={w.fit_residual:.17g}")
-    for i, sym in enumerate(inventory.symbols):
+    for i, sym in enumerate(ARPABET_39):
         lines.append(f"{sym}\t{w.weights[i]:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_weights(path: str | Path, inventory: PhonemeInventory | None = None) -> RichnessWeights:
-    inventory = inventory or PhonemeInventory()
+def load_weights(path: str | Path) -> RichnessWeights:
     n_train = 0
     fit_residual = 0.0
     values: dict[str, float] = {}
@@ -109,8 +106,8 @@ def load_weights(path: str | Path, inventory: PhonemeInventory | None = None) ->
             continue
         sym, val = line.split("\t")
         values[sym] = float(val)
-    missing = [s for s in inventory.symbols if s not in values]
+    missing = [s for s in ARPABET_39 if s not in values]
     if missing:
         raise ValueError(f"weights file {path} missing symbols: {missing}")
-    weights = np.array([values[s] for s in inventory.symbols])
+    weights = np.array([values[s] for s in ARPABET_39])
     return RichnessWeights(weights, fit_residual=fit_residual, n_train=n_train)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inventory import PhonemeInventory
+from .inventory import ARPABET_39
 from .lexicon import Lexicon, presence_vector, transcribe
 from .calibration import log_net_speech
 from .metrics import Trials
@@ -71,12 +71,13 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
 
     Each speaker gets a mean direction uniform on the unit sphere. Test
     embeddings perturb the mean with isotropic noise whose scale grows as
-    phonetic richness drops: sigma(CU) = sigma0 * (1 + kappa*(39-CU)/39).
+    phonetic richness drops: sigma(CU) = sigma0 * (1 + kappa*(39-CU)/39),
+    39 being the size of ARPABET_39.
     Enrollment models use sigma0/4. All draws come from seed-derived
     per-entity substreams, so generation order does not matter.
     """
-    inventory = PhonemeInventory()
-    lexicon = Lexicon.from_entries(dict(config.vocabulary), inventory)
+    lexicon = Lexicon.from_entries(dict(config.vocabulary))
+    n_phonemes = len(ARPABET_39)
 
     speakers = sorted({m.speaker_id for m in protocol.models} |
                       {t.speaker_id for t in protocol.tests})
@@ -96,8 +97,8 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
     qmfs = {}
     for idx, t in enumerate(tests):
         trans = transcribe(t.transcript, lexicon, t.test_id)
-        cu = count_unique(presence_vector(trans, inventory))
-        sigma = config.sigma0 * (1.0 + config.kappa * (39 - cu) / 39.0)
+        cu = count_unique(presence_vector(trans))
+        sigma = config.sigma0 * (1.0 + config.kappa * (n_phonemes - cu) / n_phonemes)
         rng = np.random.default_rng([config.seed, _TEST_STREAM, idx])
         test_vectors.append(_noisy_embedding(means[t.speaker_id], sigma, rng))
         qmfs[t.test_id] = {

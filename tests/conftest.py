@@ -1,7 +1,5 @@
 import pytest
 
-from phonrich.inventory import PhonemeInventory
-
 # 20 hand-verified CMU dictionary entries (with stress digits) and their
 # expected stress-free pronunciations
 CMUDICT_LINES = """\
@@ -50,11 +48,6 @@ EXPECTED_PRONUNCIATIONS = {
     "water": ("W", "AO", "T", "ER"),
     "yes": ("Y", "EH", "S"),
 }
-
-
-@pytest.fixture
-def inventory():
-    return PhonemeInventory()
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import pytest
 from phonrich.calibration import cross_validated_calibration, stratified_folds
 from phonrich.cli import main as cli_main
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
-from phonrich.inventory import ARPABET_39, PhonemeInventory, PresenceVector
+from phonrich.inventory import ARPABET_39, PresenceVector
 from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
 from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
@@ -241,17 +241,16 @@ def test_criterion_9_g2p_correctness(tmp_path):
     words_ok = len(mismatches) == 0 and len(EXPECTED_PRONUNCIATIONS) == 20
 
     rng = np.random.default_rng(1009)
-    inv = PhonemeInventory()
     symbols = np.array(ARPABET_39)
     prop_ok = True
     for _ in range(10_000):
         na, nb = int(rng.integers(0, 25)), int(rng.integers(0, 25))
         a = tuple(symbols[rng.integers(0, 39, na)])
         b = tuple(symbols[rng.integers(0, 39, nb)])
-        pa = presence_vector(PhonemeTranscription("a", a), inv).bits
-        pb = presence_vector(PhonemeTranscription("b", b), inv).bits
-        pab = presence_vector(PhonemeTranscription("ab", a + b), inv).bits
-        paa = presence_vector(PhonemeTranscription("aa", a + a), inv).bits
+        pa = presence_vector(PhonemeTranscription("a", a)).bits
+        pb = presence_vector(PhonemeTranscription("b", b)).bits
+        pab = presence_vector(PhonemeTranscription("ab", a + b)).bits
+        paa = presence_vector(PhonemeTranscription("aa", a + a)).bits
         if not (np.array_equal(pab, pa | pb) and np.array_equal(paa, pa)):
             prop_ok = False
             break

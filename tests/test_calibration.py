@@ -31,15 +31,9 @@ class TestFitLr:
         # 1:4 imbalance; weighting equalizes the classes so log-odds is 0
         X = np.zeros((50, 0))
         labels = ["target"] * 10 + ["nontarget"] * 40
-        model = fit_lr(X, is_target(labels), class_weighting=True)
+        model = fit_lr(X, is_target(labels))
         assert model.intercept == pytest.approx(0.0, abs=1e-7)
         assert model.converged
-
-    def test_intercept_only_unweighted_is_log_odds(self):
-        X = np.zeros((30, 0))
-        labels = ["target"] * 10 + ["nontarget"] * 20
-        model = fit_lr(X, is_target(labels), class_weighting=False)
-        assert model.intercept == pytest.approx(math.log(10 / 20), abs=1e-7)
 
     def test_zero_features_give_zero_coefficients(self):
         X = np.zeros((40, 2))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from phonrich.cli import main
+from phonrich.inventory import ARPABET_39
 from phonrich.io import read_jsonl, read_scores, read_tsv
 
 from conftest import CMUDICT_LINES
@@ -426,3 +427,161 @@ class TestPinnedStall:
             assert model.converged is False
             assert solves[fold] < calibration.MAX_ITER
             assert [f"{v:.17g}" for v in (model.intercept, *model.coefficients)] == frozen
+
+
+class TestFeatureNames:
+    """Every --features row is parsed, and the --qmf need checked, before any input is read."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "\n".join(GOOD_ROWS) + "\n")
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text("".join(json.dumps({"test_id": t, "cu": 3.0}) + "\n" for t in ("t1", "t2")))
+        return scores, qmf
+
+    def test_evaluate_unknown_feature_in_last_row(self, inputs, tmp_path, capsys):
+        scores, qmf = inputs
+        out = tmp_path / "eval.tsv"
+        assert run(["evaluate", "--scores", scores, "--qmf", qmf, "--features", "raw",
+                    "--features", "raw,foo", "--out", out]) == 1
+        captured = only_error_line(capsys)
+        assert "unknown features ['foo']" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_calibrate_unknown_feature(self, inputs, tmp_path, capsys):
+        scores, qmf = inputs
+        out = tmp_path / "cal.tsv"
+        assert run(["calibrate", "--scores", scores, "--qmf", qmf, "--features", "foo",
+                    "--seed", 1, "--out-scores", out]) == 1
+        assert "unknown features ['foo']" in only_error_line(capsys).err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("features, message", [
+        (["raw", "raw,foo"], "unknown features ['foo']"),
+        (["raw", "raw,cu"], "--qmf is required"),
+    ], ids=["unknown-feature", "no-qmf"])
+    def test_evaluate_flags_fail_before_a_bad_scores_file(self, tmp_path, capsys, features, message):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "m1\tt1\ttarget\n")
+        argv = ["evaluate", "--scores", scores]
+        for f in features:
+            argv += ["--features", f]
+        assert run(argv) == 1
+        assert message in only_error_line(capsys).err
+
+
+def presence_record(utterance_id, phonemes):
+    bits = "".join("1" if sym in phonemes else "0" for sym in ARPABET_39)
+    return {"utterance_id": utterance_id, "phonemes": list(phonemes), "bits": bits}
+
+
+# one valid record of each JSONL input; a test writes it as line 1 of the file
+VALID_RECORDS = {
+    "transcripts": {"utterance_id": "t1", "transcript": "cat"},
+    "presence": presence_record("t1", ("K", "AE", "T")),
+    "manifest": {"test_id": "t1", "speaker_id": "a", "transcript": "cat", "net_speech": 1.0,
+                 "source_ids": ["u0"]},
+    "models": {"model_id": "a", "speaker_id": "a", "net_speech": 10.0, "source_ids": ["u0"]},
+    "corpus": {"utterance_id": "u0", "speaker_id": "a", "kind": "sentence", "net_speech": 1.0,
+               "transcript": "cat", "word_durations": [1.0], "gender": "m"},
+}
+
+
+@pytest.fixture
+def small_inputs(tmp_path, lexicon):
+    """Valid inputs of every kind, each named by the token that stands for it in an argv."""
+    files = {"lexicon": lexicon}
+    for name, record in VALID_RECORDS.items():
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(json.dumps(record) + "\n")
+    files["scores"] = tmp_path / "scores.tsv"
+    files["scores"].write_text(SCORES_HEADER + "\n".join(GOOD_ROWS) + "\n")
+    files["weights"] = tmp_path / "weights.txt"
+    files["weights"].write_text("".join(f"{sym}\t1\n" for sym in ARPABET_39))
+    files["trials"] = tmp_path / "trials.tsv"
+    files["trials"].write_text("model_id\ttest_id\tlabel\na\tt1\ttarget\n")
+    return files
+
+
+def run_with(tmp_path, files, argv):
+    """Run argv with input tokens replaced by their paths; 'out*' tokens name outputs."""
+    return run([files.get(a, tmp_path / a if a.startswith("out") else a) for a in argv])
+
+
+G2P = ["g2p", "--transcripts", "transcripts", "--lexicon", "lexicon", "--out", "out"]
+RICHNESS = ["richness", "--presence", "presence", "--manifest", "manifest", "--out", "out"]
+FIT_WEIGHTS = ["fit-weights", "--presence", "presence", "--scores", "scores", "--out", "out"]
+REPORT_WEIGHTS = ["report-weights", "--weights", "weights", "--presence", "presence", "--out", "out"]
+GEN_PROTOCOL = ["gen-protocol", "--corpus", "corpus", "--protocol", "repetitive", "--seed", "1",
+                "--out-prefix", "out"]
+SIMULATE = ["simulate", "--trials", "trials", "--manifest", "manifest", "--models", "models",
+            "--seed", "1", "--out-scores", "out.tsv", "--out-qmf", "out.jsonl"]
+
+
+class TestJsonlRequiredKeys:
+    """A JSONL record without a key its command reads fails with one error line naming it."""
+
+    @pytest.mark.parametrize("argv, bad, record, key", [
+        (G2P, "transcripts", {"utterance_id": "u1"}, "transcript"),
+        (RICHNESS, "presence", {"utterance_id": "t2", "phonemes": []}, "bits"),
+        (RICHNESS, "manifest", {"test_id": "t2"}, "net_speech"),
+        (FIT_WEIGHTS, "presence", {"bits": "0" * 39}, "utterance_id"),
+        (REPORT_WEIGHTS, "presence", {"utterance_id": "t2", "bits": "0" * 39}, "phonemes"),
+        (GEN_PROTOCOL, "corpus", {"kind": "word"}, "utterance_id"),
+        (SIMULATE, "manifest", {"test_id": "t2", "speaker_id": "a", "transcript": "cat",
+                                "net_speech": 1.0}, "source_ids"),
+        (SIMULATE, "models", {"model_id": "b", "net_speech": 1.0, "source_ids": []}, "speaker_id"),
+    ], ids=["g2p-transcripts", "richness-presence", "richness-manifest", "fit-weights-presence",
+            "report-weights-presence", "gen-protocol-corpus", "simulate-manifest", "simulate-models"])
+    def test_missing_key_names_file_and_line(self, tmp_path, small_inputs, capsys, argv, bad, record, key):
+        path = small_inputs[bad]
+        path.write_text(json.dumps(VALID_RECORDS[bad]) + "\n" + json.dumps(record) + "\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:2: record has no {key}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestReportWeightsPhonemes:
+    def test_unknown_phoneme_is_one_error_line(self, tmp_path, small_inputs, capsys):
+        small_inputs["presence"].write_text(json.dumps(presence_record("t1", ("XX",))) + "\n")
+        assert run_with(tmp_path, small_inputs, REPORT_WEIGHTS) == 1
+        captured = only_error_line(capsys)
+        assert "'XX'" in captured.err
+        assert not (tmp_path / "out").exists()
+
+
+class TestTrialList:
+    """simulate --trials and gen-protocol --base-trials share one trial-list reader."""
+
+    COMMANDS = {
+        "simulate": (SIMULATE, "trials", "a", "t1"),
+        "gen-protocol": (["gen-protocol", "--corpus", "corpus", "--protocol", "clip", "--target", "0.5",
+                          "--base-trials", "trials", "--seed", "1", "--out-prefix", "out"],
+                         "trials", "a", "u0"),
+    }
+
+    @pytest.mark.parametrize("rows, line, message", [
+        (["model\ttest\tlabel", "{m}\t{t}\ttarget"], 2,
+         "expected columns ['model_id', 'test_id', 'label'], got ['model', 'test', 'label']"),
+        (["model_id\ttest_id\tlabel", "{m}\t{t}\ttarget", "{m}\t{t}"], 4,
+         "expected 3 tab-separated fields, got 2"),
+        (["model_id\ttest_id\tlabel", "{m}\t{t}\tnontargt"], 3,
+         "label must be target/nontarget, got 'nontargt'"),
+        (["model_id\ttest_id\tlabel", "{m}\t{t}\ttarget", "", "{m}\t{t}\ttarget"], 5,
+         "duplicate trial ({m}, {t}), first at line 3"),
+    ], ids=["header", "short-row", "label", "duplicate"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_trial_list_names_file_and_line(self, tmp_path, small_inputs, capsys,
+                                                command, rows, line, message):
+        argv, trials, m, t = self.COMMANDS[command]
+        path = small_inputs[trials]
+        path.write_text("# provenance\n" + "\n".join(rows).format(m=m, t=t) + "\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:{line}: {message.format(m=m, t=t)}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))

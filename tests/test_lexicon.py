@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phonrich.inventory import ARPABET_39, PhonemeInventory, PresenceVector
+from phonrich.inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
 from phonrich.lexicon import (Lexicon, LexiconError, PhonemeTranscription, load_lexicon,
                               presence_vector, tokenize, transcribe)
 
@@ -106,48 +106,39 @@ class TestTranscribe:
 
 
 class TestPresenceVector:
-    def test_empty_is_all_zero(self, inventory):
-        pv = presence_vector(PhonemeTranscription("u", ()), inventory)
+    def test_empty_is_all_zero(self):
+        pv = presence_vector(PhonemeTranscription("u", ()))
         assert pv.bits.sum() == 0
 
-    def test_repeats_collapse(self, inventory):
-        pv = presence_vector(PhonemeTranscription("u", ("K", "AE", "T", "K")), inventory)
+    def test_repeats_collapse(self):
+        pv = presence_vector(PhonemeTranscription("u", ("K", "AE", "T", "K")))
         assert pv.bits.sum() == 3
         for sym in ("K", "AE", "T"):
-            assert pv.bits[inventory.index(sym)] == 1
+            assert pv.bits[PHONEME_INDEX[sym]] == 1
 
-    def test_saturation(self, inventory):
-        pv = presence_vector(PhonemeTranscription("u", ARPABET_39), inventory)
+    def test_saturation(self):
+        pv = presence_vector(PhonemeTranscription("u", ARPABET_39))
         assert pv.bits.sum() == 39
 
     @given(phoneme_seqs, st.sampled_from(ARPABET_39))
     def test_idempotent_under_repetition(self, seq, extra):
-        inv = PhonemeInventory()
-        base = presence_vector(PhonemeTranscription("u", tuple(seq) + (extra,)), inv)
-        doubled = presence_vector(PhonemeTranscription("u", tuple(seq) + (extra, extra)), inv)
+        base = presence_vector(PhonemeTranscription("u", tuple(seq) + (extra,)))
+        doubled = presence_vector(PhonemeTranscription("u", tuple(seq) + (extra, extra)))
         assert np.array_equal(base.bits, doubled.bits)
 
     @given(phoneme_seqs, phoneme_seqs)
     def test_concat_is_elementwise_or(self, a, b):
-        inv = PhonemeInventory()
-        pa = presence_vector(PhonemeTranscription("a", tuple(a)), inv)
-        pb = presence_vector(PhonemeTranscription("b", tuple(b)), inv)
-        pab = presence_vector(PhonemeTranscription("ab", tuple(a) + tuple(b)), inv)
+        pa = presence_vector(PhonemeTranscription("a", tuple(a)))
+        pb = presence_vector(PhonemeTranscription("b", tuple(b)))
+        pab = presence_vector(PhonemeTranscription("ab", tuple(a) + tuple(b)))
         assert np.array_equal(pab.bits, pa.bits | pb.bits)
 
 
 class TestInventory:
-    def test_exactly_39_symbols(self, inventory):
-        assert inventory.size == 39
-
-    def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
-            PhonemeInventory(("AA", "AE"))
-
-    def test_from_file(self, tmp_path, inventory):
-        path = tmp_path / "inv.txt"
-        path.write_text("\n".join(ARPABET_39) + "\n")
-        assert PhonemeInventory.from_file(path) == inventory
+    def test_exactly_39_symbols(self):
+        assert len(set(ARPABET_39)) == len(ARPABET_39) == 39
+        assert list(ARPABET_39) == sorted(ARPABET_39)
+        assert PHONEME_INDEX == {sym: i for i, sym in enumerate(ARPABET_39)}
 
     def test_bitstring_round_trip(self):
         bits = np.zeros(39, dtype=np.int8)

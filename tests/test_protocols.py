@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
-from phonrich.inventory import PhonemeInventory
 from phonrich.lexicon import Lexicon, presence_vector, transcribe
 from phonrich.protocols import (ModelRecord, ProtocolSpec, ProbeEntry, UtteranceRecord,
                                 build_clip_protocol, build_enrollment,
@@ -183,7 +182,7 @@ class TestEmitAndLoad:
             [(m.model_id, m.net_speech) for m in demo_protocol.models]
 
     def test_empty_spec_header_only(self, tmp_path):
-        spec = ProtocolSpec("empty", [], [], [], [])
+        spec = ProtocolSpec([], [], [], [])
         trials = tmp_path / "e.trials.tsv"
         manifest = tmp_path / "e.manifest.jsonl"
         emit_trials(spec, trials, manifest)
@@ -201,14 +200,14 @@ class TestEmitAndLoad:
     def test_validate_rejects_self_impostor(self):
         tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
         models = [ModelRecord("a", "a", 10.0, ["s"])]
-        spec = ProtocolSpec("bad", [], [("a", "t1")], tests, models)
+        spec = ProtocolSpec([], [("a", "t1")], tests, models)
         with pytest.raises(ValueError, match="pairs a speaker"):
             spec.validate()
 
     def test_validate_rejects_cross_speaker_target(self):
         tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
         models = [ModelRecord("b", "b", 10.0, ["s"])]
-        spec = ProtocolSpec("bad", [("b", "t1")], [], tests, models)
+        spec = ProtocolSpec([("b", "t1")], [], tests, models)
         with pytest.raises(ValueError, match="crosses speakers"):
             spec.validate()
 
@@ -217,9 +216,9 @@ class TestEmitAndLoad:
         tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
         models = [ModelRecord("a", "a", 10.0, ["s"])]
         with pytest.raises(ValueError, match=r"trial \(b, t1\) names an unknown model"):
-            ProtocolSpec("bad", [("b", "t1")], [], tests, models).validate()
+            ProtocolSpec([("b", "t1")], [], tests, models).validate()
         with pytest.raises(ValueError, match=r"trial \(a, t2\) names an unknown test"):
-            ProtocolSpec("bad", [], [("a", "t2")], tests, models).validate()
+            ProtocolSpec([], [("a", "t2")], tests, models).validate()
 
 class TestUtteranceRecord:
     def test_nonpositive_net_speech_rejected(self):
