@@ -7,11 +7,13 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
-from .inventory import PresenceVector
-from .io import (provenance_line, read_jsonl, read_qmfs, read_scores,
+from .inventory import BitstringError, PresenceVector
+from .io import (provenance_line, read_jsonl, read_qmfs, read_scores, record_line,
                  write_jsonl, write_scores, write_tsv)
 from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import (compute_eer, compute_min_c_primary, correlation_report,
@@ -25,24 +27,21 @@ from .simulator import SimConfig, simulate_corpus
 
 def cmd_g2p(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    transcripts = read_jsonl(args.transcripts, required=("utterance_id", "transcript"))
-    records = []
-    total_words = 0
-    total_oov = 0
-    for rec in transcripts:
-        trans = transcribe(rec["transcript"], lexicon, rec["utterance_id"])
-        pv = presence_vector(trans)
-        total_oov += trans.oov_words
-        total_words += len(rec["transcript"].split())
-        records.append({
-            "utterance_id": trans.utterance_id,
-            "phonemes": list(trans.phonemes),
-            "bits": pv.to_bitstring(),
-            "cu": count_unique(pv),
-            "oov_words": trans.oov_words,
-        })
+    transcripts = read_jsonl(args.transcripts, required={"utterance_id": "string", "transcript": "string"})
+    transcriptions = [transcribe(rec["transcript"], lexicon, rec["utterance_id"]) for rec in transcripts]
+    presence = presence_vector(transcriptions)
+    records = [{
+        "utterance_id": trans.utterance_id,
+        "phonemes": list(trans.phonemes),
+        "bits": bits,
+        "cu": cu,
+        "oov_words": trans.oov_words,
+    } for trans, bits, cu in zip(transcriptions, presence.to_bitstring(),
+                                 count_unique(presence).tolist())]
     prov = provenance_line("g2p", None, [args.transcripts, args.lexicon])
     write_jsonl(args.out, records, prov)
+    total_words = sum(len(rec["transcript"].split()) for rec in transcripts)
+    total_oov = sum(trans.oov_words for trans in transcriptions)
     rate = total_oov / total_words if total_words else 0.0
     print(f"g2p: utterances={len(records)} oov_words={total_oov} oov_rate={rate:.4f}")
     if total_oov:
@@ -50,21 +49,32 @@ def cmd_g2p(args) -> int:
     return 0
 
 
+def _read_presence(path) -> PresenceVector:
+    """A presence JSONL file as one matrix; a bad bitstring fails with its file and line."""
+    records = read_jsonl(path, required={"utterance_id": "string", "bits": "string"})
+    try:
+        return PresenceVector.from_bitstring([rec["bits"] for rec in records],
+                                             [rec["utterance_id"] for rec in records])
+    except BitstringError as exc:
+        raise ValueError(f"{path}:{record_line(path, exc.row)}: {exc}") from None
+
+
 def cmd_richness(args) -> int:
-    presence = read_jsonl(args.presence, required=("utterance_id", "bits"))
+    presence = _read_presence(args.presence)
     weights = load_weights(args.weights) if args.weights else None
     net_speech = {}
     if args.manifest:
-        for rec in read_jsonl(args.manifest, required=("test_id", "net_speech")):
+        for rec in read_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"}):
             net_speech[rec["test_id"]] = float(rec["net_speech"])
+    cu = count_unique(presence).astype(float).tolist()
+    wcu = weighted_count_unique(presence, weights).tolist() if weights is not None else None
     records = []
-    for rec in presence:
-        pv = PresenceVector.from_bitstring(rec["bits"], rec["utterance_id"])
-        out = {"test_id": rec["utterance_id"], "cu": float(count_unique(pv))}
-        if weights is not None:
-            out["wcu"] = weighted_count_unique(pv, weights)
-        if rec["utterance_id"] in net_speech:
-            ns = net_speech[rec["utterance_id"]]
+    for row, test_id in enumerate(presence.utterance_ids):
+        out = {"test_id": test_id, "cu": cu[row]}
+        if wcu is not None:
+            out["wcu"] = wcu[row]
+        if test_id in net_speech:
+            ns = net_speech[test_id]
             out["net_speech"] = ns
             out["lns"] = log_net_speech(ns)
         records.append(out)
@@ -76,19 +86,16 @@ def cmd_richness(args) -> int:
 
 
 def cmd_fit_weights(args) -> int:
-    presence = {rec["utterance_id"]: rec
-                for rec in read_jsonl(args.presence, required=("utterance_id", "bits"))}
+    presence = _read_presence(args.presence)
+    # a repeated utterance id joins its last row
+    row_of = {test_id: row for row, test_id in enumerate(presence.utterance_ids)}
     trials = read_scores(args.scores)
-    pairs = []
-    for test_id, target, score in zip(trials.test_ids, trials.is_target.tolist(),
-                                      trials.scores.tolist()):
-        rec = presence.get(test_id) if target else None
-        if rec is not None:
-            pairs.append((PresenceVector.from_bitstring(rec["bits"], test_id), score))
-    if not pairs:
+    rows = np.array([row_of.get(test_id, -1) for test_id in trials.test_ids], dtype=np.intp)
+    kept = trials.is_target & (rows >= 0)
+    if not kept.any():
         print("error: no positive trials joined with presence vectors", file=sys.stderr)
         return 1
-    w = fit_weights(pairs)
+    w = fit_weights(presence.bits[rows[kept]], trials.scores[kept])
     prov = provenance_line("fit-weights", args.seed, [args.presence, args.scores])
     save_weights(w, args.out, prov)
     print(f"fit-weights: n_train={w.n_train} fit_residual={w.fit_residual:.6g}")
@@ -210,7 +217,8 @@ def cmd_evaluate(args) -> int:
 def cmd_report_weights(args) -> int:
     weights = load_weights(args.weights)
     corpus = [PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"]))
-              for rec in read_jsonl(args.presence, required=("utterance_id", "phonemes"))]
+              for rec in read_jsonl(args.presence,
+                                    required={"utterance_id": "string", "phonemes": "list of strings"})]
     rows = weight_report(weights, corpus)
     out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]
     header = ["phoneme", "normalized_weight", "frequency"]

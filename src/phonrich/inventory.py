@@ -1,4 +1,4 @@
-"""The fixed 39-symbol phoneme inventory and per-utterance presence vectors."""
+"""The fixed 39-symbol phoneme inventory and the presence matrix of a file's utterances."""
 
 from __future__ import annotations
 
@@ -18,24 +18,55 @@ ARPABET_39 = (
 PHONEME_INDEX = {sym: i for i, sym in enumerate(ARPABET_39)}
 
 
+class BitstringError(ValueError):
+    """A presence bitstring that is not 39 ASCII 0/1 characters; ``row`` is its list index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass
 class PresenceVector:
-    """Binary indicator of which ARPABET_39 phonemes occur in one utterance."""
+    """Presence vectors of a file's utterances, one per row of an (n, 39) int8 matrix.
+
+    Component i of row u is 1 iff ARPABET_39[i] occurs in utterance
+    ``utterance_ids[u]``.
+    """
 
     bits: np.ndarray
-    utterance_id: str = ""
+    utterance_ids: list[str]
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=np.int8)
-        if self.bits.ndim != 1 or self.bits.shape[0] != len(ARPABET_39):
-            raise ValueError(f"presence vector must have length {len(ARPABET_39)}, "
+        if self.bits.ndim != 2 or self.bits.shape[1] != len(ARPABET_39):
+            raise ValueError(f"presence matrix must have {len(ARPABET_39)} columns, "
                              f"got shape {self.bits.shape}")
+        if len(self.utterance_ids) != self.bits.shape[0]:
+            raise ValueError(f"{len(self.utterance_ids)} utterance ids for "
+                             f"{self.bits.shape[0]} presence rows")
         if not np.all((self.bits == 0) | (self.bits == 1)):
             raise ValueError("presence vector components must be 0 or 1")
 
-    def to_bitstring(self) -> str:
-        return "".join(str(int(b)) for b in self.bits)
+    def to_bitstring(self) -> list[str]:
+        """Each row as a string of 39 '0'/'1' characters."""
+        n = len(ARPABET_39)
+        text = (self.bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+        return [text[i:i + n] for i in range(0, len(text), n)]
 
     @classmethod
-    def from_bitstring(cls, s: str, utterance_id: str = "") -> "PresenceVector":
-        return cls(np.array([int(c) for c in s], dtype=np.int8), utterance_id)
+    def from_bitstring(cls, strings: list[str], utterance_ids: list[str]) -> "PresenceVector":
+        """Parse one bitstring per utterance; the first bad one raises BitstringError."""
+        n = len(ARPABET_39)
+        lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
+        if np.any(lengths != n):
+            row = int(np.argmax(lengths != n))
+            raise BitstringError(row, f"bits must have {n} characters, got {lengths[row]}")
+        # a non-ASCII character becomes '?', one byte, so every row stays n bytes
+        data = "".join(strings).encode("ascii", errors="replace")
+        bits = (np.frombuffer(data, dtype=np.uint8).reshape(len(strings), n) - ord("0")).view(np.int8)
+        bad = (bits != 0) & (bits != 1)
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=1)))
+            raise BitstringError(row, f"bits must be 0s and 1s, got {strings[row]!r}")
+        return cls(bits, list(utterance_ids))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +75,25 @@ def write_jsonl(path: str | Path, records, provenance: str | None = None) -> Non
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> list[dict]:
-    """One JSON object per line, each holding the ``required`` keys; '#' lines are comments."""
+# JSON type of a required key -> (the Python types json.loads gives it, the type of each
+# item of a list); exact types, so true and false are not numbers
+JSON_TYPES = {
+    "string": ({str}, None),
+    "number": ({int, float}, None),
+    "list": ({list}, None),
+    "list of strings": ({list}, str),
+}
+_MISSING = object()
+
+
+def read_jsonl(path: str | Path, required: dict[str, str] | None = None) -> list[dict]:
+    """One JSON object per line; '#' lines are comments.
+
+    ``required`` maps each key a record must hold to its JSON type, a key
+    of JSON_TYPES. A missing key or a value of another type fails with
+    the file and line.
+    """
+    checks = [(key, kind, *JSON_TYPES[kind]) for key, kind in (required or {}).items()]
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -86,11 +104,20 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> list[dict]:
             raise ValueError(f"{path}:{lineno}: malformed JSONL line: {exc}") from exc
         if not isinstance(rec, dict):
             raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
-        for key in required:
-            if key not in rec:
-                raise ValueError(f"{path}:{lineno}: record has no {key}")
+        for key, kind, types, item_type in checks:
+            value = rec.get(key, _MISSING)
+            if type(value) not in types or (item_type and not all(map(isinstance, value, repeat(item_type)))):
+                if value is _MISSING:
+                    raise ValueError(f"{path}:{lineno}: record has no {key}")
+                raise ValueError(f"{path}:{lineno}: {key} must be a {kind}, got {json.dumps(value)}")
         records.append(rec)
     return records
+
+
+def record_line(path: str | Path, record: int) -> int:
+    """File line of the ``record``-th JSONL record, skipping blank and '#' lines as read_jsonl does."""
+    lines = Path(path).read_text().splitlines()
+    return [i for i, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#")][record]
 
 
 def write_scores(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
@@ -154,7 +181,7 @@ def _parses_as_float(text: str) -> bool:
 def read_qmfs(path: str | Path) -> dict[str, dict[str, float]]:
     """QMF JSONL: one object per test utterance, keyed by test_id."""
     qmfs = {}
-    for rec in read_jsonl(path, required=("test_id",)):
+    for rec in read_jsonl(path, required={"test_id": "string"}):
         test_id = rec.pop("test_id")
         qmfs[test_id] = {k: float(v) for k, v in rec.items() if isinstance(v, (int, float))}
     return qmfs

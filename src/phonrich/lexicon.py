@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +124,26 @@ def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTr
     return PhonemeTranscription(utterance_id, tuple(phonemes), oov)
 
 
-def presence_vector(trans: PhonemeTranscription) -> PresenceVector:
-    """Binary vector: component i is 1 iff ARPABET_39[i] occurs in the transcription."""
-    present = set(trans.phonemes)
-    bits = np.array([sym in present for sym in ARPABET_39], dtype=np.int8)
-    return PresenceVector(bits, trans.utterance_id)
+def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarray, np.ndarray]:
+    """ARPABET_39 index of every phoneme token, and the row of the transcription it is in.
+
+    A symbol outside ARPABET_39 raises a ValueError naming its utterance.
+    """
+    lengths = np.fromiter((len(t.phonemes) for t in transcriptions), dtype=np.intp,
+                          count=len(transcriptions))
+    tokens = [sym for t in transcriptions for sym in t.phonemes]
+    codes = np.fromiter(map(PHONEME_INDEX.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens))
+    rows = np.repeat(np.arange(len(transcriptions)), lengths)
+    if codes.size and codes.min() < 0:
+        k = int(np.argmin(codes))
+        raise ValueError(f"{transcriptions[rows[k]].utterance_id}: phoneme {tokens[k]!r} "
+                         f"is not an ARPABET-39 symbol")
+    return codes, rows
+
+
+def presence_vector(transcriptions: list[PhonemeTranscription]) -> PresenceVector:
+    """Row u, component i is 1 iff ARPABET_39[i] occurs in transcription u."""
+    codes, rows = phoneme_codes(transcriptions)
+    bits = np.zeros((len(transcriptions), len(ARPABET_39)), dtype=np.int8)
+    bits[rows, codes] = 1
+    return PresenceVector(bits, [t.utterance_id for t in transcriptions])

@@ -12,9 +12,12 @@ from .metrics import NONTARGET, TARGET
 
 MAX_PROBE_REDRAWS = 20
 TRIAL_COLUMNS = ["model_id", "test_id", "label"]
-# keys load_protocol reads from each manifest and models record
-MANIFEST_KEYS = ("test_id", "speaker_id", "transcript", "net_speech", "source_ids")
-MODEL_KEYS = ("model_id", "speaker_id", "net_speech", "source_ids")
+# keys, with their JSON types, that load_protocol reads from each manifest and models
+# record and load_inventory_jsonl from each corpus record
+MANIFEST_KEYS = {"test_id": "string", "speaker_id": "string", "transcript": "string",
+                 "net_speech": "number", "source_ids": "list"}
+MODEL_KEYS = {"model_id": "string", "speaker_id": "string", "net_speech": "number", "source_ids": "list"}
+CORPUS_KEYS = {"utterance_id": "string", "speaker_id": "string", "kind": "string", "net_speech": "number"}
 
 
 @dataclass
@@ -348,7 +351,7 @@ def load_protocol(trials_path: str | Path, manifest_path: str | Path,
 def load_inventory_jsonl(path: str | Path) -> list[UtteranceRecord]:
     """Utterance inventory JSONL -> records (see README for the field list)."""
     records = []
-    for rec in read_jsonl(path, required=("utterance_id", "speaker_id", "kind", "net_speech")):
+    for rec in read_jsonl(path, required=CORPUS_KEYS):
         records.append(UtteranceRecord(
             utterance_id=rec["utterance_id"],
             speaker_id=rec["speaker_id"],

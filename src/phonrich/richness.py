@@ -7,14 +7,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
-from .lexicon import PhonemeTranscription
+from .inventory import ARPABET_39, PresenceVector
+from .lexicon import PhonemeTranscription, phoneme_codes
 from .nnls import nnls
 
 
-def count_unique(p: PresenceVector) -> int:
-    """Number of distinct ARPABET_39 phonemes present in the utterance."""
-    return int(p.bits.sum())
+def count_unique(p: PresenceVector) -> np.ndarray:
+    """Number of distinct ARPABET_39 phonemes present in each utterance."""
+    return p.bits.sum(axis=1, dtype=np.int64)
 
 
 @dataclass
@@ -33,30 +33,33 @@ class RichnessWeights:
             raise ValueError("weights must be non-negative")
 
 
-def weighted_count_unique(p: PresenceVector, w: RichnessWeights) -> float:
-    """Dot product of the weight vector with the phoneme-presence bits."""
-    if w.weights.shape[0] != p.bits.shape[0]:
-        raise ValueError("weight/presence length mismatch")
-    return float(w.weights @ p.bits)
+def weighted_count_unique(p: PresenceVector, w: RichnessWeights) -> np.ndarray:
+    """Per utterance, the dot product of the weight vector with its presence bits.
+
+    A stack of (1, 39) @ (39, 1) products, each equal bit for bit to the
+    vector product ``w.weights @ bits``; ``P @ w`` rounds differently in
+    the last bits on some rows.
+    """
+    return np.matmul(p.bits[:, None, :], w.weights[:, None])[:, 0, 0]
 
 
-def fit_weights(pairs: list[tuple[PresenceVector, float]]) -> RichnessWeights:
+def fit_weights(presence: np.ndarray, scores: np.ndarray) -> RichnessWeights:
     """Fit non-negative per-phoneme weights to positive-trial scores.
 
     Solves min_w ||P w - s||^2 subject to w >= 0 with no intercept, where
-    row u of P is the presence vector of utterance u and s_u is the ASV
-    score of that utterance against its own speaker's enrollment. The
-    active-set solve is deterministic.
+    row u of P (``presence``, 0/1) is the presence vector of utterance u
+    and s_u is the ASV score of that utterance against its own speaker's
+    enrollment. The active-set solve is deterministic.
     """
-    if not pairs:
+    P = np.asarray(presence, dtype=float)
+    s = np.asarray(scores, dtype=float)
+    if len(s) == 0:
         raise ValueError("fit_weights requires a non-empty training set")
-    P = np.array([p.bits for p, _ in pairs], dtype=float)
-    s = np.array([score for _, score in pairs], dtype=float)
     if not P.any():
         raise ValueError("all-zero presence matrix: no identifiable weights")
     w, rnorm = nnls(P, s)
-    rms = rnorm / np.sqrt(len(pairs))
-    return RichnessWeights(w, fit_residual=float(rms), n_train=len(pairs))
+    rms = rnorm / np.sqrt(len(s))
+    return RichnessWeights(w, fit_residual=float(rms), n_train=len(s))
 
 
 def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription]) -> list[tuple[str, float, float]]:
@@ -69,12 +72,8 @@ def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription]) -> lis
     total_weight = w.weights.sum()
     if total_weight == 0:
         raise ValueError("all-zero weight vector: normalization undefined")
-    counts = np.zeros(len(ARPABET_39))
-    for trans in corpus:
-        for sym in trans.phonemes:
-            if sym not in PHONEME_INDEX:
-                raise ValueError(f"{trans.utterance_id}: phoneme {sym!r} is not an ARPABET-39 symbol")
-            counts[PHONEME_INDEX[sym]] += 1
+    codes, _ = phoneme_codes(corpus)
+    counts = np.bincount(codes, minlength=len(ARPABET_39)).astype(float)
     total_tokens = counts.sum()
     freqs = counts / total_tokens if total_tokens > 0 else counts
     norm = w.weights / total_weight
@@ -96,16 +95,19 @@ def load_weights(path: str | Path) -> RichnessWeights:
     n_train = 0
     fit_residual = 0.0
     values: dict[str, float] = {}
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("# n_train="):
-            head, tail = line[2:].split("\t")
-            n_train = int(head.split("=")[1])
-            fit_residual = float(tail.split("=")[1])
-            continue
-        if not line.strip() or line.startswith("#"):
-            continue
-        sym, val = line.split("\t")
-        values[sym] = float(val)
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            if line.startswith("# n_train="):
+                head, tail = line[2:].split("\t")
+                n_train = int(head.partition("=")[2])
+                fit_residual = float(tail.partition("=")[2])
+                continue
+            if not line.strip() or line.startswith("#"):
+                continue
+            sym, val = line.split("\t")
+            values[sym] = float(val)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected PHONEME<TAB>weight, got {line!r}") from None
     missing = [s for s in ARPABET_39 if s not in values]
     if missing:
         raise ValueError(f"weights file {path} missing symbols: {missing}")

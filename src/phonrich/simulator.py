@@ -93,11 +93,11 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
         for idx, m in enumerate(models)], dtype=float).reshape(-1, config.dim)
 
     tests = sorted(protocol.tests, key=lambda t: t.test_id)
+    cus = count_unique(presence_vector([transcribe(t.transcript, lexicon, t.test_id)
+                                        for t in tests])).tolist()
     test_vectors = []
     qmfs = {}
-    for idx, t in enumerate(tests):
-        trans = transcribe(t.transcript, lexicon, t.test_id)
-        cu = count_unique(presence_vector(trans))
+    for idx, (t, cu) in enumerate(zip(tests, cus)):
         sigma = config.sigma0 * (1.0 + config.kappa * (n_phonemes - cu) / n_phonemes)
         rng = np.random.default_rng([config.seed, _TEST_STREAM, idx])
         test_vectors.append(_noisy_embedding(means[t.speaker_id], sigma, rng))

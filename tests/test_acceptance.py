@@ -11,8 +11,9 @@ import pytest
 
 from phonrich.calibration import cross_validated_calibration, stratified_folds
 from phonrich.cli import main as cli_main
-from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
+from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines, make_demo_inventory
 from phonrich.inventory import ARPABET_39, PresenceVector
+from phonrich.io import read_jsonl, write_jsonl
 from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
 from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
@@ -115,12 +116,10 @@ def test_criterion_3_nnls_recovery():
         w_true = np.abs(rng.standard_normal(39)) * rng.uniform(0.5, 3.0)
         design = (rng.random((120, 39)) < rng.uniform(0.2, 0.6)).astype(np.int8)
         design[:39] |= np.eye(39, dtype=np.int8)  # full column rank, noiseless
-        pairs = [(PresenceVector(row), float(row.astype(float) @ w_true)) for row in design]
-        w = fit_weights(pairs)
+        w = fit_weights(design, [float(row.astype(float) @ w_true) for row in design])
         worst = max(worst, float(np.max(np.abs(w.weights - w_true))))
-    zero_pairs = [(PresenceVector((rng.random(39) < 0.4).astype(np.int8)), 0.0)
-                  for _ in range(30)]
-    w0 = fit_weights(zero_pairs)
+    zero_design = np.array([(rng.random(39) < 0.4).astype(np.int8) for _ in range(30)])
+    w0 = fit_weights(zero_design, np.zeros(30))
     zero_ok = bool(np.all(w0.weights == 0.0))
     report(3, worst < 1e-6 and zero_ok,
            f"max componentwise recovery error = {worst:.2e}, zero-score fit is zero: {zero_ok}")
@@ -129,11 +128,9 @@ def test_criterion_3_nnls_recovery():
 def test_criterion_4_wcu_reduces_to_cu():
     rng = np.random.default_rng(1004)
     ones = RichnessWeights(np.ones(39))
-    bad = 0
-    for _ in range(10_000):
-        p = PresenceVector((rng.random(39) < rng.uniform(0, 1)).astype(np.int8))
-        if weighted_count_unique(p, ones) != count_unique(p):
-            bad += 1
+    rows = [(rng.random(39) < rng.uniform(0, 1)).astype(np.int8) for _ in range(10_000)]
+    p = PresenceVector(np.array(rows), [""] * len(rows))
+    bad = int(np.sum(weighted_count_unique(p, ones) != count_unique(p)))
     report(4, bad == 0, f"mismatches over 10,000 random presence vectors = {bad}")
 
 
@@ -215,10 +212,26 @@ def test_criterion_8_determinism(tmp_path):
         cli_main(["evaluate", "--scores", str(scores), "--qmf", str(qmf), "--features", "none",
                   "--features", "raw,cu", "--folds", "5", "--seed", "34", "--out", str(evaluated),
                   "--correlation-out", str(scatter)])
+        transcripts = work / "transcripts.jsonl"
+        write_jsonl(transcripts, [{"utterance_id": m["test_id"], "transcript": m["transcript"]}
+                                  for m in read_jsonl(f"{prefix}.manifest.jsonl")])
+        lexicon = work / "lexicon.txt"
+        lexicon.write_text(demo_lexicon_lines())
+        presence, weights = work / "presence.jsonl", work / "weights.txt"
+        rich, report_tsv = work / "rich.jsonl", work / "report.tsv"
+        cli_main(["g2p", "--transcripts", str(transcripts), "--lexicon", str(lexicon),
+                  "--out", str(presence)])
+        cli_main(["fit-weights", "--presence", str(presence), "--scores", str(scores),
+                  "--out", str(weights)])
+        cli_main(["richness", "--presence", str(presence), "--weights", str(weights),
+                  "--manifest", f"{prefix}.manifest.jsonl", "--out", str(rich)])
+        cli_main(["report-weights", "--weights", str(weights), "--presence", str(presence),
+                  "--out", str(report_tsv)])
         models = [work / f"model.fold{i}.txt" for i in range(5)]
         outputs.append([p.read_bytes() for p in
                         (corpus, work / "rep.trials.tsv", work / "rep.manifest.jsonl",
-                         work / "rep.models.jsonl", scores, qmf, cal, evaluated, scatter, *models)])
+                         work / "rep.models.jsonl", scores, qmf, cal, evaluated, scatter, *models,
+                         presence, weights, rich, report_tsv)])
     byte_identical = outputs[0] == outputs[1]
 
     labels = ["target"] * 37 + ["nontarget"] * 148
@@ -242,18 +255,19 @@ def test_criterion_9_g2p_correctness(tmp_path):
 
     rng = np.random.default_rng(1009)
     symbols = np.array(ARPABET_39)
-    prop_ok = True
+    seqs = []
     for _ in range(10_000):
         na, nb = int(rng.integers(0, 25)), int(rng.integers(0, 25))
-        a = tuple(symbols[rng.integers(0, 39, na)])
-        b = tuple(symbols[rng.integers(0, 39, nb)])
-        pa = presence_vector(PhonemeTranscription("a", a)).bits
-        pb = presence_vector(PhonemeTranscription("b", b)).bits
-        pab = presence_vector(PhonemeTranscription("ab", a + b)).bits
-        paa = presence_vector(PhonemeTranscription("aa", a + a)).bits
-        if not (np.array_equal(pab, pa | pb) and np.array_equal(paa, pa)):
-            prop_ok = False
-            break
+        seqs.append((tuple(symbols[rng.integers(0, 39, na)]), tuple(symbols[rng.integers(0, 39, nb)])))
+
+    def presence(name, phonemes):
+        return presence_vector([PhonemeTranscription(name, p) for p in phonemes]).bits
+
+    pa = presence("a", [a for a, _ in seqs])
+    pb = presence("b", [b for _, b in seqs])
+    pab = presence("ab", [a + b for a, b in seqs])
+    paa = presence("aa", [a + a for a, _ in seqs])
+    prop_ok = np.array_equal(pab, pa | pb) and np.array_equal(paa, pa)
     report(9, words_ok and prop_ok,
            f"20 dictionary words verified: {words_ok} (mismatches={mismatches}), "
            f"OR/idempotence on 10,000 sequences: {prop_ok}")

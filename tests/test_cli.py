@@ -585,3 +585,65 @@ class TestTrialList:
         assert captured.err == f"error: {path}:{line}: {message.format(m=m, t=t)}\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
+
+
+class TestJsonlValueTypes:
+    """A required JSONL value of the wrong JSON type fails with one error line naming it."""
+
+    @pytest.mark.parametrize("argv, bad, key, value, kind", [
+        (G2P, "transcripts", "transcript", 5, "string"),
+        (RICHNESS, "presence", "bits", 5, "string"),
+        (RICHNESS, "manifest", "net_speech", "abc", "number"),
+        (FIT_WEIGHTS, "presence", "bits", 5, "string"),
+        (REPORT_WEIGHTS, "presence", "phonemes", 5, "list of strings"),
+        (REPORT_WEIGHTS, "presence", "phonemes", ["K", ["AE"]], "list of strings"),
+        (SIMULATE, "manifest", "net_speech", True, "number"),
+    ], ids=["g2p-transcript", "richness-bits", "richness-net-speech", "fit-weights-bits",
+            "report-weights-phonemes", "report-weights-phoneme-list", "simulate-net-speech"])
+    def test_wrong_type_names_file_and_line(self, tmp_path, small_inputs, capsys,
+                                            argv, bad, key, value, kind):
+        path = small_inputs[bad]
+        record = dict(VALID_RECORDS[bad], **{key: value})
+        path.write_text(json.dumps(VALID_RECORDS[bad]) + "\n" + json.dumps(record) + "\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:2: {key} must be a {kind}, got {json.dumps(value)}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestPresenceBits:
+    """A bad bitstring in a presence file fails richness and fit-weights with its file and line."""
+
+    @pytest.mark.parametrize("bits, message", [
+        ("010", "bits must have 39 characters, got 3"),
+        ("0" * 38 + "2", "bits must be 0s and 1s, got '" + "0" * 38 + "2'"),
+    ], ids=["length", "not-0-or-1"])
+    @pytest.mark.parametrize("argv", [RICHNESS, FIT_WEIGHTS], ids=["richness", "fit-weights"])
+    def test_bad_bits_names_file_and_line(self, tmp_path, small_inputs, capsys, argv, bits, message):
+        path = small_inputs["presence"]
+        bad = dict(VALID_RECORDS["presence"], utterance_id="t2", bits=bits)
+        path.write_text("# provenance\n" + json.dumps(VALID_RECORDS["presence"]) + "\n\n"
+                        + json.dumps(bad) + "\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:4: {message}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestWeightsFileLine:
+    """A weights line that is not PHONEME<TAB>number fails with its file and line."""
+
+    @pytest.mark.parametrize("argv", [RICHNESS + ["--weights", "weights"], REPORT_WEIGHTS],
+                             ids=["richness", "report-weights"])
+    @pytest.mark.parametrize("line", ["AE 1", "AE\tone"], ids=["no-tab", "not-a-number"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, small_inputs, capsys, argv, line):
+        path = small_inputs["weights"]
+        lines = [f"{sym}\t1" for sym in ARPABET_39]
+        lines[1] = line
+        path.write_text("\n".join(lines) + "\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:2: expected PHONEME<TAB>weight, got {line!r}\n"
+        assert not list(tmp_path.glob("out*"))

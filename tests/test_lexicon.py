@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phonrich.inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
+from phonrich.inventory import ARPABET_39, PHONEME_INDEX, BitstringError, PresenceVector
 from phonrich.lexicon import (Lexicon, LexiconError, PhonemeTranscription, load_lexicon,
                               presence_vector, tokenize, transcribe)
 
@@ -105,33 +105,48 @@ class TestTranscribe:
         assert tokenize("don't 'quoted'") == ["don't", "quoted"]
 
 
+def presence_bits(phonemes):
+    """The presence row of one transcription."""
+    return presence_vector([PhonemeTranscription("u", tuple(phonemes))]).bits[0]
+
+
 class TestPresenceVector:
     def test_empty_is_all_zero(self):
-        pv = presence_vector(PhonemeTranscription("u", ()))
-        assert pv.bits.sum() == 0
+        assert presence_bits(()).sum() == 0
 
     def test_repeats_collapse(self):
-        pv = presence_vector(PhonemeTranscription("u", ("K", "AE", "T", "K")))
-        assert pv.bits.sum() == 3
+        bits = presence_bits(("K", "AE", "T", "K"))
+        assert bits.sum() == 3
         for sym in ("K", "AE", "T"):
-            assert pv.bits[PHONEME_INDEX[sym]] == 1
+            assert bits[PHONEME_INDEX[sym]] == 1
 
     def test_saturation(self):
-        pv = presence_vector(PhonemeTranscription("u", ARPABET_39))
-        assert pv.bits.sum() == 39
+        assert presence_bits(ARPABET_39).sum() == 39
 
     @given(phoneme_seqs, st.sampled_from(ARPABET_39))
     def test_idempotent_under_repetition(self, seq, extra):
-        base = presence_vector(PhonemeTranscription("u", tuple(seq) + (extra,)))
-        doubled = presence_vector(PhonemeTranscription("u", tuple(seq) + (extra, extra)))
-        assert np.array_equal(base.bits, doubled.bits)
+        base = presence_bits(tuple(seq) + (extra,))
+        doubled = presence_bits(tuple(seq) + (extra, extra))
+        assert np.array_equal(base, doubled)
 
     @given(phoneme_seqs, phoneme_seqs)
     def test_concat_is_elementwise_or(self, a, b):
-        pa = presence_vector(PhonemeTranscription("a", tuple(a)))
-        pb = presence_vector(PhonemeTranscription("b", tuple(b)))
-        pab = presence_vector(PhonemeTranscription("ab", tuple(a) + tuple(b)))
-        assert np.array_equal(pab.bits, pa.bits | pb.bits)
+        pa = presence_bits(a)
+        pb = presence_bits(b)
+        pab = presence_bits(tuple(a) + tuple(b))
+        assert np.array_equal(pab, pa | pb)
+
+    @given(st.lists(phoneme_seqs, max_size=12))
+    def test_one_row_per_transcription_in_order(self, seqs):
+        transcriptions = [PhonemeTranscription(f"u{i}", tuple(seq)) for i, seq in enumerate(seqs)]
+        pv = presence_vector(transcriptions)
+        assert pv.utterance_ids == [t.utterance_id for t in transcriptions]
+        expected = [[int(sym in seq) for sym in ARPABET_39] for seq in seqs]
+        assert pv.bits.reshape(len(seqs), 39).tolist() == expected
+
+    def test_unknown_symbol_names_the_utterance(self):
+        with pytest.raises(ValueError, match=r"u2: phoneme 'XX' is not an ARPABET-39 symbol"):
+            presence_vector([PhonemeTranscription("u1", ("K",)), PhonemeTranscription("u2", ("T", "XX"))])
 
 
 class TestInventory:
@@ -141,7 +156,44 @@ class TestInventory:
         assert PHONEME_INDEX == {sym: i for i, sym in enumerate(ARPABET_39)}
 
     def test_bitstring_round_trip(self):
-        bits = np.zeros(39, dtype=np.int8)
-        bits[[0, 5, 38]] = 1
-        pv = PresenceVector(bits, "u")
-        assert np.array_equal(PresenceVector.from_bitstring(pv.to_bitstring(), "u").bits, bits)
+        rng = np.random.default_rng(12)
+        P = (rng.random((5000, 39)) < rng.random((5000, 1))).astype(np.int8)
+        P[0], P[1] = 0, 1
+        ids = [f"u{i}" for i in range(len(P))]
+        pv = PresenceVector.from_bitstring(PresenceVector(P, ids).to_bitstring(), ids)
+        assert np.array_equal(pv.bits, P)
+        assert pv.bits.dtype == np.int8
+        assert pv.utterance_ids == ids
+
+    def test_bitstrings_equal_a_per_row_reference(self):
+        rng = np.random.default_rng(13)
+        P = (rng.random((5000, 39)) < rng.random((5000, 1))).astype(np.int8)
+        strings = PresenceVector(P, [""] * len(P)).to_bitstring()
+        assert strings == ["".join(str(int(b)) for b in row) for row in P]
+
+    def test_empty_file(self):
+        pv = PresenceVector.from_bitstring([], [])
+        assert pv.bits.shape == (0, 39)
+        assert pv.to_bitstring() == []
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0" * 38, "bits must have 39 characters, got 38"),
+        ("0" * 40, "bits must have 39 characters, got 40"),
+        ("0" * 38 + "2", "bits must be 0s and 1s, got '" + "0" * 38 + "2'"),
+        ("0" * 38 + " ", "bits must be 0s and 1s, got '" + "0" * 38 + " '"),
+        ("0" * 38 + "\u00e9", "bits must be 0s and 1s, got '" + "0" * 38 + "\u00e9'"),
+    ], ids=["short", "long", "digit-2", "space", "non-ascii"])
+    def test_first_bad_bitstring_names_its_row(self, bad, message):
+        good = "01" * 19 + "0"
+        with pytest.raises(BitstringError) as exc:
+            PresenceVector.from_bitstring([good, good, bad, bad], ["a", "b", "c", "d"])
+        assert exc.value.row == 2
+        assert str(exc.value) == message
+
+    def test_matrix_checks(self):
+        with pytest.raises(ValueError, match="39 columns"):
+            PresenceVector(np.zeros((2, 38)), ["a", "b"])
+        with pytest.raises(ValueError, match="0 or 1"):
+            PresenceVector(np.full((1, 39), 2), ["a"])
+        with pytest.raises(ValueError, match="utterance ids"):
+            PresenceVector(np.zeros((2, 39)), ["a"])

@@ -41,8 +41,8 @@ class TestBuildEnrollment:
     def test_full_inventory_enrollment_has_cu_39(self, demo_inventory):
         models = build_enrollment([r for r in demo_inventory if r.kind == "sentence"])
         lex = Lexicon.from_entries(dict(DEMO_VOCABULARY))
-        cu = count_unique(presence_vector(transcribe(models[0].transcript, lex)))
-        assert cu == 39
+        cu = count_unique(presence_vector([transcribe(models[0].transcript, lex)]))
+        assert cu.tolist() == [39]
 
     def test_no_sentences_error(self):
         with pytest.raises(ValueError, match="no sentence"):

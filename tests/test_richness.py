@@ -10,49 +10,66 @@ from phonrich.richness import (RichnessWeights, count_unique, fit_weights, load_
                                save_weights, weight_report, weighted_count_unique)
 
 
-def pv(bits, uid="u"):
+def presence(rows):
+    """PresenceVector of 0/1 rows, with utterance ids u0, u1, ..."""
+    bits = np.asarray(rows, dtype=np.int8).reshape(-1, 39)
+    return PresenceVector(bits, [f"u{i}" for i in range(len(bits))])
+
+
+def onehot(idx):
     arr = np.zeros(39, dtype=np.int8)
-    arr[list(bits)] = 1
-    return PresenceVector(arr, uid)
+    arr[list(idx)] = 1
+    return arr
 
 
 class TestCountUnique:
     def test_all_zero(self):
-        assert count_unique(pv([])) == 0
+        assert count_unique(presence([onehot([])])).tolist() == [0]
 
     def test_all_one(self):
-        assert count_unique(pv(range(39))) == 39
+        assert count_unique(presence([onehot(range(39))])).tolist() == [39]
 
     def test_three_bits(self):
         idx = [ARPABET_39.index(s) for s in ("K", "AE", "T")]
-        assert count_unique(pv(idx)) == 3
+        assert count_unique(presence([onehot(idx)])).tolist() == [3]
 
     def test_monotone_under_or(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            a = rng.integers(0, 2, 39).astype(np.int8)
-            b = rng.integers(0, 2, 39).astype(np.int8)
-            cu_or = count_unique(PresenceVector(a | b))
-            assert cu_or >= max(count_unique(PresenceVector(a)), count_unique(PresenceVector(b)))
+        a = rng.integers(0, 2, (50, 39)).astype(np.int8)
+        b = rng.integers(0, 2, (50, 39)).astype(np.int8)
+        cu_or = count_unique(presence(a | b))
+        assert np.all(cu_or >= np.maximum(count_unique(presence(a)), count_unique(presence(b))))
+
+    def test_one_count_per_row_in_row_order(self):
+        rng = np.random.default_rng(10)
+        P = (rng.random((6000, 39)) < rng.random((6000, 1))).astype(np.int8)
+        assert count_unique(presence(P)).tolist() == [int(row.sum()) for row in P]
 
 
 class TestWeightedCountUnique:
     def test_uniform_weights_reduce_to_cu(self):
         rng = np.random.default_rng(1)
         w = RichnessWeights(np.ones(39))
-        for _ in range(100):
-            p = PresenceVector(rng.integers(0, 2, 39).astype(np.int8))
-            assert weighted_count_unique(p, w) == count_unique(p)
+        p = presence(rng.integers(0, 2, (100, 39)))
+        assert weighted_count_unique(p, w).tolist() == count_unique(p).tolist()
 
     def test_zero_vector(self):
         w = RichnessWeights(np.arange(39, dtype=float))
-        assert weighted_count_unique(pv([]), w) == 0.0
+        assert weighted_count_unique(presence([onehot([])]), w).tolist() == [0.0]
 
     def test_two_term_dot_product(self):
         weights = np.zeros(39)
         weights[2] = 0.3
         weights[5] = 1.2
-        assert weighted_count_unique(pv([2, 5]), RichnessWeights(weights)) == pytest.approx(1.5)
+        wcu = weighted_count_unique(presence([onehot([2, 5])]), RichnessWeights(weights))
+        assert wcu[0] == pytest.approx(1.5)
+
+    def test_each_row_is_its_vector_product_exactly(self):
+        # the batch must round as the per-row ``w @ bits`` does; ``P @ w`` does not
+        rng = np.random.default_rng(11)
+        P = (rng.random((6000, 39)) < rng.random((6000, 1))).astype(np.int8)
+        w = RichnessWeights(np.abs(rng.standard_normal(39)) * 0.37)
+        assert weighted_count_unique(presence(P), w).tolist() == [float(w.weights @ row) for row in P]
 
 
 class TestFitWeights:
@@ -61,41 +78,39 @@ class TestFitWeights:
         w_true = np.abs(rng.standard_normal(39))
         design = (rng.random((150, 39)) < 0.4).astype(np.int8)
         design[:39] |= np.eye(39, dtype=np.int8)  # guarantee full column rank
-        pairs = [(PresenceVector(row), float(row @ w_true)) for row in design]
-        w = fit_weights(pairs)
+        w = fit_weights(design, [float(row @ w_true) for row in design])
         np.testing.assert_allclose(w.weights, w_true, atol=1e-6)
         assert w.n_train == 150
         assert w.fit_residual < 1e-8
 
     def test_single_pair(self):
-        w = fit_weights([(pv([7]), 2.5)])
+        w = fit_weights([onehot([7])], [2.5])
         assert w.weights[7] == pytest.approx(2.5)
         others = np.delete(w.weights, 7)
         np.testing.assert_array_equal(others, 0.0)
 
     def test_zero_scores_give_zero_weights(self):
         rng = np.random.default_rng(3)
-        pairs = [(PresenceVector(rng.integers(0, 2, 39).astype(np.int8)), 0.0) for _ in range(20)]
-        if not any(p.bits.any() for p, _ in pairs):
+        design = rng.integers(0, 2, (20, 39)).astype(np.int8)
+        if not design.any():
             pytest.skip("degenerate draw")
-        w = fit_weights(pairs)
+        w = fit_weights(design, np.zeros(20))
         np.testing.assert_array_equal(w.weights, 0.0)
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="non-empty"):
-            fit_weights([])
+            fit_weights(np.zeros((0, 39), dtype=np.int8), [])
 
     def test_all_zero_presence(self):
         with pytest.raises(ValueError, match="all-zero"):
-            fit_weights([(pv([]), 1.0)] * 3)
+            fit_weights(np.zeros((3, 39), dtype=np.int8), [1.0] * 3)
 
     def test_nonnegative_and_no_worse_than_zero(self):
         rng = np.random.default_rng(4)
         design = (rng.random((60, 39)) < 0.3).astype(np.int8)
         design[0, 0] = 1
         scores = rng.standard_normal(60)  # inconsistent targets
-        pairs = [(PresenceVector(row), float(s)) for row, s in zip(design, scores)]
-        w = fit_weights(pairs)
+        w = fit_weights(design, scores)
         assert np.all(w.weights >= 0)
         obj = np.sum((design.astype(float) @ w.weights - scores) ** 2)
         assert obj <= np.sum(scores ** 2) + 1e-9
@@ -105,9 +120,8 @@ class TestFitWeights:
         design = (rng.random((40, 39)) < 0.4).astype(np.int8)
         design[0] = 1
         scores = rng.random(40)
-        pairs = [(PresenceVector(row), float(s)) for row, s in zip(design, scores)]
-        w1 = fit_weights(pairs)
-        w2 = fit_weights(pairs[::-1])
+        w1 = fit_weights(design, scores)
+        w2 = fit_weights(design[::-1], scores[::-1])
         np.testing.assert_allclose(w1.weights, w2.weights, atol=1e-9)
 
 
@@ -189,3 +203,12 @@ class TestWeightsFile:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             RichnessWeights(-np.ones(39))
+
+    @pytest.mark.parametrize("line", ["AA 1", "AA\tone", "AA\t1\t2", "# n_train=3\tfit_residual"],
+                             ids=["no-tab", "not-a-number", "three-fields", "bad-header"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "weights.txt"
+        path.write_text("# provenance\n" + line + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_weights(path)
+        assert str(exc.value) == f"{path}:2: expected PHONEME<TAB>weight, got {line!r}"
