@@ -57,9 +57,8 @@ def build_features(trials: Trials, qmfs: dict[str, dict[str, float]],
     qmf_names = tuple(n for n in names if n != "raw")
     X = np.empty((len(trials), 0))
     if qmf_names:
-        tests, codes = trials.test_index()
-        table = np.array([_qmf_row(qmfs, test_id, qmf_names) for test_id in tests], dtype=float)
-        X = table.reshape(len(tests), len(qmf_names))[codes]
+        table = np.array([_qmf_row(qmfs, test_id, qmf_names) for test_id in trials.tests], dtype=float)
+        X = table.reshape(len(trials.tests), len(qmf_names))[trials.test_codes]
     if "raw" in names:  # first in canonical order
         X = np.hstack([trials.scores[:, None], X])
     if not np.all(np.isfinite(X)):
@@ -238,28 +237,3 @@ def save_model(model: CalibrationModel, path: str | Path, provenance: str | None
         lines.append(f"coef:{name}\t{coef:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def load_model(path: str | Path) -> CalibrationModel:
-    intercept = 0.0
-    cw = [1.0, 1.0]
-    converged = True
-    seed = None
-    names, coefs = [], []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        key, value = line.split("\t", 1)
-        if key == "intercept":
-            intercept = float(value)
-        elif key == "class_weight_target":
-            cw[0] = float(value)
-        elif key == "class_weight_nontarget":
-            cw[1] = float(value)
-        elif key == "converged":
-            converged = bool(int(value))
-        elif key == "seed":
-            seed = int(value) if value else None
-        elif key.startswith("coef:"):
-            names.append(key[5:])
-            coefs.append(float(value))
-    return CalibrationModel(np.array(coefs), intercept, tuple(names), (cw[0], cw[1]), converged, seed)

@@ -13,13 +13,13 @@ from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
 from .inventory import BitstringError, PresenceVector
-from .io import (provenance_line, read_jsonl, read_qmfs, read_scores, record_line,
-                 write_jsonl, write_scores, write_tsv)
+from .io import (provenance_line, read_jsonl, read_qmfs, read_scores, record_line, write_jsonl,
+                 write_scores, write_tsv)
 from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import (compute_eer, compute_min_c_primary, correlation_report,
                       protocol_stats)
-from .protocols import (build_clip_protocol, build_enrollment, build_repetitive_protocol,
-                        emit_trials, load_inventory_jsonl, load_protocol, read_trials)
+from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
+                        load_inventory_jsonl, load_protocol)
 from .richness import (count_unique, fit_weights, load_weights, save_weights, weight_report,
                        weighted_count_unique)
 from .simulator import SimConfig, simulate_corpus
@@ -27,7 +27,8 @@ from .simulator import SimConfig, simulate_corpus
 
 def cmd_g2p(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    transcripts = read_jsonl(args.transcripts, required={"utterance_id": "string", "transcript": "string"})
+    transcripts = read_jsonl(args.transcripts, required={"utterance_id": "string", "transcript": "string"},
+                             unique="utterance_id")
     transcriptions = [transcribe(rec["transcript"], lexicon, rec["utterance_id"]) for rec in transcripts]
     presence = presence_vector(transcriptions)
     records = [{
@@ -50,8 +51,9 @@ def cmd_g2p(args) -> int:
 
 
 def _read_presence(path) -> PresenceVector:
-    """A presence JSONL file as one matrix; a bad bitstring fails with its file and line."""
-    records = read_jsonl(path, required={"utterance_id": "string", "bits": "string"})
+    """A presence JSONL file as one matrix; a bad bitstring or repeated id fails with its file and line."""
+    records = read_jsonl(path, required={"utterance_id": "string", "bits": "string"},
+                         unique="utterance_id")
     try:
         return PresenceVector.from_bitstring([rec["bits"] for rec in records],
                                              [rec["utterance_id"] for rec in records])
@@ -87,10 +89,9 @@ def cmd_richness(args) -> int:
 
 def cmd_fit_weights(args) -> int:
     presence = _read_presence(args.presence)
-    # a repeated utterance id joins its last row
     row_of = {test_id: row for row, test_id in enumerate(presence.utterance_ids)}
     trials = read_scores(args.scores)
-    rows = np.array([row_of.get(test_id, -1) for test_id in trials.test_ids], dtype=np.intp)
+    rows = np.array([row_of.get(test_id, -1) for test_id in trials.tests], dtype=np.intp)[trials.test_codes]
     kept = trials.is_target & (rows >= 0)
     if not kept.any():
         print("error: no positive trials joined with presence vectors", file=sys.stderr)
@@ -114,11 +115,7 @@ def cmd_gen_protocol(args) -> int:
             print("error: --target is required for the clip protocol", file=sys.stderr)
             return 1
         base = [r for r in inventory if r.kind in ("sentence", "free")]
-        trials = models = None
-        if args.base_trials:
-            trials = read_trials(args.base_trials)
-            models = build_enrollment(inventory)
-        spec = build_clip_protocol(base, args.target, args.seed, trials=trials, models=models)
+        spec = build_clip_protocol(base, args.target, args.seed, base_trials=args.base_trials)
     prov = provenance_line("gen-protocol", args.seed, [args.corpus])
     prefix = args.out_prefix
     emit_trials(spec, f"{prefix}.trials.tsv", f"{prefix}.manifest.jsonl",
@@ -247,13 +244,7 @@ def cmd_stats(args) -> int:
 
 def cmd_make_demo(args) -> int:
     records = make_demo_inventory(args.speakers, args.seed)
-    write_jsonl(args.out, [
-        {"utterance_id": r.utterance_id, "speaker_id": r.speaker_id, "kind": r.kind,
-         "net_speech": r.net_speech, "transcript": r.transcript, "word_text": r.word_text,
-         "repetition_index": r.repetition_index, "gender": r.gender,
-         "word_durations": r.word_durations}
-        for r in records
-    ], provenance_line("make-demo", args.seed))
+    write_jsonl(args.out, map(vars, records), provenance_line("make-demo", args.seed))
     print(f"make-demo: wrote {len(records)} utterance records for {args.speakers} speakers")
     return 0
 
@@ -356,9 +347,13 @@ def main(argv=None) -> int:
         if path and not Path(path).exists():
             print(f"error: input file not found: {path}", file=sys.stderr)
             return 1
-    if getattr(args, "folds", 1) < 1:
-        print(f"error: --folds must be at least 1, got {args.folds}", file=sys.stderr)
-        return 1
+    for attr, least in (("folds", 1), ("speakers", 1), ("probes_per_speaker", 1),
+                        ("negatives_per_probe", 0)):
+        value = getattr(args, attr, None)
+        if value is not None and value < least:
+            print(f"error: --{attr.replace('_', '-')} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            return 1
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .metrics import NONTARGET, TARGET, Trials
+from .metrics import NONTARGET, TARGET, Trials, decode_ids
 
-SCORE_COLUMNS = ["model_id", "test_id", "label", "raw_score"]
+TRIAL_COLUMNS = ["model_id", "test_id", "label"]
+SCORE_COLUMNS = TRIAL_COLUMNS + ["raw_score"]
 
 
 def file_digest(path: str | Path) -> str:
@@ -34,30 +35,24 @@ def provenance_line(subcommand: str, seed: int | None = None, inputs=()) -> str:
     return " ".join(parts)
 
 
+def _write_lines(path: str | Path, provenance: str | None, lines: list[str]) -> None:
+    Path(path).write_text("\n".join(([provenance] if provenance else []) + lines) + "\n")
+
+
 def write_tsv(path: str | Path, header: list[str], rows, provenance: str | None = None) -> None:
-    lines = []
-    if provenance:
-        lines.append(provenance)
-    lines.append("\t".join(header))
-    for row in rows:
-        lines.append("\t".join(map(str, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, provenance, ["\t".join(header)] + ["\t".join(map(str, row)) for row in rows])
+
+
+def _data_lines(path: str | Path) -> list[str]:
+    """The lines of a TSV that are not blank or '#' comments: the header, then the data rows."""
+    return [line for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
 
 
 def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    header = None
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split("\t")
-        if header is None:
-            header = cells
-        else:
-            rows.append(cells)
-    if header is None:
+    kept = [line.split("\t") for line in _data_lines(path)]
+    if not kept:
         raise ValueError(f"{path}: no header line found")
-    return header, rows
+    return kept[0], kept[1:]
 
 
 def data_line(path: str | Path, row: int) -> int:
@@ -67,12 +62,7 @@ def data_line(path: str | Path, row: int) -> int:
 
 
 def write_jsonl(path: str | Path, records, provenance: str | None = None) -> None:
-    lines = []
-    if provenance:
-        lines.append(provenance)
-    for rec in records:
-        lines.append(json.dumps(rec, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, provenance, [json.dumps(rec, sort_keys=True) for rec in records])
 
 
 # JSON type of a required key -> (the Python types json.loads gives it, the type of each
@@ -86,14 +76,18 @@ JSON_TYPES = {
 _MISSING = object()
 
 
-def read_jsonl(path: str | Path, required: dict[str, str] | None = None) -> list[dict]:
+def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
+               unique: str | None = None) -> list[dict]:
     """One JSON object per line; '#' lines are comments.
 
     ``required`` maps each key a record must hold to its JSON type, a key
     of JSON_TYPES. A missing key or a value of another type fails with
-    the file and line.
+    the file and line. No two records may share their value of the
+    required key ``unique``: a repeat fails at its second record, naming
+    the line of the first.
     """
     checks = [(key, kind, *JSON_TYPES[kind]) for key, kind in (required or {}).items()]
+    first_line: dict[str, int] = {}
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -110,6 +104,10 @@ def read_jsonl(path: str | Path, required: dict[str, str] | None = None) -> list
                 if value is _MISSING:
                     raise ValueError(f"{path}:{lineno}: record has no {key}")
                 raise ValueError(f"{path}:{lineno}: {key} must be a {kind}, got {json.dumps(value)}")
+        if unique is not None:
+            if first_line.setdefault(rec[unique], lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate {unique} {rec[unique]!r}, "
+                                 f"first at line {first_line[rec[unique]]}")
         records.append(rec)
     return records
 
@@ -121,14 +119,26 @@ def record_line(path: str | Path, record: int) -> int:
 
 
 def write_scores(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
-    rows = zip(trials.model_ids, trials.test_ids, trials.labels(),
-               [f"{s:.17g}" for s in trials.scores.tolist()])
+    rows = zip(decode_ids(trials.models, trials.model_codes), decode_ids(trials.tests, trials.test_codes),
+               trials.labels(), [f"{s:.17g}" for s in trials.scores.tolist()])
     write_tsv(path, SCORE_COLUMNS, rows, provenance)
 
 
 def read_scores(path: str | Path) -> Trials:
-    """Scores TSV straight into columns; a malformed row fails with its file and line."""
-    kept = [line for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
+    """Scores TSV (SCORE_COLUMNS) straight into columns; see read_trial_table."""
+    return read_trial_table(path, scored=True)
+
+
+def read_trial_table(path: str | Path, scored: bool = False) -> Trials:
+    """A trial list (TRIAL_COLUMNS) or, if ``scored``, a scores TSV (SCORE_COLUMNS) as Trials.
+
+    A wrong header, a row with another field count, a label other than
+    target/nontarget, a score that is not a finite number or a repeated
+    (model_id, test_id) fails with the file and line.
+    """
+    columns = SCORE_COLUMNS if scored else TRIAL_COLUMNS
+    width = len(columns)
+    kept = _data_lines(path)
 
     def fail(row: int, message: str):
         raise ValueError(f"{path}:{data_line(path, row)}: {message}")
@@ -136,52 +146,50 @@ def read_scores(path: str | Path) -> Trials:
     if not kept:
         raise ValueError(f"{path}: no header line found")
     header, rows = kept[0].split("\t"), kept[1:]
-    if header != SCORE_COLUMNS:
-        fail(-1, f"expected columns {SCORE_COLUMNS}, got {header}")
+    if header != columns:
+        fail(-1, f"expected columns {columns}, got {header}")
 
     fields = np.array([row.count("\t") for row in rows], dtype=int) + 1
-    if np.any(fields != 4):
-        row = int(np.argmax(fields != 4))
-        fail(row, f"expected 4 tab-separated fields, got {fields[row]}")
+    if np.any(fields != width):
+        row = int(np.argmax(fields != width))
+        fail(row, f"expected {width} tab-separated fields, got {fields[row]}")
     cells = "\t".join(rows).split("\t") if rows else []
-    model_ids, test_ids, labels, scores = cells[0::4], cells[1::4], cells[2::4], cells[3::4]
+    model_ids, test_ids, labels = cells[0::width], cells[1::width], cells[2::width]
 
     if set(labels) - {TARGET, NONTARGET}:
         row = next(i for i, label in enumerate(labels) if label not in (TARGET, NONTARGET))
         fail(row, f"label must be target/nontarget, got {labels[row]!r}")
-    try:
-        values = np.array(list(map(float, scores)), dtype=float)
-    except ValueError:
-        row = next(i for i, s in enumerate(scores) if not _parses_as_float(s))
-        fail(row, f"score is not a number: {scores[row]!r}")
-    finite = np.isfinite(values)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        fail(row, f"non-finite score {scores[row]!r}")
-    keys = list(map("\t".join, zip(model_ids, test_ids)))
+    values = None
+    if scored:
+        scores = cells[3::width]
+        try:
+            values = np.array(list(map(float, scores)), dtype=float)
+        except ValueError:
+            for row, text in enumerate(scores):
+                try:
+                    float(text)
+                except ValueError:
+                    fail(row, f"score is not a number: {text!r}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            fail(row, f"non-finite score {scores[row]!r}")
+    trials = Trials.from_ids(model_ids, test_ids,
+                             np.array([label == TARGET for label in labels], dtype=bool), values)
+    keys = (trials.model_codes * len(trials.tests) + trials.test_codes).tolist()
     if len(set(keys)) < len(keys):
-        first: dict[str, int] = {}
+        first: dict[int, int] = {}
         for row, key in enumerate(keys):
-            if key in first:
+            if first.setdefault(key, row) != row:
                 fail(row, f"duplicate trial ({model_ids[row]}, {test_ids[row]}), "
                           f"first at line {data_line(path, first[key])}")
-            first[key] = row
-    return Trials(model_ids, test_ids, np.array([label == TARGET for label in labels], dtype=bool),
-                  values)
-
-
-def _parses_as_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+    return trials
 
 
 def read_qmfs(path: str | Path) -> dict[str, dict[str, float]]:
     """QMF JSONL: one object per test utterance, keyed by test_id."""
     qmfs = {}
-    for rec in read_jsonl(path, required={"test_id": "string"}):
+    for rec in read_jsonl(path, required={"test_id": "string"}, unique="test_id"):
         test_id = rec.pop("test_id")
         qmfs[test_id] = {k: float(v) for k, v in rec.items() if isinstance(v, (int, float))}
     return qmfs

@@ -22,37 +22,62 @@ def target_mask(is_target) -> np.ndarray:
     return mask.astype(bool, copy=False)
 
 
+def encode_ids(ids) -> tuple[list[str], np.ndarray]:
+    """Distinct ids in order of first appearance, and each id's index into them."""
+    table = list(dict.fromkeys(ids))
+    index = dict(zip(table, range(len(table))))
+    return table, np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
+def decode_ids(table: list[str], codes: np.ndarray) -> list[str]:
+    """The id of each code: the inverse of encode_ids."""
+    return np.array(table, dtype=object)[codes].tolist()
+
+
 @dataclass
 class Trials:
-    """Verification trials as columns: enrollment model vs. test utterance, one entry each."""
+    """Verification trials as columns: enrollment model vs. test utterance, one entry each.
 
-    model_ids: list[str]
-    test_ids: list[str]
+    Trial k pairs ``models[model_codes[k]]`` with ``tests[test_codes[k]]``.
+    The id tables are distinct; read from a file they hold the ids its
+    trials use, in order of first appearance. ``scores`` is None for a
+    trial list, which carries no scores.
+    """
+
+    models: list[str]
+    tests: list[str]
+    model_codes: np.ndarray  # intp
+    test_codes: np.ndarray  # intp
     is_target: np.ndarray  # bool
-    scores: np.ndarray  # float64
+    scores: np.ndarray | None  # float64
+
+    @classmethod
+    def from_ids(cls, model_ids, test_ids, is_target, scores) -> "Trials":
+        """Trials from one model id and one test id per trial."""
+        models, model_codes = encode_ids(model_ids)
+        tests, test_codes = encode_ids(test_ids)
+        return cls(models, tests, model_codes, test_codes, is_target, scores)
 
     def __post_init__(self):
         self.is_target = target_mask(self.is_target)
-        self.scores = np.asarray(self.scores, dtype=float)
-        n = len(self.model_ids)
-        if len(self.test_ids) != n or self.is_target.shape != (n,) or self.scores.shape != (n,):
+        self.model_codes = np.asarray(self.model_codes, dtype=np.intp)
+        self.test_codes = np.asarray(self.test_codes, dtype=np.intp)
+        columns = [self.model_codes, self.test_codes, self.is_target]
+        if self.scores is not None:
+            self.scores = np.asarray(self.scores, dtype=float)
+            columns.append(self.scores)
+        if self.model_codes.ndim != 1 or len({column.shape for column in columns}) > 1:
             raise ValueError("trial columns differ in length")
-        finite = np.isfinite(self.scores)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise ValueError(f"non-finite score for trial ({self.model_ids[i]}, {self.test_ids[i]})")
+        if self.scores is not None and not np.isfinite(self.scores).all():
+            i = int(np.argmin(np.isfinite(self.scores)))
+            raise ValueError(f"non-finite score for trial ({self.models[self.model_codes[i]]}, "
+                             f"{self.tests[self.test_codes[i]]})")
 
     def __len__(self) -> int:
-        return len(self.model_ids)
+        return len(self.model_codes)
 
     def labels(self) -> list[str]:
         return [TARGET if t else NONTARGET for t in self.is_target.tolist()]
-
-    def test_index(self) -> tuple[list[str], np.ndarray]:
-        """Distinct test ids in order of first appearance, and each trial's index into them."""
-        index: dict[str, int] = {}
-        codes = [index.setdefault(t, len(index)) for t in self.test_ids]
-        return list(index), np.array(codes, dtype=np.intp)
 
     def class_scores(self) -> tuple[np.ndarray, np.ndarray]:
         """Target scores and nontarget scores, each in trial order."""
@@ -175,11 +200,11 @@ def correlation_report(trials: Trials, qmfs: dict[str, dict[str, float]]):
     and scatter_rows are (test_id, qmf_name, qmf_value, score, label).
     The QMF names are those of the first trial's test.
     """
-    tests, codes = trials.test_index()
+    tests, codes = trials.tests, trials.test_codes
     for test_id in tests:
         if test_id not in qmfs:
             raise ValueError(f"missing QMF values for test {test_id!r}")
-    qmf_names = sorted(qmfs[tests[0]]) if tests else []
+    qmf_names = sorted(qmfs[tests[codes[0]]]) if len(codes) else []
     table = np.empty((len(tests), len(qmf_names)))
     for i, test_id in enumerate(tests):
         for j, name in enumerate(qmf_names):
@@ -195,7 +220,7 @@ def correlation_report(trials: Trials, qmfs: dict[str, dict[str, float]]):
         for j, name in enumerate(qmf_names):
             taus[(label, name)] = kendall_tau(values[mask, j], scores)
     scatter = [(test_id, name, value, score, label)
-               for test_id, row, score, label in zip(trials.test_ids, values.tolist(),
+               for test_id, row, score, label in zip(decode_ids(tests, codes), values.tolist(),
                                                      trials.scores.tolist(), trials.labels())
                for name, value in zip(qmf_names, row)]
     return taus, scatter

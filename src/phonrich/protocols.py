@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .io import data_line, read_jsonl, read_tsv, write_jsonl, write_tsv
-from .metrics import NONTARGET, TARGET
+from .io import TRIAL_COLUMNS, data_line, read_jsonl, read_trial_table, write_jsonl, write_tsv
+from .metrics import NONTARGET, TARGET, decode_ids, encode_ids
 
 MAX_PROBE_REDRAWS = 20
-TRIAL_COLUMNS = ["model_id", "test_id", "label"]
 # keys, with their JSON types, that load_protocol reads from each manifest and models
 # record and load_inventory_jsonl from each corpus record
 MANIFEST_KEYS = {"test_id": "string", "speaker_id": "string", "transcript": "string",
@@ -65,30 +65,40 @@ class ModelRecord:
     gender: str = ""
 
 
+class TrialError(ValueError):
+    """A trial that fails ProtocolSpec.validate(); ``row`` indexes the trials, positives first."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass
 class ProtocolSpec:
-    positive_trials: list[tuple[str, str]]
-    negative_trials: list[tuple[str, str]]
+    """Trials as (n, 2) intp arrays of (row in ``models``, row in ``tests``) pairs."""
+
+    positive_trials: np.ndarray
+    negative_trials: np.ndarray
     tests: list[ProbeEntry]
     models: list[ModelRecord]
 
+    def __post_init__(self):
+        self.positive_trials = np.asarray(self.positive_trials, dtype=np.intp).reshape(-1, 2)
+        self.negative_trials = np.asarray(self.negative_trials, dtype=np.intp).reshape(-1, 2)
+
     def validate(self) -> None:
-        speaker_of_model = {m.model_id: m.speaker_id for m in self.models}
-        speaker_of_test = {t.test_id: t.speaker_id for t in self.tests}
-        pos = set(self.positive_trials)
-        neg = set(self.negative_trials)
-        if pos & neg:
-            raise ValueError("positive and negative trial lists overlap")
-        for m_id, t_id in self.positive_trials + self.negative_trials:
-            if m_id not in speaker_of_model or t_id not in speaker_of_test:
-                unknown = "model" if m_id not in speaker_of_model else "test"
-                raise ValueError(f"trial ({m_id}, {t_id}) names an unknown {unknown}")
-        for m_id, t_id in self.positive_trials:
-            if speaker_of_model[m_id] != speaker_of_test[t_id]:
-                raise ValueError(f"positive trial ({m_id}, {t_id}) crosses speakers")
-        for m_id, t_id in self.negative_trials:
-            if speaker_of_model[m_id] == speaker_of_test[t_id]:
-                raise ValueError(f"negative trial ({m_id}, {t_id}) pairs a speaker with itself")
+        """A positive trial must pair one speaker's model and test, a negative two speakers'."""
+        _, speakers = encode_ids([m.speaker_id for m in self.models] + [t.speaker_id for t in self.tests])
+        model_speaker, test_speaker = speakers[:len(self.models)], speakers[len(self.models):]
+        for first_row, pairs, positive in ((0, self.positive_trials, True),
+                                           (len(self.positive_trials), self.negative_trials, False)):
+            bad = (model_speaker[pairs[:, 0]] == test_speaker[pairs[:, 1]]) != positive
+            if bad.any():
+                k = int(np.argmax(bad))
+                m_id, t_id = self.models[pairs[k, 0]].model_id, self.tests[pairs[k, 1]].test_id
+                raise TrialError(first_row + k, f"positive trial ({m_id}, {t_id}) crosses speakers"
+                                 if positive else
+                                 f"negative trial ({m_id}, {t_id}) pairs a speaker with itself")
 
 
 def build_enrollment(sentences: list[UtteranceRecord]) -> list[ModelRecord]:
@@ -123,20 +133,12 @@ def _clip_window(durations: list[float], target: float, rng: np.random.Generator
     repeated end-to-end and any start is valid.
     """
     n = len(durations)
-    total = sum(durations)
-    if total >= target:
+    if sum(durations) >= target:
         suffix = np.cumsum(durations[::-1])[::-1]
         valid = [s for s in range(n) if suffix[s] >= target]
         start = valid[rng.integers(len(valid))]
-        idx = []
-        acc = 0.0
-        i = start
-        while acc < target:
-            idx.append(i)
-            acc += durations[i]
-            i += 1
-        return idx
-    start = int(rng.integers(n))
+    else:
+        start = int(rng.integers(n))
     idx = []
     acc = 0.0
     i = start
@@ -148,16 +150,15 @@ def _clip_window(durations: list[float], target: float, rng: np.random.Generator
 
 
 def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
-                        trials: list[tuple[str, str, str]] | None = None,
-                        models: list[ModelRecord] | None = None) -> ProtocolSpec:
+                        base_trials: str | Path | None = None) -> ProtocolSpec:
     """Fixed-duration protocol: one random word-boundary clip per base test.
 
     Clips are realized as contiguous word subsequences (with end-to-end
     repetition when the utterance is shorter than the target), so net
     speech and transcript of each clip are fully determined by the chosen
-    word window. ``trials`` is an optional passthrough list of
-    (model_id, test_id, label) rows over the base utterance ids, as
-    ``read_trials`` returns them.
+    word window. ``base_trials`` is an optional trial list over the base
+    utterance ids; its trials are joined onto the clips and onto the
+    enrollment models of the base sentences (see join_trials).
     """
     if target <= 0:
         raise ValueError("target duration must be > 0")
@@ -165,7 +166,6 @@ def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
         raise ValueError("empty base utterance list")
     rng = np.random.default_rng(seed)
     tests = []
-    id_map = {}
     for rec in sorted(base, key=lambda r: r.utterance_id):
         words = rec.transcript.split()
         if not words:
@@ -174,21 +174,17 @@ def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
         if durations is None or len(durations) != len(words):
             raise ValueError(f"{rec.utterance_id}: word_durations must align with transcript words")
         idx = _clip_window(durations, target, rng)
-        clip_id = f"{rec.utterance_id}@{target:g}s"
-        id_map[rec.utterance_id] = clip_id
         tests.append(ProbeEntry(
-            test_id=clip_id,
+            test_id=f"{rec.utterance_id}@{target:g}s",
             speaker_id=rec.speaker_id,
             transcript=" ".join(words[i] for i in idx),
             net_speech=float(sum(durations[i] for i in idx)),
             source_ids=[rec.utterance_id],
             gender=rec.gender,
         ))
-    positive, negative = [], []
-    for m_id, t_id, label in trials or []:
-        pair = (m_id, id_map.get(t_id, t_id))  # an unknown id is reported by validate()
-        (positive if label == TARGET else negative).append(pair)
-    return ProtocolSpec(positive, negative, tests, models or [])
+    if base_trials is None:
+        return ProtocolSpec([], [], tests, [])
+    return join_trials(base_trials, tests, build_enrollment(base), [t.source_ids[0] for t in tests])
 
 
 def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
@@ -200,28 +196,16 @@ def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
         if unique > len(word_types):
             continue
         types = list(rng.choice(word_types, size=unique, replace=False))
-        slots = list(types)
-        extra = rng.choice(types, size=total - unique, replace=True)
-        slots.extend(extra)
-        perm = rng.permutation(total)
-        slots = [slots[i] for i in perm]
-        need: dict[str, int] = {}
-        for w in slots:
-            need[w] = need.get(w, 0) + 1
+        slots = types + list(rng.choice(types, size=total - unique, replace=True))
+        slots = [slots[i] for i in rng.permutation(total)]
+        need = Counter(slots)
         if any(len(reps[w]) < k for w, k in need.items()):
             continue
         # per word type, pick distinct repetition recordings, then hand them
         # out to that type's slots in order
-        picks = {}
-        for w in sorted(need):
-            chosen = rng.choice(len(reps[w]), size=need[w], replace=False)
-            picks[w] = [reps[w][i] for i in chosen]
-        used = {w: 0 for w in need}
-        recs = []
-        for w in slots:
-            recs.append(picks[w][used[w]])
-            used[w] += 1
-        return recs
+        picks = {w: iter([reps[w][i] for i in rng.choice(len(reps[w]), size=need[w], replace=False)])
+                 for w in sorted(need)}
+        return [next(picks[w]) for w in slots]
     raise ValueError("could not assemble a probe: a word type has too few repetition recordings")
 
 
@@ -237,7 +221,7 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
     ``negatives_per_probe`` with the same seed stream.
     """
     models = build_enrollment(sentences)
-    model_by_speaker = {m.speaker_id: m for m in models}
+    model_row = {m.speaker_id: row for row, m in enumerate(models)}
 
     by_speaker: dict[str, dict[str, list[UtteranceRecord]]] = {}
     for rec in words:
@@ -245,7 +229,7 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
             continue
         by_speaker.setdefault(rec.speaker_id, {}).setdefault(rec.word_text, []).append(rec)
     for spk, types in by_speaker.items():
-        if spk not in model_by_speaker:
+        if spk not in model_row:
             raise ValueError(f"speaker {spk} has word recordings but no enrollment sentences")
         for w in types:
             types[w] = sorted(types[w], key=lambda r: r.repetition_index)
@@ -256,10 +240,11 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
     for spk in sorted(by_speaker):
         reps = by_speaker[spk]
         word_types = sorted(reps)
-        gender = model_by_speaker[spk].gender
+        gender = models[model_row[spk]].gender
         for j in range(n_probes_per_speaker):
             recs = _draw_probe(word_types, reps, rng)
             test_id = f"{spk}_probe{j:05d}"
+            positive.append((model_row[spk], len(tests)))
             tests.append(ProbeEntry(
                 test_id=test_id,
                 speaker_id=spk,
@@ -268,99 +253,92 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
                 source_ids=[r.utterance_id for r in recs],
                 gender=gender,
             ))
-            positive.append((spk, test_id))
 
-    models_by_gender: dict[str, list[ModelRecord]] = {}
-    for m in models:
-        models_by_gender.setdefault(m.gender, []).append(m)
-    negative = []
-    for t in tests:
-        impostors = [m.model_id for m in models_by_gender.get(t.gender, [])
-                     if m.speaker_id != t.speaker_id]
+    rows_by_gender: dict[str, list[int]] = {}
+    for row, m in enumerate(models):
+        rows_by_gender.setdefault(m.gender, []).append(row)
+    negative_models, negative_tests = [], []
+    for row, t in enumerate(tests):
+        impostors = [i for i in rows_by_gender.get(t.gender, []) if models[i].speaker_id != t.speaker_id]
         if negatives_per_probe is not None and len(impostors) > negatives_per_probe:
             chosen = rng.choice(len(impostors), size=negatives_per_probe, replace=False)
             impostors = [impostors[i] for i in sorted(chosen)]
-        negative.extend((m_id, t.test_id) for m_id in impostors)
+        negative_models += impostors
+        negative_tests += [row] * len(impostors)
 
-    return ProtocolSpec(positive, negative, tests, models)
+    spec = ProtocolSpec(positive, np.array([negative_models, negative_tests], dtype=np.intp).T,
+                        tests, models)
+    spec.validate()
+    return spec
 
 
 def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str | Path,
-                models_path: str | Path | None = None, provenance: str | None = None) -> None:
+                models_path: str | Path, provenance: str | None = None) -> None:
     """Write the trial TSV and manifest/models JSONL; byte-stable for a given spec."""
-    spec.validate()
-    rows = [(m, t, TARGET) for m, t in spec.positive_trials]
-    rows += [(m, t, NONTARGET) for m, t in spec.negative_trials]
+    pairs = np.concatenate([spec.positive_trials, spec.negative_trials])
+    labels = [TARGET] * len(spec.positive_trials) + [NONTARGET] * len(spec.negative_trials)
+    rows = zip(decode_ids([m.model_id for m in spec.models], pairs[:, 0]),
+               decode_ids([t.test_id for t in spec.tests], pairs[:, 1]), labels)
     write_tsv(trials_path, TRIAL_COLUMNS, rows, provenance)
-    write_jsonl(manifest_path, [
-        {"test_id": t.test_id, "speaker_id": t.speaker_id, "transcript": t.transcript,
-         "net_speech": t.net_speech, "source_ids": t.source_ids, "gender": t.gender}
-        for t in spec.tests
-    ], provenance)
-    if models_path is not None:
-        write_jsonl(models_path, [
-            {"model_id": m.model_id, "speaker_id": m.speaker_id, "net_speech": m.net_speech,
-             "source_ids": m.source_ids, "transcript": m.transcript, "gender": m.gender}
-            for m in spec.models
-        ], provenance)
+    # one key per field; write_jsonl sorts the keys
+    write_jsonl(manifest_path, map(vars, spec.tests), provenance)
+    write_jsonl(models_path, map(vars, spec.models), provenance)
 
 
-def read_trials(path: str | Path) -> list[tuple[str, str, str]]:
-    """Trial TSV -> (model_id, test_id, label) rows.
+def join_trials(path: str | Path, tests: list[ProbeEntry], models: list[ModelRecord],
+                test_keys: list[str] | None = None) -> ProtocolSpec:
+    """The trial list at ``path`` joined onto ``tests`` and ``models``, and validated.
 
-    A wrong header, a row with other than three fields, a label other
-    than target/nontarget or a repeated (model_id, test_id) fails with
-    the file and line.
+    A trial names its model by model id and its test by ``test_keys``
+    (default: the test ids), one key per test. The spec holds the
+    positives in file order, then the negatives. An unknown id, or a pair
+    that fails ProtocolSpec.validate(), fails with the file and line.
     """
-    header, rows = read_tsv(path)
-
-    def fail(row: int, message: str):
-        raise ValueError(f"{path}:{data_line(path, row)}: {message}")
-
-    if header != TRIAL_COLUMNS:
-        fail(-1, f"expected columns {TRIAL_COLUMNS}, got {header}")
-    first: dict[tuple[str, str], int] = {}
-    for row, cells in enumerate(rows):
-        if len(cells) != 3:
-            fail(row, f"expected 3 tab-separated fields, got {len(cells)}")
-        m_id, t_id, label = cells
-        if label not in (TARGET, NONTARGET):
-            fail(row, f"label must be target/nontarget, got {label!r}")
-        if first.setdefault((m_id, t_id), row) != row:
-            fail(row, f"duplicate trial ({m_id}, {t_id}), "
-                      f"first at line {data_line(path, first[m_id, t_id])}")
-    return [tuple(cells) for cells in rows]
+    trials = read_trial_table(path)
+    model_row = {m.model_id: row for row, m in enumerate(models)}
+    test_row = dict(zip(test_keys if test_keys is not None else [t.test_id for t in tests],
+                        range(len(tests))))
+    pairs = np.column_stack([
+        np.array([model_row.get(m, -1) for m in trials.models], dtype=np.intp)[trials.model_codes],
+        np.array([test_row.get(t, -1) for t in trials.tests], dtype=np.intp)[trials.test_codes]])
+    unknown = (pairs < 0).any(axis=1)
+    if unknown.any():
+        row = int(np.argmax(unknown))
+        m, t = pairs[row].tolist()
+        m_id = trials.models[trials.model_codes[row]]
+        # a known test is named as the spec holds it: a clip by its clip id
+        t_id = tests[t].test_id if t >= 0 else trials.tests[trials.test_codes[row]]
+        raise ValueError(f"{path}:{data_line(path, row)}: trial ({m_id}, {t_id}) names an unknown "
+                         f"{'model' if m < 0 else 'test'}")
+    spec = ProtocolSpec(pairs[trials.is_target], pairs[~trials.is_target], tests, models)
+    try:
+        spec.validate()
+    except TrialError as exc:
+        rows = np.concatenate([np.flatnonzero(trials.is_target), np.flatnonzero(~trials.is_target)])
+        raise ValueError(f"{path}:{data_line(path, int(rows[exc.row]))}: {exc}") from None
+    return spec
 
 
 def load_protocol(trials_path: str | Path, manifest_path: str | Path,
-                  models_path: str | Path | None = None) -> ProtocolSpec:
-    rows = read_trials(trials_path)
-    positive = [(m, t) for m, t, lab in rows if lab == TARGET]
-    negative = [(m, t) for m, t, lab in rows if lab == NONTARGET]
+                  models_path: str | Path) -> ProtocolSpec:
+    """Manifest, models and trial list as one validated spec (see join_trials).
+
+    A test id repeated in the manifest, or a model id in the models file,
+    fails at its second record with the file and line.
+    """
     tests = [ProbeEntry(r["test_id"], r["speaker_id"], r["transcript"], r["net_speech"],
                        list(r["source_ids"]), r.get("gender", ""))
-             for r in read_jsonl(manifest_path, required=MANIFEST_KEYS)]
-    models = []
-    if models_path is not None:
-        models = [ModelRecord(r["model_id"], r["speaker_id"], r["net_speech"],
-                              list(r["source_ids"]), r.get("transcript", ""), r.get("gender", ""))
-                  for r in read_jsonl(models_path, required=MODEL_KEYS)]
-    return ProtocolSpec(positive, negative, tests, models)
+             for r in read_jsonl(manifest_path, required=MANIFEST_KEYS, unique="test_id")]
+    models = [ModelRecord(r["model_id"], r["speaker_id"], r["net_speech"],
+                          list(r["source_ids"]), r.get("transcript", ""), r.get("gender", ""))
+              for r in read_jsonl(models_path, required=MODEL_KEYS, unique="model_id")]
+    return join_trials(trials_path, tests, models)
 
 
 def load_inventory_jsonl(path: str | Path) -> list[UtteranceRecord]:
     """Utterance inventory JSONL -> records (see README for the field list)."""
-    records = []
-    for rec in read_jsonl(path, required=CORPUS_KEYS):
-        records.append(UtteranceRecord(
-            utterance_id=rec["utterance_id"],
-            speaker_id=rec["speaker_id"],
-            kind=rec["kind"],
-            net_speech=float(rec["net_speech"]),
-            transcript=rec.get("transcript", ""),
-            word_text=rec.get("word_text", ""),
-            repetition_index=int(rec.get("repetition_index", 0)),
-            gender=rec.get("gender", ""),
-            word_durations=rec.get("word_durations"),
-        ))
-    return records
+    return [UtteranceRecord(rec["utterance_id"], rec["speaker_id"], rec["kind"], float(rec["net_speech"]),
+                            rec.get("transcript", ""), rec.get("word_text", ""),
+                            int(rec.get("repetition_index", 0)), rec.get("gender", ""),
+                            rec.get("word_durations"))
+            for rec in read_jsonl(path, required=CORPUS_KEYS, unique="utterance_id")]

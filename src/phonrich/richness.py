@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inventory import ARPABET_39, PresenceVector
+from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
 from .lexicon import PhonemeTranscription, phoneme_codes
 from .nnls import nnls
 
@@ -29,6 +29,8 @@ class RichnessWeights:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (len(ARPABET_39),):
             raise ValueError(f"weights must have length {len(ARPABET_39)}, got shape {self.weights.shape}")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
 
@@ -92,9 +94,16 @@ def save_weights(w: RichnessWeights, path: str | Path, provenance: str | None = 
 
 
 def load_weights(path: str | Path) -> RichnessWeights:
+    """PHONEME<TAB>weight lines, one per ARPABET-39 symbol, as save_weights writes them.
+
+    A malformed line, a symbol outside ARPABET-39, a repeated symbol or a
+    weight that is not a finite non-negative number fails with the file
+    and line.
+    """
     n_train = 0
     fit_residual = 0.0
-    values: dict[str, float] = {}
+    weights = np.zeros(len(ARPABET_39))
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         try:
             if line.startswith("# n_train="):
@@ -105,11 +114,18 @@ def load_weights(path: str | Path) -> RichnessWeights:
             if not line.strip() or line.startswith("#"):
                 continue
             sym, val = line.split("\t")
-            values[sym] = float(val)
+            weight = float(val)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected PHONEME<TAB>weight, got {line!r}") from None
-    missing = [s for s in ARPABET_39 if s not in values]
+        if sym not in PHONEME_INDEX:
+            raise ValueError(f"{path}:{lineno}: phoneme {sym!r} is not an ARPABET-39 symbol")
+        if sym in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate phoneme {sym!r}, first at line {first_line[sym]}")
+        if not 0 <= weight < np.inf:
+            raise ValueError(f"{path}:{lineno}: weight must be finite and non-negative, got {val!r}")
+        first_line[sym] = lineno
+        weights[PHONEME_INDEX[sym]] = weight
+    missing = [s for s in ARPABET_39 if s not in first_line]
     if missing:
         raise ValueError(f"weights file {path} missing symbols: {missing}")
-    weights = np.array([values[s] for s in ARPABET_39])
     return RichnessWeights(weights, fit_residual=fit_residual, n_train=n_train)

@@ -86,13 +86,19 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
         rng = np.random.default_rng([config.seed, _SPEAKER_STREAM, idx])
         means[spk] = _unit(rng.standard_normal(config.dim))
 
-    models = sorted(protocol.models, key=lambda m: m.model_id)
+    # embeddings are drawn in sorted-id order; a trial finds its rows by their rank
+    model_ids = [m.model_id for m in protocol.models]
+    test_ids = [t.test_id for t in protocol.tests]
+    model_order = sorted(range(len(model_ids)), key=model_ids.__getitem__)
+    test_order = sorted(range(len(test_ids)), key=test_ids.__getitem__)
+
+    models = [protocol.models[i] for i in model_order]
     model_matrix = np.array([
         _noisy_embedding(means[m.speaker_id], config.sigma0 / 4.0,
                          np.random.default_rng([config.seed, _MODEL_STREAM, idx]))
         for idx, m in enumerate(models)], dtype=float).reshape(-1, config.dim)
 
-    tests = sorted(protocol.tests, key=lambda t: t.test_id)
+    tests = [protocol.tests[i] for i in test_order]
     cus = count_unique(presence_vector([transcribe(t.transcript, lexicon, t.test_id)
                                         for t in tests])).tolist()
     test_vectors = []
@@ -108,15 +114,9 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
         }
     test_matrix = np.array(test_vectors, dtype=float).reshape(-1, config.dim)
 
-    model_row = {m.model_id: i for i, m in enumerate(models)}
-    test_row = {t.test_id: i for i, t in enumerate(tests)}
-    pairs = protocol.positive_trials + protocol.negative_trials
-    try:
-        rows = np.array([(model_row[m_id], test_row[t_id]) for m_id, t_id in pairs],
-                        dtype=np.intp).reshape(-1, 2)
-    except KeyError as exc:
-        raise ValueError(f"a trial names unknown model or test {exc}") from None
-    trials = Trials([m_id for m_id, _ in pairs], [t_id for _, t_id in pairs],
-                    np.arange(len(pairs)) < len(protocol.positive_trials),
-                    cosine_score(model_matrix, test_matrix, rows[:, 0], rows[:, 1]))
+    pairs = np.concatenate([protocol.positive_trials, protocol.negative_trials])
+    scores = cosine_score(model_matrix, test_matrix, np.argsort(model_order)[pairs[:, 0]],
+                          np.argsort(test_order)[pairs[:, 1]])
+    trials = Trials(model_ids, test_ids, pairs[:, 0], pairs[:, 1],
+                    np.arange(len(pairs)) < len(protocol.positive_trials), scores)
     return SimResult(model_matrix, test_matrix, trials, qmfs)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 # 20 hand-verified CMU dictionary entries (with stress digits) and their
@@ -55,3 +57,15 @@ def lexicon_file(tmp_path):
     path = tmp_path / "cmudict.txt"
     path.write_text(CMUDICT_LINES)
     return path
+
+
+def trial_rows(trials):
+    """(model_id, test_id, label) of each trial, in trial order."""
+    return [(trials.models[m], trials.tests[t], label) for m, t, label in
+            zip(trials.model_codes.tolist(), trials.test_codes.tolist(), trials.labels())]
+
+
+def read_model_fields(path):
+    """The KEY<TAB>value lines save_model writes, as {key: value text} in file order."""
+    return dict(line.split("\t", 1) for line in Path(path).read_text().splitlines()
+                if line and not line.startswith("#"))

@@ -138,7 +138,7 @@ def test_criterion_5_simulator_correlation_direction(simulator_run):
     result, setup_time = simulator_run
     t0 = time.time()
     trials = result.trials
-    pos = [t for t, y in zip(trials.test_ids, trials.is_target.tolist()) if y]
+    pos = [trials.tests[code] for code in trials.test_codes[trials.is_target].tolist()]
     cu = [result.qmfs[t]["cu"] for t in pos]
     lns = [result.qmfs[t]["lns"] for t in pos]
     scores = trials.scores[trials.is_target].tolist()

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from phonrich.calibration import (CalibrationModel, apply_lr, build_features,
-                                  cross_validated_calibration, fit_lr, load_model,
-                                  log_net_speech, save_model, stratified_folds)
+                                  cross_validated_calibration, fit_lr, log_net_speech,
+                                  save_model, stratified_folds)
 from phonrich.metrics import Trials, compute_eer
+
+from conftest import read_model_fields, trial_rows
 
 
 def make_trials(tar, non):
-    return Trials(["m"] * (len(tar) + len(non)),
-                  [f"t{i}" for i in range(len(tar))] + [f"n{i}" for i in range(len(non))],
-                  [True] * len(tar) + [False] * len(non), list(tar) + list(non))
+    return Trials.from_ids(["m"] * (len(tar) + len(non)),
+                           [f"t{i}" for i in range(len(tar))] + [f"n{i}" for i in range(len(non))],
+                           [True] * len(tar) + [False] * len(non), list(tar) + list(non))
 
 
 def is_target(labels):
@@ -102,7 +104,7 @@ class TestApplyLr:
 class TestBuildFeatures:
     def test_canonical_order_and_lns_derivation(self):
         trials = make_trials([0.5], [0.1])
-        qmfs = {t: {"cu": 3.0, "net_speech": 2.0} for t in trials.test_ids}
+        qmfs = {t: {"cu": 3.0, "net_speech": 2.0} for t in trials.tests}
         X, names = build_features(trials, qmfs, {"cu", "raw", "lns"})
         assert names == ("raw", "lns", "cu")
         assert X[0, 1] == pytest.approx(math.log(2.0))
@@ -158,7 +160,7 @@ class TestCrossValidatedCalibration:
         non = rng.standard_normal(n) * 0.3
         trials = make_trials(tar, non)
         qmfs = {t: {"cu": float(rng.integers(3, 30)), "net_speech": float(rng.uniform(1, 5))}
-                for t in trials.test_ids}
+                for t in trials.tests}
         return trials, qmfs
 
     def test_raw_only_close_to_uncalibrated(self):
@@ -186,8 +188,7 @@ class TestCrossValidatedCalibration:
     def test_pooled_order_matches_input(self):
         trials, qmfs = self._simulated(50)
         calibrated, _ = cross_validated_calibration(trials, qmfs, ("raw",), k=5, seed=2)
-        assert list(zip(calibrated.model_ids, calibrated.test_ids, calibrated.labels())) == \
-            list(zip(trials.model_ids, trials.test_ids, trials.labels()))
+        assert trial_rows(calibrated) == trial_rows(trials)
 
 
 class TestModelFile:
@@ -195,11 +196,12 @@ class TestModelFile:
         model = CalibrationModel(np.array([1.5, -0.25]), 0.125, ("raw", "cu"),
                                  (2.0, 0.6666666666666666), False, seed=11)
         path = tmp_path / "model.txt"
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.coefficients, model.coefficients)
-        assert loaded.intercept == model.intercept
-        assert loaded.feature_names == model.feature_names
-        assert loaded.class_weights == model.class_weights
-        assert loaded.converged is False
-        assert loaded.seed == 11
+        save_model(model, path, "# provenance")
+        fields = read_model_fields(path)
+        assert list(fields) == ["intercept", "class_weight_target", "class_weight_nontarget",
+                                "converged", "seed", "coef:raw", "coef:cu"]
+        assert float(fields["intercept"]) == model.intercept
+        assert (float(fields["class_weight_target"]), float(fields["class_weight_nontarget"])) == \
+            model.class_weights
+        assert [float(fields["coef:raw"]), float(fields["coef:cu"])] == model.coefficients.tolist()
+        assert (fields["converged"], fields["seed"]) == ("0", "11")

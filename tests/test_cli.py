@@ -6,7 +6,7 @@ from phonrich.cli import main
 from phonrich.inventory import ARPABET_39
 from phonrich.io import read_jsonl, read_scores, read_tsv
 
-from conftest import CMUDICT_LINES
+from conftest import CMUDICT_LINES, read_model_fields, trial_rows
 
 
 def run(argv):
@@ -156,10 +156,9 @@ class TestPipeline:
                     "--folds", 5, "--seed", 6, "--out-scores", out_scores,
                     "--out-models", workspace / "model"]) == 0
         assert len(read_scores(out_scores)) == 6 * 40 * 3
-        from phonrich.calibration import load_model
-        model = load_model(workspace / "model.fold0.txt")
-        assert model.feature_names == ("raw", "cu")
-        assert model.seed == 6
+        fields = read_model_fields(workspace / "model.fold0.txt")
+        assert [key for key in fields if key.startswith("coef:")] == ["coef:raw", "coef:cu"]
+        assert fields["seed"] == "6"
 
     def test_folds_exceeding_rare_class_errors(self, workspace, capsys):
         assert run(["calibrate", "--scores", workspace / "scores.tsv",
@@ -280,7 +279,7 @@ class TestScoresFile:
         scores, code = self.evaluate(tmp_path, GOOD_ROWS)
         assert code == 0
         trials = read_scores(scores)
-        assert trials.model_ids == ["m1", "m1", "m2", "m2"]
+        assert [m for m, _, _ in trial_rows(trials)] == ["m1", "m1", "m2", "m2"]
         assert trials.is_target.tolist() == [True, False, True, False]
         assert trials.scores.tolist() == [0.9, 0.1, 0.8, 0.2]
 
@@ -350,7 +349,7 @@ class TestClipBaseTrials:
         assert run(["simulate", "--trials", f"{prefix}.trials.tsv", "--manifest", f"{prefix}.manifest.jsonl",
                     "--models", f"{prefix}.models.jsonl", "--seed", 3, "--out-scores", scores,
                     "--out-qmf", tmp_path / "qmf.jsonl"]) == 0
-        assert read_scores(scores).model_ids == ["spk000", "spk001"]
+        assert [m for m, _, _ in trial_rows(read_scores(scores))] == ["spk000", "spk001"]
 
     @pytest.mark.parametrize("row, message", [
         (("nobody", "spk000_sent0", "target"), "trial (nobody, spk000_sent0@2s) names an unknown model"),
@@ -423,10 +422,10 @@ class TestPinnedStall:
                     "--out-models", tmp_path / "model"]) == 0
         assert len(solves) == 5
         for fold, frozen in self.FROZEN.items():
-            model = calibration.load_model(tmp_path / f"model.fold{fold}.txt")
-            assert model.converged is False
+            fields = read_model_fields(tmp_path / f"model.fold{fold}.txt")
+            assert fields["converged"] == "0"
             assert solves[fold] < calibration.MAX_ITER
-            assert [f"{v:.17g}" for v in (model.intercept, *model.coefficients)] == frozen
+            assert [fields[key] for key in ("intercept", "coef:raw", "coef:lns", "coef:wcu")] == frozen
 
 
 class TestFeatureNames:
@@ -486,6 +485,7 @@ VALID_RECORDS = {
     "models": {"model_id": "a", "speaker_id": "a", "net_speech": 10.0, "source_ids": ["u0"]},
     "corpus": {"utterance_id": "u0", "speaker_id": "a", "kind": "sentence", "net_speech": 1.0,
                "transcript": "cat", "word_durations": [1.0], "gender": "m"},
+    "qmf": {"test_id": "t1", "cu": 3.0, "net_speech": 1.0},
 }
 
 
@@ -587,6 +587,84 @@ class TestTrialList:
         assert not list(tmp_path.glob("out*"))
 
 
+    # per command: records that add speaker b with a test of its own, that test's id in the
+    # trial list, and how test t reads in the protocol the command builds
+    SPEAKER_B = {
+        "simulate": ({"manifest": dict(VALID_RECORDS["manifest"], test_id="t2", speaker_id="b"),
+                      "models": dict(VALID_RECORDS["models"], model_id="b", speaker_id="b")},
+                     "t2", "t1"),
+        "gen-protocol": ({"corpus": dict(VALID_RECORDS["corpus"], utterance_id="u1", speaker_id="b")},
+                         "u1", "u0@0.5s"),
+    }
+
+    @pytest.mark.parametrize("row, message", [
+        ("{m}\tnothing\ttarget", "trial ({m}, nothing) names an unknown test"),
+        ("nobody\t{t}\tnontarget", "trial (nobody, {shown}) names an unknown model"),
+        ("b\t{t}\ttarget", "positive trial (b, {shown}) crosses speakers"),
+        ("{m}\t{t}\tnontarget", "negative trial ({m}, {shown}) pairs a speaker with itself"),
+    ], ids=["unknown-test", "unknown-model", "cross-speaker-target", "same-speaker-nontarget"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_inconsistent_trial_names_file_and_line(self, tmp_path, small_inputs, capsys,
+                                                    command, row, message):
+        argv, trials, m, t = self.COMMANDS[command]
+        records, t2, shown = self.SPEAKER_B[command]
+        for name, record in records.items():
+            with open(small_inputs[name], "a") as f:
+                f.write(json.dumps(record) + "\n")
+        path = small_inputs[trials]
+        path.write_text(f"# provenance\nmodel_id\ttest_id\tlabel\nb\t{t2}\ttarget\n"
+                        + row.format(m=m, t=t) + "\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:4: {message.format(m=m, shown=shown)}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestRepeatedIds:
+    """An id repeated in a JSONL file keyed by that id fails at its second record."""
+
+    @pytest.mark.parametrize("argv, bad, key", [
+        (SIMULATE, "manifest", "test_id"),
+        (SIMULATE, "models", "model_id"),
+        (RICHNESS, "presence", "utterance_id"),
+        (FIT_WEIGHTS, "presence", "utterance_id"),
+        (G2P, "transcripts", "utterance_id"),
+        (GEN_PROTOCOL, "corpus", "utterance_id"),
+        (["stats", "--qmf", "qmf"], "qmf", "test_id"),
+    ], ids=["simulate-manifest", "simulate-models", "richness-presence", "fit-weights-presence",
+            "g2p-transcripts", "gen-protocol-corpus", "stats-qmf"])
+    def test_repeated_id_names_both_lines(self, tmp_path, small_inputs, capsys, argv, bad, key):
+        path = small_inputs[bad]
+        record = json.dumps(VALID_RECORDS[bad])
+        path.write_text(f"# provenance\n{record}\n\n{record}\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == (f"error: {path}:4: duplicate {key} {VALID_RECORDS[bad][key]!r}, "
+                                f"first at line 2\n")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestFlagRanges:
+    """A count flag below its least value fails with one error line naming the flag."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["make-demo", "--speakers", "0", "--seed", "1", "--out", "out"],
+         "--speakers must be at least 1, got 0"),
+        (GEN_PROTOCOL + ["--probes-per-speaker", "-3"],
+         "--probes-per-speaker must be at least 1, got -3"),
+        (GEN_PROTOCOL + ["--negatives-per-probe", "-1"],
+         "--negatives-per-probe must be at least 0, got -1"),
+    ], ids=["speakers", "probes-per-speaker", "negatives-per-probe"])
+    def test_below_least_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, message):
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
 class TestJsonlValueTypes:
     """A required JSONL value of the wrong JSON type fails with one error line naming it."""
 
@@ -646,4 +724,23 @@ class TestWeightsFileLine:
         assert run_with(tmp_path, small_inputs, argv) == 1
         captured = only_error_line(capsys)
         assert captured.err == f"error: {path}:2: expected PHONEME<TAB>weight, got {line!r}\n"
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv", [RICHNESS + ["--weights", "weights"], REPORT_WEIGHTS],
+                             ids=["richness", "report-weights"])
+    @pytest.mark.parametrize("line, message", [
+        ("XX\t5", "phoneme 'XX' is not an ARPABET-39 symbol"),
+        ("AA\t2", "duplicate phoneme 'AA', first at line 1"),
+        ("AE\tnan", "weight must be finite and non-negative, got 'nan'"),
+        ("AE\tinf", "weight must be finite and non-negative, got 'inf'"),
+        ("AE\t-1", "weight must be finite and non-negative, got '-1'"),
+    ], ids=["unknown-symbol", "repeated-symbol", "nan", "inf", "negative"])
+    def test_bad_weight_names_file_and_line(self, tmp_path, small_inputs, capsys, argv, line, message):
+        path = small_inputs["weights"]
+        lines = [f"{sym}\t1" for sym in ARPABET_39]
+        lines[1] = line
+        path.write_text("\n".join(lines) + "\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:2: {message}\n"
         assert not list(tmp_path.glob("out*"))

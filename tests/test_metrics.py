@@ -9,9 +9,9 @@ from oracles import (brute_force_eer, brute_force_min_c_primary, brute_force_tau
 
 
 def make_trials(tar, non):
-    return Trials(["m"] * (len(tar) + len(non)),
-                  [f"t{i}" for i in range(len(tar))] + [f"n{i}" for i in range(len(non))],
-                  [True] * len(tar) + [False] * len(non), list(tar) + list(non))
+    return Trials.from_ids(["m"] * (len(tar) + len(non)),
+                           [f"t{i}" for i in range(len(tar))] + [f"n{i}" for i in range(len(non))],
+                           [True] * len(tar) + [False] * len(non), list(tar) + list(non))
 
 
 class TestEer:
@@ -158,21 +158,23 @@ class TestKendallTau:
 class TestTrials:
     def test_string_labels_refused_as_mask(self):
         with pytest.raises(ValueError, match="boolean"):
-            Trials(["m"], ["t"], ["nontarget"], [0.5])
+            Trials.from_ids(["m"], ["t"], ["nontarget"], [0.5])
 
     def test_column_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            Trials(["m", "m"], ["t"], [True], [0.5])
+            Trials.from_ids(["m", "m"], ["t"], [True], [0.5])
 
     def test_test_index_in_first_seen_order(self):
-        trials = Trials(["a", "b", "c"], ["t2", "t1", "t2"], [True, False, False], [0.1, 0.2, 0.3])
-        tests, codes = trials.test_index()
-        assert tests == ["t2", "t1"]
-        assert codes.tolist() == [0, 1, 0]
+        trials = Trials.from_ids(["a", "b", "a"], ["t2", "t1", "t2"], [True, False, False],
+                                 [0.1, 0.2, 0.3])
+        assert trials.tests == ["t2", "t1"]
+        assert trials.test_codes.tolist() == [0, 1, 0]
+        assert trials.models == ["a", "b"]
+        assert trials.model_codes.tolist() == [0, 1, 0]
 
     def test_class_scores_split_by_mask_in_trial_order(self):
-        trials = Trials(["a", "b", "c", "d"], ["t1", "t2", "t3", "t4"], [False, True, False, True],
-                        [0.1, 0.2, 0.3, 0.4])
+        trials = Trials.from_ids(["a", "b", "c", "d"], ["t1", "t2", "t3", "t4"],
+                                 [False, True, False, True], [0.1, 0.2, 0.3, 0.4])
         tar, non = trials.class_scores()
         assert tar.tolist() == [0.2, 0.4]
         assert non.tolist() == [0.1, 0.3]
@@ -181,7 +183,7 @@ class TestTrials:
 class TestCorrelationReport:
     def test_per_class_taus_and_scatter(self):
         trials = make_trials([0.9, 0.7, 0.5], [0.3, 0.2, 0.4])
-        qmfs = {t: {"cu": float(i)} for i, t in enumerate(trials.test_ids)}
+        qmfs = {t: {"cu": float(i)} for i, t in enumerate(trials.tests)}
         taus, scatter = correlation_report(trials, qmfs)
         assert ("target", "cu") in taus and ("nontarget", "cu") in taus
         assert len(scatter) == len(trials)
@@ -194,7 +196,7 @@ class TestCorrelationReport:
 
     def test_constant_qmf_error(self):
         trials = make_trials([0.9, 0.7], [0.3, 0.2])
-        qmfs = {t: {"cu": 5.0} for t in trials.test_ids}
+        qmfs = {t: {"cu": 5.0} for t in trials.tests}
         with pytest.raises(ValueError, match="tied"):
             correlation_report(trials, qmfs)
 

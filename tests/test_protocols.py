@@ -5,7 +5,7 @@ from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
 from phonrich.lexicon import Lexicon, presence_vector, transcribe
 from phonrich.protocols import (ModelRecord, ProtocolSpec, ProbeEntry, UtteranceRecord,
                                 build_clip_protocol, build_enrollment,
-                                build_repetitive_protocol, emit_trials, load_protocol)
+                                build_repetitive_protocol, emit_trials, join_trials, load_protocol)
 from phonrich.richness import count_unique
 
 
@@ -16,6 +16,11 @@ def word_rec(spk, word, rep, dur=0.5, gender="m"):
 
 def sentence_rec(spk, idx, text, dur=10.0, gender="m"):
     return UtteranceRecord(f"{spk}_sent{idx}", spk, "sentence", dur, text, gender=gender)
+
+
+def id_pairs(spec, pairs):
+    """(model_id, test_id) of each (model row, test row) pair of a spec."""
+    return [(spec.models[m].model_id, spec.tests[t].test_id) for m, t in pairs.tolist()]
 
 
 @pytest.fixture(scope="module")
@@ -96,13 +101,15 @@ class TestClipProtocol:
         with pytest.raises(ValueError, match="no words"):
             build_clip_protocol([rec], 1.0, seed=0)
 
-    def test_trials_passthrough_remaps_ids(self):
-        base = [self.base_utterance(10, 0.5)]
-        spec = build_clip_protocol([base[0]], 2.0, seed=0,
-                                   trials=[("m1", "u0", "target"), ("m2", "u0", "nontarget")])
-        clip_id = spec.tests[0].test_id
-        assert spec.positive_trials == [("m1", clip_id)]
-        assert spec.negative_trials == [("m2", clip_id)]
+    def test_trials_passthrough_remaps_ids(self, tmp_path):
+        base = [self.base_utterance(10, 0.5),
+                UtteranceRecord("u1", "b", "sentence", 5.0, "w0 w1", word_durations=[2.5, 2.5])]
+        trials = tmp_path / "base.tsv"
+        trials.write_text("model_id\ttest_id\tlabel\nb\tu0\tnontarget\na\tu0\ttarget\n")
+        spec = build_clip_protocol(base, 2.0, seed=0, base_trials=trials)
+        assert [m.model_id for m in spec.models] == ["a", "b"]
+        assert id_pairs(spec, spec.positive_trials) == [("a", "u0@2s")]
+        assert id_pairs(spec, spec.negative_trials) == [("b", "u0@2s")]
 
 
 class TestRepetitiveProtocol:
@@ -119,21 +126,21 @@ class TestRepetitiveProtocol:
 
     def test_positive_trials_match_speakers(self, demo_protocol):
         speaker_of_test = {t.test_id: t.speaker_id for t in demo_protocol.tests}
-        for m_id, t_id in demo_protocol.positive_trials:
+        for m_id, t_id in id_pairs(demo_protocol, demo_protocol.positive_trials):
             assert speaker_of_test[t_id] == m_id
 
     def test_negatives_within_gender(self, demo_protocol):
         gender_of_model = {m.model_id: m.gender for m in demo_protocol.models}
         gender_of_test = {t.test_id: t.gender for t in demo_protocol.tests}
         speaker_of_test = {t.test_id: t.speaker_id for t in demo_protocol.tests}
-        for m_id, t_id in demo_protocol.negative_trials:
+        for m_id, t_id in id_pairs(demo_protocol, demo_protocol.negative_trials):
             assert gender_of_model[m_id] == gender_of_test[t_id]
             assert speaker_of_test[t_id] != m_id
 
     def test_all_matching_gender_impostors_used(self, demo_protocol):
         # 6 speakers, alternating gender: 3 per gender -> 2 impostors per probe
         by_test = {}
-        for m_id, t_id in demo_protocol.negative_trials:
+        for m_id, t_id in id_pairs(demo_protocol, demo_protocol.negative_trials):
             by_test.setdefault(t_id, []).append(m_id)
         assert all(len(v) == 2 for v in by_test.values())
 
@@ -142,7 +149,7 @@ class TestRepetitiveProtocol:
         sentences = [r for r in demo_inventory if r.kind == "sentence"]
         spec = build_repetitive_protocol(words, sentences, 10, seed=5, negatives_per_probe=1)
         by_test = {}
-        for m_id, t_id in spec.negative_trials:
+        for m_id, t_id in id_pairs(spec, spec.negative_trials):
             by_test.setdefault(t_id, []).append(m_id)
         assert all(len(v) == 1 for v in by_test.values())
 
@@ -164,7 +171,7 @@ class TestRepetitiveProtocol:
         a = build_repetitive_protocol(words, sentences, 10, seed=5)
         b = build_repetitive_protocol(words, sentences, 10, seed=5)
         assert [t.transcript for t in a.tests] == [t.transcript for t in b.tests]
-        assert a.negative_trials == b.negative_trials
+        assert a.negative_trials.tolist() == b.negative_trials.tolist()
 
 
 class TestEmitAndLoad:
@@ -174,8 +181,8 @@ class TestEmitAndLoad:
         models = tmp_path / "p.models.jsonl"
         emit_trials(demo_protocol, trials, manifest, models)
         loaded = load_protocol(trials, manifest, models)
-        assert loaded.positive_trials == demo_protocol.positive_trials
-        assert loaded.negative_trials == demo_protocol.negative_trials
+        assert loaded.positive_trials.tolist() == demo_protocol.positive_trials.tolist()
+        assert loaded.negative_trials.tolist() == demo_protocol.negative_trials.tolist()
         assert [(t.test_id, t.transcript, t.net_speech) for t in loaded.tests] == \
             [(t.test_id, t.transcript, t.net_speech) for t in demo_protocol.tests]
         assert [(m.model_id, m.net_speech) for m in loaded.models] == \
@@ -185,9 +192,11 @@ class TestEmitAndLoad:
         spec = ProtocolSpec([], [], [], [])
         trials = tmp_path / "e.trials.tsv"
         manifest = tmp_path / "e.manifest.jsonl"
-        emit_trials(spec, trials, manifest)
+        models = tmp_path / "e.models.jsonl"
+        emit_trials(spec, trials, manifest, models)
         assert trials.read_text() == "model_id\ttest_id\tlabel\n"
         assert manifest.read_text() == "\n"
+        assert models.read_text() == "\n"
 
     def test_byte_stable(self, demo_protocol, tmp_path):
         paths = [(tmp_path / f"a{i}.tsv", tmp_path / f"b{i}.jsonl", tmp_path / f"c{i}.jsonl")
@@ -200,25 +209,38 @@ class TestEmitAndLoad:
     def test_validate_rejects_self_impostor(self):
         tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
         models = [ModelRecord("a", "a", 10.0, ["s"])]
-        spec = ProtocolSpec([], [("a", "t1")], tests, models)
-        with pytest.raises(ValueError, match="pairs a speaker"):
+        spec = ProtocolSpec([], [(0, 0)], tests, models)
+        with pytest.raises(ValueError, match=r"negative trial \(a, t1\) pairs a speaker"):
             spec.validate()
 
     def test_validate_rejects_cross_speaker_target(self):
         tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
         models = [ModelRecord("b", "b", 10.0, ["s"])]
-        spec = ProtocolSpec([("b", "t1")], [], tests, models)
-        with pytest.raises(ValueError, match="crosses speakers"):
+        spec = ProtocolSpec([(0, 0)], [], tests, models)
+        with pytest.raises(ValueError, match=r"positive trial \(b, t1\) crosses speakers"):
             spec.validate()
 
+    def test_validate_error_row_counts_positives_first(self):
+        tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"]), ProbeEntry("t2", "b", "cat", 1.0, ["u"])]
+        models = [ModelRecord("a", "a", 10.0, ["s"]), ModelRecord("b", "b", 10.0, ["s"])]
+        spec = ProtocolSpec([(0, 0), (1, 1)], [(1, 0), (1, 1)], tests, models)
+        with pytest.raises(ValueError, match=r"negative trial \(b, t2\)") as exc:
+            spec.validate()
+        assert exc.value.row == 3
 
-    def test_validate_names_a_trial_with_an_unknown_id(self):
+    def test_join_names_a_trial_with_an_unknown_id(self, tmp_path):
         tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
         models = [ModelRecord("a", "a", 10.0, ["s"])]
-        with pytest.raises(ValueError, match=r"trial \(b, t1\) names an unknown model"):
-            ProtocolSpec([("b", "t1")], [], tests, models).validate()
-        with pytest.raises(ValueError, match=r"trial \(a, t2\) names an unknown test"):
-            ProtocolSpec([], [("a", "t2")], tests, models).validate()
+        trials = tmp_path / "trials.tsv"
+        trials.write_text("model_id\ttest_id\tlabel\na\tt1\ttarget\nb\tt1\tnontarget\n")
+        with pytest.raises(ValueError) as exc:
+            join_trials(trials, tests, models)
+        assert str(exc.value) == f"{trials}:3: trial (b, t1) names an unknown model"
+        trials.write_text("model_id\ttest_id\tlabel\na\tt2\tnontarget\n")
+        with pytest.raises(ValueError) as exc:
+            join_trials(trials, tests, models)
+        assert str(exc.value) == f"{trials}:2: trial (a, t2) names an unknown test"
+
 
 class TestUtteranceRecord:
     def test_nonpositive_net_speech_rejected(self):

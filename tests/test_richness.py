@@ -204,6 +204,13 @@ class TestWeightsFile:
         with pytest.raises(ValueError):
             RichnessWeights(-np.ones(39))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, value):
+        weights = np.ones(39)
+        weights[3] = value
+        with pytest.raises(ValueError, match="finite"):
+            RichnessWeights(weights)
+
     @pytest.mark.parametrize("line", ["AA 1", "AA\tone", "AA\t1\t2", "# n_train=3\tfit_residual"],
                              ids=["no-tab", "not-a-number", "three-fields", "bad-header"])
     def test_malformed_line_names_file_and_line(self, tmp_path, line):

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,8 @@ from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
 from phonrich.metrics import compute_eer, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
 from phonrich.simulator import SimConfig, cosine_score, simulate_corpus
+
+from conftest import trial_rows
 
 
 def unit(v):
@@ -24,8 +24,8 @@ def protocol():
 
 def targets(trials):
     """(test_id, score) of the target trials, in trial order."""
-    return [(t, s) for t, y, s in zip(trials.test_ids, trials.is_target.tolist(), trials.scores.tolist())
-            if y]
+    return [(t, s) for (_, t, label), s in zip(trial_rows(trials), trials.scores.tolist())
+            if label == "target"]
 
 
 def config(protocol, **kw):
@@ -77,14 +77,8 @@ class TestSimulateCorpus:
         model_row = {m: i for i, m in enumerate(sorted(m.model_id for m in protocol.models))}
         test_row = {t: j for j, t in enumerate(sorted(t.test_id for t in protocol.tests))}
         expected = [float(res.models[model_row[m]] @ res.tests[test_row[t]])
-                    for m, t in zip(res.trials.model_ids, res.trials.test_ids)]
+                    for m, t, _ in trial_rows(res.trials)]
         assert res.trials.scores.tolist() == expected
-
-    def test_unknown_trial_id_rejected(self, protocol):
-        bad = copy.copy(protocol)
-        bad.negative_trials = protocol.negative_trials + [("nobody", protocol.tests[0].test_id)]
-        with pytest.raises(ValueError, match="nobody"):
-            simulate_corpus(config(protocol), bad)
 
     def test_reproducible(self, protocol):
         r1 = simulate_corpus(config(protocol), protocol)
