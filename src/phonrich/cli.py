@@ -13,8 +13,8 @@ from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
 from .inventory import BitstringError, PresenceVector
-from .io import (provenance_line, read_jsonl, read_qmfs, read_scores, record_line, write_jsonl,
-                 write_scores, write_tsv)
+from .io import (iter_jsonl, provenance_line, read_jsonl, read_qmfs, read_scores, record_line,
+                 write_jsonl, write_scores, write_tsv)
 from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import (compute_eer, compute_min_c_primary, correlation_report,
                       protocol_stats)
@@ -66,7 +66,7 @@ def cmd_richness(args) -> int:
     weights = load_weights(args.weights) if args.weights else None
     net_speech = {}
     if args.manifest:
-        for rec in read_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"}):
+        for rec in iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"}):
             net_speech[rec["test_id"]] = float(rec["net_speech"])
     cu = count_unique(presence).astype(float).tolist()
     wcu = weighted_count_unique(presence, weights).tolist() if weights is not None else None
@@ -202,10 +202,10 @@ def cmd_evaluate(args) -> int:
         inputs = [args.scores] + ([args.qmf] if args.qmf else [])
         write_tsv(args.out, header, rows, provenance_line("evaluate", args.seed, inputs))
     if args.correlation_out:
-        lines = ["test_id,qmf_name,qmf_value,score,label"]
-        lines += [f"{tid},{name},{val:.17g},{score:.17g},{label}"
-                  for tid, name, val, score, label in scatter]
-        Path(args.correlation_out).write_text("\n".join(lines) + "\n")
+        with open(args.correlation_out, "w") as f:
+            f.write("test_id,qmf_name,qmf_value,score,label\n")
+            f.writelines(f"{tid},{name},{val:.17g},{score:.17g},{label}\n"
+                         for tid, name, val, score, label in scatter)
         for (label, name), tau in sorted(taus.items()):
             print(f"tau[{label},{name}] = {tau:.3f}")
     return 0
@@ -214,7 +214,7 @@ def cmd_evaluate(args) -> int:
 def cmd_report_weights(args) -> int:
     weights = load_weights(args.weights)
     corpus = [PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"]))
-              for rec in read_jsonl(args.presence,
+              for rec in iter_jsonl(args.presence,
                                     required={"utterance_id": "string", "phonemes": "list of strings"})]
     rows = weight_report(weights, corpus)
     out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]

@@ -119,9 +119,11 @@ def make_demo_inventory(n_speakers: int, seed: int = 0) -> list[UtteranceRecord]
                 gender=gender,
                 word_durations=durations,
             ))
+        # the stream of one scalar rng.random() per word recording, in recording order
+        draws = iter(rng.random(len(DEMO_VOCABULARY) * N_REPETITIONS).tolist())
         for word in sorted(DEMO_VOCABULARY):
             for rep in range(1, N_REPETITIONS + 1):
-                jitter = 1.0 + 0.1 * (rng.random() - 0.5)
+                jitter = 1.0 + 0.1 * (next(draws) - 0.5)
                 records.append(UtteranceRecord(
                     utterance_id=f"{spk}_{word}_{rep:02d}",
                     speaker_id=spk,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +35,16 @@ def provenance_line(subcommand: str, seed: int | None = None, inputs=()) -> str:
     return " ".join(parts)
 
 
-def _write_lines(path: str | Path, provenance: str | None, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(([provenance] if provenance else []) + lines) + "\n")
+def _write_lines(path: str | Path, provenance: str | None, lines) -> None:
+    """The provenance line, if any, then each line, each ending in "\\n"; a file with neither is "\\n"."""
+    with open(path, "w") as f:
+        f.writelines(f"{line}\n" for line in chain([provenance] if provenance else [], lines))
+        if f.tell() == 0:
+            f.write("\n")
 
 
 def write_tsv(path: str | Path, header: list[str], rows, provenance: str | None = None) -> None:
-    _write_lines(path, provenance, ["\t".join(header)] + ["\t".join(map(str, row)) for row in rows])
+    _write_lines(path, provenance, chain(["\t".join(header)], ("\t".join(map(str, row)) for row in rows)))
 
 
 def _data_lines(path: str | Path) -> list[str]:
@@ -62,7 +66,8 @@ def data_line(path: str | Path, row: int) -> int:
 
 
 def write_jsonl(path: str | Path, records, provenance: str | None = None) -> None:
-    _write_lines(path, provenance, [json.dumps(rec, sort_keys=True) for rec in records])
+    """One line per record, as json.dumps(rec, sort_keys=True) writes it."""
+    _write_lines(path, provenance, map(json.JSONEncoder(sort_keys=True).encode, records))
 
 
 # JSON type of a required key -> (the Python types json.loads gives it, the type of each
@@ -76,9 +81,20 @@ JSON_TYPES = {
 _MISSING = object()
 
 
-def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
-               unique: str | None = None) -> list[dict]:
-    """One JSON object per line; '#' lines are comments.
+def _jsonl_lines(path: str | Path):
+    """(line number, text) of each JSONL line that is not blank or a '#' comment.
+
+    Lines end only at "\\n", "\\r\\n" and "\\r", so a raw U+2028 inside a
+    JSON string stays in its line.
+    """
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip() and not line.startswith("#"):
+                yield lineno, line.rstrip("\n")
+
+
+def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None):
+    """One JSON object per line, each yielded once read and checked; '#' lines are comments.
 
     ``required`` maps each key a record must hold to its JSON type, a key
     of JSON_TYPES. A missing key or a value of another type fails with
@@ -88,10 +104,7 @@ def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
     """
     checks = [(key, kind, *JSON_TYPES[kind]) for key, kind in (required or {}).items()]
     first_line: dict[str, int] = {}
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in _jsonl_lines(path):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -108,14 +121,18 @@ def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
             if first_line.setdefault(rec[unique], lineno) != lineno:
                 raise ValueError(f"{path}:{lineno}: duplicate {unique} {rec[unique]!r}, "
                                  f"first at line {first_line[rec[unique]]}")
-        records.append(rec)
-    return records
+        yield rec
+
+
+def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
+               unique: str | None = None) -> list[dict]:
+    """Every record of iter_jsonl, as a list."""
+    return list(iter_jsonl(path, required, unique))
 
 
 def record_line(path: str | Path, record: int) -> int:
-    """File line of the ``record``-th JSONL record, skipping blank and '#' lines as read_jsonl does."""
-    lines = Path(path).read_text().splitlines()
-    return [i for i, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#")][record]
+    """File line of the ``record``-th JSONL record, counting lines as iter_jsonl does."""
+    return next(islice(_jsonl_lines(path), record, None))[0]
 
 
 def write_scores(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
@@ -187,9 +204,13 @@ def read_trial_table(path: str | Path, scored: bool = False) -> Trials:
 
 
 def read_qmfs(path: str | Path) -> dict[str, dict[str, float]]:
-    """QMF JSONL: one object per test utterance, keyed by test_id."""
+    """QMF JSONL: one object per test utterance, keyed by test_id; every other key is a number."""
     qmfs = {}
-    for rec in read_jsonl(path, required={"test_id": "string"}, unique="test_id"):
+    for row, rec in enumerate(iter_jsonl(path, required={"test_id": "string"}, unique="test_id")):
         test_id = rec.pop("test_id")
-        qmfs[test_id] = {k: float(v) for k, v in rec.items() if isinstance(v, (int, float))}
+        for key, value in rec.items():
+            if type(value) not in JSON_TYPES["number"][0]:
+                raise ValueError(f"{path}:{record_line(path, row)}: {key} must be a number, "
+                                 f"got {json.dumps(value)}")
+        qmfs[test_id] = {k: float(v) for k, v in rec.items()}
     return qmfs

@@ -5,10 +5,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 
 import numpy as np
 
-from .io import TRIAL_COLUMNS, data_line, read_jsonl, read_trial_table, write_jsonl, write_tsv
+from .io import TRIAL_COLUMNS, data_line, iter_jsonl, read_trial_table, write_jsonl, write_tsv
 from .metrics import NONTARGET, TARGET, decode_ids, encode_ids
 
 MAX_PROBE_REDRAWS = 20
@@ -195,9 +196,10 @@ def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
         unique = int(rng.integers(1, min(10, total) + 1))
         if unique > len(word_types):
             continue
-        types = list(rng.choice(word_types, size=unique, replace=False))
-        slots = types + list(rng.choice(types, size=total - unique, replace=True))
-        slots = [slots[i] for i in rng.permutation(total)]
+        # draws over indices, not the strings, which numpy would copy into an array on each call
+        types = rng.choice(len(word_types), size=unique, replace=False).tolist()
+        slots = types + [types[i] for i in rng.choice(unique, size=total - unique, replace=True).tolist()]
+        slots = [word_types[slots[i]] for i in rng.permutation(total)]
         need = Counter(slots)
         if any(len(reps[w]) < k for w, k in need.items()):
             continue
@@ -328,17 +330,21 @@ def load_protocol(trials_path: str | Path, manifest_path: str | Path,
     """
     tests = [ProbeEntry(r["test_id"], r["speaker_id"], r["transcript"], r["net_speech"],
                        list(r["source_ids"]), r.get("gender", ""))
-             for r in read_jsonl(manifest_path, required=MANIFEST_KEYS, unique="test_id")]
+             for r in iter_jsonl(manifest_path, required=MANIFEST_KEYS, unique="test_id")]
     models = [ModelRecord(r["model_id"], r["speaker_id"], r["net_speech"],
                           list(r["source_ids"]), r.get("transcript", ""), r.get("gender", ""))
-              for r in read_jsonl(models_path, required=MODEL_KEYS, unique="model_id")]
+              for r in iter_jsonl(models_path, required=MODEL_KEYS, unique="model_id")]
     return join_trials(trials_path, tests, models)
 
 
 def load_inventory_jsonl(path: str | Path) -> list[UtteranceRecord]:
-    """Utterance inventory JSONL -> records (see README for the field list)."""
-    return [UtteranceRecord(rec["utterance_id"], rec["speaker_id"], rec["kind"], float(rec["net_speech"]),
-                            rec.get("transcript", ""), rec.get("word_text", ""),
-                            int(rec.get("repetition_index", 0)), rec.get("gender", ""),
-                            rec.get("word_durations"))
-            for rec in read_jsonl(path, required=CORPUS_KEYS, unique="utterance_id")]
+    """Utterance inventory JSONL -> records (see README for the field list).
+
+    Records are built as the file streams in, and the strings that repeat
+    from record to record are shared through sys.intern.
+    """
+    return [UtteranceRecord(rec["utterance_id"], intern(rec["speaker_id"]), intern(rec["kind"]),
+                            float(rec["net_speech"]), intern(rec.get("transcript", "")),
+                            intern(rec.get("word_text", "")), int(rec.get("repetition_index", 0)),
+                            intern(rec.get("gender", "")), rec.get("word_durations"))
+            for rec in iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id")]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -200,6 +201,57 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestPinnedBytes:
+    """Every output of a small seeded run, pinned by SHA-256 across commits.
+
+    Criterion 8 compares two runs of one commit, so a change in draw order
+    or serialization passes it; these digests catch that. They were taken
+    before the file edges were made to stream, and a change that means to
+    alter an output updates them and says why.
+    """
+
+    DIGESTS = {
+        "clip.manifest.jsonl": "8291a2f5819a6e888fd68e1c630cfeb5cd16bc6ec4a0ab3b4e478cc3fe7fb4d8",
+        "clip.models.jsonl": "4b85c686b5d40be0b8135849e1f37a00d758db096a4737811bc314df4d6392fa",
+        "clip.trials.tsv": "d3d4fa6db77e93c170d5822c7742b608742c42b8c1757f7a2d5d12ab21cb869e",
+        "corpus.jsonl": "46e4e45dad2fd2251dbf0eb28e52bac0f00ad01f2c991c4c85bfa4199ae58bf3",
+        "eval.tsv": "86d9a36523d58dbf75e40124f48e235435cc121a3f13262e6f737a0a9c93e4c1",
+        "qmf.jsonl": "337bb63944412b5a6734091f026dd6d0d086a40fc12b6c1174b9035945e8ced6",
+        "rep.manifest.jsonl": "8e86fe96f97728215fca766e04eb9224a433a9ebc18abd1d0c004678c1671028",
+        "rep.models.jsonl": "c7472b0cc52dc65bed13c01dab38e0c334d7b9bcbdb1e4835d8ca6b49c4e7f88",
+        "rep.trials.tsv": "26568f6e4b91d7c1f9c6c2e595d7715051204c6b7a97589c773b5ed0244bf871",
+        "scatter.csv": "996925ab128b0e306cb5e2454d375e33a9d63baf6d8c5f07a814372211b211e5",
+        "scores.tsv": "0ed149bfee99f5140fbbf59b36d8c2ed717f4c330130ed57ba05c7dd3359b2e8",
+        "stdout.txt": "497e7566e1a6b8316c608d42dae9544bf4c7a20ba9758eb34f0f9f5b1caf1837",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # provenance names inputs by file name only
+        (tmp_path / "base.tsv").write_text("model_id\ttest_id\tlabel\nspk001\tspk001_sent2\ttarget\n"
+                                           "spk003\tspk001_sent2\tnontarget\nspk000\tspk002_sent4\tnontarget\n")
+        steps = [
+            ["make-demo", "--speakers", 4, "--seed", 21, "--out", "corpus.jsonl"],
+            ["gen-protocol", "--corpus", "corpus.jsonl", "--protocol", "repetitive",
+             "--probes-per-speaker", 15, "--seed", 22, "--out-prefix", "rep"],
+            ["gen-protocol", "--corpus", "corpus.jsonl", "--protocol", "clip", "--target", 2.5,
+             "--base-trials", "base.tsv", "--seed", 23, "--out-prefix", "clip"],
+            ["simulate", "--trials", "rep.trials.tsv", "--manifest", "rep.manifest.jsonl",
+             "--models", "rep.models.jsonl", "--seed", 24, "--out-scores", "scores.tsv",
+             "--out-qmf", "qmf.jsonl"],
+            ["evaluate", "--scores", "scores.tsv", "--qmf", "qmf.jsonl", "--features", "none",
+             "--features", "raw,lns,cu", "--seed", 25, "--out", "eval.tsv",
+             "--correlation-out", "scatter.csv"],
+        ]
+        stdout = []
+        for argv in steps:
+            assert run(argv) == 0
+            stdout.append(capsys.readouterr().out)
+        (tmp_path / "stdout.txt").write_text("".join(stdout))
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(tmp_path.iterdir()) if p.name != "base.tsv"}
+        assert digests == self.DIGESTS
+
+
 SCORES_HEADER = "# provenance\nmodel_id\ttest_id\tlabel\traw_score\n"
 GOOD_ROWS = ["m1\tt1\ttarget\t0.9", "m1\tt2\tnontarget\t0.1", "m2\tt2\ttarget\t0.8",
              "m2\tt1\tnontarget\t0.2"]
@@ -303,6 +355,22 @@ class TestQmfFile:
         captured = only_error_line(capsys)
         assert f"{qmf}:3: " in captured.err
         assert message in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("value", [True, "7", None, [1]], ids=["true", "string", "null", "list"])
+    @pytest.mark.parametrize("command", ["evaluate", "stats"])
+    def test_non_number_value_names_file_and_line(self, tmp_path, capsys, command, value):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "\n".join(GOOD_ROWS) + "\n")
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text('# provenance\n{"test_id": "t1", "cu": 5, "net_speech": 2.0}\n'
+                       + json.dumps({"test_id": "t2", "cu": value, "net_speech": 3.0}) + "\n")
+        argv = {"evaluate": ["evaluate", "--scores", scores, "--qmf", qmf, "--features", "none"],
+                "stats": ["stats", "--qmf", qmf]}[command]
+        assert run(argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {qmf}:3: cu must be a number, got {json.dumps(value)}\n"
         assert captured.out == ""
 
 
@@ -708,6 +776,25 @@ class TestPresenceBits:
         assert captured.err == f"error: {path}:4: {message}\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
+
+
+class TestJsonlLineBreaks:
+    """JSONL lines end only at \\n, \\r\\n and \\r; a raw U+2028 inside a string is not a break."""
+
+    def test_g2p_reads_a_raw_line_separator_in_a_transcript(self, tmp_path, small_inputs, capsys):
+        small_inputs["transcripts"].write_text(
+            json.dumps({"utterance_id": "u1", "transcript": "cat\u2028dog"}, ensure_ascii=False) + "\n")
+        assert run_with(tmp_path, small_inputs, G2P) == 0
+        assert read_jsonl(tmp_path / "out")[0]["phonemes"] == ["K", "AE", "T", "D", "AO", "G"]
+
+    @pytest.mark.parametrize("argv", [RICHNESS, FIT_WEIGHTS], ids=["richness", "fit-weights"])
+    def test_bad_bits_after_a_line_separator_names_its_line(self, tmp_path, small_inputs, capsys, argv):
+        path = small_inputs["presence"]
+        first = dict(VALID_RECORDS["presence"], transcript="cat\u2028")
+        bad = dict(VALID_RECORDS["presence"], utterance_id="t2", bits="010")
+        path.write_text(json.dumps(first, ensure_ascii=False) + "\n" + json.dumps(bad) + "\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        assert only_error_line(capsys).err == f"error: {path}:2: bits must have 39 characters, got 3\n"
 
 
 class TestWeightsFileLine:

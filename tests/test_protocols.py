@@ -1,11 +1,16 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
+from phonrich.data import DEMO_VOCABULARY, N_REPETITIONS, make_demo_inventory, word_duration
+from phonrich.io import write_jsonl
 from phonrich.lexicon import Lexicon, presence_vector, transcribe
-from phonrich.protocols import (ModelRecord, ProtocolSpec, ProbeEntry, UtteranceRecord,
-                                build_clip_protocol, build_enrollment,
-                                build_repetitive_protocol, emit_trials, join_trials, load_protocol)
+from phonrich.protocols import (MAX_PROBE_REDRAWS, ModelRecord, ProtocolSpec, ProbeEntry, UtteranceRecord,
+                                _draw_probe, build_clip_protocol, build_enrollment,
+                                build_repetitive_protocol, emit_trials, join_trials,
+                                load_inventory_jsonl, load_protocol)
 from phonrich.richness import count_unique
 
 
@@ -250,3 +255,90 @@ class TestUtteranceRecord:
     def test_word_needs_repetition_index(self):
         with pytest.raises(ValueError):
             UtteranceRecord("u", "a", "word", 1.0, "cat", word_text="cat", repetition_index=0)
+
+
+def reference_word_net_speech(n_speakers, seed):
+    """Word-recording net speech of make_demo_inventory, drawn one scalar rng.random() at a time."""
+    out = []
+    for s in range(n_speakers):
+        rng = np.random.default_rng([seed, 97, s])
+        for word in sorted(DEMO_VOCABULARY):
+            for _ in range(N_REPETITIONS):
+                jitter = 1.0 + 0.1 * (rng.random() - 0.5)
+                out.append(float(word_duration(word) * jitter))
+    return out
+
+
+def reference_draw_probe(word_types, reps, rng):
+    """_draw_probe as it drew before, with rng.choice over the word strings themselves."""
+    for _ in range(MAX_PROBE_REDRAWS):
+        total = int(rng.integers(2, 11))
+        unique = int(rng.integers(1, min(10, total) + 1))
+        if unique > len(word_types):
+            continue
+        types = list(rng.choice(word_types, size=unique, replace=False))
+        slots = types + list(rng.choice(types, size=total - unique, replace=True))
+        slots = [slots[i] for i in rng.permutation(total)]
+        need = Counter(slots)
+        if any(len(reps[w]) < k for w, k in need.items()):
+            continue
+        picks = {w: iter([reps[w][i] for i in rng.choice(len(reps[w]), size=need[w], replace=False)])
+                 for w in sorted(need)}
+        return [next(picks[w]) for w in slots]
+    raise ValueError("could not assemble a probe: a word type has too few repetition recordings")
+
+
+def draws(draw, word_types, reps, seed, n):
+    """The utterance ids of n probes drawn from one rng, or the error that ended the run."""
+    rng = np.random.default_rng(seed)
+    out = []
+    try:
+        for _ in range(n):
+            out.append([r.utterance_id for r in draw(word_types, reps, rng)])
+    except ValueError as exc:
+        out.append(str(exc))
+    return out
+
+
+class TestSetupDrawsMatchReferences:
+    """The array draws of the setup stage give the very values of the scalar and string draws."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_demo_jitter_matches_scalar_loop(self, seed):
+        words = [r.net_speech for r in make_demo_inventory(3, seed) if r.kind == "word"]
+        assert words == reference_word_net_speech(3, seed)
+
+    @pytest.mark.parametrize("reps_per_word", [{w: 10 for w in sorted(DEMO_VOCABULARY)},
+                                               {"cat": 4, "dog": 2, "fish": 1}],
+                             ids=["demo-speaker", "short-of-repetitions"])
+    def test_probe_draws_match_string_draws(self, reps_per_word):
+        reps = {w: [word_rec("a", w, r) for r in range(1, k + 1)] for w, k in reps_per_word.items()}
+        word_types = sorted(reps)
+        for seed in range(200):
+            assert draws(_draw_probe, word_types, reps, seed, 20) == \
+                draws(reference_draw_probe, word_types, reps, seed, 20)
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs, counting what it returns."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCorpusMemory:
+    """Reading and writing the corpus streams: neither holds the file's text, lines or dicts."""
+
+    SPEAKERS = 10
+    BOUND = 600  # traced bytes per record
+
+    def test_read_and_write_peaks_per_record(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        n = len(make_demo_inventory(self.SPEAKERS, 3))
+        write = traced_peak(lambda: write_jsonl(path, map(vars, make_demo_inventory(self.SPEAKERS, 3))))
+        load = traced_peak(lambda: load_inventory_jsonl(path))
+        per_record = {"write_jsonl": write / n, "load_inventory_jsonl": load / n}
+        assert all(peak < self.BOUND for peak in per_record.values()), per_record
