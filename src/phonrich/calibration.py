@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import NONTARGET, TARGET, Trials, target_mask
+from .io import write_lines
+from .metrics import NONTARGET, TARGET, Qmfs, Trials, target_mask
 
 # canonical feature order; a feature set is any subset of these names
 FEATURE_ORDER = ("raw", "lns", "cu", "wcu")
@@ -42,13 +43,12 @@ class CalibrationModel:
             raise ValueError("coefficient count must equal feature count")
 
 
-def build_features(trials: Trials, qmfs: dict[str, dict[str, float]],
-                   feature_set) -> tuple[np.ndarray, tuple[str, ...]]:
+def build_features(trials: Trials, qmfs: Qmfs, feature_set) -> tuple[np.ndarray, tuple[str, ...]]:
     """Assemble the (n, d) feature matrix in canonical feature order.
 
     ``raw`` comes from the trial score; ``lns``, ``cu``, ``wcu`` come from
-    the per-test QMF map (``lns`` may be given directly or derived from
-    ``net_speech``), read once per test and gathered to the trials.
+    the QMF table (``lns`` may be given directly or derived from
+    ``net_speech``), joined once per test and gathered to the trials.
     """
     names = tuple(n for n in FEATURE_ORDER if n in set(feature_set))
     unknown = set(feature_set) - set(FEATURE_ORDER)
@@ -57,8 +57,7 @@ def build_features(trials: Trials, qmfs: dict[str, dict[str, float]],
     qmf_names = tuple(n for n in names if n != "raw")
     X = np.empty((len(trials), 0))
     if qmf_names:
-        table = np.array([_qmf_row(qmfs, test_id, qmf_names) for test_id in trials.tests], dtype=float)
-        X = table.reshape(len(trials.tests), len(qmf_names))[trials.test_codes]
+        X = (_with_lns(qmfs) if "lns" in qmf_names else qmfs).join(trials.tests, qmf_names)[trials.test_codes]
     if "raw" in names:  # first in canonical order
         X = np.hstack([trials.scores[:, None], X])
     if not np.all(np.isfinite(X)):
@@ -66,24 +65,12 @@ def build_features(trials: Trials, qmfs: dict[str, dict[str, float]],
     return X, names
 
 
-def _qmf_row(qmfs: dict[str, dict[str, float]], test_id: str, names) -> list[float]:
-    q = qmfs.get(test_id)
-    if q is None:
-        raise ValueError(f"missing QMF values for test {test_id!r}")
-    row = []
-    for name in names:
-        if name == "lns":
-            if "lns" in q:
-                row.append(q["lns"])
-            elif "net_speech" in q:
-                row.append(log_net_speech(q["net_speech"]))
-            else:
-                raise ValueError(f"no lns/net_speech for test {test_id!r}")
-        else:
-            if name not in q:
-                raise ValueError(f"missing QMF {name!r} for test {test_id!r}")
-            row.append(q[name])
-    return row
+def _with_lns(qmfs: Qmfs) -> Qmfs:
+    """The table with lns derived from net_speech, value by value, for each test that has no lns."""
+    lns, net_speech = qmfs.columns(["lns", "net_speech"]).T
+    derive = np.isnan(lns) & ~np.isnan(net_speech)
+    lns[derive] = list(map(log_net_speech, net_speech[derive].tolist()))
+    return Qmfs.from_columns(qmfs.test_ids, {**dict(zip(qmfs.names, qmfs.values.T)), "lns": lns})
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -194,8 +181,7 @@ def stratified_folds(is_target, k: int, seed: int) -> np.ndarray:
     return folds
 
 
-def cross_validated_calibration(trials: Trials, qmfs: dict[str, dict[str, float]],
-                                feature_set, k: int = 5, seed: int = 0):
+def cross_validated_calibration(trials: Trials, qmfs: Qmfs, feature_set, k: int = 5, seed: int = 0):
     """Out-of-fold calibrated scores from stratified k-fold logistic regression.
 
     Each fold is scored by the model fit on the other k-1 folds; the
@@ -225,15 +211,11 @@ def cross_validated_calibration(trials: Trials, qmfs: dict[str, dict[str, float]
 
 
 def save_model(model: CalibrationModel, path: str | Path, provenance: str | None = None) -> None:
-    lines = []
-    if provenance:
-        lines.append(provenance)
-    lines.append(f"intercept\t{model.intercept:.17g}")
-    lines.append(f"class_weight_target\t{model.class_weights[0]:.17g}")
-    lines.append(f"class_weight_nontarget\t{model.class_weights[1]:.17g}")
-    lines.append(f"converged\t{int(model.converged)}")
-    lines.append(f"seed\t{'' if model.seed is None else model.seed}")
-    for name, coef in zip(model.feature_names, model.coefficients):
-        lines.append(f"coef:{name}\t{coef:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, provenance, [
+        f"intercept\t{model.intercept:.17g}",
+        f"class_weight_target\t{model.class_weights[0]:.17g}",
+        f"class_weight_nontarget\t{model.class_weights[1]:.17g}",
+        f"converged\t{int(model.converged)}",
+        f"seed\t{'' if model.seed is None else model.seed}",
+        *(f"coef:{name}\t{coef:.17g}" for name, coef in zip(model.feature_names, model.coefficients))])
 

@@ -13,11 +13,10 @@ from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
 from .inventory import BitstringError, PresenceVector
-from .io import (iter_jsonl, provenance_line, read_jsonl, read_qmfs, read_scores, record_line,
-                 write_jsonl, write_scores, write_tsv)
-from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
-from .metrics import (compute_eer, compute_min_c_primary, correlation_report,
-                      protocol_stats)
+from .io import (iter_jsonl, line_of, provenance_line, read_jsonl, read_qmfs, read_scores,
+                 write_jsonl, write_qmfs, write_scores, write_tsv)
+from .lexicon import Lexicon, PhonemeTranscription, load_lexicon, presence_vector, transcribe
+from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
 from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
                         load_inventory_jsonl, load_protocol)
 from .richness import (count_unique, fit_weights, load_weights, save_weights, weight_report,
@@ -58,32 +57,27 @@ def _read_presence(path) -> PresenceVector:
         return PresenceVector.from_bitstring([rec["bits"] for rec in records],
                                              [rec["utterance_id"] for rec in records])
     except BitstringError as exc:
-        raise ValueError(f"{path}:{record_line(path, exc.row)}: {exc}") from None
+        raise ValueError(f"{path}:{line_of(path, exc.row, jsonl=True)}: {exc}") from None
 
 
 def cmd_richness(args) -> int:
     presence = _read_presence(args.presence)
     weights = load_weights(args.weights) if args.weights else None
-    net_speech = {}
+    columns = {"cu": count_unique(presence)}
+    if weights is not None:
+        columns["wcu"] = weighted_count_unique(presence, weights)
     if args.manifest:
-        for rec in iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"}):
-            net_speech[rec["test_id"]] = float(rec["net_speech"])
-    cu = count_unique(presence).astype(float).tolist()
-    wcu = weighted_count_unique(presence, weights).tolist() if weights is not None else None
-    records = []
-    for row, test_id in enumerate(presence.utterance_ids):
-        out = {"test_id": test_id, "cu": cu[row]}
-        if wcu is not None:
-            out["wcu"] = wcu[row]
-        if test_id in net_speech:
-            ns = net_speech[test_id]
-            out["net_speech"] = ns
-            out["lns"] = log_net_speech(ns)
-        records.append(out)
+        net_speech = {rec["test_id"]: float(rec["net_speech"]) for rec in
+                      iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"})}
+        # NaN, so no net_speech or lns in the record, for a test the manifest does not name
+        columns["net_speech"] = [net_speech.get(t, np.nan) for t in presence.utterance_ids]
+        columns["lns"] = [log_net_speech(net_speech[t]) if t in net_speech else np.nan
+                          for t in presence.utterance_ids]
+    qmfs = Qmfs.from_columns(presence.utterance_ids, columns)
     inputs = [args.presence] + ([args.weights] if args.weights else []) \
         + ([args.manifest] if args.manifest else [])
-    write_jsonl(args.out, records, provenance_line("richness", None, inputs))
-    print(f"richness: wrote {len(records)} QMF records to {args.out}")
+    write_qmfs(args.out, qmfs, provenance_line("richness", None, inputs))
+    print(f"richness: wrote {len(qmfs.test_ids)} QMF records to {args.out}")
     return 0
 
 
@@ -125,23 +119,15 @@ def cmd_gen_protocol(args) -> int:
     return 0
 
 
-def _vocabulary_from_args(args) -> dict:
-    if args.lexicon:
-        lex = load_lexicon(args.lexicon)
-        return {word: prons[0] for word, prons in lex.entries.items()}
-    return dict(DEMO_VOCABULARY)
-
-
 def cmd_simulate(args) -> int:
     protocol = load_protocol(args.trials, args.manifest, args.models)
-    config = SimConfig(sigma0=args.sigma0, kappa=args.kappa, seed=args.seed,
-                       vocabulary=_vocabulary_from_args(args), dim=args.dim)
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else Lexicon.from_entries(DEMO_VOCABULARY)
+    config = SimConfig(sigma0=args.sigma0, kappa=args.kappa, seed=args.seed, lexicon=lexicon, dim=args.dim)
     result = simulate_corpus(config, protocol)
     inputs = [args.trials, args.manifest, args.models]
     prov = provenance_line("simulate", args.seed, inputs)
     write_scores(args.out_scores, result.trials, prov)
-    qmf_records = [{"test_id": tid, **vals} for tid, vals in sorted(result.qmfs.items())]
-    write_jsonl(args.out_qmf, qmf_records, prov)
+    write_qmfs(args.out_qmf, result.qmfs, prov)
     n_speakers = len({m.speaker_id for m in protocol.models})
     print(f"simulate: scored {len(result.trials)} trials over {n_speakers} speakers")
     return 0
@@ -182,7 +168,7 @@ def cmd_evaluate(args) -> int:
         print("error: --qmf is required for features beyond raw", file=sys.stderr)
         return 1
     trials = read_scores(args.scores)
-    qmfs = read_qmfs(args.qmf) if args.qmf else {}
+    qmfs = read_qmfs(args.qmf) if args.qmf else Qmfs.from_columns([], {})
     rows = []
     for fs in feature_sets:
         if fs:
@@ -230,13 +216,7 @@ def cmd_report_weights(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    qmfs = read_qmfs(args.qmf)
-    pairs = [(v["net_speech"], v["cu"]) for v in qmfs.values()
-             if "net_speech" in v and "cu" in v]
-    if not pairs:
-        print("error: QMF file has no records with both net_speech and cu", file=sys.stderr)
-        return 1
-    ns_mean, ns_std, cu_mean, cu_std = protocol_stats(pairs)
+    ns_mean, ns_std, cu_mean, cu_std = protocol_stats(read_qmfs(args.qmf))
     print(f"net_speech: {ns_mean:.1f} ({ns_std:.1f}) s")
     print(f"cu: {cu_mean:.1f} ({cu_std:.1f})")
     return 0

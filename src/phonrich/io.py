@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .metrics import NONTARGET, TARGET, Trials, decode_ids
+from .metrics import NONTARGET, TARGET, Qmfs, Trials, decode_ids
 
 TRIAL_COLUMNS = ["model_id", "test_id", "label"]
 SCORE_COLUMNS = TRIAL_COLUMNS + ["raw_score"]
@@ -35,7 +37,7 @@ def provenance_line(subcommand: str, seed: int | None = None, inputs=()) -> str:
     return " ".join(parts)
 
 
-def _write_lines(path: str | Path, provenance: str | None, lines) -> None:
+def write_lines(path: str | Path, provenance: str | None, lines) -> None:
     """The provenance line, if any, then each line, each ending in "\\n"; a file with neither is "\\n"."""
     with open(path, "w") as f:
         f.writelines(f"{line}\n" for line in chain([provenance] if provenance else [], lines))
@@ -44,12 +46,25 @@ def _write_lines(path: str | Path, provenance: str | None, lines) -> None:
 
 
 def write_tsv(path: str | Path, header: list[str], rows, provenance: str | None = None) -> None:
-    _write_lines(path, provenance, chain(["\t".join(header)], ("\t".join(map(str, row)) for row in rows)))
+    write_lines(path, provenance, chain(["\t".join(header)], ("\t".join(map(str, row)) for row in rows)))
+
+
+def text_lines(path: str | Path, encoding: str | None = None, errors: str | None = None) -> list[str]:
+    """Every line of a text file, without its end: lines end at "\\n", "\\r\\n" and "\\r" only.
+
+    These are Python's universal newlines, which iterating an open file
+    follows too; U+2028, "\\x0b", "\\x0c", "\\x85" and the like stay in their line.
+    """
+    with open(path, encoding=encoding, errors=errors) as f:
+        lines = f.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text is empty or ends with a line end
+    return lines
 
 
 def _data_lines(path: str | Path) -> list[str]:
     """The lines of a TSV that are not blank or '#' comments: the header, then the data rows."""
-    return [line for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
+    return [line for line in text_lines(path) if line and not line.startswith("#")]
 
 
 def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -59,15 +74,16 @@ def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return kept[0], kept[1:]
 
 
-def data_line(path: str | Path, row: int) -> int:
-    """File line of data row ``row`` of a TSV (-1: the header), skipping blank and '#' lines."""
-    lines = Path(path).read_text().splitlines()
-    return [i for i, line in enumerate(lines, start=1) if line and not line.startswith("#")][row + 1]
+def line_of(path: str | Path, row: int, jsonl: bool = False) -> int:
+    """File line of data row ``row`` of a TSV (-1: its header) or, if ``jsonl``, of record ``row``."""
+    if jsonl:
+        return next(islice(_jsonl_lines(path), row, None))[0]
+    return [i for i, line in enumerate(text_lines(path), start=1) if line and not line.startswith("#")][row + 1]
 
 
 def write_jsonl(path: str | Path, records, provenance: str | None = None) -> None:
-    """One line per record, as json.dumps(rec, sort_keys=True) writes it."""
-    _write_lines(path, provenance, map(json.JSONEncoder(sort_keys=True).encode, records))
+    """One line per record, as json.dumps(rec, sort_keys=True) writes it; NaN and infinities are refused."""
+    write_lines(path, provenance, map(json.JSONEncoder(sort_keys=True, allow_nan=False).encode, records))
 
 
 # JSON type of a required key -> (the Python types json.loads gives it, the type of each
@@ -81,11 +97,37 @@ JSON_TYPES = {
 _MISSING = object()
 
 
+def _refuse_constant(token: str):
+    """NaN, Infinity or -Infinity: Python's json reads these, but JSON has no such numbers."""
+    raise ValueError(token)
+
+
+# one decoder for every line: json.loads with parse_constant would build a decoder per call
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def _holds_non_finite(value) -> bool:
+    """Whether ``value`` is, or holds at any depth, a float that is not finite."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return any(map(_holds_non_finite, items))
+
+
+def _number_error(key: str, value) -> str | None:
+    """Why ``value`` of ``key`` is not a finite JSON number (true and false are not numbers), or None."""
+    if type(value) not in JSON_TYPES["number"][0]:
+        return f"{key} must be a number, got {json.dumps(value)}"
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an integer no float holds
+        return f"{key} must be a finite number, got {json.dumps(value)}"
+    return None
+
+
 def _jsonl_lines(path: str | Path):
     """(line number, text) of each JSONL line that is not blank or a '#' comment.
 
-    Lines end only at "\\n", "\\r\\n" and "\\r", so a raw U+2028 inside a
-    JSON string stays in its line.
+    The open file is iterated, so lines stream and end as in text_lines:
+    a raw U+2028 inside a JSON string stays in its line.
     """
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -98,17 +140,25 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
 
     ``required`` maps each key a record must hold to its JSON type, a key
     of JSON_TYPES. A missing key or a value of another type fails with
-    the file and line. No two records may share their value of the
-    required key ``unique``: a repeat fails at its second record, naming
-    the line of the first.
+    the file and line, as does a number that is not finite. NaN, Infinity
+    and -Infinity, which are not JSON, fail wherever they stand. No two
+    records may share their value of the required key ``unique``: a
+    repeat fails at its second record, naming the line of the first.
     """
     checks = [(key, kind, *JSON_TYPES[kind]) for key, kind in (required or {}).items()]
     first_line: dict[str, int] = {}
     for lineno, line in _jsonl_lines(path):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSONL line: {exc}") from exc
+            rec = _DECODER.decode(line)
+        except ValueError:
+            try:  # again as json.loads reads it, NaN and Infinity included, for its message
+                rec = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() reads
+                raise ValueError(f"{path}:{lineno}: malformed JSONL line: {exc}") from exc
+            if isinstance(rec, dict):  # so the line failed for a NaN or an infinity; name its key
+                key, value = next((k, v) for k, v in rec.items() if _holds_non_finite(v))
+                raise ValueError(f"{path}:{lineno}: {key} must be a finite number, "
+                                 f"got {json.dumps(value)}") from None
         if not isinstance(rec, dict):
             raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
         for key, kind, types, item_type in checks:
@@ -117,6 +167,8 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
                 if value is _MISSING:
                     raise ValueError(f"{path}:{lineno}: record has no {key}")
                 raise ValueError(f"{path}:{lineno}: {key} must be a {kind}, got {json.dumps(value)}")
+            if kind == "number" and (error := _number_error(key, value)):
+                raise ValueError(f"{path}:{lineno}: {error}")
         if unique is not None:
             if first_line.setdefault(rec[unique], lineno) != lineno:
                 raise ValueError(f"{path}:{lineno}: duplicate {unique} {rec[unique]!r}, "
@@ -128,11 +180,6 @@ def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
                unique: str | None = None) -> list[dict]:
     """Every record of iter_jsonl, as a list."""
     return list(iter_jsonl(path, required, unique))
-
-
-def record_line(path: str | Path, record: int) -> int:
-    """File line of the ``record``-th JSONL record, counting lines as iter_jsonl does."""
-    return next(islice(_jsonl_lines(path), record, None))[0]
 
 
 def write_scores(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
@@ -158,7 +205,7 @@ def read_trial_table(path: str | Path, scored: bool = False) -> Trials:
     kept = _data_lines(path)
 
     def fail(row: int, message: str):
-        raise ValueError(f"{path}:{data_line(path, row)}: {message}")
+        raise ValueError(f"{path}:{line_of(path, row)}: {message}")
 
     if not kept:
         raise ValueError(f"{path}: no header line found")
@@ -199,18 +246,29 @@ def read_trial_table(path: str | Path, scored: bool = False) -> Trials:
         for row, key in enumerate(keys):
             if first.setdefault(key, row) != row:
                 fail(row, f"duplicate trial ({model_ids[row]}, {test_ids[row]}), "
-                          f"first at line {data_line(path, first[key])}")
+                          f"first at line {line_of(path, first[key])}")
     return trials
 
 
-def read_qmfs(path: str | Path) -> dict[str, dict[str, float]]:
-    """QMF JSONL: one object per test utterance, keyed by test_id; every other key is a number."""
-    qmfs = {}
+def read_qmfs(path: str | Path) -> Qmfs:
+    """QMF JSONL as one table: a row per record, in file order, and a column per key but test_id.
+
+    Every key but test_id must be a finite JSON number. Records may hold
+    different keys; a row is NaN where its record lacks one.
+    """
+    test_ids, records = [], []
     for row, rec in enumerate(iter_jsonl(path, required={"test_id": "string"}, unique="test_id")):
-        test_id = rec.pop("test_id")
+        test_ids.append(rec.pop("test_id"))
         for key, value in rec.items():
-            if type(value) not in JSON_TYPES["number"][0]:
-                raise ValueError(f"{path}:{record_line(path, row)}: {key} must be a number, "
-                                 f"got {json.dumps(value)}")
-        qmfs[test_id] = {k: float(v) for k, v in rec.items()}
-    return qmfs
+            if error := _number_error(key, value):
+                raise ValueError(f"{path}:{line_of(path, row, jsonl=True)}: {error}")
+        records.append(rec)
+    return Qmfs.from_columns(test_ids, {name: [rec.get(name, math.nan) for rec in records]
+                                        for name in set().union(*records)})
+
+
+def write_qmfs(path: str | Path, qmfs: Qmfs, provenance: str | None = None) -> None:
+    """One JSONL record per row of ``qmfs``: its test_id and every value that is not NaN."""
+    write_jsonl(path, ({"test_id": test_id, **{name: value for name, value in zip(qmfs.names, row)
+                                               if not math.isnan(value)}}
+                       for test_id, row in zip(qmfs.test_ids, qmfs.values.tolist())), provenance)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
+from .io import text_lines
 
 _STRESS_RE = re.compile(r"^([A-Z]+)([0-2])$")
 _VARIANT_RE = re.compile(r"^(.*)\((\d+)\)$")
@@ -66,12 +67,12 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        lines = text_lines(path, encoding="utf-8", errors="replace")
     except OSError as exc:
         raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
 
     entries: dict[str, list[tuple[str, ...]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith(";;;"):
             continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -82,6 +83,50 @@ class Trials:
     def class_scores(self) -> tuple[np.ndarray, np.ndarray]:
         """Target scores and nontarget scores, each in trial order."""
         return self.scores[self.is_target], self.scores[~self.is_target]
+
+
+@dataclass
+class Qmfs:
+    """Quality measures (QMFs) per test: row i is test ``test_ids[i]``, column j QMF ``names[j]``.
+
+    The names are sorted. A cell is NaN where its test has no such QMF.
+    """
+
+    test_ids: list[str]
+    names: list[str]
+    values: np.ndarray  # (len(test_ids), len(names)) float64
+
+    @classmethod
+    def from_columns(cls, test_ids, columns: dict) -> "Qmfs":
+        """A table from a column of one value per test for each QMF name."""
+        names = sorted(columns)
+        values = np.array([columns[name] for name in names], dtype=float).reshape(len(names), len(test_ids))
+        return cls(list(test_ids), names, np.ascontiguousarray(values.T))
+
+    def columns(self, names) -> np.ndarray:
+        """The (len(test_ids), len(names)) block of QMFs ``names``, NaN where a test lacks one."""
+        padded = np.hstack([self.values, np.full((len(self.test_ids), 1), np.nan)])  # column -1: absent
+        return padded[:, [self.names.index(name) if name in self.names else -1 for name in names]]
+
+    def names_of(self, test_id: str) -> list[str]:
+        """The names of the QMFs of ``test_id``; none if it has no row."""
+        row = self.values[self.test_ids.index(test_id)] if test_id in self.test_ids else []
+        return [name for name, value in zip(self.names, row) if not np.isnan(value)]
+
+    def join(self, tests: list[str], names) -> np.ndarray:
+        """The (len(tests), len(names)) block of QMFs ``names`` of ``tests``.
+
+        The first of ``tests`` that has no row, or lacks one of ``names``, fails.
+        """
+        row_of = dict(zip(self.test_ids, range(len(self.test_ids))))
+        rows = np.fromiter(map(row_of.get, tests, repeat(-1)), dtype=np.intp, count=len(tests))
+        block = np.vstack([self.columns(names), np.full((1, len(names)), np.nan)])[rows]  # row -1: no row
+        bad = (rows < 0) | np.isnan(block).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            missing = "values" if rows[i] < 0 else repr(names[int(np.argmax(np.isnan(block[i])))])
+            raise ValueError(f"missing QMF {missing} for test {tests[i]!r}")
+        return block
 
 
 def roc_points(tar: np.ndarray, non: np.ndarray):
@@ -193,7 +238,7 @@ def kendall_tau(x, y) -> float:
     return float((concordant - discordant) / math.sqrt((n0 - tx) * (n0 - ty)))
 
 
-def correlation_report(trials: Trials, qmfs: dict[str, dict[str, float]]):
+def correlation_report(trials: Trials, qmfs: Qmfs):
     """Per class and per QMF: tau between the QMF and the raw score.
 
     Returns (taus, scatter_rows) where taus maps (label, qmf_name) -> tau
@@ -201,17 +246,8 @@ def correlation_report(trials: Trials, qmfs: dict[str, dict[str, float]]):
     The QMF names are those of the first trial's test.
     """
     tests, codes = trials.tests, trials.test_codes
-    for test_id in tests:
-        if test_id not in qmfs:
-            raise ValueError(f"missing QMF values for test {test_id!r}")
-    qmf_names = sorted(qmfs[tests[codes[0]]]) if len(codes) else []
-    table = np.empty((len(tests), len(qmf_names)))
-    for i, test_id in enumerate(tests):
-        for j, name in enumerate(qmf_names):
-            if name not in qmfs[test_id]:
-                raise ValueError(f"missing QMF {name!r} for test {test_id!r}")
-            table[i, j] = qmfs[test_id][name]
-    values = table[codes]
+    qmf_names = qmfs.names_of(tests[codes[0]]) if len(codes) else []
+    values = qmfs.join(tests, qmf_names)[codes]
     taus: dict[tuple[str, str], float] = {}
     for label, mask in ((TARGET, trials.is_target), (NONTARGET, ~trials.is_target)):
         if not mask.any():
@@ -226,10 +262,11 @@ def correlation_report(trials: Trials, qmfs: dict[str, dict[str, float]]):
     return taus, scatter
 
 
-def protocol_stats(utterances: list[tuple[float, float]]):
-    """Mean and population std of (net_speech, CU) columns."""
-    if not utterances:
-        raise ValueError("protocol_stats requires a non-empty list")
-    arr = np.asarray(utterances, dtype=float)
-    ns, cu = arr[:, 0], arr[:, 1]
+def protocol_stats(qmfs: Qmfs):
+    """Mean and population std of net_speech and of CU over the tests that have both."""
+    both = qmfs.columns(["net_speech", "cu"])
+    both = both[~np.isnan(both).any(axis=1)]
+    if not len(both):
+        raise ValueError("QMF file has no records with both net_speech and cu")
+    ns, cu = both[:, 0], both[:, 1]
     return (float(ns.mean()), float(ns.std()), float(cu.mean()), float(cu.std()))

@@ -9,7 +9,7 @@ from sys import intern
 
 import numpy as np
 
-from .io import TRIAL_COLUMNS, data_line, iter_jsonl, read_trial_table, write_jsonl, write_tsv
+from .io import TRIAL_COLUMNS, iter_jsonl, line_of, read_trial_table, write_jsonl, write_tsv
 from .metrics import NONTARGET, TARGET, decode_ids, encode_ids
 
 MAX_PROBE_REDRAWS = 20
@@ -310,14 +310,14 @@ def join_trials(path: str | Path, tests: list[ProbeEntry], models: list[ModelRec
         m_id = trials.models[trials.model_codes[row]]
         # a known test is named as the spec holds it: a clip by its clip id
         t_id = tests[t].test_id if t >= 0 else trials.tests[trials.test_codes[row]]
-        raise ValueError(f"{path}:{data_line(path, row)}: trial ({m_id}, {t_id}) names an unknown "
+        raise ValueError(f"{path}:{line_of(path, row)}: trial ({m_id}, {t_id}) names an unknown "
                          f"{'model' if m < 0 else 'test'}")
     spec = ProtocolSpec(pairs[trials.is_target], pairs[~trials.is_target], tests, models)
     try:
         spec.validate()
     except TrialError as exc:
         rows = np.concatenate([np.flatnonzero(trials.is_target), np.flatnonzero(~trials.is_target)])
-        raise ValueError(f"{path}:{data_line(path, int(rows[exc.row]))}: {exc}") from None
+        raise ValueError(f"{path}:{line_of(path, int(rows[exc.row]))}: {exc}") from None
     return spec
 
 

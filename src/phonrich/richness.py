@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
+from .io import text_lines, write_lines
 from .lexicon import PhonemeTranscription, phoneme_codes
 from .nnls import nnls
 
@@ -84,13 +85,8 @@ def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription]) -> lis
 
 def save_weights(w: RichnessWeights, path: str | Path, provenance: str | None = None) -> None:
     """Persist weights as PHONEME<TAB>weight lines, 17 significant digits."""
-    lines = []
-    if provenance:
-        lines.append(provenance)
-    lines.append(f"# n_train={w.n_train}\tfit_residual={w.fit_residual:.17g}")
-    for i, sym in enumerate(ARPABET_39):
-        lines.append(f"{sym}\t{w.weights[i]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, provenance, [f"# n_train={w.n_train}\tfit_residual={w.fit_residual:.17g}",
+                                   *(f"{sym}\t{weight:.17g}" for sym, weight in zip(ARPABET_39, w.weights))])
 
 
 def load_weights(path: str | Path) -> RichnessWeights:
@@ -104,7 +100,7 @@ def load_weights(path: str | Path) -> RichnessWeights:
     fit_residual = 0.0
     weights = np.zeros(len(ARPABET_39))
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(path), start=1):
         try:
             if line.startswith("# n_train="):
                 head, tail = line[2:].split("\t")

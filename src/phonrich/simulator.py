@@ -9,7 +9,7 @@ import numpy as np
 from .inventory import ARPABET_39
 from .lexicon import Lexicon, presence_vector, transcribe
 from .calibration import log_net_speech
-from .metrics import Trials
+from .metrics import Qmfs, Trials
 from .protocols import ProtocolSpec
 from .richness import count_unique
 
@@ -24,7 +24,7 @@ class SimConfig:
     sigma0: float
     kappa: float
     seed: int
-    vocabulary: dict[str, tuple[str, ...]]
+    lexicon: Lexicon  # transcribes the tests' transcripts
     dim: int = 32
 
     def __post_init__(self):
@@ -53,7 +53,7 @@ class SimResult:
     models: np.ndarray  # unit rows, one per model in sorted model-id order
     tests: np.ndarray  # unit rows, one per test in sorted test-id order
     trials: Trials
-    qmfs: dict[str, dict[str, float]]
+    qmfs: Qmfs  # cu, lns and net_speech of each test, in sorted test-id order
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -76,7 +76,6 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
     Enrollment models use sigma0/4. All draws come from seed-derived
     per-entity substreams, so generation order does not matter.
     """
-    lexicon = Lexicon.from_entries(dict(config.vocabulary))
     n_phonemes = len(ARPABET_39)
 
     speakers = sorted({m.speaker_id for m in protocol.models} |
@@ -99,19 +98,16 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
         for idx, m in enumerate(models)], dtype=float).reshape(-1, config.dim)
 
     tests = [protocol.tests[i] for i in test_order]
-    cus = count_unique(presence_vector([transcribe(t.transcript, lexicon, t.test_id)
+    cus = count_unique(presence_vector([transcribe(t.transcript, config.lexicon, t.test_id)
                                         for t in tests])).tolist()
     test_vectors = []
-    qmfs = {}
     for idx, (t, cu) in enumerate(zip(tests, cus)):
         sigma = config.sigma0 * (1.0 + config.kappa * (n_phonemes - cu) / n_phonemes)
         rng = np.random.default_rng([config.seed, _TEST_STREAM, idx])
         test_vectors.append(_noisy_embedding(means[t.speaker_id], sigma, rng))
-        qmfs[t.test_id] = {
-            "cu": float(cu),
-            "net_speech": float(t.net_speech),
-            "lns": log_net_speech(t.net_speech),
-        }
+    net_speech = [t.net_speech for t in tests]
+    qmfs = Qmfs.from_columns([t.test_id for t in tests], {
+        "cu": cus, "net_speech": net_speech, "lns": list(map(log_net_speech, net_speech))})
     test_matrix = np.array(test_vectors, dtype=float).reshape(-1, config.dim)
 
     pairs = np.concatenate([protocol.positive_trials, protocol.negative_trials])

@@ -14,7 +14,7 @@ from phonrich.cli import main as cli_main
 from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines, make_demo_inventory
 from phonrich.inventory import ARPABET_39, PresenceVector
 from phonrich.io import read_jsonl, write_jsonl
-from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
+from phonrich.lexicon import Lexicon, PhonemeTranscription, load_lexicon, presence_vector
 from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
 from phonrich.richness import RichnessWeights, count_unique, fit_weights, weighted_count_unique
@@ -57,7 +57,7 @@ def simulator_run():
     protocol = build_repetitive_protocol(words, sentences, 200, seed=11,
                                          negatives_per_probe=4)
     config = SimConfig(sigma0=0.6, kappa=2.0, seed=13,
-                       vocabulary=DEMO_VOCABULARY, dim=80)
+                       lexicon=Lexicon.from_entries(DEMO_VOCABULARY), dim=80)
     result = simulate_corpus(config, protocol)
     return result, time.time() - t0
 
@@ -139,8 +139,7 @@ def test_criterion_5_simulator_correlation_direction(simulator_run):
     t0 = time.time()
     trials = result.trials
     pos = [trials.tests[code] for code in trials.test_codes[trials.is_target].tolist()]
-    cu = [result.qmfs[t]["cu"] for t in pos]
-    lns = [result.qmfs[t]["lns"] for t in pos]
+    cu, lns = result.qmfs.join(pos, ["cu", "lns"]).T.tolist()
     scores = trials.scores[trials.is_target].tolist()
     tau_cu = kendall_tau(cu, scores)
     tau_lns = kendall_tau(lns, scores)

@@ -6,7 +6,7 @@ import pytest
 from phonrich.calibration import (CalibrationModel, apply_lr, build_features,
                                   cross_validated_calibration, fit_lr, log_net_speech,
                                   save_model, stratified_folds)
-from phonrich.metrics import Trials, compute_eer
+from phonrich.metrics import Qmfs, Trials, compute_eer
 
 from conftest import read_model_fields, trial_rows
 
@@ -104,10 +104,19 @@ class TestApplyLr:
 class TestBuildFeatures:
     def test_canonical_order_and_lns_derivation(self):
         trials = make_trials([0.5], [0.1])
-        qmfs = {t: {"cu": 3.0, "net_speech": 2.0} for t in trials.tests}
+        qmfs = Qmfs.from_columns(trials.tests, {"cu": [3.0, 3.0], "net_speech": [2.0, 2.0]})
         X, names = build_features(trials, qmfs, {"cu", "raw", "lns"})
         assert names == ("raw", "lns", "cu")
         assert X[0, 1] == pytest.approx(math.log(2.0))
+
+    def test_lns_derived_only_where_a_test_has_none(self):
+        trials = make_trials([0.5, 0.4], [0.1])
+        qmfs = Qmfs(trials.tests, ["lns", "net_speech"], np.array([[5.0, 1.0], [np.nan, 2.0], [np.nan, 0.0]]))
+        X, _ = build_features(trials, qmfs, ("lns",))
+        assert X[:, 0].tolist() == [5.0, math.log(2.0), math.log(0.01)]
+        neither = Qmfs(trials.tests, ["cu", "net_speech"], np.array([[1.0, 2.0], [1.0, 3.0], [1.0, np.nan]]))
+        with pytest.raises(ValueError, match="missing QMF 'lns' for test 'n0'"):
+            build_features(trials, neither, ("lns",))
 
     def test_net_speech_floor(self):
         assert log_net_speech(0.0) == pytest.approx(math.log(0.01))
@@ -115,11 +124,11 @@ class TestBuildFeatures:
     def test_missing_qmf_error(self):
         trials = make_trials([0.5], [0.1])
         with pytest.raises(ValueError, match="missing QMF"):
-            build_features(trials, {}, ("cu",))
+            build_features(trials, Qmfs([], [], np.empty((0, 0))), ("cu",))
 
     def test_unknown_feature_error(self):
         with pytest.raises(ValueError, match="unknown feature"):
-            build_features(make_trials([0.5], [0.1]), {}, ("snr",))
+            build_features(make_trials([0.5], [0.1]), Qmfs([], [], np.empty((0, 0))), ("snr",))
 
 
 class TestStratifiedFolds:
@@ -159,8 +168,8 @@ class TestCrossValidatedCalibration:
         tar = rng.standard_normal(n) * 0.3 + 1.0
         non = rng.standard_normal(n) * 0.3
         trials = make_trials(tar, non)
-        qmfs = {t: {"cu": float(rng.integers(3, 30)), "net_speech": float(rng.uniform(1, 5))}
-                for t in trials.tests}
+        qmfs = Qmfs(trials.tests, ["cu", "net_speech"],
+                    np.array([(float(rng.integers(3, 30)), float(rng.uniform(1, 5))) for _ in trials.tests]))
         return trials, qmfs
 
     def test_raw_only_close_to_uncalibrated(self):

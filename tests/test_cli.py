@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +253,93 @@ class TestPinnedBytes:
         assert digests == self.DIGESTS
 
 
+
+class TestPinnedQmfBytes:
+    """The outputs and stdout of the stages that read or write QMFs, weights and models, pinned.
+
+    A sibling of TestPinnedBytes over one small seeded run: g2p, fit-weights,
+    report-weights (to a file and to stdout), richness with weights and a
+    full manifest and with a manifest that covers every other test (so its
+    records differ in their keys), stats on both kinds of QMF file,
+    calibrate with fold models (``lns`` read, and derived from
+    ``net_speech``), and simulate with the demo vocabulary given as a
+    lexicon file, which must score as the built-in vocabulary does.
+    """
+
+    DIGESTS = {
+        "cal.tsv": "8af2db400c389e984ce696efd29b6f65a442c87f64a36924332b623593f558a9",
+        "cal_nolns.tsv": "df45c291c594108764e055afb96600a5db693730549f2d632493918f191408c5",
+        "corpus.jsonl": "dbd100c528f5cc76b6f743adc3a546aff320cfb731fdffb706cd3ddd239ba455",
+        "model.fold0.txt": "b0dc46133a6d54926bd46440a77aeecffe885563db5dcc6e52ab12583120051f",
+        "model.fold1.txt": "cf5f22772e0a2057a783456f6b3687eecfd1807a8233185c6226b2295681bb27",
+        "model.fold2.txt": "d1e8db5ce571daa6a28a408c46ead14db9c7df048d3edfbf8c5efaa4520ae36a",
+        "nolns.fold0.txt": "ca774f128f0459b2a000ca9f3c49e1c8752612c6fe7da42cf366a2a9ed65ea39",
+        "nolns.fold1.txt": "cabde939ae1cdd9a954416b1c6a9f4bad49070fb6b82ca73be8a6ff8a9af46ac",
+        "presence.jsonl": "7c5c5d9d32600c2daa62ae96df1187c840ddc224d647efe13a52fea42c43c0c0",
+        "qmf.jsonl": "b066f85395112c0eaddf2647bf1d1078c428102b5094b95a65d25f7d4b108d40",
+        "qmf_lex.jsonl": "b066f85395112c0eaddf2647bf1d1078c428102b5094b95a65d25f7d4b108d40",
+        "qmf_partial.jsonl": "95fe8ce7641684fa623affe545ff4200924fe0f094ccd45d9c67a59bd7c9ad90",
+        "qmf_wcu.jsonl": "f86671c14aee134f13ea9f5cc661564615340645ad0491331556a2383c795b22",
+        "rep.manifest.jsonl": "35f4c05fbe6dd118a53324f0cbf1db13b9144298d368a7f53534c523df759d82",
+        "rep.models.jsonl": "85fe50d236215a30634600bda610dd02fdec012d489c208366ee43b11106f9c1",
+        "rep.trials.tsv": "f49882f4e627041e2c47b1e8d95d79211815f5677e695dd1086e02ab248bb34a",
+        "report.tsv": "4406000a4e5c0c417eaa4a76664ff671ba79a55825e5faf9495f9cee7e72763e",
+        "scores.tsv": "7545ad68af935cefd909d02e1a3241a2c6f6b8a604dd81e2778e13dc66164533",
+        "scores_lex.tsv": "7545ad68af935cefd909d02e1a3241a2c6f6b8a604dd81e2778e13dc66164533",
+        "stdout.txt": "23a19a65424e80dc3b8ec7da0a3af3e3075f34c1d079e471a2a9179f8e4bf4aa",
+        "weights.txt": "ad58b19f69ee3ffcc0268d7c7b0d8bfbcc05615b686d88862751aca0a8044c05",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path, capsys, monkeypatch):
+        from phonrich.data import demo_lexicon_lines
+        monkeypatch.chdir(tmp_path)  # provenance names inputs by file name only
+        inputs = {"lexicon.txt", "transcripts.jsonl", "partial.jsonl", "nolns.jsonl"}
+        (tmp_path / "lexicon.txt").write_text(demo_lexicon_lines())
+        stdout = []
+
+        def step(*argv):
+            assert run(argv) == 0
+            stdout.append(capsys.readouterr().out)
+
+        step("make-demo", "--speakers", 4, "--seed", 31, "--out", "corpus.jsonl")
+        step("gen-protocol", "--corpus", "corpus.jsonl", "--protocol", "repetitive",
+             "--probes-per-speaker", 12, "--seed", 32, "--out-prefix", "rep")
+        simulate = ["simulate", "--trials", "rep.trials.tsv", "--manifest", "rep.manifest.jsonl",
+                    "--models", "rep.models.jsonl", "--seed", 33]
+        step(*simulate, "--out-scores", "scores.tsv", "--out-qmf", "qmf.jsonl")
+        step(*simulate, "--lexicon", "lexicon.txt", "--out-scores", "scores_lex.tsv",
+             "--out-qmf", "qmf_lex.jsonl")
+        manifest = read_jsonl("rep.manifest.jsonl")
+        write_transcripts(tmp_path / "transcripts.jsonl", [(m["test_id"], m["transcript"]) for m in manifest])
+        (tmp_path / "partial.jsonl").write_text("".join(
+            json.dumps({"test_id": m["test_id"], "net_speech": m["net_speech"]}) + "\n"
+            for m in manifest[::2]))
+        (tmp_path / "nolns.jsonl").write_text("".join(
+            json.dumps({k: v for k, v in rec.items() if k != "lns"}) + "\n"
+            for rec in read_jsonl("qmf.jsonl")))
+        step("g2p", "--transcripts", "transcripts.jsonl", "--lexicon", "lexicon.txt",
+             "--out", "presence.jsonl")
+        step("fit-weights", "--presence", "presence.jsonl", "--scores", "scores.tsv",
+             "--seed", 34, "--out", "weights.txt")
+        step("report-weights", "--weights", "weights.txt", "--presence", "presence.jsonl",
+             "--out", "report.tsv")
+        step("report-weights", "--weights", "weights.txt", "--presence", "presence.jsonl")
+        step("richness", "--presence", "presence.jsonl", "--weights", "weights.txt",
+             "--manifest", "rep.manifest.jsonl", "--out", "qmf_wcu.jsonl")
+        step("richness", "--presence", "presence.jsonl", "--manifest", "partial.jsonl",
+             "--out", "qmf_partial.jsonl")
+        step("stats", "--qmf", "qmf.jsonl")
+        step("stats", "--qmf", "qmf_partial.jsonl")
+        step("calibrate", "--scores", "scores.tsv", "--qmf", "qmf_wcu.jsonl", "--features", "raw,lns,wcu",
+             "--folds", 3, "--seed", 35, "--out-scores", "cal.tsv", "--out-models", "model")
+        step("calibrate", "--scores", "scores.tsv", "--qmf", "nolns.jsonl", "--features", "raw,lns",
+             "--folds", 2, "--seed", 36, "--out-scores", "cal_nolns.tsv", "--out-models", "nolns")
+        (tmp_path / "stdout.txt").write_text("".join(stdout))
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(tmp_path.iterdir()) if p.name not in inputs}
+        assert digests == self.DIGESTS
+
+
 SCORES_HEADER = "# provenance\nmodel_id\ttest_id\tlabel\traw_score\n"
 GOOD_ROWS = ["m1\tt1\ttarget\t0.9", "m1\tt2\tnontarget\t0.1", "m2\tt2\ttarget\t0.8",
              "m2\tt1\tnontarget\t0.2"]
@@ -373,6 +461,58 @@ class TestQmfFile:
         assert captured.err == f"error: {qmf}:3: cu must be a number, got {json.dumps(value)}\n"
         assert captured.out == ""
 
+
+
+class TestNonFiniteNumbers:
+    """NaN, Infinity and -Infinity are not JSON, and a number literal too large for a float is
+    not finite: each fails with one error line naming the file, line and key."""
+
+    @pytest.mark.parametrize("command", ["stats", "evaluate"])
+    @pytest.mark.parametrize("text, shown", [("NaN", "NaN"), ("-Infinity", "-Infinity"), ("1e999", "Infinity")],
+                             ids=["nan", "minus-infinity", "overflow"])
+    def test_qmf_value_names_file_and_line(self, tmp_path, capsys, command, text, shown):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "\n".join(GOOD_ROWS) + "\n")
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text('# provenance\n{"test_id": "t1", "cu": 5, "net_speech": 2.0}\n'
+                       '{"test_id": "t2", "cu": %s, "net_speech": 3.0}\n' % text)
+        scatter = tmp_path / "scatter.csv"
+        argv = {"evaluate": ["evaluate", "--scores", scores, "--qmf", qmf, "--features", "none",
+                             "--correlation-out", scatter],
+                "stats": ["stats", "--qmf", qmf]}[command]
+        assert run(argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {qmf}:3: cu must be a finite number, got {shown}\n"
+        assert captured.out == ""
+        assert not scatter.exists()
+
+    def test_net_speech_summing_to_infinity_is_not_written(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = [dict(VALID_RECORDS["corpus"], utterance_id=f"s{k}", net_speech=1e308) for k in range(2)]
+        records += [dict(VALID_RECORDS["corpus"], utterance_id=f"w{r}", kind="word", word_text="cat",
+                         repetition_index=r) for r in range(1, 11)]
+        corpus.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert run(["gen-protocol", "--corpus", corpus, "--protocol", "repetitive", "--probes-per-speaker", 2,
+                    "--seed", 1, "--out-prefix", tmp_path / "rep"]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == "error: Out of range float values are not JSON compliant\n"
+        assert "Infinity" not in (tmp_path / "rep.models.jsonl").read_text()
+
+    def test_integer_too_long_to_read_names_file_and_line(self, tmp_path, capsys):
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text('{"test_id": "t1", "cu": 5, "net_speech": 2.0}\n{"test_id": "t2", "cu": %s}\n' % ("7" * 5000))
+        assert run(["stats", "--qmf", qmf]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err.startswith(f"error: {qmf}:2: malformed JSONL line: Exceeds the limit")
+
+    def test_simulate_manifest_infinity_names_file_and_line(self, tmp_path, small_inputs, capsys):
+        path = small_inputs["manifest"]
+        path.write_text(json.dumps(dict(VALID_RECORDS["manifest"], net_speech=float("inf"))) + "\n")
+        assert run_with(tmp_path, small_inputs, SIMULATE) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:1: net_speech must be a finite number, got Infinity\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
 
 class TestEvaluateOutputOrder:
     def test_failed_correlation_report_prints_and_writes_nothing(self, tmp_path, capsys):
@@ -796,6 +936,44 @@ class TestJsonlLineBreaks:
         assert run_with(tmp_path, small_inputs, argv) == 1
         assert only_error_line(capsys).err == f"error: {path}:2: bits must have 39 characters, got 3\n"
 
+
+
+class TestTsvLineBreaks:
+    """TSV files end lines only at \\n, \\r\\n and \\r, as JSONL files do, so an id may hold U+2028."""
+
+    @pytest.fixture
+    def protocol(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        assert run(["make-demo", "--speakers", 4, "--seed", 1, "--out", corpus]) == 0
+        records = read_jsonl(corpus)
+        for rec in records:
+            rec["speaker_id"] = rec["speaker_id"].replace("spk001", "spk\u2028001")
+        corpus.write_text("".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
+        prefix = tmp_path / "rep"
+        assert run(["gen-protocol", "--corpus", corpus, "--protocol", "repetitive",
+                    "--probes-per-speaker", 3, "--seed", 2, "--out-prefix", prefix]) == 0
+        assert "\u2028" in (tmp_path / "rep.trials.tsv").read_text()
+        return prefix
+
+    def simulate(self, prefix):
+        return run(["simulate", "--trials", f"{prefix}.trials.tsv", "--manifest", f"{prefix}.manifest.jsonl",
+                    "--models", f"{prefix}.models.jsonl", "--seed", 3,
+                    "--out-scores", f"{prefix}.scores.tsv", "--out-qmf", f"{prefix}.qmf.jsonl"])
+
+    def test_an_id_holding_a_line_separator_runs_through(self, protocol, capsys):
+        assert self.simulate(protocol) == 0
+        assert "spk\u2028001" in read_scores(f"{protocol}.scores.tsv").models
+        assert run(["stats", "--qmf", f"{protocol}.qmf.jsonl"]) == 0
+
+    def test_bad_row_after_a_line_separator_names_its_line(self, protocol, capsys):
+        trials = Path(f"{protocol}.trials.tsv")
+        with open(trials, "a") as f:
+            f.write("spk000\tspk000_probe00000\tmaybe\n")
+        capsys.readouterr()
+        assert self.simulate(protocol) == 1
+        captured = only_error_line(capsys)
+        line = trials.read_bytes().count(b"\n")
+        assert captured.err == f"error: {trials}:{line}: label must be target/nontarget, got 'maybe'\n"
 
 class TestWeightsFileLine:
     """A weights line that is not PHONEME<TAB>number fails with its file and line."""

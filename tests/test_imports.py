@@ -1,4 +1,5 @@
-"""Every name a phonrich module imports is used in that module (``__init__`` re-exports aside)."""
+"""Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
+and no module splits text into lines on its own."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,9 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_no_splitlines(module):
+    """str.splitlines() also breaks at U+2028, \\x0b, \\x0c and more; io.text_lines holds the one line rule."""
+    assert "splitlines" not in module.read_text()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phonrich.metrics import (Trials, compute_eer, compute_min_c_primary,
+from phonrich.metrics import (Qmfs, Trials, compute_eer, compute_min_c_primary,
                               correlation_report, kendall_tau, protocol_stats)
 
 from oracles import (brute_force_eer, brute_force_min_c_primary, brute_force_tau,
@@ -183,7 +183,7 @@ class TestTrials:
 class TestCorrelationReport:
     def test_per_class_taus_and_scatter(self):
         trials = make_trials([0.9, 0.7, 0.5], [0.3, 0.2, 0.4])
-        qmfs = {t: {"cu": float(i)} for i, t in enumerate(trials.tests)}
+        qmfs = Qmfs.from_columns(trials.tests, {"cu": range(len(trials.tests))})
         taus, scatter = correlation_report(trials, qmfs)
         assert ("target", "cu") in taus and ("nontarget", "cu") in taus
         assert len(scatter) == len(trials)
@@ -192,23 +192,53 @@ class TestCorrelationReport:
     def test_missing_qmf_error(self):
         trials = make_trials([0.9], [0.1])
         with pytest.raises(ValueError, match="missing QMF"):
-            correlation_report(trials, {"t0": {"cu": 1.0}})
+            correlation_report(trials, Qmfs(["t0"], ["cu"], np.array([[1.0]])))
 
     def test_constant_qmf_error(self):
         trials = make_trials([0.9, 0.7], [0.3, 0.2])
-        qmfs = {t: {"cu": 5.0} for t in trials.tests}
+        qmfs = Qmfs.from_columns(trials.tests, {"cu": [5.0] * len(trials.tests)})
         with pytest.raises(ValueError, match="tied"):
             correlation_report(trials, qmfs)
 
 
+
+class TestQmfs:
+    TABLE = Qmfs(["a", "b", "c"], ["cu", "wcu"], np.array([[1.0, 0.5], [2.0, np.nan], [3.0, 1.5]]))
+
+    def test_join_gives_a_row_per_test_in_their_order(self):
+        assert self.TABLE.join(["c", "a", "c"], ["wcu", "cu"]).tolist() == [[1.5, 3.0], [0.5, 1.0], [1.5, 3.0]]
+
+    @pytest.mark.parametrize("tests, names, message", [
+        (["a", "x", "b"], ["wcu"], "missing QMF values for test 'x'"),
+        (["a", "b", "x"], ["cu", "wcu"], "missing QMF 'wcu' for test 'b'"),
+        (["a"], ["lns"], "missing QMF 'lns' for test 'a'"),
+    ], ids=["no-row", "no-value", "no-column"])
+    def test_join_names_the_first_test_that_fails(self, tests, names, message):
+        with pytest.raises(ValueError, match=message):
+            self.TABLE.join(tests, names)
+
+    def test_names_of_a_test(self):
+        assert self.TABLE.names_of("a") == ["cu", "wcu"]
+        assert self.TABLE.names_of("b") == ["cu"]
+        assert self.TABLE.names_of("x") == []
+
+    def test_write_then_read_keeps_the_table(self, tmp_path):
+        from phonrich.io import read_qmfs, write_qmfs
+        path = tmp_path / "qmf.jsonl"
+        write_qmfs(path, self.TABLE, "# provenance")
+        assert path.read_text().splitlines()[2] == '{"cu": 2.0, "test_id": "b"}'
+        back = read_qmfs(path)
+        assert (back.test_ids, back.names) == (self.TABLE.test_ids, self.TABLE.names)
+        assert np.array_equal(back.values, self.TABLE.values, equal_nan=True)
+
 class TestProtocolStats:
     def test_single_utterance(self):
-        assert protocol_stats([(2.0, 10)]) == (2.0, 0.0, 10.0, 0.0)
+        assert protocol_stats(Qmfs(["t"], ["cu", "net_speech"], np.array([[10, 2.0]]))) == (2.0, 0.0, 10.0, 0.0)
 
     def test_two_utterances(self):
-        ns_mean, ns_std, cu_mean, cu_std = protocol_stats([(1, 10), (3, 20)])
+        ns_mean, ns_std, cu_mean, cu_std = protocol_stats(Qmfs.from_columns(["a", "b"], {"net_speech": [1, 3], "cu": [10, 20]}))
         assert (ns_mean, ns_std, cu_mean, cu_std) == (2.0, 1.0, 15.0, 5.0)
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            protocol_stats([])
+            protocol_stats(Qmfs(["a"], ["cu"], np.array([[10.0]])))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
+from phonrich.lexicon import Lexicon
 from phonrich.metrics import compute_eer, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
 from phonrich.simulator import SimConfig, cosine_score, simulate_corpus
@@ -30,7 +31,7 @@ def targets(trials):
 
 def config(protocol, **kw):
     defaults = dict(sigma0=0.6, kappa=2.0, seed=4,
-                    vocabulary=DEMO_VOCABULARY, dim=32)
+                    lexicon=Lexicon.from_entries(DEMO_VOCABULARY), dim=32)
     defaults.update(kw)
     return SimConfig(**defaults)
 
@@ -94,7 +95,7 @@ class TestSimulateCorpus:
         res = simulate_corpus(config(protocol, kappa=0.0, seed=6), protocol)
         pos = targets(res.trials)
         assert len(pos) >= 500
-        cu = [res.qmfs[t]["cu"] for t, _ in pos]
+        cu = res.qmfs.join([t for t, _ in pos], ["cu"])[:, 0]
         scores = [s for _, s in pos]
         assert abs(kendall_tau(cu, scores)) < 0.05
 
@@ -108,25 +109,24 @@ class TestSimulateCorpus:
     def test_quartile_monotonicity(self, protocol):
         res = simulate_corpus(config(protocol), protocol)
         pos = targets(res.trials)
-        cu = np.array([res.qmfs[t]["cu"] for t, _ in pos])
+        cu = res.qmfs.join([t for t, _ in pos], ["cu"])[:, 0]
         scores = np.array([s for _, s in pos])
         lo, hi = np.quantile(cu, [0.25, 0.75])
         assert scores[cu >= hi].mean() > scores[cu <= lo].mean()
 
     def test_qmfs_carry_cu_and_lns(self, protocol):
         res = simulate_corpus(config(protocol), protocol)
-        for t in protocol.tests:
-            q = res.qmfs[t.test_id]
-            assert {"cu", "net_speech", "lns"} <= set(q)
-            assert 0 <= q["cu"] <= 39
-            assert q["lns"] == pytest.approx(np.log(q["net_speech"]))
+        cu, lns, net_speech = res.qmfs.join([t.test_id for t in protocol.tests],
+                                            ["cu", "lns", "net_speech"]).T
+        assert np.all((0 <= cu) & (cu <= 39))
+        assert lns == pytest.approx(np.log(net_speech))
 
 
 class TestSimConfig:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            SimConfig(sigma0=0.0, kappa=1.0, seed=0, vocabulary={})
+            SimConfig(sigma0=0.0, kappa=1.0, seed=0, lexicon=Lexicon({}))
         with pytest.raises(ValueError):
-            SimConfig(sigma0=0.5, kappa=-1.0, seed=0, vocabulary={})
+            SimConfig(sigma0=0.5, kappa=-1.0, seed=0, lexicon=Lexicon({}))
         with pytest.raises(ValueError):
-            SimConfig(sigma0=0.5, kappa=1.0, seed=0, vocabulary={}, dim=1)
+            SimConfig(sigma0=0.5, kappa=1.0, seed=0, lexicon=Lexicon({}), dim=1)
