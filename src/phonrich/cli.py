@@ -15,7 +15,7 @@ from .data import DEMO_VOCABULARY, make_demo_inventory
 from .inventory import BitstringError, PresenceVector
 from .io import (iter_jsonl, line_of, provenance_line, read_jsonl, read_qmfs, read_scores,
                  write_jsonl, write_qmfs, write_scores, write_tsv)
-from .lexicon import Lexicon, PhonemeTranscription, load_lexicon, presence_vector, transcribe
+from .lexicon import PhonemeError, PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
 from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
                         load_inventory_jsonl, load_protocol)
@@ -68,7 +68,8 @@ def cmd_richness(args) -> int:
         columns["wcu"] = weighted_count_unique(presence, weights)
     if args.manifest:
         net_speech = {rec["test_id"]: float(rec["net_speech"]) for rec in
-                      iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"})}
+                      iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"},
+                                 unique="test_id")}
         # NaN, so no net_speech or lns in the record, for a test the manifest does not name
         columns["net_speech"] = [net_speech.get(t, np.nan) for t in presence.utterance_ids]
         columns["lns"] = [log_net_speech(net_speech[t]) if t in net_speech else np.nan
@@ -121,7 +122,7 @@ def cmd_gen_protocol(args) -> int:
 
 def cmd_simulate(args) -> int:
     protocol = load_protocol(args.trials, args.manifest, args.models)
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else Lexicon.from_entries(DEMO_VOCABULARY)
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else DEMO_VOCABULARY
     config = SimConfig(sigma0=args.sigma0, kappa=args.kappa, seed=args.seed, lexicon=lexicon, dim=args.dim)
     result = simulate_corpus(config, protocol)
     inputs = [args.trials, args.manifest, args.models]
@@ -202,7 +203,10 @@ def cmd_report_weights(args) -> int:
     corpus = [PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"]))
               for rec in iter_jsonl(args.presence,
                                     required={"utterance_id": "string", "phonemes": "list of strings"})]
-    rows = weight_report(weights, corpus)
+    try:
+        rows = weight_report(weights, corpus)
+    except PhonemeError as exc:
+        raise ValueError(f"{args.presence}:{line_of(args.presence, exc.row, jsonl=True)}: {exc}") from None
     out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]
     header = ["phoneme", "normalized_weight", "frequency"]
     if args.out:

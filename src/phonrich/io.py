@@ -86,13 +86,15 @@ def write_jsonl(path: str | Path, records, provenance: str | None = None) -> Non
     write_lines(path, provenance, map(json.JSONEncoder(sort_keys=True, allow_nan=False).encode, records))
 
 
-# JSON type of a required key -> (the Python types json.loads gives it, the type of each
+# JSON type of a required or optional key -> (the Python types json.loads gives it, the type of each
 # item of a list); exact types, so true and false are not numbers
 JSON_TYPES = {
     "string": ({str}, None),
     "number": ({int, float}, None),
+    "integer": ({int}, None),
     "list": ({list}, None),
     "list of strings": ({list}, str),
+    "list of numbers or null": ({list, type(None)}, (int, float)),
 }
 _MISSING = object()
 
@@ -135,17 +137,21 @@ def _jsonl_lines(path: str | Path):
                 yield lineno, line.rstrip("\n")
 
 
-def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None):
+def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None,
+               optional: dict[str, str] | None = None):
     """One JSON object per line, each yielded once read and checked; '#' lines are comments.
 
     ``required`` maps each key a record must hold to its JSON type, a key
-    of JSON_TYPES. A missing key or a value of another type fails with
-    the file and line, as does a number that is not finite. NaN, Infinity
-    and -Infinity, which are not JSON, fail wherever they stand. No two
+    of JSON_TYPES, and ``optional`` each key it may hold. A missing
+    required key or a value of another type fails with the file and line,
+    as does a number that is not finite. NaN, Infinity and -Infinity,
+    which are not JSON, fail wherever they stand. No two
     records may share their value of the required key ``unique``: a
     repeat fails at its second record, naming the line of the first.
     """
-    checks = [(key, kind, *JSON_TYPES[kind]) for key, kind in (required or {}).items()]
+    required = required or {}
+    checks = [(key, kind, key in required, *JSON_TYPES[kind])
+              for key, kind in chain(required.items(), (optional or {}).items())]
     first_line: dict[str, int] = {}
     for lineno, line in _jsonl_lines(path):
         try:
@@ -161,12 +167,16 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
                                  f"got {json.dumps(value)}") from None
         if not isinstance(rec, dict):
             raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
-        for key, kind, types, item_type in checks:
+        for key, kind, needed, types, item_type in checks:
             value = rec.get(key, _MISSING)
-            if type(value) not in types or (item_type and not all(map(isinstance, value, repeat(item_type)))):
+            if type(value) not in types or (item_type and value
+                                            and not all(map(isinstance, value, repeat(item_type)))):
                 if value is _MISSING:
+                    if not needed:
+                        continue
                     raise ValueError(f"{path}:{lineno}: record has no {key}")
-                raise ValueError(f"{path}:{lineno}: {key} must be a {kind}, got {json.dumps(value)}")
+                article = "an" if kind[0] in "aeiou" else "a"
+                raise ValueError(f"{path}:{lineno}: {key} must be {article} {kind}, got {json.dumps(value)}")
             if kind == "number" and (error := _number_error(key, value)):
                 raise ValueError(f"{path}:{lineno}: {error}")
         if unique is not None:

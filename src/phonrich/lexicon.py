@@ -18,8 +18,12 @@ _VARIANT_RE = re.compile(r"^(.*)\((\d+)\)$")
 _EDGE_STRIP_RE = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
 
 
-class LexiconError(ValueError):
-    """Raised for unreadable or malformed dictionary files."""
+class PhonemeError(ValueError):
+    """A phoneme outside ARPABET_39; ``row`` indexes the transcriptions."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 def strip_stress(symbol: str) -> str:
@@ -27,58 +31,33 @@ def strip_stress(symbol: str) -> str:
     return m.group(1) if m else symbol
 
 
-@dataclass
-class Lexicon:
-    """Immutable word-to-pronunciations map over the ARPABET_39 symbols."""
-
-    entries: dict[str, list[tuple[str, ...]]]
-
-    def lookup(self, word: str) -> list[tuple[str, ...]]:
-        return self.entries.get(word.lower(), [])
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def from_entries(cls, entries: dict[str, list[tuple[str, ...]] | tuple[str, ...] | list[str]]) -> "Lexicon":
-        """Build a lexicon from in-memory word -> pronunciation(s) pairs."""
-        normalized: dict[str, list[tuple[str, ...]]] = {}
-        for word, prons in entries.items():
-            if prons and isinstance(prons[0], str):
-                prons = [prons]
-            variants = []
-            for pron in prons:
-                pron = tuple(strip_stress(p.upper()) for p in pron)
-                for sym in pron:
-                    if sym not in PHONEME_INDEX:
-                        raise LexiconError(f"symbol {sym!r} for word {word!r} not in inventory")
-                variants.append(pron)
-            normalized[word.lower()] = variants
-        return cls(normalized)
+# lower-case word -> its first-listed, stress-free ARPABET_39 pronunciation
+Lexicon = dict[str, tuple[str, ...]]
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a CMU-dictionary-style text file.
 
-    One entry per line: ``WORD  PH1 PH2 ...``. Variant entries carry a
-    ``(n)`` suffix on the word and are kept under the base key, in file
-    order. Stress digits 0-2 are stripped from symbols. Lines starting
-    with ``;;;`` are comments.
+    One entry per line: ``WORD  PH1 PH2 ...``. Words are lower-cased and
+    stress digits 0-2 are stripped from symbols. A word keeps its
+    first-listed pronunciation; later variant lines, whose word carries a
+    ``(n)`` suffix, are checked but not kept. Lines starting with ``;;;``
+    are comments.
     """
     path = Path(path)
     try:
         lines = text_lines(path, encoding="utf-8", errors="replace")
     except OSError as exc:
-        raise LexiconError(f"cannot read lexicon file {path}: {exc}") from exc
+        raise ValueError(f"cannot read lexicon file {path}: {exc}") from exc
 
-    entries: dict[str, list[tuple[str, ...]]] = {}
+    lexicon: Lexicon = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith(";;;"):
             continue
         parts = line.split()
         if len(parts) < 2:
-            raise LexiconError(f"{path}:{lineno}: malformed line (need word and pronunciation)")
+            raise ValueError(f"{path}:{lineno}: malformed line (need word and pronunciation)")
         word = parts[0]
         m = _VARIANT_RE.match(word)
         if m:
@@ -87,10 +66,10 @@ def load_lexicon(path: str | Path) -> Lexicon:
         for raw in parts[1:]:
             sym = strip_stress(raw.upper())
             if sym not in PHONEME_INDEX:
-                raise LexiconError(f"{path}:{lineno}: symbol {raw!r} not in inventory after stress stripping")
+                raise ValueError(f"{path}:{lineno}: symbol {raw!r} not in inventory after stress stripping")
             pron.append(sym)
-        entries.setdefault(word.lower(), []).append(tuple(pron))
-    return Lexicon(entries)
+        lexicon.setdefault(word.lower(), tuple(pron))
+    return lexicon
 
 
 @dataclass
@@ -117,9 +96,9 @@ def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTr
     phonemes: list[str] = []
     oov = 0
     for word in tokenize(text):
-        prons = lexicon.lookup(word)
-        if prons:
-            phonemes.extend(prons[0])
+        pron = lexicon.get(word)
+        if pron:
+            phonemes.extend(pron)
         else:
             oov += 1
     return PhonemeTranscription(utterance_id, tuple(phonemes), oov)
@@ -128,7 +107,7 @@ def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTr
 def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarray, np.ndarray]:
     """ARPABET_39 index of every phoneme token, and the row of the transcription it is in.
 
-    A symbol outside ARPABET_39 raises a ValueError naming its utterance.
+    A symbol outside ARPABET_39 raises a PhonemeError naming its utterance.
     """
     lengths = np.fromiter((len(t.phonemes) for t in transcriptions), dtype=np.intp,
                           count=len(transcriptions))
@@ -137,8 +116,8 @@ def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarra
     rows = np.repeat(np.arange(len(transcriptions)), lengths)
     if codes.size and codes.min() < 0:
         k = int(np.argmin(codes))
-        raise ValueError(f"{transcriptions[rows[k]].utterance_id}: phoneme {tokens[k]!r} "
-                         f"is not an ARPABET-39 symbol")
+        raise PhonemeError(int(rows[k]), f"{transcriptions[rows[k]].utterance_id}: phoneme {tokens[k]!r} "
+                                         f"is not an ARPABET-39 symbol")
     return codes, rows
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from sys import intern
 
@@ -19,6 +21,10 @@ MANIFEST_KEYS = {"test_id": "string", "speaker_id": "string", "transcript": "str
                  "net_speech": "number", "source_ids": "list"}
 MODEL_KEYS = {"model_id": "string", "speaker_id": "string", "net_speech": "number", "source_ids": "list"}
 CORPUS_KEYS = {"utterance_id": "string", "speaker_id": "string", "kind": "string", "net_speech": "number"}
+# keys a corpus record may hold, with their JSON types
+CORPUS_OPTIONAL_KEYS = {"transcript": "string", "word_text": "string", "repetition_index": "integer",
+                        "gender": "string", "word_durations": "list of numbers or null"}
+CORPUS_KINDS = ("sentence", "word", "digit", "free")
 
 
 @dataclass
@@ -27,7 +33,7 @@ class UtteranceRecord:
 
     utterance_id: str
     speaker_id: str
-    kind: str  # sentence | word | digit | free
+    kind: str  # one of CORPUS_KINDS
     net_speech: float
     transcript: str
     word_text: str = ""
@@ -36,6 +42,9 @@ class UtteranceRecord:
     word_durations: list[float] | None = None
 
     def __post_init__(self):
+        if self.kind not in CORPUS_KINDS:
+            raise ValueError(f"{self.utterance_id}: kind must be one of {'|'.join(CORPUS_KINDS)}, "
+                             f"got {self.kind!r}")
         if self.net_speech <= 0:
             raise ValueError(f"{self.utterance_id}: net_speech must be > 0")
         if self.kind == "word" and self.repetition_index < 1:
@@ -276,7 +285,16 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
 
 def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str | Path,
                 models_path: str | Path, provenance: str | None = None) -> None:
-    """Write the trial TSV and manifest/models JSONL; byte-stable for a given spec."""
+    """Write the trial TSV and manifest/models JSONL; byte-stable for a given spec.
+
+    A model or test whose net_speech is not finite (a sum of recordings
+    that overflowed) fails, naming it, before any file is written.
+    """
+    bad = next((r for r in chain(spec.models, spec.tests) if not math.isfinite(r.net_speech)), None)
+    if bad is not None:
+        name = f"model {bad.model_id}" if isinstance(bad, ModelRecord) else f"test {bad.test_id}"
+        raise ValueError(f"{name}: net_speech of its recordings sums to {bad.net_speech}, "
+                         f"not a finite number")
     pairs = np.concatenate([spec.positive_trials, spec.negative_trials])
     labels = [TARGET] * len(spec.positive_trials) + [NONTARGET] * len(spec.negative_trials)
     rows = zip(decode_ids([m.model_id for m in spec.models], pairs[:, 0]),
@@ -341,10 +359,18 @@ def load_inventory_jsonl(path: str | Path) -> list[UtteranceRecord]:
     """Utterance inventory JSONL -> records (see README for the field list).
 
     Records are built as the file streams in, and the strings that repeat
-    from record to record are shared through sys.intern.
+    from record to record are shared through sys.intern. A record that
+    UtteranceRecord refuses fails with the file and line.
     """
-    return [UtteranceRecord(rec["utterance_id"], intern(rec["speaker_id"]), intern(rec["kind"]),
-                            float(rec["net_speech"]), intern(rec.get("transcript", "")),
-                            intern(rec.get("word_text", "")), int(rec.get("repetition_index", 0)),
-                            intern(rec.get("gender", "")), rec.get("word_durations"))
-            for rec in iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id")]
+    records = []
+    for row, rec in enumerate(iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id",
+                                         optional=CORPUS_OPTIONAL_KEYS)):
+        try:
+            records.append(UtteranceRecord(
+                rec["utterance_id"], intern(rec["speaker_id"]), intern(rec["kind"]),
+                float(rec["net_speech"]), intern(rec.get("transcript", "")),
+                intern(rec.get("word_text", "")), rec.get("repetition_index", 0),
+                intern(rec.get("gender", "")), rec.get("word_durations")))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_of(path, row, jsonl=True)}: {exc}") from None
+    return records

@@ -14,7 +14,7 @@ from phonrich.cli import main as cli_main
 from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines, make_demo_inventory
 from phonrich.inventory import ARPABET_39, PresenceVector
 from phonrich.io import read_jsonl, write_jsonl
-from phonrich.lexicon import Lexicon, PhonemeTranscription, load_lexicon, presence_vector
+from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
 from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
 from phonrich.richness import RichnessWeights, count_unique, fit_weights, weighted_count_unique
@@ -57,7 +57,7 @@ def simulator_run():
     protocol = build_repetitive_protocol(words, sentences, 200, seed=11,
                                          negatives_per_probe=4)
     config = SimConfig(sigma0=0.6, kappa=2.0, seed=13,
-                       lexicon=Lexicon.from_entries(DEMO_VOCABULARY), dim=80)
+                       lexicon=DEMO_VOCABULARY, dim=80)
     result = simulate_corpus(config, protocol)
     return result, time.time() - t0
 
@@ -249,7 +249,7 @@ def test_criterion_9_g2p_correctness(tmp_path):
     lexfile.write_text(CMUDICT_LINES)
     lex = load_lexicon(lexfile)
     mismatches = [w for w, pron in EXPECTED_PRONUNCIATIONS.items()
-                  if not lex.lookup(w) or lex.lookup(w)[0] != pron]
+                  if lex.get(w) != pron]
     words_ok = len(mismatches) == 0 and len(EXPECTED_PRONUNCIATIONS) == 20
 
     rng = np.random.default_rng(1009)

@@ -495,8 +495,8 @@ class TestNonFiniteNumbers:
         assert run(["gen-protocol", "--corpus", corpus, "--protocol", "repetitive", "--probes-per-speaker", 2,
                     "--seed", 1, "--out-prefix", tmp_path / "rep"]) == 1
         captured = only_error_line(capsys)
-        assert captured.err == "error: Out of range float values are not JSON compliant\n"
-        assert "Infinity" not in (tmp_path / "rep.models.jsonl").read_text()
+        assert captured.err == "error: model a: net_speech of its recordings sums to inf, not a finite number\n"
+        assert not list(tmp_path.glob("rep.*"))
 
     def test_integer_too_long_to_read_names_file_and_line(self, tmp_path, capsys):
         qmf = tmp_path / "qmf.jsonl"
@@ -761,6 +761,41 @@ class TestReportWeightsPhonemes:
         assert "'XX'" in captured.err
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_phoneme_names_file_and_line(self, tmp_path, small_inputs, capsys):
+        path = small_inputs["presence"]
+        path.write_text("# provenance\n" + json.dumps(VALID_RECORDS["presence"]) + "\n\n"
+                        + json.dumps(presence_record("u1", ("K", "XX"))) + "\n")
+        assert run_with(tmp_path, small_inputs, REPORT_WEIGHTS) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:4: u1: phoneme 'XX' is not an ARPABET-39 symbol\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestCorpusRecords:
+    """A corpus record gen-protocol cannot use fails with one error line naming its file and line."""
+
+    WORD = dict(VALID_RECORDS["corpus"], utterance_id="u1", kind="word", word_text="cat",
+                repetition_index=1, word_durations=None)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"repetition_index": "x"}, 'repetition_index must be an integer, got "x"'),
+        ({"net_speech": 0}, "u1: net_speech must be > 0"),
+        ({"repetition_index": 0}, "u1: word recordings need repetition_index >= 1"),
+        ({"kind": "wrd"}, "u1: kind must be one of sentence|word|digit|free, got 'wrd'"),
+        ({"transcript": 5}, "transcript must be a string, got 5"),
+        ({"word_durations": ["0.5"]}, 'word_durations must be a list of numbers or null, got ["0.5"]'),
+    ], ids=["repetition-index-not-integer", "net-speech-zero", "word-repetition-zero", "unknown-kind",
+            "transcript-not-string", "word-durations-not-numbers"])
+    def test_bad_record_names_file_and_line(self, tmp_path, small_inputs, capsys, changes, message):
+        path = small_inputs["corpus"]
+        path.write_text("# provenance\n" + json.dumps(VALID_RECORDS["corpus"]) + "\n\n"
+                        + json.dumps(dict(self.WORD, **changes)) + "\n")
+        assert run_with(tmp_path, small_inputs, GEN_PROTOCOL) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:4: {message}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
 
 class TestTrialList:
     """simulate --trials and gen-protocol --base-trials share one trial-list reader."""
@@ -840,8 +875,9 @@ class TestRepeatedIds:
         (G2P, "transcripts", "utterance_id"),
         (GEN_PROTOCOL, "corpus", "utterance_id"),
         (["stats", "--qmf", "qmf"], "qmf", "test_id"),
+        (RICHNESS, "manifest", "test_id"),
     ], ids=["simulate-manifest", "simulate-models", "richness-presence", "fit-weights-presence",
-            "g2p-transcripts", "gen-protocol-corpus", "stats-qmf"])
+            "g2p-transcripts", "gen-protocol-corpus", "stats-qmf", "richness-manifest"])
     def test_repeated_id_names_both_lines(self, tmp_path, small_inputs, capsys, argv, bad, key):
         path = small_inputs[bad]
         record = json.dumps(VALID_RECORDS[bad])

@@ -3,16 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from phonrich.inventory import ARPABET_39, PHONEME_INDEX, BitstringError, PresenceVector
-from phonrich.lexicon import (Lexicon, LexiconError, PhonemeTranscription, load_lexicon,
-                              presence_vector, tokenize, transcribe)
+from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines
+from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector, tokenize, transcribe
 
 from conftest import EXPECTED_PRONUNCIATIONS
 
 phoneme_seqs = st.lists(st.sampled_from(ARPABET_39), max_size=60)
-
-
-def make_lexicon(entries):
-    return Lexicon.from_entries(entries)
 
 
 class TestLoadLexicon:
@@ -20,7 +16,7 @@ class TestLoadLexicon:
         path = tmp_path / "lex.txt"
         path.write_text("CAT  K AE1 T\n")
         lex = load_lexicon(path)
-        assert lex.lookup("cat") == [("K", "AE", "T")]
+        assert lex["cat"] == ("K", "AE", "T")
 
     def test_empty_file_gives_empty_lexicon(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -32,28 +28,33 @@ class TestLoadLexicon:
     def test_bad_symbol_names_line_and_symbol(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("CAT  K AE1 T\nFOO  K QX T\n")
-        with pytest.raises(LexiconError, match=r"lex.txt:2.*'QX'"):
+        with pytest.raises(ValueError, match=r"lex.txt:2.*'QX'"):
             load_lexicon(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("JUSTAWORD\n")
-        with pytest.raises(LexiconError, match="malformed"):
+        with pytest.raises(ValueError, match="malformed"):
             load_lexicon(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(LexiconError):
+        with pytest.raises(ValueError, match="cannot read lexicon file"):
             load_lexicon(tmp_path / "nope.txt")
 
-    def test_variants_kept_under_base_word(self, lexicon_file):
+    def test_first_listed_variant_kept(self, lexicon_file):
         lex = load_lexicon(lexicon_file)
-        assert lex.lookup("hello") == [("HH", "AH", "L", "OW"), ("HH", "EH", "L", "OW")]
+        assert lex["hello"] == ("HH", "AH", "L", "OW")
+
+    def test_bad_symbol_on_a_variant_line_names_its_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("HELLO  HH AH0 L OW1\nHELLO(1)  HH QX L OW1\n")
+        with pytest.raises(ValueError, match=r"lex.txt:2.*'QX'"):
+            load_lexicon(path)
 
     def test_no_digits_survive(self, lexicon_file):
         lex = load_lexicon(lexicon_file)
-        for prons in lex.entries.values():
-            for pron in prons:
-                assert not any(any(c.isdigit() for c in sym) for sym in pron)
+        for pron in lex.values():
+            assert not any(any(c.isdigit() for c in sym) for sym in pron)
 
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -63,40 +64,53 @@ class TestLoadLexicon:
     def test_hand_verified_words(self, lexicon_file):
         lex = load_lexicon(lexicon_file)
         for word, pron in EXPECTED_PRONUNCIATIONS.items():
-            assert lex.lookup(word)[0] == pron, word
+            assert lex[word] == pron, word
+
+
+class TestDemoVocabulary:
+    def test_words_are_lower_case_and_symbols_in_the_inventory(self):
+        for word, pron in DEMO_VOCABULARY.items():
+            assert word and word == word.lower(), word
+            assert set(pron) <= set(ARPABET_39), word
+
+    def test_is_what_load_lexicon_reads_from_its_dictionary_text(self, tmp_path):
+        path = tmp_path / "demo.txt"
+        path.write_text(demo_lexicon_lines())
+        assert load_lexicon(path) == DEMO_VOCABULARY
 
 
 class TestTranscribe:
     def test_simple_lookup(self):
-        lex = make_lexicon({"cat": ("K", "AE", "T")})
+        lex = {"cat": ("K", "AE", "T")}
         trans = transcribe("cat", lex)
         assert trans.phonemes == ("K", "AE", "T")
         assert trans.oov_words == 0
 
     def test_empty_text(self):
-        lex = make_lexicon({"cat": ("K", "AE", "T")})
+        lex = {"cat": ("K", "AE", "T")}
         trans = transcribe("", lex)
         assert trans.phonemes == ()
         assert trans.oov_words == 0
 
     def test_oov_counted_not_fatal(self):
-        lex = make_lexicon({"cat": ("K", "AE", "T")})
+        lex = {"cat": ("K", "AE", "T")}
         trans = transcribe("zzqq cat", lex)
         assert trans.phonemes == ("K", "AE", "T")
         assert trans.oov_words == 1
 
-    def test_first_pronunciation_used(self):
-        lex = make_lexicon({"hello": [("HH", "AH", "L", "OW"), ("HH", "EH", "L", "OW")]})
-        assert transcribe("hello", lex).phonemes == ("HH", "AH", "L", "OW")
+    def test_first_pronunciation_used(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("HELLO  HH AH0 L OW1\nHELLO(1)  HH EH0 L OW1\n")
+        assert transcribe("hello", load_lexicon(path)).phonemes == ("HH", "AH", "L", "OW")
 
     def test_case_and_punctuation(self):
-        lex = make_lexicon({"cat": ("K", "AE", "T"), "don't": ("D", "OW", "N", "T")})
+        lex = {"cat": ("K", "AE", "T"), "don't": ("D", "OW", "N", "T")}
         trans = transcribe('"Cat, DON\'T!!"', lex)
         assert trans.phonemes == ("K", "AE", "T", "D", "OW", "N", "T")
         assert trans.oov_words == 0
 
     def test_deterministic(self):
-        lex = make_lexicon({"cat": ("K", "AE", "T"), "dog": ("D", "AO", "G")})
+        lex = {"cat": ("K", "AE", "T"), "dog": ("D", "AO", "G")}
         a = transcribe("cat dog cat", lex)
         b = transcribe("cat dog cat", lex)
         assert a == b

@@ -6,7 +6,7 @@ import pytest
 
 from phonrich.data import DEMO_VOCABULARY, N_REPETITIONS, make_demo_inventory, word_duration
 from phonrich.io import write_jsonl
-from phonrich.lexicon import Lexicon, presence_vector, transcribe
+from phonrich.lexicon import presence_vector, transcribe
 from phonrich.protocols import (MAX_PROBE_REDRAWS, ModelRecord, ProtocolSpec, ProbeEntry, UtteranceRecord,
                                 _draw_probe, build_clip_protocol, build_enrollment,
                                 build_repetitive_protocol, emit_trials, join_trials,
@@ -50,8 +50,7 @@ class TestBuildEnrollment:
 
     def test_full_inventory_enrollment_has_cu_39(self, demo_inventory):
         models = build_enrollment([r for r in demo_inventory if r.kind == "sentence"])
-        lex = Lexicon.from_entries(dict(DEMO_VOCABULARY))
-        cu = count_unique(presence_vector([transcribe(models[0].transcript, lex)]))
+        cu = count_unique(presence_vector([transcribe(models[0].transcript, DEMO_VOCABULARY)]))
         assert cu.tolist() == [39]
 
     def test_no_sentences_error(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
-from phonrich.lexicon import Lexicon
 from phonrich.metrics import compute_eer, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
 from phonrich.simulator import SimConfig, cosine_score, simulate_corpus
@@ -31,7 +30,7 @@ def targets(trials):
 
 def config(protocol, **kw):
     defaults = dict(sigma0=0.6, kappa=2.0, seed=4,
-                    lexicon=Lexicon.from_entries(DEMO_VOCABULARY), dim=32)
+                    lexicon=DEMO_VOCABULARY, dim=32)
     defaults.update(kw)
     return SimConfig(**defaults)
 
@@ -125,8 +124,8 @@ class TestSimulateCorpus:
 class TestSimConfig:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            SimConfig(sigma0=0.0, kappa=1.0, seed=0, lexicon=Lexicon({}))
+            SimConfig(sigma0=0.0, kappa=1.0, seed=0, lexicon={})
         with pytest.raises(ValueError):
-            SimConfig(sigma0=0.5, kappa=-1.0, seed=0, lexicon=Lexicon({}))
+            SimConfig(sigma0=0.5, kappa=-1.0, seed=0, lexicon={})
         with pytest.raises(ValueError):
-            SimConfig(sigma0=0.5, kappa=1.0, seed=0, lexicon=Lexicon({}), dim=1)
+            SimConfig(sigma0=0.5, kappa=1.0, seed=0, lexicon={}, dim=1)
