@@ -118,9 +118,10 @@ def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationMode
         return float(np.sum(sample_w * (y * z - np.logaddexp(0.0, z))))
 
     beta = np.zeros(d + 1)
+    z = Xb @ beta
+    base = loglik(z)
     converged = False
     for _ in range(MAX_ITER):
-        z = Xb @ beta
         p = _sigmoid(z)
         grad = Xb.T @ (sample_w * (y - p))
         if np.max(np.abs(grad)) < GRAD_TOL:
@@ -131,17 +132,20 @@ def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationMode
         step = np.linalg.solve(H, grad)
         # halve the Newton step until the weighted log-likelihood does not
         # decrease; keeps separable data growing monotonically instead of
-        # oscillating once the Hessian degenerates
-        base = loglik(z)
+        # oscillating once the Hessian degenerates. The accepted step's z and
+        # log-likelihood are the next iteration's.
         for _ in range(30):
-            if loglik(Xb @ (beta + step)) >= base:
+            stepped = beta + step
+            stepped_z = Xb @ stepped
+            stepped_loglik = loglik(stepped_z)
+            if stepped_loglik >= base:
                 break
             step = step / 2.0
         else:
             break
-        if np.array_equal(beta + step, beta):
+        if np.array_equal(stepped, beta):
             break  # floating-point fixed point: every later iteration replays this one
-        beta = beta + step
+        beta, z, base = stepped, stepped_z, stepped_loglik
 
     return CalibrationModel(
         coefficients=beta[1:],

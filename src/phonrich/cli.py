@@ -14,7 +14,7 @@ from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_spe
 from .data import DEMO_VOCABULARY, make_demo_inventory
 from .inventory import BitstringError, PresenceVector
 from .io import (iter_jsonl, line_of, provenance_line, read_jsonl, read_qmfs, read_scores,
-                 write_jsonl, write_qmfs, write_scores, write_tsv)
+                 write_jsonl, write_qmfs, write_scatter, write_scores, write_tsv)
 from .lexicon import PhonemeError, PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
 from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
@@ -40,7 +40,7 @@ def cmd_g2p(args) -> int:
                                  count_unique(presence).tolist())]
     prov = provenance_line("g2p", None, [args.transcripts, args.lexicon])
     write_jsonl(args.out, records, prov)
-    total_words = sum(len(rec["transcript"].split()) for rec in transcripts)
+    total_words = sum(trans.words for trans in transcriptions)
     total_oov = sum(trans.oov_words for trans in transcriptions)
     rate = total_oov / total_words if total_words else 0.0
     print(f"g2p: utterances={len(records)} oov_words={total_oov} oov_rate={rate:.4f}")
@@ -181,18 +181,16 @@ def cmd_evaluate(args) -> int:
         name = ",".join(fs) if fs else "none"
         rows.append((name, f"{100 * eer:.2f}", f"{minc:.3f}"))
     # the report can still fail, so it runs before anything is printed or written
-    taus, scatter = correlation_report(trials, qmfs) if args.correlation_out else ({}, [])
+    report = correlation_report(trials, qmfs) if args.correlation_out else None
     header = ["features", "eer_percent", "min_c_primary"]
     for row in rows:
         print("\t".join(row))
     if args.out:
         inputs = [args.scores] + ([args.qmf] if args.qmf else [])
         write_tsv(args.out, header, rows, provenance_line("evaluate", args.seed, inputs))
-    if args.correlation_out:
-        with open(args.correlation_out, "w") as f:
-            f.write("test_id,qmf_name,qmf_value,score,label\n")
-            f.writelines(f"{tid},{name},{val:.17g},{score:.17g},{label}\n"
-                         for tid, name, val, score, label in scatter)
+    if report is not None:
+        taus, qmf_names, block = report
+        write_scatter(args.correlation_out, trials, qmf_names, block)
         for (label, name), tau in sorted(taus.items()):
             print(f"tau[{label},{name}] = {tau:.3f}")
     return 0
@@ -202,7 +200,8 @@ def cmd_report_weights(args) -> int:
     weights = load_weights(args.weights)
     corpus = [PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"]))
               for rec in iter_jsonl(args.presence,
-                                    required={"utterance_id": "string", "phonemes": "list of strings"})]
+                                    required={"utterance_id": "string", "phonemes": "list of strings"},
+                                    unique="utterance_id")]
     try:
         rows = weight_report(weights, corpus)
     except PhonemeError as exc:

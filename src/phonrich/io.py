@@ -16,6 +16,8 @@ from .metrics import NONTARGET, TARGET, Qmfs, Trials, decode_ids
 
 TRIAL_COLUMNS = ["model_id", "test_id", "label"]
 SCORE_COLUMNS = TRIAL_COLUMNS + ["raw_score"]
+SCATTER_COLUMNS = ["test_id", "qmf_name", "qmf_value", "score", "label"]
+SCATTER_CHUNK = 1 << 12  # trials per write: about 1 MB of text at four QMFs
 
 
 def file_digest(path: str | Path) -> str:
@@ -196,6 +198,31 @@ def write_scores(path: str | Path, trials: Trials, provenance: str | None = None
     rows = zip(decode_ids(trials.models, trials.model_codes), decode_ids(trials.tests, trials.test_codes),
                trials.labels(), [f"{s:.17g}" for s in trials.scores.tolist()])
     write_tsv(path, SCORE_COLUMNS, rows, provenance)
+
+
+def write_scatter(path: str | Path, trials: Trials, qmf_names: list[str], block: np.ndarray) -> None:
+    """The correlation scatter CSV: its header, then one line per trial and QMF name.
+
+    Lines come in trial order and, within a trial, in the order of
+    ``qmf_names``; ``block`` holds the QMFs ``qmf_names`` of each test of
+    ``trials.tests``. Values and scores are written with 17 significant
+    digits. Each test's cells and each trial's score and label are
+    formatted once, and the lines are written SCATTER_CHUNK trials at a time.
+    """
+    heads = [[f"{test_id},{name},{value:.17g}," for name, value in zip(qmf_names, row)]
+             for test_id, row in zip(trials.tests, block.tolist())]
+    labels = trials.labels()
+    with open(path, "w") as f:
+        f.write(",".join(SCATTER_COLUMNS) + "\n")
+        if not qmf_names:
+            return
+        for start in range(0, len(trials), SCATTER_CHUNK):
+            part = slice(start, start + SCATTER_CHUNK)
+            tails = [f"{score:.17g},{label}\n"
+                     for score, label in zip(trials.scores[part].tolist(), labels[part])]
+            # a trial's lines: each head of its test, each followed by the trial's tail
+            f.write("".join([tail.join(heads[code]) + tail
+                             for code, tail in zip(trials.test_codes[part].tolist(), tails)]))
 
 
 def read_scores(path: str | Path) -> Trials:

@@ -74,11 +74,12 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 @dataclass
 class PhonemeTranscription:
-    """Phoneme sequence for one utterance plus its out-of-vocabulary word count."""
+    """Phoneme sequence for one utterance, its out-of-vocabulary word count and its word count."""
 
     utterance_id: str
     phonemes: tuple[str, ...]
     oov_words: int = 0
+    words: int = 0  # the tokens looked up, out-of-vocabulary ones included
 
 
 def tokenize(text: str) -> list[str]:
@@ -95,13 +96,14 @@ def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTr
     """Look up each word's first-listed pronunciation; OOV words are counted, not fatal."""
     phonemes: list[str] = []
     oov = 0
-    for word in tokenize(text):
+    words = tokenize(text)
+    for word in words:
         pron = lexicon.get(word)
         if pron:
             phonemes.extend(pron)
         else:
             oov += 1
-    return PhonemeTranscription(utterance_id, tuple(phonemes), oov)
+    return PhonemeTranscription(utterance_id, tuple(phonemes), oov, len(words))
 
 
 def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarray, np.ndarray]:

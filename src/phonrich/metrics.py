@@ -241,25 +241,21 @@ def kendall_tau(x, y) -> float:
 def correlation_report(trials: Trials, qmfs: Qmfs):
     """Per class and per QMF: tau between the QMF and the raw score.
 
-    Returns (taus, scatter_rows) where taus maps (label, qmf_name) -> tau
-    and scatter_rows are (test_id, qmf_name, qmf_value, score, label).
-    The QMF names are those of the first trial's test.
+    Returns (taus, qmf_names, block) where taus maps (label, qmf_name) ->
+    tau and block is the (len(trials.tests), len(qmf_names)) array of the
+    QMFs of each test. The QMF names are those of the first trial's test.
     """
     tests, codes = trials.tests, trials.test_codes
     qmf_names = qmfs.names_of(tests[codes[0]]) if len(codes) else []
-    values = qmfs.join(tests, qmf_names)[codes]
+    block = qmfs.join(tests, qmf_names)
     taus: dict[tuple[str, str], float] = {}
     for label, mask in ((TARGET, trials.is_target), (NONTARGET, ~trials.is_target)):
         if not mask.any():
             continue
-        scores = trials.scores[mask]
+        scores, values = trials.scores[mask], block[codes[mask]]
         for j, name in enumerate(qmf_names):
-            taus[(label, name)] = kendall_tau(values[mask, j], scores)
-    scatter = [(test_id, name, value, score, label)
-               for test_id, row, score, label in zip(decode_ids(tests, codes), values.tolist(),
-                                                     trials.scores.tolist(), trials.labels())
-               for name, value in zip(qmf_names, row)]
-    return taus, scatter
+            taus[(label, name)] = kendall_tau(values[:, j], scores)
+    return taus, qmf_names, block
 
 
 def protocol_stats(qmfs: Qmfs):

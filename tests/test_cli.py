@@ -57,6 +57,16 @@ class TestG2p:
         assert rec["oov_words"] == 1
         assert "warning" in capsys.readouterr().err
 
+    def test_oov_rate_counts_only_the_tokens_looked_up(self, tmp_path, capsys):
+        # "--" is punctuation only, so tokenize drops it: one word of two is out of vocabulary
+        lexicon = tmp_path / "cat.txt"
+        lexicon.write_text("CAT  K AE1 T\n")
+        transcripts = tmp_path / "tr.jsonl"
+        write_transcripts(transcripts, [("u1", "cat -- zzz")])
+        out = tmp_path / "presence.jsonl"
+        assert run(["g2p", "--transcripts", transcripts, "--lexicon", lexicon, "--out", out]) == 0
+        assert capsys.readouterr().out == "g2p: utterances=1 oov_words=1 oov_rate=0.5000\n"
+
     def test_malformed_jsonl_aborts(self, tmp_path, lexicon, capsys):
         transcripts = tmp_path / "tr.jsonl"
         transcripts.write_text('{"utterance_id": "u1", "transcript": "cat"}\nnot json\n')
@@ -262,14 +272,17 @@ class TestPinnedQmfBytes:
     full manifest and with a manifest that covers every other test (so its
     records differ in their keys), stats on both kinds of QMF file,
     calibrate with fold models (``lns`` read, and derived from
-    ``net_speech``), and simulate with the demo vocabulary given as a
-    lexicon file, which must score as the built-in vocabulary does.
+    ``net_speech``), simulate with the demo vocabulary given as a
+    lexicon file, which must score as the built-in vocabulary does, and
+    ``evaluate --correlation-out`` on the four-QMF richness file (its
+    stdout kept apart, in evaluate_stdout.txt).
     """
 
     DIGESTS = {
         "cal.tsv": "8af2db400c389e984ce696efd29b6f65a442c87f64a36924332b623593f558a9",
         "cal_nolns.tsv": "df45c291c594108764e055afb96600a5db693730549f2d632493918f191408c5",
         "corpus.jsonl": "dbd100c528f5cc76b6f743adc3a546aff320cfb731fdffb706cd3ddd239ba455",
+        "evaluate_stdout.txt": "35b3b1e182e39790115f072ec18e6a5fb0c26c541319f6e7725be578dda1bf3b",
         "model.fold0.txt": "b0dc46133a6d54926bd46440a77aeecffe885563db5dcc6e52ab12583120051f",
         "model.fold1.txt": "cf5f22772e0a2057a783456f6b3687eecfd1807a8233185c6226b2295681bb27",
         "model.fold2.txt": "d1e8db5ce571daa6a28a408c46ead14db9c7df048d3edfbf8c5efaa4520ae36a",
@@ -284,6 +297,7 @@ class TestPinnedQmfBytes:
         "rep.models.jsonl": "85fe50d236215a30634600bda610dd02fdec012d489c208366ee43b11106f9c1",
         "rep.trials.tsv": "f49882f4e627041e2c47b1e8d95d79211815f5677e695dd1086e02ab248bb34a",
         "report.tsv": "4406000a4e5c0c417eaa4a76664ff671ba79a55825e5faf9495f9cee7e72763e",
+        "scatter.csv": "44d28c5b6ce106a7906d440872d376506430123508789c5f50d1674a60f905c2",
         "scores.tsv": "7545ad68af935cefd909d02e1a3241a2c6f6b8a604dd81e2778e13dc66164533",
         "scores_lex.tsv": "7545ad68af935cefd909d02e1a3241a2c6f6b8a604dd81e2778e13dc66164533",
         "stdout.txt": "23a19a65424e80dc3b8ec7da0a3af3e3075f34c1d079e471a2a9179f8e4bf4aa",
@@ -335,6 +349,10 @@ class TestPinnedQmfBytes:
         step("calibrate", "--scores", "scores.tsv", "--qmf", "nolns.jsonl", "--features", "raw,lns",
              "--folds", 2, "--seed", 36, "--out-scores", "cal_nolns.tsv", "--out-models", "nolns")
         (tmp_path / "stdout.txt").write_text("".join(stdout))
+        # the correlation report over the richness QMF file: cu, lns, net_speech and wcu per test
+        step("evaluate", "--scores", "scores.tsv", "--qmf", "qmf_wcu.jsonl",
+             "--correlation-out", "scatter.csv")
+        (tmp_path / "evaluate_stdout.txt").write_text(stdout.pop())
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(tmp_path.iterdir()) if p.name not in inputs}
         assert digests == self.DIGESTS
@@ -876,8 +894,10 @@ class TestRepeatedIds:
         (GEN_PROTOCOL, "corpus", "utterance_id"),
         (["stats", "--qmf", "qmf"], "qmf", "test_id"),
         (RICHNESS, "manifest", "test_id"),
+        (REPORT_WEIGHTS, "presence", "utterance_id"),
     ], ids=["simulate-manifest", "simulate-models", "richness-presence", "fit-weights-presence",
-            "g2p-transcripts", "gen-protocol-corpus", "stats-qmf", "richness-manifest"])
+            "g2p-transcripts", "gen-protocol-corpus", "stats-qmf", "richness-manifest",
+            "report-weights-presence"])
     def test_repeated_id_names_both_lines(self, tmp_path, small_inputs, capsys, argv, bad, key):
         path = small_inputs[bad]
         record = json.dumps(VALID_RECORDS[bad])

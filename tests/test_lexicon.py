@@ -97,6 +97,11 @@ class TestTranscribe:
         trans = transcribe("zzqq cat", lex)
         assert trans.phonemes == ("K", "AE", "T")
         assert trans.oov_words == 1
+        assert trans.words == 2
+
+    def test_punctuation_only_fields_are_not_words(self):
+        trans = transcribe("cat -- zzz !!", {"cat": ("K", "AE", "T")})
+        assert (trans.oov_words, trans.words) == (1, 2)
 
     def test_first_pronunciation_used(self, tmp_path):
         path = tmp_path / "lex.txt"

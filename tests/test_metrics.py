@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import phonrich.io
+from phonrich.io import write_scatter
 from phonrich.metrics import (Qmfs, Trials, compute_eer, compute_min_c_primary,
                               correlation_report, kendall_tau, protocol_stats)
 
@@ -181,13 +183,17 @@ class TestTrials:
 
 
 class TestCorrelationReport:
-    def test_per_class_taus_and_scatter(self):
+    def test_per_class_taus_and_scatter(self, tmp_path):
         trials = make_trials([0.9, 0.7, 0.5], [0.3, 0.2, 0.4])
         qmfs = Qmfs.from_columns(trials.tests, {"cu": range(len(trials.tests))})
-        taus, scatter = correlation_report(trials, qmfs)
+        taus, qmf_names, block = correlation_report(trials, qmfs)
         assert ("target", "cu") in taus and ("nontarget", "cu") in taus
-        assert len(scatter) == len(trials)
-        assert scatter[0][1] == "cu"
+        assert qmf_names == ["cu"]
+        assert block.tolist() == [[float(i)] for i in range(len(trials.tests))]
+        write_scatter(tmp_path / "scatter.csv", trials, qmf_names, block)
+        rows = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(trials) * len(qmf_names)
+        assert rows[0].split(",")[1] == "cu"
 
     def test_missing_qmf_error(self):
         trials = make_trials([0.9], [0.1])
@@ -200,6 +206,42 @@ class TestCorrelationReport:
         with pytest.raises(ValueError, match="tied"):
             correlation_report(trials, qmfs)
 
+
+class TestWriteScatter:
+    """Every line is what formatting each (trial, QMF) row on its own gave."""
+
+    # integer-valued, tiny (one subnormal), negative and 17-digit values
+    VALUES = [3.0, -2.0, 5e-324, 1e-300, -1.5, 0.1 + 0.2, 1 / 3, -123456789.12345678, 0.0]
+    SCORES = [7.0, -3.0, 1e-310, 0.1 + 0.2, -1 / 3, 2.5e17, 0.0, -0.0, 2 / 3, -1e-5, 42.0, 1e300, 0.5]
+    TEST_ORDER = [0, 3, 0, 8, 1, 2, 3, 4, 5, 6, 7, 8, 3]  # tests 0, 3 and 8 repeat
+
+    @staticmethod
+    def per_row_text(trials, qmf_names, block):
+        rows = [(tid, name, value, score, label)
+                for tid, row, score, label in zip([trials.tests[c] for c in trials.test_codes.tolist()],
+                                                  block[trials.test_codes].tolist(),
+                                                  trials.scores.tolist(), trials.labels())
+                for name, value in zip(qmf_names, row)]
+        return "test_id,qmf_name,qmf_value,score,label\n" + "".join(
+            f"{tid},{name},{val:.17g},{score:.17g},{label}\n" for tid, name, val, score, label in rows)
+
+    @pytest.mark.parametrize("qmf_names", [["cu"], ["cu", "lns", "net_speech", "wcu"]])
+    @pytest.mark.parametrize("chunk", [1, 5, 4096])
+    def test_lines_match_the_per_row_format(self, tmp_path, monkeypatch, qmf_names, chunk):
+        monkeypatch.setattr(phonrich.io, "SCATTER_CHUNK", chunk)
+        trials = Trials.from_ids([f"m{k % 4}" for k in range(len(self.TEST_ORDER))],
+                                 [f"spk{i}_word" for i in self.TEST_ORDER],
+                                 [k % 3 == 0 for k in range(len(self.TEST_ORDER))], self.SCORES)
+        block = np.resize(self.VALUES, (len(trials.tests), len(qmf_names)))
+        write_scatter(tmp_path / "scatter.csv", trials, qmf_names, block)
+        text = (tmp_path / "scatter.csv").read_text()
+        assert text == self.per_row_text(trials, qmf_names, block)
+        assert text.count("\n") == 1 + len(trials) * len(qmf_names)
+
+    def test_no_qmf_names_writes_the_header_only(self, tmp_path):
+        trials = make_trials([0.9], [0.1])
+        write_scatter(tmp_path / "scatter.csv", trials, [], np.empty((len(trials.tests), 0)))
+        assert (tmp_path / "scatter.csv").read_text() == "test_id,qmf_name,qmf_value,score,label\n"
 
 
 class TestQmfs:
