@@ -156,11 +156,9 @@ def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationMode
     )
 
 
-def apply_lr(model: CalibrationModel, features: np.ndarray, feature_names=None) -> np.ndarray:
+def apply_lr(model: CalibrationModel, features: np.ndarray) -> np.ndarray:
     """Calibrated scores in the logit (log-odds) domain."""
     X = np.asarray(features, dtype=float)
-    if feature_names is not None and tuple(feature_names) != tuple(model.feature_names):
-        raise ValueError(f"feature names {tuple(feature_names)} do not match model {model.feature_names}")
     if X.shape[1] != model.coefficients.shape[0]:
         raise ValueError("feature dimension does not match model")
     return model.intercept + X @ model.coefficients

@@ -12,10 +12,10 @@ import numpy as np
 from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
-from .inventory import BitstringError, PresenceVector
-from .io import (iter_jsonl, line_of, provenance_line, read_jsonl, read_qmfs, read_scores,
+from .inventory import PresenceVector
+from .io import (RowError, iter_jsonl, provenance_line, read_jsonl, read_qmfs, read_scores,
                  write_jsonl, write_qmfs, write_scatter, write_scores, write_tsv)
-from .lexicon import PhonemeError, PhonemeTranscription, load_lexicon, presence_vector, transcribe
+from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
 from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
                         load_inventory_jsonl, load_protocol)
@@ -51,13 +51,16 @@ def cmd_g2p(args) -> int:
 
 def _read_presence(path) -> PresenceVector:
     """A presence JSONL file as one matrix; a bad bitstring or repeated id fails with its file and line."""
-    records = read_jsonl(path, required={"utterance_id": "string", "bits": "string"},
-                         unique="utterance_id")
+    lines, bits, ids = [], [], []  # only each record's line, bits and id are kept
+    for lineno, rec in iter_jsonl(path, required={"utterance_id": "string", "bits": "string"},
+                                  unique="utterance_id"):
+        lines.append(lineno)
+        bits.append(rec["bits"])
+        ids.append(rec["utterance_id"])
     try:
-        return PresenceVector.from_bitstring([rec["bits"] for rec in records],
-                                             [rec["utterance_id"] for rec in records])
-    except BitstringError as exc:
-        raise ValueError(f"{path}:{line_of(path, exc.row, jsonl=True)}: {exc}") from None
+        return PresenceVector.from_bitstring(bits, ids)
+    except RowError as exc:
+        raise ValueError(f"{path}:{lines[exc.row]}: {exc}") from None
 
 
 def cmd_richness(args) -> int:
@@ -67,7 +70,7 @@ def cmd_richness(args) -> int:
     if weights is not None:
         columns["wcu"] = weighted_count_unique(presence, weights)
     if args.manifest:
-        net_speech = {rec["test_id"]: float(rec["net_speech"]) for rec in
+        net_speech = {rec["test_id"]: float(rec["net_speech"]) for _, rec in
                       iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"},
                                  unique="test_id")}
         # NaN, so no net_speech or lns in the record, for a test the manifest does not name
@@ -198,14 +201,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report_weights(args) -> int:
     weights = load_weights(args.weights)
-    corpus = [PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"]))
-              for rec in iter_jsonl(args.presence,
-                                    required={"utterance_id": "string", "phonemes": "list of strings"},
-                                    unique="utterance_id")]
+    lines, corpus = [], []  # only each record's line and phonemes are kept
+    for lineno, rec in iter_jsonl(args.presence, required={"utterance_id": "string",
+                                                           "phonemes": "list of strings"},
+                                  unique="utterance_id"):
+        lines.append(lineno)
+        corpus.append(PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"])))
     try:
         rows = weight_report(weights, corpus)
-    except PhonemeError as exc:
-        raise ValueError(f"{args.presence}:{line_of(args.presence, exc.row, jsonl=True)}: {exc}") from None
+    except RowError as exc:
+        raise ValueError(f"{args.presence}:{lines[exc.row]}: {exc}") from None
     out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]
     header = ["phoneme", "normalized_weight", "frequency"]
     if args.out:

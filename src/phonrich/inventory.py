@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import RowError
+
 # Stress-free ARPABET symbols of the CMU pronouncing dictionary, alphabetized
 # so vector indices are stable across runs.
 ARPABET_39 = (
@@ -16,14 +18,6 @@ ARPABET_39 = (
 )
 # symbol -> its axis in presence vectors and weight vectors
 PHONEME_INDEX = {sym: i for i, sym in enumerate(ARPABET_39)}
-
-
-class BitstringError(ValueError):
-    """A presence bitstring that is not 39 ASCII 0/1 characters; ``row`` is its list index."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
 
 
 @dataclass
@@ -56,17 +50,17 @@ class PresenceVector:
 
     @classmethod
     def from_bitstring(cls, strings: list[str], utterance_ids: list[str]) -> "PresenceVector":
-        """Parse one bitstring per utterance; the first bad one raises BitstringError."""
+        """Parse one bitstring per utterance; the first bad one raises a RowError."""
         n = len(ARPABET_39)
         lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
         if np.any(lengths != n):
             row = int(np.argmax(lengths != n))
-            raise BitstringError(row, f"bits must have {n} characters, got {lengths[row]}")
+            raise RowError(row, f"bits must have {n} characters, got {lengths[row]}")
         # a non-ASCII character becomes '?', one byte, so every row stays n bytes
         data = "".join(strings).encode("ascii", errors="replace")
         bits = (np.frombuffer(data, dtype=np.uint8).reshape(len(strings), n) - ord("0")).view(np.int8)
         bad = (bits != 0) & (bits != 1)
         if bad.any():
             row = int(np.argmax(bad.any(axis=1)))
-            raise BitstringError(row, f"bits must be 0s and 1s, got {strings[row]!r}")
+            raise RowError(row, f"bits must be 0s and 1s, got {strings[row]!r}")
         return cls(bits, list(utterance_ids))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,17 @@ TRIAL_COLUMNS = ["model_id", "test_id", "label"]
 SCORE_COLUMNS = TRIAL_COLUMNS + ["raw_score"]
 SCATTER_COLUMNS = ["test_id", "qmf_name", "qmf_value", "score", "label"]
 SCATTER_CHUNK = 1 << 12  # trials per write: about 1 MB of text at four QMFs
+# a byte that is not UTF-8, as errors="surrogateescape" decodes it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+class RowError(ValueError):
+    """A fault in item ``row`` of a list read from a file; the caller, which holds each item's
+    file line, names the line."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 def file_digest(path: str | Path) -> str:
@@ -51,14 +63,26 @@ def write_tsv(path: str | Path, header: list[str], rows, provenance: str | None 
     write_lines(path, provenance, chain(["\t".join(header)], ("\t".join(map(str, row)) for row in rows)))
 
 
-def text_lines(path: str | Path, encoding: str | None = None, errors: str | None = None) -> list[str]:
-    """Every line of a text file, without its end: lines end at "\\n", "\\r\\n" and "\\r" only.
+def _refuse_non_utf8(path: str | Path, text: str, first_line: int = 1) -> None:
+    """Fail, naming the file and line, if ``text``, read with errors="surrogateescape" from
+    line ``first_line`` on, holds a byte that is not UTF-8; ASCII text costs one C-level scan."""
+    if not text.isascii() and (bad := _ESCAPED_BYTE.search(text)):
+        line = first_line + text.count("\n", 0, bad.start())
+        raise ValueError(f"{path}:{line}: byte 0x{ord(bad.group()) - 0xdc00:02x} is not UTF-8")
+
+
+def text_lines(path: str | Path, errors: str = "surrogateescape") -> list[str]:
+    """Every line of a UTF-8 text file, without its end: lines end at "\\n", "\\r\\n" and "\\r" only.
 
     These are Python's universal newlines, which iterating an open file
     follows too; U+2028, "\\x0b", "\\x0c", "\\x85" and the like stay in their line.
+    A byte that is not UTF-8 fails with the file and line, unless
+    ``errors`` decodes it another way.
     """
-    with open(path, encoding=encoding, errors=errors) as f:
-        lines = f.read().split("\n")
+    with open(path, encoding="utf-8", errors=errors) as f:
+        text = f.read()
+    _refuse_non_utf8(path, text)
+    lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the text is empty or ends with a line end
     return lines
@@ -76,10 +100,8 @@ def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return kept[0], kept[1:]
 
 
-def line_of(path: str | Path, row: int, jsonl: bool = False) -> int:
-    """File line of data row ``row`` of a TSV (-1: its header) or, if ``jsonl``, of record ``row``."""
-    if jsonl:
-        return next(islice(_jsonl_lines(path), row, None))[0]
+def line_of(path: str | Path, row: int) -> int:
+    """File line of data row ``row`` of a TSV; row -1 is its header."""
     return [i for i, line in enumerate(text_lines(path), start=1) if line and not line.startswith("#")][row + 1]
 
 
@@ -131,17 +153,20 @@ def _jsonl_lines(path: str | Path):
     """(line number, text) of each JSONL line that is not blank or a '#' comment.
 
     The open file is iterated, so lines stream and end as in text_lines:
-    a raw U+2028 inside a JSON string stays in its line.
+    a raw U+2028 inside a JSON string stays in its line. A byte that is
+    not UTF-8 fails with the file and line.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                _refuse_non_utf8(path, line, lineno)
             if line.strip() and not line.startswith("#"):
                 yield lineno, line.rstrip("\n")
 
 
 def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None,
                optional: dict[str, str] | None = None):
-    """One JSON object per line, each yielded once read and checked; '#' lines are comments.
+    """(line number, record) of each JSON object line, each yielded once read and checked.
 
     ``required`` maps each key a record must hold to its JSON type, a key
     of JSON_TYPES, and ``optional`` each key it may hold. A missing
@@ -185,13 +210,13 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
             if first_line.setdefault(rec[unique], lineno) != lineno:
                 raise ValueError(f"{path}:{lineno}: duplicate {unique} {rec[unique]!r}, "
                                  f"first at line {first_line[rec[unique]]}")
-        yield rec
+        yield lineno, rec
 
 
 def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
                unique: str | None = None) -> list[dict]:
-    """Every record of iter_jsonl, as a list."""
-    return list(iter_jsonl(path, required, unique))
+    """Every record of iter_jsonl, as a list, without its line number."""
+    return [rec for _, rec in iter_jsonl(path, required, unique)]
 
 
 def write_scores(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
@@ -294,11 +319,11 @@ def read_qmfs(path: str | Path) -> Qmfs:
     different keys; a row is NaN where its record lacks one.
     """
     test_ids, records = [], []
-    for row, rec in enumerate(iter_jsonl(path, required={"test_id": "string"}, unique="test_id")):
+    for lineno, rec in iter_jsonl(path, required={"test_id": "string"}, unique="test_id"):
         test_ids.append(rec.pop("test_id"))
         for key, value in rec.items():
             if error := _number_error(key, value):
-                raise ValueError(f"{path}:{line_of(path, row, jsonl=True)}: {error}")
+                raise ValueError(f"{path}:{lineno}: {error}")
         records.append(rec)
     return Qmfs.from_columns(test_ids, {name: [rec.get(name, math.nan) for rec in records]
                                         for name in set().union(*records)})

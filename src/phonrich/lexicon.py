@@ -10,20 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
-from .io import text_lines
+from .io import RowError, text_lines
 
 _STRESS_RE = re.compile(r"^([A-Z]+)([0-2])$")
 _VARIANT_RE = re.compile(r"^(.*)\((\d+)\)$")
 # edges lose all non-alphanumerics; internal apostrophes ("don't") survive
 _EDGE_STRIP_RE = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
-
-
-class PhonemeError(ValueError):
-    """A phoneme outside ARPABET_39; ``row`` indexes the transcriptions."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
 
 
 def strip_stress(symbol: str) -> str:
@@ -46,7 +38,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     """
     path = Path(path)
     try:
-        lines = text_lines(path, encoding="utf-8", errors="replace")
+        lines = text_lines(path, errors="replace")
     except OSError as exc:
         raise ValueError(f"cannot read lexicon file {path}: {exc}") from exc
 
@@ -109,7 +101,7 @@ def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTr
 def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarray, np.ndarray]:
     """ARPABET_39 index of every phoneme token, and the row of the transcription it is in.
 
-    A symbol outside ARPABET_39 raises a PhonemeError naming its utterance.
+    A symbol outside ARPABET_39 raises a RowError naming its utterance.
     """
     lengths = np.fromiter((len(t.phonemes) for t in transcriptions), dtype=np.intp,
                           count=len(transcriptions))
@@ -118,8 +110,8 @@ def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarra
     rows = np.repeat(np.arange(len(transcriptions)), lengths)
     if codes.size and codes.min() < 0:
         k = int(np.argmin(codes))
-        raise PhonemeError(int(rows[k]), f"{transcriptions[rows[k]].utterance_id}: phoneme {tokens[k]!r} "
-                                         f"is not an ARPABET-39 symbol")
+        raise RowError(int(rows[k]), f"{transcriptions[rows[k]].utterance_id}: phoneme {tokens[k]!r} "
+                                     f"is not an ARPABET-39 symbol")
     return codes, rows
 
 

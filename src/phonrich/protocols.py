@@ -75,14 +75,6 @@ class ModelRecord:
     gender: str = ""
 
 
-class TrialError(ValueError):
-    """A trial that fails ProtocolSpec.validate(); ``row`` indexes the trials, positives first."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
 @dataclass
 class ProtocolSpec:
     """Trials as (n, 2) intp arrays of (row in ``models``, row in ``tests``) pairs."""
@@ -95,20 +87,6 @@ class ProtocolSpec:
     def __post_init__(self):
         self.positive_trials = np.asarray(self.positive_trials, dtype=np.intp).reshape(-1, 2)
         self.negative_trials = np.asarray(self.negative_trials, dtype=np.intp).reshape(-1, 2)
-
-    def validate(self) -> None:
-        """A positive trial must pair one speaker's model and test, a negative two speakers'."""
-        _, speakers = encode_ids([m.speaker_id for m in self.models] + [t.speaker_id for t in self.tests])
-        model_speaker, test_speaker = speakers[:len(self.models)], speakers[len(self.models):]
-        for first_row, pairs, positive in ((0, self.positive_trials, True),
-                                           (len(self.positive_trials), self.negative_trials, False)):
-            bad = (model_speaker[pairs[:, 0]] == test_speaker[pairs[:, 1]]) != positive
-            if bad.any():
-                k = int(np.argmax(bad))
-                m_id, t_id = self.models[pairs[k, 0]].model_id, self.tests[pairs[k, 1]].test_id
-                raise TrialError(first_row + k, f"positive trial ({m_id}, {t_id}) crosses speakers"
-                                 if positive else
-                                 f"negative trial ({m_id}, {t_id}) pairs a speaker with itself")
 
 
 def build_enrollment(sentences: list[UtteranceRecord]) -> list[ModelRecord]:
@@ -277,10 +255,8 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
         negative_models += impostors
         negative_tests += [row] * len(impostors)
 
-    spec = ProtocolSpec(positive, np.array([negative_models, negative_tests], dtype=np.intp).T,
+    return ProtocolSpec(positive, np.array([negative_models, negative_tests], dtype=np.intp).T,
                         tests, models)
-    spec.validate()
-    return spec
 
 
 def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str | Path,
@@ -307,12 +283,14 @@ def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str 
 
 def join_trials(path: str | Path, tests: list[ProbeEntry], models: list[ModelRecord],
                 test_keys: list[str] | None = None) -> ProtocolSpec:
-    """The trial list at ``path`` joined onto ``tests`` and ``models``, and validated.
+    """The trial list at ``path`` joined onto ``tests`` and ``models``, and checked.
 
     A trial names its model by model id and its test by ``test_keys``
     (default: the test ids), one key per test. The spec holds the
-    positives in file order, then the negatives. An unknown id, or a pair
-    that fails ProtocolSpec.validate(), fails with the file and line.
+    positives in file order, then the negatives. A trial that names an
+    unknown id, then a target trial across two speakers or a nontarget
+    trial within one, fails with the file and line; of each kind, the
+    first in file order is named.
     """
     trials = read_trial_table(path)
     model_row = {m.model_id: row for row, m in enumerate(models)}
@@ -330,13 +308,15 @@ def join_trials(path: str | Path, tests: list[ProbeEntry], models: list[ModelRec
         t_id = tests[t].test_id if t >= 0 else trials.tests[trials.test_codes[row]]
         raise ValueError(f"{path}:{line_of(path, row)}: trial ({m_id}, {t_id}) names an unknown "
                          f"{'model' if m < 0 else 'test'}")
-    spec = ProtocolSpec(pairs[trials.is_target], pairs[~trials.is_target], tests, models)
-    try:
-        spec.validate()
-    except TrialError as exc:
-        rows = np.concatenate([np.flatnonzero(trials.is_target), np.flatnonzero(~trials.is_target)])
-        raise ValueError(f"{path}:{line_of(path, int(rows[exc.row]))}: {exc}") from None
-    return spec
+    _, speakers = encode_ids([m.speaker_id for m in models] + [t.speaker_id for t in tests])
+    wrong = (speakers[pairs[:, 0]] == speakers[len(models) + pairs[:, 1]]) != trials.is_target
+    if wrong.any():
+        row = int(np.argmax(wrong))
+        m_id, t_id = models[pairs[row, 0]].model_id, tests[pairs[row, 1]].test_id
+        raise ValueError(f"{path}:{line_of(path, row)}: " + (
+            f"positive trial ({m_id}, {t_id}) crosses speakers" if trials.is_target[row] else
+            f"negative trial ({m_id}, {t_id}) pairs a speaker with itself"))
+    return ProtocolSpec(pairs[trials.is_target], pairs[~trials.is_target], tests, models)
 
 
 def load_protocol(trials_path: str | Path, manifest_path: str | Path,
@@ -348,10 +328,10 @@ def load_protocol(trials_path: str | Path, manifest_path: str | Path,
     """
     tests = [ProbeEntry(r["test_id"], r["speaker_id"], r["transcript"], r["net_speech"],
                        list(r["source_ids"]), r.get("gender", ""))
-             for r in iter_jsonl(manifest_path, required=MANIFEST_KEYS, unique="test_id")]
+             for _, r in iter_jsonl(manifest_path, required=MANIFEST_KEYS, unique="test_id")]
     models = [ModelRecord(r["model_id"], r["speaker_id"], r["net_speech"],
                           list(r["source_ids"]), r.get("transcript", ""), r.get("gender", ""))
-              for r in iter_jsonl(models_path, required=MODEL_KEYS, unique="model_id")]
+              for _, r in iter_jsonl(models_path, required=MODEL_KEYS, unique="model_id")]
     return join_trials(trials_path, tests, models)
 
 
@@ -363,8 +343,8 @@ def load_inventory_jsonl(path: str | Path) -> list[UtteranceRecord]:
     UtteranceRecord refuses fails with the file and line.
     """
     records = []
-    for row, rec in enumerate(iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id",
-                                         optional=CORPUS_OPTIONAL_KEYS)):
+    for lineno, rec in iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id",
+                                  optional=CORPUS_OPTIONAL_KEYS):
         try:
             records.append(UtteranceRecord(
                 rec["utterance_id"], intern(rec["speaker_id"]), intern(rec["kind"]),
@@ -372,5 +352,5 @@ def load_inventory_jsonl(path: str | Path) -> list[UtteranceRecord]:
                 intern(rec.get("word_text", "")), rec.get("repetition_index", 0),
                 intern(rec.get("gender", "")), rec.get("word_durations")))
         except ValueError as exc:
-            raise ValueError(f"{path}:{line_of(path, row, jsonl=True)}: {exc}") from None
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records

@@ -1065,3 +1065,51 @@ class TestWeightsFileLine:
         captured = only_error_line(capsys)
         assert captured.err == f"error: {path}:2: {message}\n"
         assert not list(tmp_path.glob("out*"))
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in any TSV, JSONL or weights input fails with its file and line."""
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["evaluate", "--scores", "scores", "--features", "none"], "scores"),
+        (SIMULATE, "trials"),
+        (["stats", "--qmf", "qmf"], "qmf"),
+        (GEN_PROTOCOL, "corpus"),
+        (RICHNESS, "presence"),
+        (REPORT_WEIGHTS, "weights"),
+    ], ids=["scores", "trials", "qmf", "corpus", "presence", "weights"])
+    def test_bad_byte_names_file_and_line(self, tmp_path, small_inputs, capsys, argv, bad):
+        path = small_inputs[bad]
+        # a comment holding valid UTF-8 first, then the valid file with a 0xff in its last line
+        data = "# caf\u00e9\n".encode() + path.read_bytes()[:-1] + b"\xff\n"
+        path.write_bytes(data)
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        line = data.count(b"\n")
+        assert captured.err == f"error: {path}:{line}: byte 0xff is not UTF-8\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestJsonlRecordLines:
+    """A fault found in a JSONL record after it is read names the line its reader handed out,
+    counting the comment and blank lines before it."""
+
+    @pytest.mark.parametrize("argv, bad, record, message", [
+        (["stats", "--qmf", "qmf"], "qmf", dict(VALID_RECORDS["qmf"], test_id="t2", cu="3"),
+         'cu must be a number, got "3"'),
+        (GEN_PROTOCOL, "corpus", dict(VALID_RECORDS["corpus"], utterance_id="u1", net_speech=0),
+         "u1: net_speech must be > 0"),
+        (RICHNESS, "presence", dict(VALID_RECORDS["presence"], utterance_id="t2", bits="010"),
+         "bits must have 39 characters, got 3"),
+        (REPORT_WEIGHTS, "presence", presence_record("t2", ("K", "XX")),
+         "t2: phoneme 'XX' is not an ARPABET-39 symbol"),
+    ], ids=["qmf-value", "corpus-record", "presence-bits", "presence-phoneme"])
+    def test_fault_names_its_line(self, tmp_path, small_inputs, capsys, argv, bad, record, message):
+        path = small_inputs[bad]
+        path.write_text(f"# provenance\n{json.dumps(VALID_RECORDS[bad])}\n# note\n\n{json.dumps(record)}\n")
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:5: {message}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))

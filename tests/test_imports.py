@@ -1,5 +1,5 @@
 """Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
-and no module splits text into lines on its own."""
+no module splits text into lines on its own, and only io opens files."""
 
 import ast
 from pathlib import Path
@@ -38,3 +38,20 @@ def test_no_unused_imports(module):
 def test_no_splitlines(module):
     """str.splitlines() also breaks at U+2028, \\x0b, \\x0c and more; io.text_lines holds the one line rule."""
     assert "splitlines" not in module.read_text()
+
+
+def open_calls(source: str) -> list[int]:
+    """Lines that call ``open`` by name or as an attribute (``io.open``, ``Path.open``)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                  and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_finds_a_call_to_open():
+    assert open_calls("with open(p) as f:\n    pass\nPath(p).open()\nreopen(p)\n") == [1, 3]
+
+
+@pytest.mark.parametrize("module", [p for p in MODULES if p.name != "io.py"],
+                         ids=[p.name for p in MODULES if p.name != "io.py"])
+def test_only_io_opens_files(module):
+    """io reads every input, so each goes through its one line rule and its UTF-8 check."""
+    assert open_calls(module.read_text()) == []

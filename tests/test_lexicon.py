@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from phonrich.inventory import ARPABET_39, PHONEME_INDEX, BitstringError, PresenceVector
+from phonrich.inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
+from phonrich.io import RowError
 from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines
 from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector, tokenize, transcribe
 
@@ -204,7 +205,7 @@ class TestInventory:
     ], ids=["short", "long", "digit-2", "space", "non-ascii"])
     def test_first_bad_bitstring_names_its_row(self, bad, message):
         good = "01" * 19 + "0"
-        with pytest.raises(BitstringError) as exc:
+        with pytest.raises(RowError) as exc:
             PresenceVector.from_bitstring([good, good, bad, bad], ["a", "b", "c", "d"])
         assert exc.value.row == 2
         assert str(exc.value) == message

@@ -210,27 +210,31 @@ class TestEmitAndLoad:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
-    def test_validate_rejects_self_impostor(self):
-        tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
-        models = [ModelRecord("a", "a", 10.0, ["s"])]
-        spec = ProtocolSpec([], [(0, 0)], tests, models)
-        with pytest.raises(ValueError, match=r"negative trial \(a, t1\) pairs a speaker"):
-            spec.validate()
+    # tests t1 (speaker a) and t2 (speaker b), and a model per speaker
+    TWO_SPEAKERS = ([ProbeEntry("t1", "a", "cat", 1.0, ["u"]), ProbeEntry("t2", "b", "cat", 1.0, ["u"])],
+                    [ModelRecord("a", "a", 10.0, ["s"]), ModelRecord("b", "b", 10.0, ["s"])])
 
-    def test_validate_rejects_cross_speaker_target(self):
-        tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
-        models = [ModelRecord("b", "b", 10.0, ["s"])]
-        spec = ProtocolSpec([(0, 0)], [], tests, models)
-        with pytest.raises(ValueError, match=r"positive trial \(b, t1\) crosses speakers"):
-            spec.validate()
+    def join(self, tmp_path, rows):
+        trials = tmp_path / "trials.tsv"
+        trials.write_text("model_id\ttest_id\tlabel\n" + "".join(f"{row}\n" for row in rows))
+        return join_trials(trials, *self.TWO_SPEAKERS)
 
-    def test_validate_error_row_counts_positives_first(self):
-        tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"]), ProbeEntry("t2", "b", "cat", 1.0, ["u"])]
-        models = [ModelRecord("a", "a", 10.0, ["s"]), ModelRecord("b", "b", 10.0, ["s"])]
-        spec = ProtocolSpec([(0, 0), (1, 1)], [(1, 0), (1, 1)], tests, models)
-        with pytest.raises(ValueError, match=r"negative trial \(b, t2\)") as exc:
-            spec.validate()
-        assert exc.value.row == 3
+    @pytest.mark.parametrize("rows, message", [
+        (["b\tt2\ttarget", "a\tt1\tnontarget"], "3: negative trial (a, t1) pairs a speaker with itself"),
+        (["b\tt1\ttarget"], "2: positive trial (b, t1) crosses speakers"),
+        # a bad nontarget row before a bad target row: the first in file order is named
+        (["a\tt1\tnontarget", "b\tt1\ttarget"], "2: negative trial (a, t1) pairs a speaker with itself"),
+    ], ids=["self-impostor", "cross-speaker-target", "first-in-file-order"])
+    def test_join_names_the_first_inconsistent_trial(self, tmp_path, rows, message):
+        with pytest.raises(ValueError) as exc:
+            self.join(tmp_path, rows)
+        assert str(exc.value) == f"{tmp_path / 'trials.tsv'}:{message}"
+
+    def test_join_keeps_positives_then_negatives_in_file_order(self, tmp_path):
+        spec = self.join(tmp_path, ["b\tt1\tnontarget", "b\tt2\ttarget", "a\tt2\tnontarget",
+                                    "a\tt1\ttarget"])
+        assert id_pairs(spec, spec.positive_trials) == [("b", "t2"), ("a", "t1")]
+        assert id_pairs(spec, spec.negative_trials) == [("b", "t1"), ("a", "t2")]
 
     def test_join_names_a_trial_with_an_unknown_id(self, tmp_path):
         tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
