@@ -24,6 +24,16 @@ from .richness import (count_unique, fit_weights, load_weights, save_weights, we
 from .simulator import SimConfig, simulate_corpus
 
 
+def _inputs(args) -> list[str]:
+    """The input files given, in the order the subcommand declares them."""
+    return [path for path in map(vars(args).get, args.inputs) if path]
+
+
+def _provenance(args) -> str:
+    """The provenance line of the subcommand's outputs: its name, seed and the inputs given."""
+    return provenance_line(args.subcommand, getattr(args, "seed", None), _inputs(args))
+
+
 def cmd_g2p(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     transcripts = read_jsonl(args.transcripts, required={"utterance_id": "string", "transcript": "string"},
@@ -38,8 +48,7 @@ def cmd_g2p(args) -> int:
         "oov_words": trans.oov_words,
     } for trans, bits, cu in zip(transcriptions, presence.to_bitstring(),
                                  count_unique(presence).tolist())]
-    prov = provenance_line("g2p", None, [args.transcripts, args.lexicon])
-    write_jsonl(args.out, records, prov)
+    write_jsonl(args.out, records, _provenance(args))
     total_words = sum(trans.words for trans in transcriptions)
     total_oov = sum(trans.oov_words for trans in transcriptions)
     rate = total_oov / total_words if total_words else 0.0
@@ -78,9 +87,7 @@ def cmd_richness(args) -> int:
         columns["lns"] = [log_net_speech(net_speech[t]) if t in net_speech else np.nan
                           for t in presence.utterance_ids]
     qmfs = Qmfs.from_columns(presence.utterance_ids, columns)
-    inputs = [args.presence] + ([args.weights] if args.weights else []) \
-        + ([args.manifest] if args.manifest else [])
-    write_qmfs(args.out, qmfs, provenance_line("richness", None, inputs))
+    write_qmfs(args.out, qmfs, _provenance(args))
     print(f"richness: wrote {len(qmfs.test_ids)} QMF records to {args.out}")
     return 0
 
@@ -95,8 +102,7 @@ def cmd_fit_weights(args) -> int:
         print("error: no positive trials joined with presence vectors", file=sys.stderr)
         return 1
     w = fit_weights(presence.bits[rows[kept]], trials.scores[kept])
-    prov = provenance_line("fit-weights", args.seed, [args.presence, args.scores])
-    save_weights(w, args.out, prov)
+    save_weights(w, args.out, _provenance(args))
     print(f"fit-weights: n_train={w.n_train} fit_residual={w.fit_residual:.6g}")
     return 0
 
@@ -114,10 +120,9 @@ def cmd_gen_protocol(args) -> int:
             return 1
         base = [r for r in inventory if r.kind in ("sentence", "free")]
         spec = build_clip_protocol(base, args.target, args.seed, base_trials=args.base_trials)
-    prov = provenance_line("gen-protocol", args.seed, [args.corpus])
     prefix = args.out_prefix
     emit_trials(spec, f"{prefix}.trials.tsv", f"{prefix}.manifest.jsonl",
-                f"{prefix}.models.jsonl", prov)
+                f"{prefix}.models.jsonl", _provenance(args))
     print(f"gen-protocol: {len(spec.positive_trials)} positive, "
           f"{len(spec.negative_trials)} negative trials, {len(spec.tests)} tests")
     return 0
@@ -128,8 +133,7 @@ def cmd_simulate(args) -> int:
     lexicon = load_lexicon(args.lexicon) if args.lexicon else DEMO_VOCABULARY
     config = SimConfig(sigma0=args.sigma0, kappa=args.kappa, seed=args.seed, lexicon=lexicon, dim=args.dim)
     result = simulate_corpus(config, protocol)
-    inputs = [args.trials, args.manifest, args.models]
-    prov = provenance_line("simulate", args.seed, inputs)
+    prov = _provenance(args)
     write_scores(args.out_scores, result.trials, prov)
     write_qmfs(args.out_qmf, result.qmfs, prov)
     n_speakers = len({m.speaker_id for m in protocol.models})
@@ -156,7 +160,7 @@ def cmd_calibrate(args) -> int:
     qmfs = read_qmfs(args.qmf)
     calibrated, models = cross_validated_calibration(trials, qmfs, feature_set,
                                                      k=args.folds, seed=args.seed)
-    prov = provenance_line("calibrate", args.seed, [args.scores, args.qmf])
+    prov = _provenance(args)
     write_scores(args.out_scores, calibrated, prov)
     if args.out_models:
         for i, model in enumerate(models):
@@ -189,8 +193,7 @@ def cmd_evaluate(args) -> int:
     for row in rows:
         print("\t".join(row))
     if args.out:
-        inputs = [args.scores] + ([args.qmf] if args.qmf else [])
-        write_tsv(args.out, header, rows, provenance_line("evaluate", args.seed, inputs))
+        write_tsv(args.out, header, rows, _provenance(args))
     if report is not None:
         taus, qmf_names, block = report
         write_scatter(args.correlation_out, trials, qmf_names, block)
@@ -214,8 +217,7 @@ def cmd_report_weights(args) -> int:
     out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]
     header = ["phoneme", "normalized_weight", "frequency"]
     if args.out:
-        prov = provenance_line("report-weights", None, [args.weights, args.presence])
-        write_tsv(args.out, header, out_rows, prov)
+        write_tsv(args.out, header, out_rows, _provenance(args))
     else:
         print("\t".join(header))
         for row in out_rows:
@@ -232,7 +234,7 @@ def cmd_stats(args) -> int:
 
 def cmd_make_demo(args) -> int:
     records = make_demo_inventory(args.speakers, args.seed)
-    write_jsonl(args.out, map(vars, records), provenance_line("make-demo", args.seed))
+    write_jsonl(args.out, map(vars, records), _provenance(args))
     print(f"make-demo: wrote {len(records)} utterance records for {args.speakers} speakers")
     return 0
 
@@ -247,21 +249,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcripts", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_g2p)
+    p.set_defaults(func=cmd_g2p, inputs=("transcripts", "lexicon"))
 
     p = sub.add_parser("richness", help="presence vectors -> CU/WCU/LNS QMF file")
     p.add_argument("--presence", required=True)
     p.add_argument("--weights")
     p.add_argument("--manifest", help="manifest JSONL supplying net_speech")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_richness)
+    p.set_defaults(func=cmd_richness, inputs=("presence", "weights", "manifest"))
 
     p = sub.add_parser("fit-weights", help="fit WCU weights from positive-trial scores")
     p.add_argument("--presence", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_weights)
+    p.set_defaults(func=cmd_fit_weights, inputs=("presence", "scores"))
 
     p = sub.add_parser("gen-protocol", help="generate trial lists from an utterance inventory")
     p.add_argument("--corpus", required=True, help="utterance inventory JSONL")
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-trials", help="passthrough trial TSV over base utterance ids")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_gen_protocol)
+    p.set_defaults(func=cmd_gen_protocol, inputs=("corpus", "base_trials"))
 
     p = sub.add_parser("simulate", help="score a protocol with synthetic embeddings")
     p.add_argument("--trials", required=True)
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-scores", required=True)
     p.add_argument("--out-qmf", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, inputs=("trials", "manifest", "models", "lexicon"))
 
     p = sub.add_parser("calibrate", help="cross-validated logistic-regression calibration")
     p.add_argument("--scores", required=True)
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-scores", required=True)
     p.add_argument("--out-models", help="prefix for per-fold model files")
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_calibrate, inputs=("scores", "qmf"))
 
     p = sub.add_parser("evaluate", help="EER / minC_primary per feature set")
     p.add_argument("--scores", required=True)
@@ -306,33 +308,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--correlation-out", help="write scatter CSV and print per-class taus")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, inputs=("scores", "qmf"))
 
     p = sub.add_parser("report-weights", help="normalized weights vs corpus phoneme frequency")
     p.add_argument("--weights", required=True)
     p.add_argument("--presence", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_report_weights)
+    p.set_defaults(func=cmd_report_weights, inputs=("weights", "presence"))
 
     p = sub.add_parser("stats", help="net-speech and CU mean/std of a protocol")
     p.add_argument("--qmf", required=True)
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, inputs=("qmf",))
 
     p = sub.add_parser("make-demo", help="write the built-in demo utterance inventory")
     p.add_argument("--speakers", type=int, default=10)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_make_demo)
+    p.set_defaults(func=cmd_make_demo, inputs=())
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for attr in ("transcripts", "lexicon", "presence", "scores", "qmf", "trials",
-                 "manifest", "models", "corpus", "weights", "base_trials"):
-        path = getattr(args, attr, None)
-        if path and not Path(path).exists():
+    for path in _inputs(args):
+        if not Path(path).exists():
             print(f"error: input file not found: {path}", file=sys.stderr)
             return 1
     for attr, least in (("folds", 1), ("speakers", 1), ("probes_per_speaker", 1),

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+from array import array
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -63,46 +64,27 @@ def write_tsv(path: str | Path, header: list[str], rows, provenance: str | None 
     write_lines(path, provenance, chain(["\t".join(header)], ("\t".join(map(str, row)) for row in rows)))
 
 
-def _refuse_non_utf8(path: str | Path, text: str, first_line: int = 1) -> None:
-    """Fail, naming the file and line, if ``text``, read with errors="surrogateescape" from
-    line ``first_line`` on, holds a byte that is not UTF-8; ASCII text costs one C-level scan."""
-    if not text.isascii() and (bad := _ESCAPED_BYTE.search(text)):
-        line = first_line + text.count("\n", 0, bad.start())
-        raise ValueError(f"{path}:{line}: byte 0x{ord(bad.group()) - 0xdc00:02x} is not UTF-8")
+def numbered_lines(path: str | Path, errors: str = "surrogateescape"):
+    """(line number, line without its end) of every line of a UTF-8 text file, streamed.
 
-
-def text_lines(path: str | Path, errors: str = "surrogateescape") -> list[str]:
-    """Every line of a UTF-8 text file, without its end: lines end at "\\n", "\\r\\n" and "\\r" only.
-
-    These are Python's universal newlines, which iterating an open file
-    follows too; U+2028, "\\x0b", "\\x0c", "\\x85" and the like stay in their line.
-    A byte that is not UTF-8 fails with the file and line, unless
-    ``errors`` decodes it another way.
+    Lines end at "\\n", "\\r\\n" and "\\r" only: these are Python's
+    universal newlines, which iterating an open file follows, so U+2028,
+    "\\x0b", "\\x0c", "\\x85" and the like stay in their line. A leading
+    byte order mark is dropped. A byte that is not UTF-8 fails with the
+    file and line, unless ``errors`` decodes it another way.
     """
-    with open(path, encoding="utf-8", errors=errors) as f:
-        text = f.read()
-    _refuse_non_utf8(path, text)
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text is empty or ends with a line end
-    return lines
-
-
-def _data_lines(path: str | Path) -> list[str]:
-    """The lines of a TSV that are not blank or '#' comments: the header, then the data rows."""
-    return [line for line in text_lines(path) if line and not line.startswith("#")]
+    with open(path, encoding="utf-8-sig", errors=errors) as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
+                raise ValueError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xdc00:02x} is not UTF-8")
+            yield lineno, line.rstrip("\n")
 
 
 def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    kept = [line.split("\t") for line in _data_lines(path)]
+    kept = [line.split("\t") for _, line in numbered_lines(path) if line and not line.startswith("#")]
     if not kept:
         raise ValueError(f"{path}: no header line found")
     return kept[0], kept[1:]
-
-
-def line_of(path: str | Path, row: int) -> int:
-    """File line of data row ``row`` of a TSV; row -1 is its header."""
-    return [i for i, line in enumerate(text_lines(path), start=1) if line and not line.startswith("#")][row + 1]
 
 
 def write_jsonl(path: str | Path, records, provenance: str | None = None) -> None:
@@ -149,24 +131,10 @@ def _number_error(key: str, value) -> str | None:
     return None
 
 
-def _jsonl_lines(path: str | Path):
-    """(line number, text) of each JSONL line that is not blank or a '#' comment.
-
-    The open file is iterated, so lines stream and end as in text_lines:
-    a raw U+2028 inside a JSON string stays in its line. A byte that is
-    not UTF-8 fails with the file and line.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.isascii():
-                _refuse_non_utf8(path, line, lineno)
-            if line.strip() and not line.startswith("#"):
-                yield lineno, line.rstrip("\n")
-
-
 def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None,
                optional: dict[str, str] | None = None):
-    """(line number, record) of each JSON object line, each yielded once read and checked.
+    """(line number, record) of each JSON object line, each yielded once read and checked;
+    blank lines and '#' lines are skipped.
 
     ``required`` maps each key a record must hold to its JSON type, a key
     of JSON_TYPES, and ``optional`` each key it may hold. A missing
@@ -180,7 +148,9 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
     checks = [(key, kind, key in required, *JSON_TYPES[kind])
               for key, kind in chain(required.items(), (optional or {}).items())]
     first_line: dict[str, int] = {}
-    for lineno, line in _jsonl_lines(path):
+    for lineno, line in numbered_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
         try:
             rec = _DECODER.decode(line)
         except ValueError:
@@ -252,28 +222,33 @@ def write_scatter(path: str | Path, trials: Trials, qmf_names: list[str], block:
 
 def read_scores(path: str | Path) -> Trials:
     """Scores TSV (SCORE_COLUMNS) straight into columns; see read_trial_table."""
-    return read_trial_table(path, scored=True)
+    return read_trial_table(path, scored=True)[0]
 
 
-def read_trial_table(path: str | Path, scored: bool = False) -> Trials:
-    """A trial list (TRIAL_COLUMNS) or, if ``scored``, a scores TSV (SCORE_COLUMNS) as Trials.
+def read_trial_table(path: str | Path, scored: bool = False) -> tuple[Trials, array]:
+    """A trial list (TRIAL_COLUMNS) or, if ``scored``, a scores TSV (SCORE_COLUMNS) as Trials,
+    and the file line of each trial.
 
-    A wrong header, a row with another field count, a label other than
-    target/nontarget, a score that is not a finite number or a repeated
-    (model_id, test_id) fails with the file and line.
+    Blank and '#' lines are skipped. A wrong header, a row with another
+    field count, a label other than target/nontarget, a score that is not
+    a finite number or a repeated (model_id, test_id) fails with the file
+    and line.
     """
     columns = SCORE_COLUMNS if scored else TRIAL_COLUMNS
     width = len(columns)
-    kept = _data_lines(path)
+    lines, rows = array("q"), []  # an array, not a list: 8 bytes a line
+    for lineno, line in numbered_lines(path):
+        if line and not line.startswith("#"):
+            lines.append(lineno)
+            rows.append(line)
+    if not rows:
+        raise ValueError(f"{path}: no header line found")
+    header_line, header = lines.pop(0), rows.pop(0).split("\t")
+    if header != columns:
+        raise ValueError(f"{path}:{header_line}: expected columns {columns}, got {header}")
 
     def fail(row: int, message: str):
-        raise ValueError(f"{path}:{line_of(path, row)}: {message}")
-
-    if not kept:
-        raise ValueError(f"{path}: no header line found")
-    header, rows = kept[0].split("\t"), kept[1:]
-    if header != columns:
-        fail(-1, f"expected columns {columns}, got {header}")
+        raise ValueError(f"{path}:{lines[row]}: {message}")
 
     fields = np.array([row.count("\t") for row in rows], dtype=int) + 1
     if np.any(fields != width):
@@ -308,8 +283,8 @@ def read_trial_table(path: str | Path, scored: bool = False) -> Trials:
         for row, key in enumerate(keys):
             if first.setdefault(key, row) != row:
                 fail(row, f"duplicate trial ({model_ids[row]}, {test_ids[row]}), "
-                          f"first at line {line_of(path, first[key])}")
-    return trials
+                          f"first at line {lines[first[key]]}")
+    return trials, lines
 
 
 def read_qmfs(path: str | Path) -> Qmfs:

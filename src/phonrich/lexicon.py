@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
-from .io import RowError, text_lines
+from .io import RowError, numbered_lines
 
 _STRESS_RE = re.compile(r"^([A-Z]+)([0-2])$")
 _VARIANT_RE = re.compile(r"^(.*)\((\d+)\)$")
@@ -37,13 +37,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
     are comments.
     """
     path = Path(path)
-    try:
-        lines = text_lines(path, errors="replace")
-    except OSError as exc:
-        raise ValueError(f"cannot read lexicon file {path}: {exc}") from exc
-
     lexicon: Lexicon = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in numbered_lines(path, errors="replace"):
         line = line.strip()
         if not line or line.startswith(";;;"):
             continue

@@ -11,7 +11,7 @@ from sys import intern
 
 import numpy as np
 
-from .io import TRIAL_COLUMNS, iter_jsonl, line_of, read_trial_table, write_jsonl, write_tsv
+from .io import TRIAL_COLUMNS, iter_jsonl, read_trial_table, write_jsonl, write_tsv
 from .metrics import NONTARGET, TARGET, decode_ids, encode_ids
 
 MAX_PROBE_REDRAWS = 20
@@ -148,8 +148,8 @@ def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
     utterance ids; its trials are joined onto the clips and onto the
     enrollment models of the base sentences (see join_trials).
     """
-    if target <= 0:
-        raise ValueError("target duration must be > 0")
+    if not 0 < target < math.inf:  # NaN too
+        raise ValueError(f"target duration must be a finite number > 0, got {target:g}")
     if not base:
         raise ValueError("empty base utterance list")
     rng = np.random.default_rng(seed)
@@ -292,7 +292,7 @@ def join_trials(path: str | Path, tests: list[ProbeEntry], models: list[ModelRec
     trial within one, fails with the file and line; of each kind, the
     first in file order is named.
     """
-    trials = read_trial_table(path)
+    trials, lines = read_trial_table(path)
     model_row = {m.model_id: row for row, m in enumerate(models)}
     test_row = dict(zip(test_keys if test_keys is not None else [t.test_id for t in tests],
                         range(len(tests))))
@@ -306,14 +306,14 @@ def join_trials(path: str | Path, tests: list[ProbeEntry], models: list[ModelRec
         m_id = trials.models[trials.model_codes[row]]
         # a known test is named as the spec holds it: a clip by its clip id
         t_id = tests[t].test_id if t >= 0 else trials.tests[trials.test_codes[row]]
-        raise ValueError(f"{path}:{line_of(path, row)}: trial ({m_id}, {t_id}) names an unknown "
+        raise ValueError(f"{path}:{lines[row]}: trial ({m_id}, {t_id}) names an unknown "
                          f"{'model' if m < 0 else 'test'}")
     _, speakers = encode_ids([m.speaker_id for m in models] + [t.speaker_id for t in tests])
     wrong = (speakers[pairs[:, 0]] == speakers[len(models) + pairs[:, 1]]) != trials.is_target
     if wrong.any():
         row = int(np.argmax(wrong))
         m_id, t_id = models[pairs[row, 0]].model_id, tests[pairs[row, 1]].test_id
-        raise ValueError(f"{path}:{line_of(path, row)}: " + (
+        raise ValueError(f"{path}:{lines[row]}: " + (
             f"positive trial ({m_id}, {t_id}) crosses speakers" if trials.is_target[row] else
             f"negative trial ({m_id}, {t_id}) pairs a speaker with itself"))
     return ProtocolSpec(pairs[trials.is_target], pairs[~trials.is_target], tests, models)

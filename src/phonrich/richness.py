@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
-from .io import text_lines, write_lines
+from .io import numbered_lines, write_lines
 from .lexicon import PhonemeTranscription, phoneme_codes
 from .nnls import nnls
 
@@ -100,7 +100,7 @@ def load_weights(path: str | Path) -> RichnessWeights:
     fit_residual = 0.0
     weights = np.zeros(len(ARPABET_39))
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(text_lines(path), start=1):
+    for lineno, line in numbered_lines(path):
         try:
             if line.startswith("# n_train="):
                 head, tail = line[2:].split("\t")

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 from pathlib import Path
@@ -222,9 +223,9 @@ class TestPinnedBytes:
     """
 
     DIGESTS = {
-        "clip.manifest.jsonl": "8291a2f5819a6e888fd68e1c630cfeb5cd16bc6ec4a0ab3b4e478cc3fe7fb4d8",
-        "clip.models.jsonl": "4b85c686b5d40be0b8135849e1f37a00d758db096a4737811bc314df4d6392fa",
-        "clip.trials.tsv": "d3d4fa6db77e93c170d5822c7742b608742c42b8c1757f7a2d5d12ab21cb869e",
+        "clip.manifest.jsonl": "87bfb791b72b159866ac988ac7b4d3a24c68809f7540ce846f36d8915b276e03",
+        "clip.models.jsonl": "76bd1c76a4512a862e9d981e3f529920f90ee65e15bcc765652380f4bddf0ce1",
+        "clip.trials.tsv": "e0b847c5fb4e8a3a4f4acba5924fa33180c6a96d515b6319a7a89f312878b8d9",
         "corpus.jsonl": "46e4e45dad2fd2251dbf0eb28e52bac0f00ad01f2c991c4c85bfa4199ae58bf3",
         "eval.tsv": "86d9a36523d58dbf75e40124f48e235435cc121a3f13262e6f737a0a9c93e4c1",
         "qmf.jsonl": "337bb63944412b5a6734091f026dd6d0d086a40fc12b6c1174b9035945e8ced6",
@@ -273,7 +274,8 @@ class TestPinnedQmfBytes:
     records differ in their keys), stats on both kinds of QMF file,
     calibrate with fold models (``lns`` read, and derived from
     ``net_speech``), simulate with the demo vocabulary given as a
-    lexicon file, which must score as the built-in vocabulary does, and
+    lexicon file, which must score as the built-in vocabulary does (all
+    but the provenance line, which names the lexicon), and
     ``evaluate --correlation-out`` on the four-QMF richness file (its
     stdout kept apart, in evaluate_stdout.txt).
     """
@@ -290,7 +292,7 @@ class TestPinnedQmfBytes:
         "nolns.fold1.txt": "cabde939ae1cdd9a954416b1c6a9f4bad49070fb6b82ca73be8a6ff8a9af46ac",
         "presence.jsonl": "7c5c5d9d32600c2daa62ae96df1187c840ddc224d647efe13a52fea42c43c0c0",
         "qmf.jsonl": "b066f85395112c0eaddf2647bf1d1078c428102b5094b95a65d25f7d4b108d40",
-        "qmf_lex.jsonl": "b066f85395112c0eaddf2647bf1d1078c428102b5094b95a65d25f7d4b108d40",
+        "qmf_lex.jsonl": "dea7ebb377139dec73e3c6e8768e32809c5d9f3fc63fcf53bd77488d5ea4e666",
         "qmf_partial.jsonl": "95fe8ce7641684fa623affe545ff4200924fe0f094ccd45d9c67a59bd7c9ad90",
         "qmf_wcu.jsonl": "f86671c14aee134f13ea9f5cc661564615340645ad0491331556a2383c795b22",
         "rep.manifest.jsonl": "35f4c05fbe6dd118a53324f0cbf1db13b9144298d368a7f53534c523df759d82",
@@ -299,7 +301,7 @@ class TestPinnedQmfBytes:
         "report.tsv": "4406000a4e5c0c417eaa4a76664ff671ba79a55825e5faf9495f9cee7e72763e",
         "scatter.csv": "44d28c5b6ce106a7906d440872d376506430123508789c5f50d1674a60f905c2",
         "scores.tsv": "7545ad68af935cefd909d02e1a3241a2c6f6b8a604dd81e2778e13dc66164533",
-        "scores_lex.tsv": "7545ad68af935cefd909d02e1a3241a2c6f6b8a604dd81e2778e13dc66164533",
+        "scores_lex.tsv": "0a0dfc385105ae84f4c5165bcc5153e7736319b57c2ffdde1783af69d08c82d4",
         "stdout.txt": "23a19a65424e80dc3b8ec7da0a3af3e3075f34c1d079e471a2a9179f8e4bf4aa",
         "weights.txt": "ad58b19f69ee3ffcc0268d7c7b0d8bfbcc05615b686d88862751aca0a8044c05",
     }
@@ -356,6 +358,9 @@ class TestPinnedQmfBytes:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(tmp_path.iterdir()) if p.name not in inputs}
         assert digests == self.DIGESTS
+        for built_in, from_file in (("scores.tsv", "scores_lex.tsv"), ("qmf.jsonl", "qmf_lex.jsonl")):
+            assert (tmp_path / built_in).read_text().partition("\n")[2] == \
+                (tmp_path / from_file).read_text().partition("\n")[2]
 
 
 SCORES_HEADER = "# provenance\nmodel_id\ttest_id\tlabel\traw_score\n"
@@ -744,6 +749,19 @@ GEN_PROTOCOL = ["gen-protocol", "--corpus", "corpus", "--protocol", "repetitive"
                 "--out-prefix", "out"]
 SIMULATE = ["simulate", "--trials", "trials", "--manifest", "manifest", "--models", "models",
             "--seed", "1", "--out-scores", "out.tsv", "--out-qmf", "out.jsonl"]
+CLIP = ["gen-protocol", "--corpus", "corpus", "--protocol", "clip", "--seed", "1", "--out-prefix", "out"]
+
+
+class TestClipTarget:
+    """gen-protocol --protocol clip refuses a --target that is not a finite number > 0."""
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "0", "-1"])
+    def test_is_one_error_line(self, tmp_path, small_inputs, capsys, target):
+        assert run_with(tmp_path, small_inputs, CLIP + [f"--target={target}"]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: target duration must be a finite number > 0, got {target}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
 
 
 class TestJsonlRequiredKeys:
@@ -1089,6 +1107,37 @@ class TestNotUtf8:
         assert captured.err == f"error: {path}:{line}: byte 0xff is not UTF-8\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
+
+
+class TestByteOrderMark:
+    """A text input saved with a leading UTF-8 byte order mark reads as the same file without one."""
+
+    @pytest.mark.parametrize("argv, bom", [
+        (["evaluate", "--scores", "scores", "--features", "none", "--out", "out.tsv"], "scores"),
+        (SIMULATE, "trials"),
+        (["stats", "--qmf", "qmf"], "qmf"),
+        (CLIP + ["--target", "0.5"], "corpus"),
+        (REPORT_WEIGHTS, "weights"),
+        (G2P, "lexicon"),
+    ], ids=["scores", "trials", "qmf", "corpus", "weights", "lexicon"])
+    def test_same_outputs_as_without_it(self, tmp_path, small_inputs, capsys, argv, bom):
+        # the lexicon's first word, so a mark read as part of it would leave the word out
+        small_inputs["transcripts"].write_text(json.dumps({"utterance_id": "t1", "transcript": "about cat"}))
+
+        def outputs():
+            assert run_with(tmp_path, small_inputs, argv) == 0
+            files = {}
+            for path in sorted(tmp_path.glob("out*")):
+                # the provenance line names each input by its digest, which the mark changes
+                files[path.name] = [line for line in path.read_text().split("\n")
+                                    if not line.startswith("# phonrich=")]
+                path.unlink()
+            return capsys.readouterr(), files
+
+        without = outputs()
+        path = small_inputs[bom]
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert outputs() == without
 
 
 class TestJsonlRecordLines:

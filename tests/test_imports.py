@@ -1,5 +1,6 @@
 """Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
-no module splits text into lines on its own, and only io opens files."""
+no module splits text into lines on its own, only io opens files, and in io only
+numbered_lines reads text."""
 
 import ast
 from pathlib import Path
@@ -36,18 +37,51 @@ def test_no_unused_imports(module):
 
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_no_splitlines(module):
-    """str.splitlines() also breaks at U+2028, \\x0b, \\x0c and more; io.text_lines holds the one line rule."""
+    """str.splitlines() also breaks at U+2028, \\x0b, \\x0c and more; io.numbered_lines holds the one line rule."""
     assert "splitlines" not in module.read_text()
 
 
+def is_open(node) -> bool:
+    """Whether ``node`` calls ``open`` by name or as an attribute (``io.open``, ``Path.open``)."""
+    return isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None))
+
+
 def open_calls(source: str) -> list[int]:
-    """Lines that call ``open`` by name or as an attribute (``io.open``, ``Path.open``)."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-                  and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    """Lines that call ``open``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if is_open(node))
+
+
+def text_reads(source: str) -> list[str]:
+    """The top-level function of each ``open`` call that may read text: one whose mode, its
+    second argument or ``mode=``, is not "rb" and does not write ("w", "a" or "x")."""
+    reads = []
+    for top in ast.parse(source).body:
+        for node in filter(is_open, ast.walk(top)):
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[1] if len(node.args) > 1 else None)
+            mode = mode.value if isinstance(mode, ast.Constant) else "r"
+            if mode != "rb" and not set(mode) & set("wax"):
+                reads.append(getattr(top, "name", "<module>"))
+    return reads
 
 
 def test_finds_a_call_to_open():
     assert open_calls("with open(p) as f:\n    pass\nPath(p).open()\nreopen(p)\n") == [1, 3]
+
+
+def test_finds_a_text_read():
+    source = ("def a(p):\n    return open(p, 'rb'), open(p, mode='w'), open(p, 'ab')\n"
+              "def b(p):\n    return open(p, encoding='utf-8')\n"
+              "def c(p, m):\n    return open(p, 'r+'), open(p, m)\n"
+              "f = open('x', 'rt')\n")
+    assert text_reads(source) == ["b", "c", "c", "<module>"]
+
+
+def test_only_numbered_lines_reads_text():
+    """io.numbered_lines holds the line rule, the UTF-8 check and the dropped byte order mark
+    of every text input, so every other open in io writes or reads bytes."""
+    assert text_reads((SRC / "io.py").read_text()) == ["numbered_lines"]
 
 
 @pytest.mark.parametrize("module", [p for p in MODULES if p.name != "io.py"],

@@ -39,7 +39,7 @@ class TestLoadLexicon:
             load_lexicon(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read lexicon file"):
+        with pytest.raises(FileNotFoundError, match="nope.txt"):
             load_lexicon(tmp_path / "nope.txt")
 
     def test_first_listed_variant_kept(self, lexicon_file):
