@@ -108,6 +108,11 @@ def cmd_fit_weights(args) -> int:
 
 
 def cmd_gen_protocol(args) -> int:
+    if args.protocol == "repetitive":
+        for flag in ("base_trials", "target"):
+            if getattr(args, flag) is not None:
+                print(f"error: --{flag.replace('_', '-')} is for the clip protocol only", file=sys.stderr)
+                return 1
     inventory = load_inventory_jsonl(args.corpus)
     if args.protocol == "repetitive":
         words = [r for r in inventory if r.kind == "word"]

@@ -8,18 +8,20 @@ import math
 import re
 import sys
 from array import array
-from itertools import chain, repeat
+from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .metrics import NONTARGET, TARGET, Qmfs, Trials, decode_ids
+from .metrics import NONTARGET, TARGET, Qmfs, Trials
 
 TRIAL_COLUMNS = ["model_id", "test_id", "label"]
 SCORE_COLUMNS = TRIAL_COLUMNS + ["raw_score"]
 SCATTER_COLUMNS = ["test_id", "qmf_name", "qmf_value", "score", "label"]
 SCATTER_CHUNK = 1 << 12  # trials per write: about 1 MB of text at four QMFs
+TRIAL_CHUNK = 1 << 12  # trials per write of a trial list or scores TSV: about 250 KB of text
+BLOCK_CHARS = 1 << 16  # characters per read of a text input
 # a byte that is not UTF-8, as errors="surrogateescape" decodes it
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -64,20 +66,48 @@ def write_tsv(path: str | Path, header: list[str], rows, provenance: str | None 
     write_lines(path, provenance, chain(["\t".join(header)], ("\t".join(map(str, row)) for row in rows)))
 
 
-def numbered_lines(path: str | Path, errors: str = "surrogateescape"):
-    """(line number, line without its end) of every line of a UTF-8 text file, streamed.
+def _not_utf8(path: str | Path, lineno: int, escaped: re.Match) -> ValueError:
+    return ValueError(f"{path}:{lineno}: byte 0x{ord(escaped.group()) - 0xdc00:02x} is not UTF-8")
 
-    Lines end at "\\n", "\\r\\n" and "\\r" only: these are Python's
-    universal newlines, which iterating an open file follows, so U+2028,
-    "\\x0b", "\\x0c", "\\x85" and the like stay in their line. A leading
-    byte order mark is dropped. A byte that is not UTF-8 fails with the
-    file and line, unless ``errors`` decodes it another way.
+
+def line_blocks(path: str | Path, errors: str = "surrogateescape"):
+    """(number of the first line, lines without their ends) of each block of a UTF-8 text file.
+
+    The file is read BLOCK_CHARS characters at a time, and a block holds
+    the lines that end in what has been read; a line that a read cuts
+    goes to the next block. Lines end at "\\n", "\\r\\n" and "\\r" only:
+    these are Python's universal newlines, which a text read translates
+    to "\\n", so U+2028, "\\x0b", "\\x0c", "\\x85" and the like stay in
+    their line. A leading byte order mark is dropped. A byte that is not
+    UTF-8 fails with the file and line, once the lines before it have been
+    handed out, unless ``errors`` decodes it another way.
     """
     with open(path, encoding="utf-8-sig", errors=errors) as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
-                raise ValueError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xdc00:02x} is not UTF-8")
-            yield lineno, line.rstrip("\n")
+        first, parts = 1, []  # parts: the text of the line that the last read cut
+        while text := f.read(BLOCK_CHARS):
+            parts.append(text)
+            if "\n" not in text:
+                continue
+            text = "".join(parts)
+            lines = text.split("\n")
+            parts = [lines.pop()]
+            if not text.isascii() and (bad := _ESCAPED_BYTE.search(text)):
+                row = text.count("\n", 0, bad.start())
+                yield first, lines[:row]
+                raise _not_utf8(path, first + row, bad)
+            del text  # while the block is read, only its lines are held
+            yield first, lines
+            first += len(lines)
+        if last := "".join(parts):  # a last line with no end
+            if bad := _ESCAPED_BYTE.search(last):
+                raise _not_utf8(path, first, bad)
+            yield first, [last]
+
+
+def numbered_lines(path: str | Path, errors: str = "surrogateescape"):
+    """(line number, line without its end) of every line of a UTF-8 text file; see line_blocks."""
+    for first, lines in line_blocks(path, errors):
+        yield from zip(count(first), lines)
 
 
 def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
@@ -189,10 +219,35 @@ def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
     return [rec for _, rec in iter_jsonl(path, required, unique)]
 
 
+def write_trial_table(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
+    """A trial list (TRIAL_COLUMNS) or, for trials with scores, a scores TSV (SCORE_COLUMNS): the
+    provenance line, if any, the header, then one line per trial.
+
+    Scores are written with 17 significant digits, so they read back to
+    the same floats. Each id is formatted once, from the id tables, and
+    the lines are written TRIAL_CHUNK trials at a time.
+    """
+    scored = trials.scores is not None
+    end = "\t" if scored else "\n"  # of the label cell
+    models = np.array([f"{model_id}\t" for model_id in trials.models], dtype=object)
+    tests = np.array([f"{test_id}\t" for test_id in trials.tests], dtype=object)
+    labels = np.array([NONTARGET + end, TARGET + end], dtype=object)
+    with open(path, "w") as f:
+        if provenance:
+            f.write(provenance + "\n")
+        f.write("\t".join(SCORE_COLUMNS if scored else TRIAL_COLUMNS) + "\n")
+        for start in range(0, len(trials), TRIAL_CHUNK):
+            part = slice(start, start + TRIAL_CHUNK)
+            cells = [models[trials.model_codes[part]].tolist(), tests[trials.test_codes[part]].tolist(),
+                     labels[trials.is_target[part].astype(np.intp)].tolist()]
+            if scored:
+                cells.append(list(map("{:.17g}\n".format, trials.scores[part].tolist())))
+            f.write("".join(chain.from_iterable(zip(*cells))))
+
+
 def write_scores(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
-    rows = zip(decode_ids(trials.models, trials.model_codes), decode_ids(trials.tests, trials.test_codes),
-               trials.labels(), [f"{s:.17g}" for s in trials.scores.tolist()])
-    write_tsv(path, SCORE_COLUMNS, rows, provenance)
+    """Scores TSV (SCORE_COLUMNS); see write_trial_table."""
+    write_trial_table(path, trials, provenance)
 
 
 def write_scatter(path: str | Path, trials: Trials, qmf_names: list[str], block: np.ndarray) -> None:
@@ -232,58 +287,79 @@ def read_trial_table(path: str | Path, scored: bool = False) -> tuple[Trials, ar
     Blank and '#' lines are skipped. A wrong header, a row with another
     field count, a label other than target/nontarget, a score that is not
     a finite number or a repeated (model_id, test_id) fails with the file
-    and line.
+    and line. Each block of lines (see line_blocks) is parsed a column at
+    a time, its ids encoded into tables that grow block by block, so the
+    reader holds one block of text besides the columns; of two faults in
+    different blocks, the earlier block's is named.
     """
     columns = SCORE_COLUMNS if scored else TRIAL_COLUMNS
     width = len(columns)
-    lines, rows = array("q"), []  # an array, not a list: 8 bytes a line
-    for lineno, line in numbered_lines(path):
-        if line and not line.startswith("#"):
-            lines.append(lineno)
-            rows.append(line)
-    if not rows:
-        raise ValueError(f"{path}: no header line found")
-    header_line, header = lines.pop(0), rows.pop(0).split("\t")
-    if header != columns:
-        raise ValueError(f"{path}:{header_line}: expected columns {columns}, got {header}")
+    lines = array("q")  # an array, not a list: 8 bytes a line
+    model_index: dict[str, int] = {}  # id -> code, in order of first appearance
+    test_index: dict[str, int] = {}
+    # one array per block of each column
+    model_codes, test_codes, targets, values = ([np.empty(0, dtype)]
+                                                for dtype in (np.intp, np.intp, bool, float))
+    header, numbers = None, []  # numbers: the line of each row of the block
 
     def fail(row: int, message: str):
-        raise ValueError(f"{path}:{lines[row]}: {message}")
+        raise ValueError(f"{path}:{numbers[row]}: {message}")
 
-    fields = np.array([row.count("\t") for row in rows], dtype=int) + 1
-    if np.any(fields != width):
-        row = int(np.argmax(fields != width))
-        fail(row, f"expected {width} tab-separated fields, got {fields[row]}")
-    cells = "\t".join(rows).split("\t") if rows else []
-    model_ids, test_ids, labels = cells[0::width], cells[1::width], cells[2::width]
-
-    if set(labels) - {TARGET, NONTARGET}:
-        row = next(i for i, label in enumerate(labels) if label not in (TARGET, NONTARGET))
-        fail(row, f"label must be target/nontarget, got {labels[row]!r}")
-    values = None
-    if scored:
-        scores = cells[3::width]
-        try:
-            values = np.array(list(map(float, scores)), dtype=float)
-        except ValueError:
-            for row, text in enumerate(scores):
-                try:
-                    float(text)
-                except ValueError:
-                    fail(row, f"score is not a number: {text!r}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            fail(row, f"non-finite score {scores[row]!r}")
-    trials = Trials.from_ids(model_ids, test_ids,
-                             np.array([label == TARGET for label in labels], dtype=bool), values)
-    keys = (trials.model_codes * len(trials.tests) + trials.test_codes).tolist()
-    if len(set(keys)) < len(keys):
-        first: dict[int, int] = {}
-        for row, key in enumerate(keys):
-            if first.setdefault(key, row) != row:
-                fail(row, f"duplicate trial ({model_ids[row]}, {test_ids[row]}), "
-                          f"first at line {lines[first[key]]}")
+    for first, rows in line_blocks(path):
+        numbers = range(first, first + len(rows))
+        if "" in rows or any(map(str.startswith, rows, repeat("#"))):
+            kept = [i for i, row in enumerate(rows) if row and not row.startswith("#")]
+            rows, numbers = [rows[i] for i in kept], [numbers[i] for i in kept]
+        if header is None and rows:
+            header = rows[0].split("\t")
+            if header != columns:
+                fail(0, f"expected columns {columns}, got {header}")
+            rows, numbers = rows[1:], numbers[1:]
+        if not rows:
+            continue
+        cells = "\t".join(rows).split("\t")
+        if len(cells) != width * len(rows):
+            fields = [row.count("\t") + 1 for row in rows]
+            row = next(row for row, n in enumerate(fields) if n != width)
+            fail(row, f"expected {width} tab-separated fields, got {fields[row]}")
+        labels = cells[2::width]
+        if not {TARGET, NONTARGET}.issuperset(labels):
+            row = next(i for i, label in enumerate(labels) if label not in (TARGET, NONTARGET))
+            fail(row, f"label must be target/nontarget, got {labels[row]!r}")
+        targets.append(np.fromiter(map(TARGET.__eq__, labels), dtype=bool, count=len(rows)))
+        if scored:
+            scores = cells[3::width]
+            try:
+                values.append(np.fromiter(map(float, scores), dtype=float, count=len(rows)))
+            except ValueError:
+                for row, text in enumerate(scores):
+                    try:
+                        float(text)
+                    except ValueError:
+                        fail(row, f"score is not a number: {text!r}")
+            finite = np.isfinite(values[-1])
+            if not finite.all():
+                row = int(np.argmin(finite))
+                fail(row, f"non-finite score {scores[row]!r}")
+        for ids, index, codes in ((cells[0::width], model_index, model_codes),
+                                  (cells[1::width], test_index, test_codes)):
+            index.update(zip(filterfalse(index.__contains__, dict.fromkeys(ids)), count(len(index))))
+            codes.append(np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(rows)))
+        lines.extend(numbers)
+    if header is None:
+        raise ValueError(f"{path}: no header line found")
+    trials = Trials(list(model_index), list(test_index), np.concatenate(model_codes),
+                    np.concatenate(test_codes), np.concatenate(targets),
+                    np.concatenate(values) if scored else None)
+    keys = trials.model_codes * len(trials.tests) + trials.test_codes
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():  # then find the first repeat in file order
+        first_row: dict[int, int] = {}
+        for row, key in enumerate(keys.tolist()):
+            if first_row.setdefault(key, row) != row:
+                pair = f"({trials.models[trials.model_codes[row]]}, {trials.tests[trials.test_codes[row]]})"
+                raise ValueError(f"{path}:{lines[row]}: duplicate trial {pair}, "
+                                 f"first at line {lines[first_row[key]]}")
     return trials, lines
 
 

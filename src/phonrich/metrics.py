@@ -30,11 +30,6 @@ def encode_ids(ids) -> tuple[list[str], np.ndarray]:
     return table, np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
 
 
-def decode_ids(table: list[str], codes: np.ndarray) -> list[str]:
-    """The id of each code: the inverse of encode_ids."""
-    return np.array(table, dtype=object)[codes].tolist()
-
-
 @dataclass
 class Trials:
     """Verification trials as columns: enrollment model vs. test utterance, one entry each.
@@ -140,7 +135,8 @@ def roc_points(tar: np.ndarray, non: np.ndarray):
     non = np.sort(np.asarray(non, dtype=float))
     if tar.size == 0 or non.size == 0:
         raise ValueError("need at least one target and one nontarget trial")
-    thresholds = np.unique(np.concatenate([tar, non]))
+    ordered = np.sort(np.concatenate([tar, non]))
+    thresholds = ordered[_run_starts(ordered)[:-1]]
     far = 1.0 - np.searchsorted(non, thresholds, side="left") / non.size
     frr = np.searchsorted(tar, thresholds, side="left") / tar.size
     thresholds = np.append(thresholds, np.inf)
@@ -174,66 +170,95 @@ def compute_min_c_primary(tar, non) -> float:
     return float(np.mean(costs))
 
 
-def _count_inversions(ranks: np.ndarray) -> int:
-    """Pairs i < j with ranks[i] > ranks[j], by bottom-up merge levels.
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted 1-D array starts, then the array's length.
 
-    At width w the sequence is cut into blocks of w and each block is
-    sorted. Every pair meets exactly once as (left block, right sibling
-    block), where each right element counts, by binary search, the
-    elements of its sorted left sibling that exceed it.
+    Values compare as floats do: -0.0 and 0.0 are one run.
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
-    n = ranks.size
-    span = int(ranks.max()) + 1 if n else 1
-    pos = np.arange(n)
-    inversions = 0
-    width = 1
-    while width < n:
-        block = pos // width
-        keys = np.sort(block * span + ranks)  # sorting keeps every element in its block
-        right = np.flatnonzero(block % 2 == 1)
-        below = keys[right] - span  # same value, keyed into the left sibling block
-        inversions += int((block[right] * width - np.searchsorted(keys, below, side="right")).sum())
-        width *= 2
-    return inversions
+    return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1], [True]]))
 
 
-def _tied_pairs(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
+def _dense_ranks(values) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's rank among the distinct values, 0 for the least, and how often each distinct
+    value occurs, in rank order, for a 1-D sequence of numbers; NaN, which has no rank, is refused.
+
+    Integers from 0 to less than twice the length, such as ranks, are
+    counted; other values are sorted as floats.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "iu" and values.size and 0 <= values.min() and values.max() < 2 * values.size:
+        counts = np.bincount(values)
+        present = counts > 0
+        return (np.cumsum(present) - 1)[values], counts[present]
+    values = values.astype(float, copy=False)
+    if np.isnan(values).any():
+        raise ValueError("kendall_tau needs numbers, got NaN")
+    order = np.argsort(values)
+    starts = _run_starts(values[order])
+    counts = np.diff(starts)
+    ranks = np.empty(values.size, dtype=np.intp)
+    ranks[order] = np.repeat(np.arange(counts.size), counts)
+    return ranks, counts
+
+
+def _pairs(counts: np.ndarray) -> int:
+    """The pairs within groups of these sizes."""
     return int((counts * (counts - 1) // 2).sum())
+
+
+def _count_inversions(runs: np.ndarray, ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j] in a sequence of ascending runs, by merging runs.
+
+    ``runs`` numbers each element's run, 0, 1, 2, ... in sequence order,
+    and ``ranks`` (integers >= 0) ascends within each run, so no pair
+    inside a run is inverted. Each level pairs run 2k with run 2k + 1:
+    each element of the right run counts, by binary search, the elements
+    of its left sibling that exceed it, and the two become run k of the
+    next level. After ceil(log2(number of runs)) levels every pair has met once.
+    """
+    span = int(ranks.max()) + 1 if ranks.size else 1
+    keys = runs * span + ranks  # ascending: by run, then by rank
+    inversions = 0
+    while runs.size and runs[-1] > 0:
+        ends = np.cumsum(np.bincount(runs))  # where each run ends
+        right = np.flatnonzero(runs & 1)
+        # a right element's left sibling holds, above its rank, the elements up to the sibling's
+        # end less those keyed at or below (sibling, rank)
+        inversions += int((ends[runs[right] - 1]
+                           - np.searchsorted(keys, keys[right] - span, side="right")).sum())
+        keys = np.sort(keys - (runs - (runs >> 1)) * span)  # run r becomes run r >> 1
+        runs = runs >> 1
+    return inversions
 
 
 def kendall_tau(x, y) -> float:
     """Kendall's tau-b: (C - D) / sqrt((n0 - tx)(n0 - ty)) with tie corrections.
 
-    Knight's (1966) O(n log n) construction: sort by (x, y), count
-    inversions of y for the discordant pairs, and correct concordant
-    counts for ties.
+    Knight's (1966) O(n log n) construction: sort the pairs by (x, y),
+    which leaves y ascending within each run of tied x, count the
+    inversions of y across those runs for the discordant pairs, and
+    correct concordant counts for ties. Tau-b sees each list only through
+    the order and ties of its values, so ranks give the tau of the values
+    they rank.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x), np.asarray(y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("kendall_tau needs two equal-length 1-D sequences")
     n = x.size
     if n < 2:
         raise ValueError("kendall_tau needs at least 2 observations")
+    (x_ranks, x_counts), (y_ranks, y_counts) = _dense_ranks(x), _dense_ranks(y)
 
     n0 = n * (n - 1) // 2
-    tx = _tied_pairs(x)
-    ty = _tied_pairs(y)
+    tx, ty = _pairs(x_counts), _pairs(y_counts)
     if tx == n0 or ty == n0:
         raise ValueError("all values tied in one list: tau-b undefined")
 
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    # joint ties
-    pair_view = np.stack([xs, ys], axis=1)
-    changed = np.any(np.diff(pair_view, axis=0) != 0, axis=1)
-    group_sizes = np.diff(np.concatenate([[0], np.flatnonzero(changed) + 1, [n]]))
-    txy = int((group_sizes * (group_sizes - 1) // 2).sum())
-
+    span = y_counts.size
+    keys = np.sort(x_ranks * span + y_ranks)  # the pairs by (x, y)
+    txy = _pairs(np.diff(_run_starts(keys)))  # joint ties
     # inversions of y after the (x, y) sort; tied-x pairs contribute none
-    discordant = _count_inversions(np.searchsorted(np.unique(ys), ys))
+    discordant = _count_inversions(keys // span, keys % span)
     concordant = n0 - tx - ty + txy - discordant
     return float((concordant - discordant) / math.sqrt((n0 - tx) * (n0 - ty)))
 
@@ -244,17 +269,27 @@ def correlation_report(trials: Trials, qmfs: Qmfs):
     Returns (taus, qmf_names, block) where taus maps (label, qmf_name) ->
     tau and block is the (len(trials.tests), len(qmf_names)) array of the
     QMFs of each test. The QMF names are those of the first trial's test.
+    Tau-b sees a QMF only through how it orders and ties the tests, so a
+    QMF that ranks them as an earlier one does (lns is log(net_speech))
+    takes that one's taus, and kendall_tau runs once per class and
+    distinct order.
     """
     tests, codes = trials.tests, trials.test_codes
     qmf_names = qmfs.names_of(tests[codes[0]]) if len(codes) else []
     block = qmfs.join(tests, qmf_names)
+    ranks = [_dense_ranks(column)[0] for column in block.T]
+    # the first QMF that ranks the tests as QMF j does: j itself, or an earlier one
+    same = [next(i for i in range(j + 1) if np.array_equal(ranks[i], ranks[j])) for j in range(len(ranks))]
     taus: dict[tuple[str, str], float] = {}
     for label, mask in ((TARGET, trials.is_target), (NONTARGET, ~trials.is_target)):
         if not mask.any():
             continue
-        scores, values = trials.scores[mask], block[codes[mask]]
+        scores, class_codes = _dense_ranks(trials.scores[mask])[0], codes[mask]
+        class_taus: list[float] = []
         for j, name in enumerate(qmf_names):
-            taus[(label, name)] = kendall_tau(values[:, j], scores)
+            shared = same[j] < j
+            class_taus.append(class_taus[same[j]] if shared else kendall_tau(ranks[j][class_codes], scores))
+            taus[(label, name)] = class_taus[j]
     return taus, qmf_names, block
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -11,8 +12,8 @@ from sys import intern
 
 import numpy as np
 
-from .io import TRIAL_COLUMNS, iter_jsonl, read_trial_table, write_jsonl, write_tsv
-from .metrics import NONTARGET, TARGET, decode_ids, encode_ids
+from .io import iter_jsonl, read_trial_table, write_jsonl, write_trial_table
+from .metrics import Trials, encode_ids
 
 MAX_PROBE_REDRAWS = 20
 # keys, with their JSON types, that load_protocol reads from each manifest and models
@@ -49,6 +50,11 @@ class UtteranceRecord:
             raise ValueError(f"{self.utterance_id}: net_speech must be > 0")
         if self.kind == "word" and self.repetition_index < 1:
             raise ValueError(f"{self.utterance_id}: word recordings need repetition_index >= 1")
+        for duration in self.word_durations or ():
+            # exact types: true and false are not numbers; NaN fails the comparison
+            if type(duration) not in (int, float) or not 0 < duration < math.inf:
+                raise ValueError(f"{self.utterance_id}: word_durations must be finite numbers > 0, "
+                                 f"got {json.dumps(duration)}")
 
 
 @dataclass
@@ -272,10 +278,10 @@ def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str 
         raise ValueError(f"{name}: net_speech of its recordings sums to {bad.net_speech}, "
                          f"not a finite number")
     pairs = np.concatenate([spec.positive_trials, spec.negative_trials])
-    labels = [TARGET] * len(spec.positive_trials) + [NONTARGET] * len(spec.negative_trials)
-    rows = zip(decode_ids([m.model_id for m in spec.models], pairs[:, 0]),
-               decode_ids([t.test_id for t in spec.tests], pairs[:, 1]), labels)
-    write_tsv(trials_path, TRIAL_COLUMNS, rows, provenance)
+    is_target = np.arange(len(pairs)) < len(spec.positive_trials)
+    trials = Trials([m.model_id for m in spec.models], [t.test_id for t in spec.tests],
+                    pairs[:, 0], pairs[:, 1], is_target, None)
+    write_trial_table(trials_path, trials, provenance)
     # one key per field; write_jsonl sorts the keys
     write_jsonl(manifest_path, map(vars, spec.tests), provenance)
     write_jsonl(models_path, map(vars, spec.models), provenance)

@@ -764,6 +764,41 @@ class TestClipTarget:
         assert not list(tmp_path.glob("out*"))
 
 
+class TestWordDurations:
+    """A corpus record whose word_durations holds an item that is not a finite number > 0 fails
+    with its file and line: a clip would never reach its target, or sum to infinity."""
+
+    @pytest.mark.parametrize("durations, shown", [
+        ("[0, 0]", "0"), ("[-1.0, 0.5]", "-1.0"), ("[1e999, 1.0]", "Infinity"), ("[true, true]", "true"),
+    ], ids=["zero", "negative", "infinite", "booleans"])
+    def test_is_one_error_line(self, tmp_path, small_inputs, capsys, durations, shown):
+        path = small_inputs["corpus"]
+        record = json.dumps(dict(VALID_RECORDS["corpus"], transcript="cat cat", word_durations=None))
+        path.write_text(record.replace("null", durations) + "\n")
+        assert run_with(tmp_path, small_inputs, CLIP + ["--target", "2"]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == (f"error: {path}:1: u0: word_durations must be finite numbers > 0, "
+                                f"got {shown}\n")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestRepetitiveClipFlags:
+    """gen-protocol --protocol repetitive reads neither --base-trials nor --target, so it refuses them."""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--base-trials", "trials"], "--base-trials"),
+        (["--target", "3"], "--target"),
+        (["--base-trials", "trials", "--target", "3"], "--base-trials"),
+    ], ids=["base-trials", "target", "both"])
+    def test_is_one_error_line(self, tmp_path, small_inputs, capsys, flags, named):
+        assert run_with(tmp_path, small_inputs, GEN_PROTOCOL + flags) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {named} is for the clip protocol only\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
 class TestJsonlRequiredKeys:
     """A JSONL record without a key its command reads fails with one error line naming it."""
 

@@ -1,6 +1,6 @@
 """Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
-no module splits text into lines on its own, only io opens files, and in io only
-numbered_lines reads text."""
+no module splits text into lines on its own, only io opens files, in io only
+line_blocks reads text, and no module calls np.unique."""
 
 import ast
 from pathlib import Path
@@ -37,7 +37,7 @@ def test_no_unused_imports(module):
 
 @pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
 def test_no_splitlines(module):
-    """str.splitlines() also breaks at U+2028, \\x0b, \\x0c and more; io.numbered_lines holds the one line rule."""
+    """str.splitlines() also breaks at U+2028, \\x0b, \\x0c and more; io.line_blocks holds the one line rule."""
     assert "splitlines" not in module.read_text()
 
 
@@ -78,10 +78,10 @@ def test_finds_a_text_read():
     assert text_reads(source) == ["b", "c", "c", "<module>"]
 
 
-def test_only_numbered_lines_reads_text():
-    """io.numbered_lines holds the line rule, the UTF-8 check and the dropped byte order mark
+def test_only_line_blocks_reads_text():
+    """io.line_blocks holds the line rule, the UTF-8 check and the dropped byte order mark
     of every text input, so every other open in io writes or reads bytes."""
-    assert text_reads((SRC / "io.py").read_text()) == ["numbered_lines"]
+    assert text_reads((SRC / "io.py").read_text()) == ["line_blocks"]
 
 
 @pytest.mark.parametrize("module", [p for p in MODULES if p.name != "io.py"],
@@ -89,3 +89,22 @@ def test_only_numbered_lines_reads_text():
 def test_only_io_opens_files(module):
     """io reads every input, so each goes through its one line rule and its UTF-8 check."""
     assert open_calls(module.read_text()) == []
+
+
+def unique_calls(source: str) -> list[int]:
+    """Lines that call ``unique`` on ``np`` or ``numpy``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "unique" and getattr(node.func.value, "id", None) in ("np", "numpy"))
+
+
+def test_finds_a_call_to_unique():
+    source = "import numpy as np\nnp.unique(a)\nnumpy.unique(b, return_counts=True)\nunique(c)\nx.unique()\n"
+    assert unique_calls(source) == [2, 3]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_no_np_unique(module):
+    """numpy's unique imports numpy.ma on its first call, about 15 ms of a command's start; the
+    metrics sort and compare instead."""
+    assert unique_calls(module.read_text()) == []

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import phonrich.io
+import phonrich.metrics
 from phonrich.io import write_scatter
-from phonrich.metrics import (Qmfs, Trials, compute_eer, compute_min_c_primary,
+from phonrich.metrics import (Qmfs, Trials, _count_inversions, compute_eer, compute_min_c_primary,
                               correlation_report, kendall_tau, protocol_stats)
 
 from oracles import (brute_force_eer, brute_force_min_c_primary, brute_force_tau,
@@ -157,6 +158,69 @@ class TestKendallTau:
             assert got == pytest.approx(brute_force_tau(x, y), abs=1e-10)
 
 
+class TestKendallTauRuns:
+    """kendall_tau merges the runs of tied x that its (x, y) sort makes: ceil(log2(distinct x))
+    levels, each checked here against the pair-by-pair oracle."""
+
+    @pytest.mark.parametrize("distinct", [2, 3, 4, 5, 8, 9, 16, 17, 64, 65])
+    def test_equals_brute_force_by_distinct_x(self, distinct):
+        rng = np.random.default_rng(distinct)
+        for _ in range(10):
+            n = int(rng.integers(distinct, 4 * distinct + 20))
+            x = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)]) * 0.5
+            y = rng.integers(0, int(rng.integers(2, 12)), n).astype(float)
+            rng.shuffle(x)
+            assert kendall_tau(x, y) == brute_force_tau(x, y)
+
+    def test_one_distinct_x_is_refused(self):
+        with pytest.raises(ValueError, match="tied"):
+            kendall_tau([2.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_all_tied_y_is_refused(self):
+        with pytest.raises(ValueError, match="tied"):
+            kendall_tau([1.0, 2.0, 3.0, 4.0, 5.0], [-0.0, 0.0, 0.0, -0.0, 0.0])
+
+    def test_all_distinct_x_equals_brute_force(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 31, 32, 33, 200):
+            x, y = rng.standard_normal(n), np.round(rng.standard_normal(n), 1)
+            assert kendall_tau(x, y) == brute_force_tau(x, y)
+
+    def test_signed_zeros_tie(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(3, 60))
+            x = rng.choice([-0.0, 0.0, 1.0, -1.0], n)
+            y = rng.choice([-0.0, 0.0, 2.0], n)
+            try:
+                got = kendall_tau(x, y)
+            except ValueError:
+                continue
+            assert got == brute_force_tau(x, y)
+            assert got == kendall_tau(x + 0.0, y + 0.0)  # -0.0 + 0.0 is 0.0
+
+    def test_ranks_give_the_tau_of_their_values(self):
+        rng = np.random.default_rng(13)
+        x, y = np.round(rng.standard_normal(300), 1), rng.standard_normal(300)
+        x_ranks = np.searchsorted(np.unique(x), x)
+        assert kendall_tau(x_ranks, y) == kendall_tau(x, y)
+
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            kendall_tau([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
+    def test_inversions_equal_a_pair_count(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n_runs = int(rng.integers(1, 20))
+            sizes = rng.integers(1, 8, n_runs)
+            runs = np.repeat(np.arange(n_runs), sizes)
+            # ranks ascend within each run
+            ranks = np.concatenate([np.sort(rng.integers(0, 10, size)) for size in sizes])
+            pairs = sum(int(ranks[i] > ranks[j]) for i in range(len(ranks)) for j in range(i + 1, len(ranks)))
+            assert _count_inversions(runs, ranks) == pairs
+
+
 class TestTrials:
     def test_string_labels_refused_as_mask(self):
         with pytest.raises(ValueError, match="boolean"):
@@ -199,6 +263,25 @@ class TestCorrelationReport:
         trials = make_trials([0.9], [0.1])
         with pytest.raises(ValueError, match="missing QMF"):
             correlation_report(trials, Qmfs(["t0"], ["cu"], np.array([[1.0]])))
+
+    def test_one_tau_per_distinct_order(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        n_tests = 40
+        tar = rng.standard_normal(n_tests)
+        non = rng.standard_normal(n_tests)
+        trials = make_trials(tar, non)
+        net_speech = rng.uniform(0.5, 9.0, len(trials.tests))
+        qmfs = Qmfs.from_columns(trials.tests, {"net_speech": net_speech, "lns": np.log(net_speech),
+                                                "cu": rng.integers(2, 9, len(trials.tests)).astype(float)})
+        calls = []
+        monkeypatch.setattr(phonrich.metrics, "kendall_tau", lambda x, y: calls.append(1) or kendall_tau(x, y))
+        taus, qmf_names, block = correlation_report(trials, qmfs)
+        assert len(calls) == 4  # per class: cu, and lns shared with net_speech
+        for label, mask in (("target", trials.is_target), ("nontarget", ~trials.is_target)):
+            values = block[trials.test_codes[mask]]
+            for j, name in enumerate(qmf_names):
+                assert taus[(label, name)] == kendall_tau(values[:, j], trials.scores[mask])
+            assert taus[(label, "lns")] == taus[(label, "net_speech")]
 
     def test_constant_qmf_error(self):
         trials = make_trials([0.9, 0.7], [0.3, 0.2])
