@@ -122,15 +122,15 @@ def write_jsonl(path: str | Path, records, provenance: str | None = None) -> Non
     write_lines(path, provenance, map(json.JSONEncoder(sort_keys=True, allow_nan=False).encode, records))
 
 
-# JSON type of a required or optional key -> (the Python types json.loads gives it, the type of each
-# item of a list); exact types, so true and false are not numbers
+# JSON type of a required or optional key -> (the Python types json.loads gives it, the test each
+# item of a list passes); exact types, so true and false are not numbers
 JSON_TYPES = {
     "string": ({str}, None),
     "number": ({int, float}, None),
     "integer": ({int}, None),
     "list": ({list}, None),
-    "list of strings": ({list}, str),
-    "list of numbers or null": ({list, type(None)}, (int, float)),
+    "list of strings": ({list}, lambda item: type(item) is str),
+    "list of numbers or null": ({list, type(None)}, lambda item: _is_finite_number(item)),
 }
 _MISSING = object()
 
@@ -152,13 +152,18 @@ def _holds_non_finite(value) -> bool:
     return any(map(_holds_non_finite, items))
 
 
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a JSON number that a float holds: not true or false, NaN or an infinity."""
+    return type(value) in JSON_TYPES["number"][0] and abs(value) <= sys.float_info.max
+
+
 def _number_error(key: str, value) -> str | None:
-    """Why ``value`` of ``key`` is not a finite JSON number (true and false are not numbers), or None."""
+    """Why ``value`` of ``key`` is not a finite JSON number (see _is_finite_number), or None."""
+    if _is_finite_number(value):
+        return None
     if type(value) not in JSON_TYPES["number"][0]:
         return f"{key} must be a number, got {json.dumps(value)}"
-    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an integer no float holds
-        return f"{key} must be a finite number, got {json.dumps(value)}"
-    return None
+    return f"{key} must be a finite number, got {json.dumps(value)}"
 
 
 def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None,
@@ -194,10 +199,9 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
                                  f"got {json.dumps(value)}") from None
         if not isinstance(rec, dict):
             raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
-        for key, kind, needed, types, item_type in checks:
+        for key, kind, needed, types, item_test in checks:
             value = rec.get(key, _MISSING)
-            if type(value) not in types or (item_type and value
-                                            and not all(map(isinstance, value, repeat(item_type)))):
+            if type(value) not in types or (item_test and value and not all(map(item_test, value))):
                 if value is _MISSING:
                     if not needed:
                         continue
@@ -317,11 +321,11 @@ def read_trial_table(path: str | Path, scored: bool = False) -> tuple[Trials, ar
             rows, numbers = rows[1:], numbers[1:]
         if not rows:
             continue
+        tabs = list(map(str.count, rows, repeat("\t")))  # each row's, so no two faulty rows cancel out
+        if any(map((width - 1).__ne__, tabs)):
+            row = next(row for row, n in enumerate(tabs) if n != width - 1)
+            fail(row, f"expected {width} tab-separated fields, got {tabs[row] + 1}")
         cells = "\t".join(rows).split("\t")
-        if len(cells) != width * len(rows):
-            fields = [row.count("\t") + 1 for row in rows]
-            row = next(row for row, n in enumerate(fields) if n != width)
-            fail(row, f"expected {width} tab-separated fields, got {fields[row]}")
         labels = cells[2::width]
         if not {TARGET, NONTARGET}.issuperset(labels):
             row = next(i for i, label in enumerate(labels) if label not in (TARGET, NONTARGET))

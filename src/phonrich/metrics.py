@@ -182,15 +182,9 @@ def _dense_ranks(values) -> tuple[np.ndarray, np.ndarray]:
     """Each value's rank among the distinct values, 0 for the least, and how often each distinct
     value occurs, in rank order, for a 1-D sequence of numbers; NaN, which has no rank, is refused.
 
-    Integers from 0 to less than twice the length, such as ranks, are
-    counted; other values are sorted as floats.
+    Values are sorted as floats.
     """
-    values = np.asarray(values)
-    if values.dtype.kind in "iu" and values.size and 0 <= values.min() and values.max() < 2 * values.size:
-        counts = np.bincount(values)
-        present = counts > 0
-        return (np.cumsum(present) - 1)[values], counts[present]
-    values = values.astype(float, copy=False)
+    values = np.asarray(values).astype(float, copy=False)
     if np.isnan(values).any():
         raise ValueError("kendall_tau needs numbers, got NaN")
     order = np.argsort(values)
@@ -284,11 +278,11 @@ def correlation_report(trials: Trials, qmfs: Qmfs):
     for label, mask in ((TARGET, trials.is_target), (NONTARGET, ~trials.is_target)):
         if not mask.any():
             continue
-        scores, class_codes = _dense_ranks(trials.scores[mask])[0], codes[mask]
+        scores, values = trials.scores[mask], block[codes[mask]]
         class_taus: list[float] = []
         for j, name in enumerate(qmf_names):
             shared = same[j] < j
-            class_taus.append(class_taus[same[j]] if shared else kendall_tau(ranks[j][class_codes], scores))
+            class_taus.append(class_taus[same[j]] if shared else kendall_tau(values[:, j], scores))
             taus[(label, name)] = class_taus[j]
     return taus, qmf_names, block
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -51,10 +50,8 @@ class UtteranceRecord:
         if self.kind == "word" and self.repetition_index < 1:
             raise ValueError(f"{self.utterance_id}: word recordings need repetition_index >= 1")
         for duration in self.word_durations or ():
-            # exact types: true and false are not numbers; NaN fails the comparison
-            if type(duration) not in (int, float) or not 0 < duration < math.inf:
-                raise ValueError(f"{self.utterance_id}: word_durations must be finite numbers > 0, "
-                                 f"got {json.dumps(duration)}")
+            if not duration > 0:  # a clip would never reach its target
+                raise ValueError(f"{self.utterance_id}: word_durations must be > 0, got {duration}")
 
 
 @dataclass

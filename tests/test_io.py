@@ -163,6 +163,18 @@ class TestBlockBoundaries:
         message = same_at_every_block_size(monkeypatch, jsonl, path)
         assert message.startswith(f"ValueError: {path}:{2 if case == 'bad-json-first' else 4}: ")
 
+    @pytest.mark.parametrize("read, rows, message", [
+        (trial_list, ["model_id\ttest_id\tlabel", "m1\tt1", "target\tm2\tt2\ttarget"],
+         "expected 3 tab-separated fields, got 2"),
+        (scores, [SCORES[0], "m1\tt1\ttarget", "m2\tt1\tnontarget\t0.5\t"],
+         "expected 4 tab-separated fields, got 3"),
+    ], ids=["trial-list", "scores"])
+    def test_short_row_then_long_row_is_named(self, tmp_path, monkeypatch, read, rows, message):
+        # one field too few, then one too many: the block's cell total is right, each row's is not
+        path = tmp_path / "table.tsv"
+        path.write_text("# provenance\n" + "\n".join(rows) + "\n")
+        assert same_at_every_block_size(monkeypatch, read, path) == f"ValueError: {path}:3: {message}"
+
     def test_bom_reads_as_no_bom(self, tmp_path):
         with_bom, without = tmp_path / "a.tsv", tmp_path / "b.tsv"
         with_bom.write_bytes(codecs.BOM_UTF8 + TABLES["crlf"].encode())
