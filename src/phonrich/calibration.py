@@ -191,20 +191,13 @@ def cross_validated_calibration(trials: Trials, qmfs: Qmfs, feature_set, k: int 
     together with the per-fold models.
     """
     X, names = build_features(trials, qmfs, feature_set)
-
-    if k == 1:
-        # degenerate case: train on everything, score everything
-        model = fit_lr(X, trials.is_target, feature_names=names)
-        model.seed = seed
-        return replace(trials, scores=apply_lr(model, X)), [model]
-
     folds = stratified_folds(trials.is_target, k, seed)
 
     pooled = np.empty(len(trials))
     models = []
     for fold in range(k):
-        train = folds != fold
-        test = ~train
+        test = folds == fold
+        train = ~test if k > 1 else test  # one fold trains on every trial, as it scores every trial
         model = fit_lr(X[train], trials.is_target[train], feature_names=names)
         model.seed = seed
         pooled[test] = apply_lr(model, X[test])

@@ -34,7 +34,7 @@ def _provenance(args) -> str:
     return provenance_line(args.subcommand, getattr(args, "seed", None), _inputs(args))
 
 
-def cmd_g2p(args) -> int:
+def cmd_g2p(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     transcripts = read_jsonl(args.transcripts, required={"utterance_id": "string", "transcript": "string"},
                              unique="utterance_id")
@@ -55,7 +55,6 @@ def cmd_g2p(args) -> int:
     print(f"g2p: utterances={len(records)} oov_words={total_oov} oov_rate={rate:.4f}")
     if total_oov:
         print(f"warning: {total_oov} out-of-vocabulary words skipped", file=sys.stderr)
-    return 0
 
 
 def _read_presence(path) -> PresenceVector:
@@ -72,7 +71,7 @@ def _read_presence(path) -> PresenceVector:
         raise ValueError(f"{path}:{lines[exc.row]}: {exc}") from None
 
 
-def cmd_richness(args) -> int:
+def cmd_richness(args) -> None:
     presence = _read_presence(args.presence)
     weights = load_weights(args.weights) if args.weights else None
     columns = {"cu": count_unique(presence)}
@@ -89,40 +88,41 @@ def cmd_richness(args) -> int:
     qmfs = Qmfs.from_columns(presence.utterance_ids, columns)
     write_qmfs(args.out, qmfs, _provenance(args))
     print(f"richness: wrote {len(qmfs.test_ids)} QMF records to {args.out}")
-    return 0
 
 
-def cmd_fit_weights(args) -> int:
+def cmd_fit_weights(args) -> None:
     presence = _read_presence(args.presence)
     row_of = {test_id: row for row, test_id in enumerate(presence.utterance_ids)}
     trials = read_scores(args.scores)
     rows = np.array([row_of.get(test_id, -1) for test_id in trials.tests], dtype=np.intp)[trials.test_codes]
     kept = trials.is_target & (rows >= 0)
     if not kept.any():
-        print("error: no positive trials joined with presence vectors", file=sys.stderr)
-        return 1
+        raise ValueError("no positive trials joined with presence vectors")
     w = fit_weights(presence.bits[rows[kept]], trials.scores[kept])
     save_weights(w, args.out, _provenance(args))
     print(f"fit-weights: n_train={w.n_train} fit_residual={w.fit_residual:.6g}")
-    return 0
 
 
-def cmd_gen_protocol(args) -> int:
-    if args.protocol == "repetitive":
-        for flag in ("base_trials", "target"):
-            if getattr(args, flag) is not None:
-                print(f"error: --{flag.replace('_', '-')} is for the clip protocol only", file=sys.stderr)
-                return 1
+# gen-protocol flags that only one protocol reads, each with that protocol; the other refuses them
+PROTOCOL_FLAGS = {"base_trials": "clip", "target": "clip", "probes_per_speaker": "repetitive",
+                  "negatives_per_probe": "repetitive"}
+PROBES_PER_SPEAKER = 100  # the repetitive protocol's default
+
+
+def cmd_gen_protocol(args) -> None:
+    for flag, protocol in PROTOCOL_FLAGS.items():
+        if protocol != args.protocol and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} is for the {protocol} protocol only")
     inventory = load_inventory_jsonl(args.corpus)
     if args.protocol == "repetitive":
         words = [r for r in inventory if r.kind == "word"]
         sentences = [r for r in inventory if r.kind == "sentence"]
-        spec = build_repetitive_protocol(words, sentences, args.probes_per_speaker,
-                                         args.seed, negatives_per_probe=args.negatives_per_probe)
+        probes = PROBES_PER_SPEAKER if args.probes_per_speaker is None else args.probes_per_speaker
+        spec = build_repetitive_protocol(words, sentences, probes, args.seed,
+                                         negatives_per_probe=args.negatives_per_probe)
     else:
         if args.target is None:
-            print("error: --target is required for the clip protocol", file=sys.stderr)
-            return 1
+            raise ValueError("--target is required for the clip protocol")
         base = [r for r in inventory if r.kind in ("sentence", "free")]
         spec = build_clip_protocol(base, args.target, args.seed, base_trials=args.base_trials)
     prefix = args.out_prefix
@@ -130,10 +130,9 @@ def cmd_gen_protocol(args) -> int:
                 f"{prefix}.models.jsonl", _provenance(args))
     print(f"gen-protocol: {len(spec.positive_trials)} positive, "
           f"{len(spec.negative_trials)} negative trials, {len(spec.tests)} tests")
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     protocol = load_protocol(args.trials, args.manifest, args.models)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else DEMO_VOCABULARY
     config = SimConfig(sigma0=args.sigma0, kappa=args.kappa, seed=args.seed, lexicon=lexicon, dim=args.dim)
@@ -143,7 +142,6 @@ def cmd_simulate(args) -> int:
     write_qmfs(args.out_qmf, result.qmfs, prov)
     n_speakers = len({m.speaker_id for m in protocol.models})
     print(f"simulate: scored {len(result.trials)} trials over {n_speakers} speakers")
-    return 0
 
 
 def _parse_feature_set(text: str) -> tuple[str, ...]:
@@ -156,11 +154,10 @@ def _parse_feature_set(text: str) -> tuple[str, ...]:
     return names
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> None:
     feature_set = _parse_feature_set(args.features)
     if not feature_set:
-        print("error: calibrate needs a non-empty feature set", file=sys.stderr)
-        return 1
+        raise ValueError("calibrate needs a non-empty feature set")
     trials = read_scores(args.scores)
     qmfs = read_qmfs(args.qmf)
     calibrated, models = cross_validated_calibration(trials, qmfs, feature_set,
@@ -172,14 +169,12 @@ def cmd_calibrate(args) -> int:
             save_model(model, f"{args.out_models}.fold{i}.txt", prov)
     print(f"calibrate: features={','.join(feature_set)} folds={args.folds} "
           f"trials={len(calibrated)}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     feature_sets = [_parse_feature_set(f) for f in args.features] or [()]
     if not args.qmf and any(f != "raw" for fs in feature_sets for f in fs):
-        print("error: --qmf is required for features beyond raw", file=sys.stderr)
-        return 1
+        raise ValueError("--qmf is required for features beyond raw")
     trials = read_scores(args.scores)
     qmfs = read_qmfs(args.qmf) if args.qmf else Qmfs.from_columns([], {})
     rows = []
@@ -204,10 +199,9 @@ def cmd_evaluate(args) -> int:
         write_scatter(args.correlation_out, trials, qmf_names, block)
         for (label, name), tau in sorted(taus.items()):
             print(f"tau[{label},{name}] = {tau:.3f}")
-    return 0
 
 
-def cmd_report_weights(args) -> int:
+def cmd_report_weights(args) -> None:
     weights = load_weights(args.weights)
     lines, corpus = [], []  # only each record's line and phonemes are kept
     for lineno, rec in iter_jsonl(args.presence, required={"utterance_id": "string",
@@ -227,26 +221,30 @@ def cmd_report_weights(args) -> int:
         print("\t".join(header))
         for row in out_rows:
             print("\t".join(row))
-    return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     ns_mean, ns_std, cu_mean, cu_std = protocol_stats(read_qmfs(args.qmf))
     print(f"net_speech: {ns_mean:.1f} ({ns_std:.1f}) s")
     print(f"cu: {cu_mean:.1f} ({cu_std:.1f})")
-    return 0
 
 
-def cmd_make_demo(args) -> int:
+def cmd_make_demo(args) -> None:
     records = make_demo_inventory(args.speakers, args.seed)
     write_jsonl(args.out, map(vars, records), _provenance(args))
     print(f"make-demo: wrote {len(records)} utterance records for {args.speakers} speakers")
-    return 0
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """A parser whose flag faults raise ValueError for main to report, not a usage block and exit 2;
+    add_subparsers makes each subcommand's parser of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="phonrich",
-                                     description="Phonetic-richness measures and score calibration")
+    parser = ArgumentParser(prog="phonrich", description="Phonetic-richness measures and score calibration")
     parser.add_argument("--version", action="version", version=f"phonrich {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -273,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-protocol", help="generate trial lists from an utterance inventory")
     p.add_argument("--corpus", required=True, help="utterance inventory JSONL")
     p.add_argument("--protocol", choices=["repetitive", "clip"], required=True)
-    p.add_argument("--probes-per-speaker", type=int, default=100)
-    p.add_argument("--negatives-per-probe", type=int)
+    p.add_argument("--probes-per-speaker", type=int, help=f"default {PROBES_PER_SPEAKER}")
+    p.add_argument("--negatives-per-probe", type=int, help="default: every matching-gender impostor")
     p.add_argument("--target", type=float, help="clip duration in seconds")
     p.add_argument("--base-trials", help="passthrough trial TSV over base utterance ids")
     p.add_argument("--seed", type=int, required=True)
@@ -335,23 +333,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for path in _inputs(args):
-        if not Path(path).exists():
-            print(f"error: input file not found: {path}", file=sys.stderr)
-            return 1
-    for attr, least in (("folds", 1), ("speakers", 1), ("probes_per_speaker", 1),
-                        ("negatives_per_probe", 0)):
-        value = getattr(args, attr, None)
-        if value is not None and value < least:
-            print(f"error: --{attr.replace('_', '-')} must be at least {least}, got {value}",
-                  file=sys.stderr)
-            return 1
+    """Run one subcommand: 0 once it has written its outputs, or 1 and one error line."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        for path in _inputs(args):
+            if not Path(path).exists():
+                raise ValueError(f"input file not found: {path}")
+        for attr, least in (("folds", 1), ("speakers", 1), ("probes_per_speaker", 1),
+                            ("negatives_per_probe", 0)):
+            value = getattr(args, attr, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{attr.replace('_', '-')} must be at least {least}, got {value}")
+        args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -66,8 +66,8 @@ def write_tsv(path: str | Path, header: list[str], rows, provenance: str | None 
     write_lines(path, provenance, chain(["\t".join(header)], ("\t".join(map(str, row)) for row in rows)))
 
 
-def _not_utf8(path: str | Path, lineno: int, escaped: re.Match) -> ValueError:
-    return ValueError(f"{path}:{lineno}: byte 0x{ord(escaped.group()) - 0xdc00:02x} is not UTF-8")
+def _not_utf8(path: str | Path, lineno: int, escaped: re.Match) -> str:
+    return f"{path}:{lineno}: byte 0x{ord(escaped.group()) - 0xdc00:02x} is not UTF-8"
 
 
 def line_blocks(path: str | Path, errors: str = "surrogateescape"):
@@ -94,13 +94,13 @@ def line_blocks(path: str | Path, errors: str = "surrogateescape"):
             if not text.isascii() and (bad := _ESCAPED_BYTE.search(text)):
                 row = text.count("\n", 0, bad.start())
                 yield first, lines[:row]
-                raise _not_utf8(path, first + row, bad)
+                raise ValueError(_not_utf8(path, first + row, bad))
             del text  # while the block is read, only its lines are held
             yield first, lines
             first += len(lines)
         if last := "".join(parts):  # a last line with no end
             if bad := _ESCAPED_BYTE.search(last):
-                raise _not_utf8(path, first, bad)
+                raise ValueError(_not_utf8(path, first, bad))
             yield first, [last]
 
 
@@ -188,15 +188,17 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
             continue
         try:
             rec = _DECODER.decode(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             try:  # again as json.loads reads it, NaN and Infinity included, for its message
                 rec = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() reads
+                if isinstance(rec, dict):  # so the line failed for a NaN or an infinity; name its key
+                    key, value = next((k, v) for k, v in rec.items() if _holds_non_finite(v))
+                    error = f"{key} must be a finite number, got {json.dumps(value)}"
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer of more digits
+                # than int() reads, or nesting deeper than the decoder or the scan for a NaN can go
                 raise ValueError(f"{path}:{lineno}: malformed JSONL line: {exc}") from exc
-            if isinstance(rec, dict):  # so the line failed for a NaN or an infinity; name its key
-                key, value = next((k, v) for k, v in rec.items() if _holds_non_finite(v))
-                raise ValueError(f"{path}:{lineno}: {key} must be a finite number, "
-                                 f"got {json.dumps(value)}") from None
+            if isinstance(rec, dict):
+                raise ValueError(f"{path}:{lineno}: {error}")
         if not isinstance(rec, dict):
             raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
         for key, kind, needed, types, item_test in checks:

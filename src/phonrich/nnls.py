@@ -46,7 +46,7 @@ def nnls(A: np.ndarray, b: np.ndarray):
         while True:
             it += 1
             if it > max_iterations:
-                raise RuntimeError(f"nnls did not converge in {max_iterations} iterations")
+                raise ValueError(f"nnls did not converge in {max_iterations} iterations")
             cols = np.flatnonzero(passive)
             z = np.zeros(n)
             z[cols], *_ = np.linalg.lstsq(A[:, cols], b, rcond=None)

@@ -15,6 +15,7 @@ from .io import iter_jsonl, read_trial_table, write_jsonl, write_trial_table
 from .metrics import Trials, encode_ids
 
 MAX_PROBE_REDRAWS = 20
+MAX_CLIP_WORDS = 10_000  # a clip window grows a word per step: tiny word durations would never end it
 # keys, with their JSON types, that load_protocol reads from each manifest and models
 # record and load_inventory_jsonl from each corpus record
 MANIFEST_KEYS = {"test_id": "string", "speaker_id": "string", "transcript": "string",
@@ -115,14 +116,16 @@ def build_enrollment(sentences: list[UtteranceRecord]) -> list[ModelRecord]:
     return models
 
 
-def _clip_window(durations: list[float], target: float, rng: np.random.Generator):
+def _clip_window(rec: UtteranceRecord, target: float, rng: np.random.Generator):
     """Pick a start word index and extend until the summed duration reaches target.
 
     When the whole utterance is long enough the window stays contiguous
     (no wraparound) and the start is uniform over the starts whose suffix
     can still reach the target; otherwise the word sequence is logically
-    repeated end-to-end and any start is valid.
+    repeated end-to-end and any start is valid. A window that would take
+    more than MAX_CLIP_WORDS words fails, naming the utterance.
     """
+    durations = rec.word_durations
     n = len(durations)
     if sum(durations) >= target:
         suffix = np.cumsum(durations[::-1])[::-1]
@@ -134,6 +137,9 @@ def _clip_window(durations: list[float], target: float, rng: np.random.Generator
     acc = 0.0
     i = start
     while acc < target:
+        if len(idx) == MAX_CLIP_WORDS:
+            raise ValueError(f"{rec.utterance_id}: a {target:g} s clip would take more than "
+                             f"{MAX_CLIP_WORDS} words")
         idx.append(i % n)
         acc += durations[i % n]
         i += 1
@@ -164,7 +170,7 @@ def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
         durations = rec.word_durations
         if durations is None or len(durations) != len(words):
             raise ValueError(f"{rec.utterance_id}: word_durations must align with transcript words")
-        idx = _clip_window(durations, target, rng)
+        idx = _clip_window(rec, target, rng)
         tests.append(ProbeEntry(
             test_id=f"{rec.utterance_id}@{target:g}s",
             speaker_id=rec.speaker_id,

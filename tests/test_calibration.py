@@ -183,6 +183,12 @@ class TestCrossValidatedCalibration:
         eer_cal, _ = compute_eer(*calibrated.class_scores())
         assert eer_cal == pytest.approx(eer_raw, abs=1e-12)
 
+    def test_single_fold_needs_both_classes(self):
+        """One fold is a split like any other: each class must fill it."""
+        trials = make_trials([], [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="need at least 1 target trials for 1-fold split, got 0"):
+            cross_validated_calibration(trials, Qmfs.from_columns(trials.tests, {}), ("raw",), k=1)
+
     def test_deterministic(self):
         trials, qmfs = self._simulated()
         a, _ = cross_validated_calibration(trials, qmfs, ("raw", "cu"), k=5, seed=9)

@@ -8,6 +8,7 @@ import pytest
 from phonrich.cli import main
 from phonrich.inventory import ARPABET_39
 from phonrich.io import read_jsonl, read_scores, read_tsv
+from phonrich.protocols import MAX_CLIP_WORDS
 
 from conftest import CMUDICT_LINES, read_model_fields, trial_rows
 
@@ -786,19 +787,34 @@ class TestWordDurations:
 
 
 class TestRepetitiveClipFlags:
-    """gen-protocol --protocol repetitive reads neither --base-trials nor --target, so it refuses them."""
+    """gen-protocol --protocol repetitive reads neither --base-trials nor --target, and
+    --protocol clip neither --probes-per-speaker nor --negatives-per-probe: each refuses the
+    other's flags."""
 
-    @pytest.mark.parametrize("flags, named", [
-        (["--base-trials", "trials"], "--base-trials"),
-        (["--target", "3"], "--target"),
-        (["--base-trials", "trials", "--target", "3"], "--base-trials"),
-    ], ids=["base-trials", "target", "both"])
-    def test_is_one_error_line(self, tmp_path, small_inputs, capsys, flags, named):
-        assert run_with(tmp_path, small_inputs, GEN_PROTOCOL + flags) == 1
+    @pytest.mark.parametrize("argv, named, protocol", [
+        (GEN_PROTOCOL + ["--base-trials", "trials"], "--base-trials", "clip"),
+        (GEN_PROTOCOL + ["--target", "3"], "--target", "clip"),
+        (GEN_PROTOCOL + ["--base-trials", "trials", "--target", "3"], "--base-trials", "clip"),
+        (CLIP + ["--target", "3", "--probes-per-speaker", "7"], "--probes-per-speaker", "repetitive"),
+        (CLIP + ["--target", "3", "--negatives-per-probe", "5"], "--negatives-per-probe", "repetitive"),
+        (CLIP + ["--target", "3", "--negatives-per-probe", "5", "--probes-per-speaker", "7"],
+         "--probes-per-speaker", "repetitive"),
+        (CLIP + ["--probes-per-speaker", "100"], "--probes-per-speaker", "repetitive"),
+    ], ids=["base-trials", "target", "both", "clip-probes-per-speaker", "clip-negatives-per-probe",
+            "clip-both", "clip-default-probes-per-speaker"])
+    def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, named, protocol):
+        assert run_with(tmp_path, small_inputs, argv) == 1
         captured = only_error_line(capsys)
-        assert captured.err == f"error: {named} is for the clip protocol only\n"
+        assert captured.err == f"error: {named} is for the {protocol} protocol only\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
+
+    def test_repetitive_draws_100_probes_per_speaker_by_default(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        assert run(["make-demo", "--speakers", 2, "--seed", 1, "--out", corpus]) == 0
+        assert run(["gen-protocol", "--corpus", corpus, "--protocol", "repetitive", "--seed", 2,
+                    "--out-prefix", tmp_path / "rep"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("gen-protocol: 200 positive, ")
 
 
 class TestJsonlRequiredKeys:
@@ -1199,3 +1215,93 @@ class TestJsonlRecordLines:
         assert captured.err == f"error: {path}:5: {message}\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
+
+
+class TestClipWordBound:
+    """A clip whose window would take more than MAX_CLIP_WORDS words fails, naming its utterance,
+    where a tiny positive word duration would otherwise extend it without end."""
+
+    def test_is_one_error_line(self, tmp_path, small_inputs, capsys):
+        record = dict(VALID_RECORDS["corpus"], word_durations=[1e-300])
+        small_inputs["corpus"].write_text(json.dumps(record) + "\n")
+        assert run_with(tmp_path, small_inputs, CLIP + ["--target", "2"]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: u0: a 2 s clip would take more than {MAX_CLIP_WORDS} words\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestDeepJsonl:
+    """JSON nested deeper than the recursion limit lets the decoder, or the scan for a NaN, go is
+    a malformed line, reported with its file and line like any other."""
+
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"test_id": "t", "cu": ' + "[" * 900 + "NaN" + "]" * 900 + "}",
+    ], ids=["arrays", "nan-in-arrays"])
+    def test_is_one_error_line(self, tmp_path, capsys, line):
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text(line + "\n")
+        assert run(["stats", "--qmf", qmf]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err.startswith(f"error: {qmf}:1: malformed JSONL line: maximum recursion depth")
+        assert captured.out == ""
+
+
+class TestRefusals:
+    """Each refusal ends with exit 1, one error line, nothing on stdout and no output file."""
+
+    @pytest.mark.parametrize("argv, bad, text, message", [
+        (FIT_WEIGHTS, "presence", json.dumps(presence_record("t9", ("K",))) + "\n",
+         "no positive trials joined with presence vectors"),
+        (CLIP, None, None, "--target is required for the clip protocol"),
+        (["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--seed", "1",
+          "--out-scores", "out.tsv"], None, None, "calibrate needs a non-empty feature set"),
+        (REPORT_WEIGHTS, "weights", "".join(f"{sym}\t1\n" for sym in ARPABET_39[1:]),
+         "weights file {path} missing symbols: ['AA']"),
+        (["evaluate", "--scores", "scores", "--out", "out.tsv"], "scores", "# provenance\n# note\n",
+         "{path}: no header line found"),
+        (SIMULATE, "manifest", json.dumps(VALID_RECORDS["manifest"]).replace("1.0", "1e999") + "\n",
+         "{path}:1: net_speech must be a finite number, got Infinity"),
+        (CLIP + ["--target", "2"], "corpus",
+         json.dumps(dict(VALID_RECORDS["corpus"], transcript="cat cat")) + "\n",
+         "u0: word_durations must align with transcript words"),
+    ], ids=["fit-weights-no-join", "clip-no-target", "calibrate-no-features", "weights-missing-symbol",
+            "scores-only-comments", "manifest-overflow", "corpus-durations-count"])
+    def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, bad, text, message):
+        if bad is not None:
+            small_inputs[bad].write_text(text)
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {message.format(path=small_inputs.get(bad))}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestFlagFaults:
+    """A flag fault is a refusal like any other: exit 1 and one error line, with no usage block."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--scores", "scores", "--folds", "abc"], "argument --folds: invalid int value: 'abc'"),
+        (["stats"], "the following arguments are required: --qmf"),
+        (["bogus"], "argument subcommand: invalid choice: 'bogus' (choose from "),
+        (["stats", "--qmf", "qmf", "--extra", "1"], "unrecognized arguments: --extra 1"),
+        ([], "the following arguments are required: subcommand"),
+    ], ids=["not-an-integer", "missing-flag", "unknown-subcommand", "unknown-flag", "no-subcommand"])
+    def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, message):
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["--help"], "usage: phonrich"), (["stats", "--help"], "usage: phonrich stats"),
+        (["--version"], "phonrich "),
+    ], ids=["help", "subcommand-help", "version"])
+    def test_help_and_version_exit_0(self, capsys, argv, shown):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(shown)
+        assert captured.err == ""

@@ -1,6 +1,7 @@
 """Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
 no module splits text into lines on its own, only io opens files, in io only
-line_blocks reads text, and no module calls np.unique."""
+line_blocks reads text, no module calls np.unique, and a fault leaves the
+program only through cli.main."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,54 @@ def test_no_np_unique(module):
     """numpy's unique imports numpy.ma on its first call, about 15 ms of a command's start; the
     metrics sort and compare instead."""
     assert unique_calls(module.read_text()) == []
+
+
+FAULTS = ("ValueError", "RowError")  # RowError is a ValueError
+
+
+def fault_exits(source: str) -> list[str]:
+    """Each way a fault can leave ``source`` other than as a ValueError that cli.main prints: a
+    string starting "error:" in a top-level function other than main, a ``return`` of a value
+    in a cmd_* function, and a ``raise`` of an exception other than FAULTS (a bare ``raise``
+    passes on what it caught)."""
+    found = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (name != "main" and isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith("error:")):
+                found.append((node.lineno, f"{name} prints an error line"))
+            elif name.startswith("cmd_") and isinstance(node, ast.Return) and node.value is not None:
+                found.append((node.lineno, f"{name} returns a value"))
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if raised not in FAULTS:
+                    found.append((node.lineno, f"raises {raised}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_finds_a_fault_exit():
+    source = ("def cmd_a(args):\n    print('error: x')\n    return 1\n"
+              "def cmd_b(args):\n    if args:\n        return\n    raise ValueError('x')\n"
+              "def helper():\n    raise RuntimeError('x')\n"
+              "def c():\n    raise make_error()\n"
+              "def d():\n    try:\n        pass\n    except OSError:\n        raise\n"
+              "def main():\n    print(f'error: {1}')\n    raise RowError(0, 'x')\n")
+    assert fault_exits(source) == ["line 2: cmd_a prints an error line", "line 3: cmd_a returns a value",
+                                   "line 9: raises RuntimeError", "line 11: raises make_error"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_faults_leave_only_through_cli_main(module):
+    """cli.main prints the one error line and returns the exit code, and every fault reaches it as
+    a ValueError: a second print or exit code, or another exception, would be a second way out."""
+    assert fault_exits(module.read_text()) == []
+
+
+def test_cli_main_prints_the_error_line():
+    """The guard above looks at something: main's own error line is where it lets it be."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+    assert [node.value for node in ast.walk(main)
+            if isinstance(node, ast.Constant) and str(node.value).startswith("error:")] == ["error: "]

@@ -7,8 +7,8 @@ import pytest
 from phonrich.data import DEMO_VOCABULARY, N_REPETITIONS, make_demo_inventory, word_duration
 from phonrich.io import write_jsonl
 from phonrich.lexicon import presence_vector, transcribe
-from phonrich.protocols import (MAX_PROBE_REDRAWS, ModelRecord, ProtocolSpec, ProbeEntry, UtteranceRecord,
-                                _draw_probe, build_clip_protocol, build_enrollment,
+from phonrich.protocols import (MAX_CLIP_WORDS, MAX_PROBE_REDRAWS, ModelRecord, ProtocolSpec, ProbeEntry,
+                                UtteranceRecord, _draw_probe, build_clip_protocol, build_enrollment,
                                 build_repetitive_protocol, emit_trials, join_trials,
                                 load_inventory_jsonl, load_protocol)
 from phonrich.richness import count_unique
@@ -89,6 +89,13 @@ class TestClipProtocol:
             spec = build_clip_protocol([base], target, seed=seed)
             got = spec.tests[0].net_speech
             assert target <= got < target + max(durs) + 1e-12
+
+    def test_window_takes_at_most_max_clip_words(self):
+        spec = build_clip_protocol([self.base_utterance(1, 1.0)], target=MAX_CLIP_WORDS, seed=0)
+        assert len(spec.tests[0].transcript.split()) == MAX_CLIP_WORDS
+        with pytest.raises(ValueError, match=f"^u0: a {MAX_CLIP_WORDS + 0.5:g} s clip would take more "
+                                             f"than {MAX_CLIP_WORDS} words$"):
+            build_clip_protocol([self.base_utterance(1, 1.0)], target=MAX_CLIP_WORDS + 0.5, seed=0)
 
     def test_deterministic(self):
         base = [self.base_utterance(8, 0.4)]
