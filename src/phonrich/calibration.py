@@ -167,11 +167,9 @@ def apply_lr(model: CalibrationModel, features: np.ndarray) -> np.ndarray:
 def stratified_folds(is_target, k: int, seed: int) -> np.ndarray:
     """Seeded shuffle then round-robin fold assignment within each class.
 
-    Returns an array of fold indices in [0, k). Per-class fold counts
-    differ by at most one trial.
+    Returns an array of fold indices in [0, k), k >= 1. Per-class fold
+    counts differ by at most one trial.
     """
-    if k < 1:
-        raise ValueError(f"folds must be at least 1, got {k}")
     mask = target_mask(is_target)
     rng = np.random.default_rng(seed)
     folds = np.empty(mask.size, dtype=int)

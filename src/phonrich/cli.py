@@ -4,6 +4,7 @@ calibrate, evaluate, report-weights, stats."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_tri
                         load_inventory_jsonl, load_protocol)
 from .richness import (count_unique, fit_weights, load_weights, save_weights, weight_report,
                        weighted_count_unique)
-from .simulator import SimConfig, simulate_corpus
+from .simulator import simulate_corpus
 
 
 def _inputs(args) -> list[str]:
@@ -115,16 +116,13 @@ def cmd_gen_protocol(args) -> None:
             raise ValueError(f"--{flag.replace('_', '-')} is for the {protocol} protocol only")
     inventory = load_inventory_jsonl(args.corpus)
     if args.protocol == "repetitive":
-        words = [r for r in inventory if r.kind == "word"]
-        sentences = [r for r in inventory if r.kind == "sentence"]
         probes = PROBES_PER_SPEAKER if args.probes_per_speaker is None else args.probes_per_speaker
-        spec = build_repetitive_protocol(words, sentences, probes, args.seed,
+        spec = build_repetitive_protocol(inventory, probes, args.seed,
                                          negatives_per_probe=args.negatives_per_probe)
     else:
         if args.target is None:
             raise ValueError("--target is required for the clip protocol")
-        base = [r for r in inventory if r.kind in ("sentence", "free")]
-        spec = build_clip_protocol(base, args.target, args.seed, base_trials=args.base_trials)
+        spec = build_clip_protocol(inventory, args.target, args.seed, base_trials=args.base_trials)
     prefix = args.out_prefix
     emit_trials(spec, f"{prefix}.trials.tsv", f"{prefix}.manifest.jsonl",
                 f"{prefix}.models.jsonl", _provenance(args))
@@ -135,8 +133,7 @@ def cmd_gen_protocol(args) -> None:
 def cmd_simulate(args) -> None:
     protocol = load_protocol(args.trials, args.manifest, args.models)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else DEMO_VOCABULARY
-    config = SimConfig(sigma0=args.sigma0, kappa=args.kappa, seed=args.seed, lexicon=lexicon, dim=args.dim)
-    result = simulate_corpus(config, protocol)
+    result = simulate_corpus(protocol, lexicon, args.sigma0, args.kappa, args.seed, args.dim)
     prov = _provenance(args)
     write_scores(args.out_scores, result.trials, prov)
     write_qmfs(args.out_qmf, result.qmfs, prov)
@@ -332,6 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The domain of every int and float flag, the one place a flag's value is range-checked: an int
+# flag must be at least its bound; a float flag must be finite and > or >= its bound.
+FLAG_DOMAINS = {"folds": (">=", 1), "speakers": (">=", 1), "probes_per_speaker": (">=", 1),
+                "negatives_per_probe": (">=", 0), "seed": (">=", 0), "dim": (">=", 2),
+                "sigma0": (">", 0), "kappa": (">=", 0), "target": (">", 0)}
+
+
+def _check_flag_domains(args) -> None:
+    for attr, (op, bound) in FLAG_DOMAINS.items():
+        value = getattr(args, attr, None)
+        flag = f"--{attr.replace('_', '-')}"
+        if isinstance(value, float):
+            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+                raise ValueError(f"{flag} must be a finite number {op} {bound}, got {value:g}")
+        elif value is not None and value < bound:
+            raise ValueError(f"{flag} must be at least {bound}, got {value}")
+
+
 def main(argv=None) -> int:
     """Run one subcommand: 0 once it has written its outputs, or 1 and one error line."""
     try:
@@ -339,14 +354,10 @@ def main(argv=None) -> int:
         for path in _inputs(args):
             if not Path(path).exists():
                 raise ValueError(f"input file not found: {path}")
-        for attr, least in (("folds", 1), ("speakers", 1), ("probes_per_speaker", 1),
-                            ("negatives_per_probe", 0)):
-            value = getattr(args, attr, None)
-            if value is not None and value < least:
-                raise ValueError(f"--{attr.replace('_', '-')} must be at least {least}, got {value}")
+        _check_flag_domains(args)
         args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -92,14 +92,19 @@ class ProtocolSpec:
         self.positive_trials = np.asarray(self.positive_trials, dtype=np.intp).reshape(-1, 2)
         self.negative_trials = np.asarray(self.negative_trials, dtype=np.intp).reshape(-1, 2)
 
+    def trials(self) -> Trials:
+        """The trials as a table over the model and test ids, positives first, with no scores."""
+        pairs = np.concatenate([self.positive_trials, self.negative_trials])
+        return Trials([m.model_id for m in self.models], [t.test_id for t in self.tests], pairs[:, 0],
+                      pairs[:, 1], np.arange(len(pairs)) < len(self.positive_trials), None)
 
-def build_enrollment(sentences: list[UtteranceRecord]) -> list[ModelRecord]:
+
+def build_enrollment(inventory: list[UtteranceRecord]) -> list[ModelRecord]:
     """One model per speaker from all of that speaker's sentence recordings."""
     by_speaker: dict[str, list[UtteranceRecord]] = {}
-    for rec in sentences:
-        if rec.kind != "sentence":
-            continue
-        by_speaker.setdefault(rec.speaker_id, []).append(rec)
+    for rec in inventory:
+        if rec.kind == "sentence":
+            by_speaker.setdefault(rec.speaker_id, []).append(rec)
     if not by_speaker:
         raise ValueError("no sentence recordings to enroll from")
     models = []
@@ -146,9 +151,10 @@ def _clip_window(rec: UtteranceRecord, target: float, rng: np.random.Generator):
     return idx
 
 
-def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
+def build_clip_protocol(inventory: list[UtteranceRecord], target: float, seed: int,
                         base_trials: str | Path | None = None) -> ProtocolSpec:
-    """Fixed-duration protocol: one random word-boundary clip per base test.
+    """Fixed-duration protocol: one random word-boundary clip per base test, each sentence and
+    free recording of the inventory, of ``target`` seconds (a finite number > 0).
 
     Clips are realized as contiguous word subsequences (with end-to-end
     repetition when the utterance is shorter than the target), so net
@@ -157,8 +163,7 @@ def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
     utterance ids; its trials are joined onto the clips and onto the
     enrollment models of the base sentences (see join_trials).
     """
-    if not 0 < target < math.inf:  # NaN too
-        raise ValueError(f"target duration must be a finite number > 0, got {target:g}")
+    base = [r for r in inventory if r.kind in ("sentence", "free")]
     if not base:
         raise ValueError("empty base utterance list")
     rng = np.random.default_rng(seed)
@@ -181,7 +186,7 @@ def build_clip_protocol(base: list[UtteranceRecord], target: float, seed: int,
         ))
     if base_trials is None:
         return ProtocolSpec([], [], tests, [])
-    return join_trials(base_trials, tests, build_enrollment(base), [t.source_ids[0] for t in tests])
+    return join_trials(base_trials, tests, build_enrollment(inventory), [t.source_ids[0] for t in tests])
 
 
 def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
@@ -207,10 +212,10 @@ def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
     raise ValueError("could not assemble a probe: a word type has too few repetition recordings")
 
 
-def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[UtteranceRecord],
-                              n_probes_per_speaker: int, seed: int,
+def build_repetitive_protocol(inventory: list[UtteranceRecord], n_probes_per_speaker: int, seed: int,
                               negatives_per_probe: int | None = None) -> ProtocolSpec:
-    """Word-concatenation protocol with independently controlled length and diversity.
+    """Word-concatenation protocol with independently controlled length and diversity: probes
+    of the inventory's word recordings, models of its sentences.
 
     Each probe concatenates T ~ uniform{2..10} single-word recordings over
     U ~ uniform{1..T} distinct word types; every repeated slot consumes a
@@ -218,14 +223,13 @@ def build_repetitive_protocol(words: list[UtteranceRecord], sentences: list[Utte
     all other matching-gender models, optionally subsampled to
     ``negatives_per_probe`` with the same seed stream.
     """
-    models = build_enrollment(sentences)
+    models = build_enrollment(inventory)
     model_row = {m.speaker_id: row for row, m in enumerate(models)}
 
     by_speaker: dict[str, dict[str, list[UtteranceRecord]]] = {}
-    for rec in words:
-        if rec.kind != "word":
-            continue
-        by_speaker.setdefault(rec.speaker_id, {}).setdefault(rec.word_text, []).append(rec)
+    for rec in inventory:
+        if rec.kind == "word":
+            by_speaker.setdefault(rec.speaker_id, {}).setdefault(rec.word_text, []).append(rec)
     for spk, types in by_speaker.items():
         if spk not in model_row:
             raise ValueError(f"speaker {spk} has word recordings but no enrollment sentences")
@@ -280,11 +284,7 @@ def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str 
         name = f"model {bad.model_id}" if isinstance(bad, ModelRecord) else f"test {bad.test_id}"
         raise ValueError(f"{name}: net_speech of its recordings sums to {bad.net_speech}, "
                          f"not a finite number")
-    pairs = np.concatenate([spec.positive_trials, spec.negative_trials])
-    is_target = np.arange(len(pairs)) < len(spec.positive_trials)
-    trials = Trials([m.model_id for m in spec.models], [t.test_id for t in spec.tests],
-                    pairs[:, 0], pairs[:, 1], is_target, None)
-    write_trial_table(trials_path, trials, provenance)
+    write_trial_table(trials_path, spec.trials(), provenance)
     # one key per field; write_jsonl sorts the keys
     write_jsonl(manifest_path, map(vars, spec.tests), provenance)
     write_jsonl(models_path, map(vars, spec.models), provenance)

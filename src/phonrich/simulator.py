@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,23 +17,6 @@ from .richness import count_unique
 _SPEAKER_STREAM = 1
 _MODEL_STREAM = 2
 _TEST_STREAM = 3
-
-
-@dataclass
-class SimConfig:
-    sigma0: float
-    kappa: float
-    seed: int
-    lexicon: Lexicon  # transcribes the tests' transcripts
-    dim: int = 32
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be > 0")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
 
 
 def cosine_score(models: np.ndarray, tests: np.ndarray, model_rows: np.ndarray,
@@ -57,7 +40,13 @@ class SimResult:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    # a norm that overflows fails: v / inf would be a zero vector, scoring 0 against everything
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"an embedding's norm is {norm:g}, not a finite number > 0: "
+                         f"--sigma0 or --kappa is too large")
+    return v / norm
 
 
 def _noisy_embedding(mean: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -66,15 +55,17 @@ def _noisy_embedding(mean: np.ndarray, sigma: float, rng: np.random.Generator) -
     return _unit(mean + noise)
 
 
-def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
-    """Score a protocol with synthetic embeddings.
+def simulate_corpus(protocol: ProtocolSpec, lexicon: Lexicon, sigma0: float, kappa: float, seed: int,
+                    dim: int) -> SimResult:
+    """Score a protocol with synthetic ``dim``-dimensional embeddings.
 
     Each speaker gets a mean direction uniform on the unit sphere. Test
     embeddings perturb the mean with isotropic noise whose scale grows as
     phonetic richness drops: sigma(CU) = sigma0 * (1 + kappa*(39-CU)/39),
     39 being the size of ARPABET_39.
-    Enrollment models use sigma0/4. All draws come from seed-derived
-    per-entity substreams, so generation order does not matter.
+    Enrollment models use sigma0/4. ``lexicon`` transcribes the tests'
+    transcripts. All draws come from seed-derived per-entity substreams, so
+    generation order does not matter.
     """
     n_phonemes = len(ARPABET_39)
 
@@ -82,37 +73,33 @@ def simulate_corpus(config: SimConfig, protocol: ProtocolSpec) -> SimResult:
                       {t.speaker_id for t in protocol.tests})
     means = {}
     for idx, spk in enumerate(speakers):
-        rng = np.random.default_rng([config.seed, _SPEAKER_STREAM, idx])
-        means[spk] = _unit(rng.standard_normal(config.dim))
+        rng = np.random.default_rng([seed, _SPEAKER_STREAM, idx])
+        means[spk] = _unit(rng.standard_normal(dim))
 
     # embeddings are drawn in sorted-id order; a trial finds its rows by their rank
-    model_ids = [m.model_id for m in protocol.models]
-    test_ids = [t.test_id for t in protocol.tests]
-    model_order = sorted(range(len(model_ids)), key=model_ids.__getitem__)
-    test_order = sorted(range(len(test_ids)), key=test_ids.__getitem__)
+    trials = protocol.trials()
+    model_order = sorted(range(len(trials.models)), key=trials.models.__getitem__)
+    test_order = sorted(range(len(trials.tests)), key=trials.tests.__getitem__)
 
     models = [protocol.models[i] for i in model_order]
     model_matrix = np.array([
-        _noisy_embedding(means[m.speaker_id], config.sigma0 / 4.0,
-                         np.random.default_rng([config.seed, _MODEL_STREAM, idx]))
-        for idx, m in enumerate(models)], dtype=float).reshape(-1, config.dim)
+        _noisy_embedding(means[m.speaker_id], sigma0 / 4.0,
+                         np.random.default_rng([seed, _MODEL_STREAM, idx]))
+        for idx, m in enumerate(models)], dtype=float).reshape(-1, dim)
 
     tests = [protocol.tests[i] for i in test_order]
-    cus = count_unique(presence_vector([transcribe(t.transcript, config.lexicon, t.test_id)
+    cus = count_unique(presence_vector([transcribe(t.transcript, lexicon, t.test_id)
                                         for t in tests])).tolist()
     test_vectors = []
     for idx, (t, cu) in enumerate(zip(tests, cus)):
-        sigma = config.sigma0 * (1.0 + config.kappa * (n_phonemes - cu) / n_phonemes)
-        rng = np.random.default_rng([config.seed, _TEST_STREAM, idx])
+        sigma = sigma0 * (1.0 + kappa * (n_phonemes - cu) / n_phonemes)
+        rng = np.random.default_rng([seed, _TEST_STREAM, idx])
         test_vectors.append(_noisy_embedding(means[t.speaker_id], sigma, rng))
     net_speech = [t.net_speech for t in tests]
     qmfs = Qmfs.from_columns([t.test_id for t in tests], {
         "cu": cus, "net_speech": net_speech, "lns": list(map(log_net_speech, net_speech))})
-    test_matrix = np.array(test_vectors, dtype=float).reshape(-1, config.dim)
+    test_matrix = np.array(test_vectors, dtype=float).reshape(-1, dim)
 
-    pairs = np.concatenate([protocol.positive_trials, protocol.negative_trials])
-    scores = cosine_score(model_matrix, test_matrix, np.argsort(model_order)[pairs[:, 0]],
-                          np.argsort(test_order)[pairs[:, 1]])
-    trials = Trials(model_ids, test_ids, pairs[:, 0], pairs[:, 1],
-                    np.arange(len(pairs)) < len(protocol.positive_trials), scores)
-    return SimResult(model_matrix, test_matrix, trials, qmfs)
+    scores = cosine_score(model_matrix, test_matrix, np.argsort(model_order)[trials.model_codes],
+                          np.argsort(test_order)[trials.test_codes])
+    return SimResult(model_matrix, test_matrix, replace(trials, scores=scores), qmfs)

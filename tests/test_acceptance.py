@@ -18,7 +18,7 @@ from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
 from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
 from phonrich.richness import RichnessWeights, count_unique, fit_weights, weighted_count_unique
-from phonrich.simulator import SimConfig, simulate_corpus
+from phonrich.simulator import simulate_corpus
 
 from conftest import CMUDICT_LINES, EXPECTED_PRONUNCIATIONS
 from oracles import (brute_force_eer, brute_force_min_c_primary, brute_force_tau,
@@ -51,14 +51,9 @@ def report(criterion, ok, detail=""):
 def simulator_run():
     """The pinned desk-scale run shared by criteria 5 and 6."""
     t0 = time.time()
-    inv = make_demo_inventory(50, seed=7)
-    words = [r for r in inv if r.kind == "word"]
-    sentences = [r for r in inv if r.kind == "sentence"]
-    protocol = build_repetitive_protocol(words, sentences, 200, seed=11,
+    protocol = build_repetitive_protocol(make_demo_inventory(50, seed=7), 200, seed=11,
                                          negatives_per_probe=4)
-    config = SimConfig(sigma0=0.6, kappa=2.0, seed=13,
-                       lexicon=DEMO_VOCABULARY, dim=80)
-    result = simulate_corpus(config, protocol)
+    result = simulate_corpus(protocol, DEMO_VOCABULARY, sigma0=0.6, kappa=2.0, seed=13, dim=80)
     return result, time.time() - t0
 
 
@@ -169,10 +164,7 @@ def test_criterion_6_calibration_benefit_direction(simulator_run):
 
 
 def test_criterion_7_repetitive_protocol_statistics():
-    inv = make_demo_inventory(5, seed=21)
-    words = [r for r in inv if r.kind == "word"]
-    sentences = [r for r in inv if r.kind == "sentence"]
-    protocol = build_repetitive_protocol(words, sentences, 2000, seed=22,
+    protocol = build_repetitive_protocol(make_demo_inventory(5, seed=21), 2000, seed=22,
                                          negatives_per_probe=0)
     assert len(protocol.tests) == 10_000
     totals = np.array([len(t.transcript.split()) for t in protocol.tests])

@@ -48,7 +48,7 @@ def repetitive_protocol_case(tmp_path):
     inventory = make_demo_inventory(4, seed=3)
     gender = {r.speaker_id: r.gender for r in inventory}
     impostors = sum(g == other for spk, g in gender.items() for o, other in gender.items() if o != spk)
-    args = ([r for r in inventory if r.kind == "word"], [r for r in inventory if r.kind == "sentence"], 2, 5)
+    args = (inventory, 2, 5)
     return args, {"protocols.tests": 2 * len(gender), "protocols.trials": 2 * (len(gender) + impostors)}
 
 

@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import hashlib
 import json
@@ -5,12 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from phonrich.cli import main
+from phonrich import cli
+from phonrich.cli import FLAG_DOMAINS, build_parser, main
 from phonrich.inventory import ARPABET_39
 from phonrich.io import read_jsonl, read_scores, read_tsv
 from phonrich.protocols import MAX_CLIP_WORDS
 
 from conftest import CMUDICT_LINES, read_model_fields, trial_rows
+
+# pytest records warnings instead of printing them, so only_error_line cannot see one: a numpy
+# RuntimeWarning, which a real run prints as more stderr lines, fails the test instead
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run(argv):
@@ -754,13 +760,13 @@ CLIP = ["gen-protocol", "--corpus", "corpus", "--protocol", "clip", "--seed", "1
 
 
 class TestClipTarget:
-    """gen-protocol --protocol clip refuses a --target that is not a finite number > 0."""
+    """gen-protocol --protocol clip refuses a --target that is not a finite number > 0, naming the flag."""
 
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf", "0", "-1"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, target):
         assert run_with(tmp_path, small_inputs, CLIP + [f"--target={target}"]) == 1
         captured = only_error_line(capsys)
-        assert captured.err == f"error: target duration must be a finite number > 0, got {target}\n"
+        assert captured.err == f"error: --target must be a finite number > 0, got {target}\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
 
@@ -981,8 +987,14 @@ class TestRepeatedIds:
         assert not list(tmp_path.glob("out*"))
 
 
+CALIBRATE = ["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "raw", "--seed", "1",
+             "--out-scores", "out.tsv"]
+EVALUATE = ["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "raw", "--out", "out.tsv"]
+MAKE_DEMO = ["make-demo", "--speakers", "2", "--seed", "1", "--out", "out"]
+
+
 class TestFlagRanges:
-    """A count flag below its least value fails with one error line naming the flag."""
+    """A numeric flag outside its domain fails with one error line naming the flag and its value."""
 
     @pytest.mark.parametrize("argv, message", [
         (["make-demo", "--speakers", "0", "--seed", "1", "--out", "out"],
@@ -998,6 +1010,60 @@ class TestFlagRanges:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv, message", [
+        *(pytest.param(argv + ["--seed", "-1"], "--seed must be at least 0, got -1", id=f"seed-{name}")
+          for name, argv in (("fit-weights", FIT_WEIGHTS), ("gen-protocol", GEN_PROTOCOL),
+                             ("simulate", SIMULATE), ("calibrate", CALIBRATE), ("evaluate", EVALUATE),
+                             ("make-demo", MAKE_DEMO))),
+        *(pytest.param(SIMULATE + ["--sigma0", value], f"--sigma0 must be a finite number > 0, got {value}",
+                       id=f"sigma0-{value}") for value in ("0", "nan", "inf")),
+        *(pytest.param(SIMULATE + ["--kappa", value], f"--kappa must be a finite number >= 0, got {value}",
+                       id=f"kappa-{value}") for value in ("-1", "nan", "inf")),
+        pytest.param(SIMULATE + ["--dim", "1"], "--dim must be at least 2, got 1", id="dim-1"),
+        pytest.param(CALIBRATE + ["--folds", "0"], "--folds must be at least 1, got 0", id="calibrate-folds-0"),
+        pytest.param(EVALUATE + ["--folds", "0"], "--folds must be at least 1, got 0", id="evaluate-folds-0"),
+    ])
+    def test_outside_domain_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, message):
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+    def test_every_numeric_flag_has_a_domain(self):
+        """cli.main range-checks each int and float flag from FLAG_DOMAINS, and nowhere else: a
+        numeric flag missing from the table would reach the program unchecked."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        numeric = {a.dest for p in sub.choices.values() for a in p._actions if a.type in (int, float)}
+        assert numeric == set(FLAG_DOMAINS)
+
+    def test_noise_whose_norm_overflows_is_one_error_line(self, tmp_path, small_inputs, capsys):
+        """An overflowing norm would turn every embedding into a zero vector and every score into 0."""
+        assert run_with(tmp_path, small_inputs, SIMULATE + ["--sigma0", "1e200"]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == ("error: an embedding's norm is inf, not a finite number > 0: "
+                                "--sigma0 or --kappa is too large\n")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+class TestMemoryError:
+    """Running out of memory (numpy's _ArrayMemoryError is a MemoryError) is one error line."""
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+         "Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["with-message", "bare"])
+    def test_is_one_error_line(self, tmp_path, small_inputs, capsys, monkeypatch, exc, message):
+        def cmd_stats(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_stats", cmd_stats)
+        assert run_with(tmp_path, small_inputs, ["stats", "--qmf", "qmf"]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestJsonlValueTypes:

@@ -35,9 +35,7 @@ def demo_inventory():
 
 @pytest.fixture(scope="module")
 def demo_protocol(demo_inventory):
-    words = [r for r in demo_inventory if r.kind == "word"]
-    sentences = [r for r in demo_inventory if r.kind == "sentence"]
-    return build_repetitive_protocol(words, sentences, 30, seed=5)
+    return build_repetitive_protocol(demo_inventory, 30, seed=5)
 
 
 class TestBuildEnrollment:
@@ -49,7 +47,7 @@ class TestBuildEnrollment:
         assert models[0].source_ids == ["a_sent0", "a_sent1"]
 
     def test_full_inventory_enrollment_has_cu_39(self, demo_inventory):
-        models = build_enrollment([r for r in demo_inventory if r.kind == "sentence"])
+        models = build_enrollment(demo_inventory)
         cu = count_unique(presence_vector([transcribe(models[0].transcript, DEMO_VOCABULARY)]))
         assert cu.tolist() == [39]
 
@@ -156,9 +154,7 @@ class TestRepetitiveProtocol:
         assert all(len(v) == 2 for v in by_test.values())
 
     def test_negatives_cap(self, demo_inventory):
-        words = [r for r in demo_inventory if r.kind == "word"]
-        sentences = [r for r in demo_inventory if r.kind == "sentence"]
-        spec = build_repetitive_protocol(words, sentences, 10, seed=5, negatives_per_probe=1)
+        spec = build_repetitive_protocol(demo_inventory, 10, seed=5, negatives_per_probe=1)
         by_test = {}
         for m_id, t_id in id_pairs(spec, spec.negative_trials):
             by_test.setdefault(t_id, []).append(m_id)
@@ -167,20 +163,17 @@ class TestRepetitiveProtocol:
     def test_missing_enrollment_error(self):
         words = [word_rec("a", "cat", r) for r in range(1, 11)]
         with pytest.raises(ValueError, match="no enrollment"):
-            build_repetitive_protocol(words, [sentence_rec("b", 0, "cat")], 2, seed=0)
+            build_repetitive_protocol(words + [sentence_rec("b", 0, "cat")], 2, seed=0)
 
     def test_too_few_repetitions_error(self):
         # one word type with a single recording cannot fill probes of >= 2 slots
-        words = [word_rec("a", "cat", 1)]
-        sentences = [sentence_rec("a", 0, "cat")]
+        inventory = [word_rec("a", "cat", 1), sentence_rec("a", 0, "cat")]
         with pytest.raises(ValueError, match="too few repetition"):
-            build_repetitive_protocol(words, sentences, 5, seed=0)
+            build_repetitive_protocol(inventory, 5, seed=0)
 
     def test_deterministic(self, demo_inventory):
-        words = [r for r in demo_inventory if r.kind == "word"]
-        sentences = [r for r in demo_inventory if r.kind == "sentence"]
-        a = build_repetitive_protocol(words, sentences, 10, seed=5)
-        b = build_repetitive_protocol(words, sentences, 10, seed=5)
+        a = build_repetitive_protocol(demo_inventory, 10, seed=5)
+        b = build_repetitive_protocol(demo_inventory, 10, seed=5)
         assert [t.transcript for t in a.tests] == [t.transcript for t in b.tests]
         assert a.negative_trials.tolist() == b.negative_trials.tolist()
 

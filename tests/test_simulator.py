@@ -4,7 +4,7 @@ import pytest
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
 from phonrich.metrics import compute_eer, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
-from phonrich.simulator import SimConfig, cosine_score, simulate_corpus
+from phonrich.simulator import cosine_score, simulate_corpus
 
 from conftest import trial_rows
 
@@ -16,10 +16,7 @@ def unit(v):
 
 @pytest.fixture(scope="module")
 def protocol():
-    inv = make_demo_inventory(10, seed=1)
-    words = [r for r in inv if r.kind == "word"]
-    sentences = [r for r in inv if r.kind == "sentence"]
-    return build_repetitive_protocol(words, sentences, 60, seed=2, negatives_per_probe=3)
+    return build_repetitive_protocol(make_demo_inventory(10, seed=1), 60, seed=2, negatives_per_probe=3)
 
 
 def targets(trials):
@@ -28,11 +25,9 @@ def targets(trials):
             if label == "target"]
 
 
-def config(protocol, **kw):
-    defaults = dict(sigma0=0.6, kappa=2.0, seed=4,
-                    lexicon=DEMO_VOCABULARY, dim=32)
-    defaults.update(kw)
-    return SimConfig(**defaults)
+def simulate(protocol, sigma0=0.6, kappa=2.0, seed=4):
+    """simulate_corpus of the protocol over the demo vocabulary, in 32 dimensions."""
+    return simulate_corpus(protocol, DEMO_VOCABULARY, sigma0, kappa, seed, 32)
 
 
 def score_pair(a, b):
@@ -66,14 +61,14 @@ class TestCosineScore:
 
 class TestSimulateCorpus:
     def test_all_embeddings_unit_norm(self, protocol):
-        res = simulate_corpus(config(protocol), protocol)
+        res = simulate(protocol)
         assert res.models.shape == (len(protocol.models), 32)
         assert res.tests.shape == (len(protocol.tests), 32)
         norms = np.linalg.norm(np.vstack([res.models, res.tests]), axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-9)
 
     def test_each_score_is_its_pair_dot_product_exactly(self, protocol):
-        res = simulate_corpus(config(protocol), protocol)
+        res = simulate(protocol)
         model_row = {m: i for i, m in enumerate(sorted(m.model_id for m in protocol.models))}
         test_row = {t: j for j, t in enumerate(sorted(t.test_id for t in protocol.tests))}
         expected = [float(res.models[model_row[m]] @ res.tests[test_row[t]])
@@ -81,17 +76,17 @@ class TestSimulateCorpus:
         assert res.trials.scores.tolist() == expected
 
     def test_reproducible(self, protocol):
-        r1 = simulate_corpus(config(protocol), protocol)
-        r2 = simulate_corpus(config(protocol), protocol)
+        r1 = simulate(protocol)
+        r2 = simulate(protocol)
         assert r1.trials.scores.tolist() == r2.trials.scores.tolist()
 
     def test_seed_changes_scores(self, protocol):
-        r1 = simulate_corpus(config(protocol), protocol)
-        r2 = simulate_corpus(config(protocol, seed=5), protocol)
+        r1 = simulate(protocol)
+        r2 = simulate(protocol, seed=5)
         assert r1.trials.scores.tolist() != r2.trials.scores.tolist()
 
     def test_kappa_zero_decouples_cu(self, protocol):
-        res = simulate_corpus(config(protocol, kappa=0.0, seed=6), protocol)
+        res = simulate(protocol, kappa=0.0, seed=6)
         pos = targets(res.trials)
         assert len(pos) >= 500
         cu = res.qmfs.join([t for t, _ in pos], ["cu"])[:, 0]
@@ -99,14 +94,14 @@ class TestSimulateCorpus:
         assert abs(kendall_tau(cu, scores)) < 0.05
 
     def test_small_noise_separates_classes(self, protocol):
-        res = simulate_corpus(config(protocol, sigma0=0.01, kappa=0.0), protocol)
+        res = simulate(protocol, sigma0=0.01, kappa=0.0)
         eer, _ = compute_eer(*res.trials.class_scores())
         assert eer == 0.0
         pos_scores = [s for _, s in targets(res.trials)]
         assert min(pos_scores) > 0.99
 
     def test_quartile_monotonicity(self, protocol):
-        res = simulate_corpus(config(protocol), protocol)
+        res = simulate(protocol)
         pos = targets(res.trials)
         cu = res.qmfs.join([t for t, _ in pos], ["cu"])[:, 0]
         scores = np.array([s for _, s in pos])
@@ -114,18 +109,8 @@ class TestSimulateCorpus:
         assert scores[cu >= hi].mean() > scores[cu <= lo].mean()
 
     def test_qmfs_carry_cu_and_lns(self, protocol):
-        res = simulate_corpus(config(protocol), protocol)
+        res = simulate(protocol)
         cu, lns, net_speech = res.qmfs.join([t.test_id for t in protocol.tests],
                                             ["cu", "lns", "net_speech"]).T
         assert np.all((0 <= cu) & (cu <= 39))
         assert lns == pytest.approx(np.log(net_speech))
-
-
-class TestSimConfig:
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            SimConfig(sigma0=0.0, kappa=1.0, seed=0, lexicon={})
-        with pytest.raises(ValueError):
-            SimConfig(sigma0=0.5, kappa=-1.0, seed=0, lexicon={})
-        with pytest.raises(ValueError):
-            SimConfig(sigma0=0.5, kappa=1.0, seed=0, lexicon={}, dim=1)
