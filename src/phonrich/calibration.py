@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import write_lines
-from .metrics import NONTARGET, TARGET, Qmfs, Trials, target_mask
+from .metrics import NONTARGET, TARGET, Qmfs, Trials
 
 # canonical feature order; a feature set is any subset of these names
 FEATURE_ORDER = ("raw", "lns", "cu", "wcu")
@@ -37,11 +37,6 @@ class CalibrationModel:
     converged: bool = True
     seed: int | None = None
 
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (len(self.feature_names),):
-            raise ValueError("coefficient count must equal feature count")
-
 
 def build_features(trials: Trials, qmfs: Qmfs, feature_set) -> tuple[np.ndarray, tuple[str, ...]]:
     """Assemble the (n, d) feature matrix in canonical feature order.
@@ -51,9 +46,6 @@ def build_features(trials: Trials, qmfs: Qmfs, feature_set) -> tuple[np.ndarray,
     ``net_speech``), joined once per test and gathered to the trials.
     """
     names = tuple(n for n in FEATURE_ORDER if n in set(feature_set))
-    unknown = set(feature_set) - set(FEATURE_ORDER)
-    if unknown:
-        raise ValueError(f"unknown feature names: {sorted(unknown)}")
     qmf_names = tuple(n for n in names if n != "raw")
     X = np.empty((len(trials), 0))
     if qmf_names:
@@ -83,7 +75,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationModel:
+def fit_lr(features: np.ndarray, is_target: np.ndarray, feature_names: tuple[str, ...]) -> CalibrationModel:
     """Newton/IRLS fit of class-weighted logistic regression.
 
     Each row is weighted n / (2 * n_class), so the two classes carry equal
@@ -94,15 +86,8 @@ def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationMode
     Newton step leaves the coefficients bitwise unchanged, every later
     iteration would repeat it.
     """
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("features must be a 2-D array")
-    y = target_mask(is_target).astype(float)
-    n, d = X.shape
-    if y.size != n:
-        raise ValueError("feature/label count mismatch")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite feature value")
+    y = is_target.astype(float)
+    n, d = features.shape
     n_tar = int(y.sum())
     n_non = n - n_tar
     if n_tar == 0 or n_non == 0:
@@ -112,7 +97,7 @@ def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationMode
     w_non = n / (2.0 * n_non)
     sample_w = np.where(y == 1.0, w_tar, w_non)
 
-    Xb = np.hstack([np.ones((n, 1)), X])  # intercept first
+    Xb = np.hstack([np.ones((n, 1)), features])  # intercept first
 
     def loglik(z):
         return float(np.sum(sample_w * (y * z - np.logaddexp(0.0, z))))
@@ -150,7 +135,7 @@ def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationMode
     return CalibrationModel(
         coefficients=beta[1:],
         intercept=float(beta[0]),
-        feature_names=tuple(feature_names) if feature_names else tuple(f"f{i}" for i in range(d)),
+        feature_names=feature_names,
         class_weights=(w_tar, w_non),
         converged=converged,
     )
@@ -158,22 +143,18 @@ def fit_lr(features: np.ndarray, is_target, feature_names=()) -> CalibrationMode
 
 def apply_lr(model: CalibrationModel, features: np.ndarray) -> np.ndarray:
     """Calibrated scores in the logit (log-odds) domain."""
-    X = np.asarray(features, dtype=float)
-    if X.shape[1] != model.coefficients.shape[0]:
-        raise ValueError("feature dimension does not match model")
-    return model.intercept + X @ model.coefficients
+    return model.intercept + features @ model.coefficients
 
 
-def stratified_folds(is_target, k: int, seed: int) -> np.ndarray:
+def stratified_folds(is_target: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Seeded shuffle then round-robin fold assignment within each class.
 
     Returns an array of fold indices in [0, k), k >= 1. Per-class fold
     counts differ by at most one trial.
     """
-    mask = target_mask(is_target)
     rng = np.random.default_rng(seed)
-    folds = np.empty(mask.size, dtype=int)
-    for label, idx in ((TARGET, np.flatnonzero(mask)), (NONTARGET, np.flatnonzero(~mask))):
+    folds = np.empty(is_target.size, dtype=int)
+    for label, idx in ((TARGET, np.flatnonzero(is_target)), (NONTARGET, np.flatnonzero(~is_target))):
         if idx.size < k:
             raise ValueError(f"need at least {k} {label} trials for {k}-fold split, got {idx.size}")
         rng.shuffle(idx)

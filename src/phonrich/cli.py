@@ -99,7 +99,10 @@ def cmd_fit_weights(args) -> None:
     kept = trials.is_target & (rows >= 0)
     if not kept.any():
         raise ValueError("no positive trials joined with presence vectors")
-    w = fit_weights(presence.bits[rows[kept]], trials.scores[kept])
+    try:
+        w = fit_weights(presence.bits[rows[kept]], trials.scores[kept])
+    except ValueError as exc:  # such as all-zero presence rows of the joined trials
+        raise ValueError(f"{args.presence}: {exc}") from None
     save_weights(w, args.out, _provenance(args))
     print(f"fit-weights: n_train={w.n_train} fit_residual={w.fit_residual:.6g}")
 
@@ -164,7 +167,7 @@ def cmd_calibrate(args) -> None:
     if args.out_models:
         for i, model in enumerate(models):
             save_model(model, f"{args.out_models}.fold{i}.txt", prov)
-    print(f"calibrate: features={','.join(feature_set)} folds={args.folds} "
+    print(f"calibrate: features={','.join(models[0].feature_names)} folds={args.folds} "
           f"trials={len(calibrated)}")
 
 
@@ -176,13 +179,12 @@ def cmd_evaluate(args) -> None:
     qmfs = read_qmfs(args.qmf) if args.qmf else Qmfs.from_columns([], {})
     rows = []
     for fs in feature_sets:
-        if fs:
-            scored, _ = cross_validated_calibration(trials, qmfs, fs, k=args.folds, seed=args.seed)
-        else:
-            scored = trials
+        scored, name = trials, "none"
+        if fs:  # labelled by the features of the fit model: canonical order, each name once
+            scored, models = cross_validated_calibration(trials, qmfs, fs, k=args.folds, seed=args.seed)
+            name = ",".join(models[0].feature_names)
         eer, _ = compute_eer(*scored.class_scores())
         minc = compute_min_c_primary(*scored.class_scores())
-        name = ",".join(fs) if fs else "none"
         rows.append((name, f"{100 * eer:.2f}", f"{minc:.3f}"))
     # the report can still fail, so it runs before anything is printed or written
     report = correlation_report(trials, qmfs) if args.correlation_out else None
@@ -200,12 +202,16 @@ def cmd_evaluate(args) -> None:
 
 def cmd_report_weights(args) -> None:
     weights = load_weights(args.weights)
+    if not weights.weights.any():
+        raise ValueError(f"{args.weights}: all-zero weight vector: normalization undefined")
     lines, corpus = [], []  # only each record's line and phonemes are kept
     for lineno, rec in iter_jsonl(args.presence, required={"utterance_id": "string",
                                                            "phonemes": "list of strings"},
                                   unique="utterance_id"):
         lines.append(lineno)
         corpus.append(PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"])))
+    if not corpus:
+        raise ValueError(f"{args.presence}: no utterances: the report needs a non-empty corpus")
     try:
         rows = weight_report(weights, corpus)
     except RowError as exc:

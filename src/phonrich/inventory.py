@@ -31,17 +31,6 @@ class PresenceVector:
     bits: np.ndarray
     utterance_ids: list[str]
 
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.int8)
-        if self.bits.ndim != 2 or self.bits.shape[1] != len(ARPABET_39):
-            raise ValueError(f"presence matrix must have {len(ARPABET_39)} columns, "
-                             f"got shape {self.bits.shape}")
-        if len(self.utterance_ids) != self.bits.shape[0]:
-            raise ValueError(f"{len(self.utterance_ids)} utterance ids for "
-                             f"{self.bits.shape[0]} presence rows")
-        if not np.all((self.bits == 0) | (self.bits == 1)):
-            raise ValueError("presence vector components must be 0 or 1")
-
     def to_bitstring(self) -> list[str]:
         """Each row as a string of 39 '0'/'1' characters."""
         n = len(ARPABET_39)

@@ -24,9 +24,7 @@ def nnls(A: np.ndarray, b: np.ndarray):
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if b.shape != (m,):
-        raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
+    n = A.shape[1]
     max_iterations = ITERATIONS_PER_COLUMN * n
 
     x = np.zeros(n)

@@ -26,15 +26,6 @@ class RichnessWeights:
     fit_residual: float = 0.0
     n_train: int = 0
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (len(ARPABET_39),):
-            raise ValueError(f"weights must have length {len(ARPABET_39)}, got shape {self.weights.shape}")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be non-negative")
-
 
 def weighted_count_unique(p: PresenceVector, w: RichnessWeights) -> np.ndarray:
     """Per utterance, the dot product of the weight vector with its presence bits.
@@ -56,8 +47,6 @@ def fit_weights(presence: np.ndarray, scores: np.ndarray) -> RichnessWeights:
     """
     P = np.asarray(presence, dtype=float)
     s = np.asarray(scores, dtype=float)
-    if len(s) == 0:
-        raise ValueError("fit_weights requires a non-empty training set")
     if not P.any():
         raise ValueError("all-zero presence matrix: no identifiable weights")
     w, rnorm = nnls(P, s)
@@ -69,17 +58,13 @@ def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription]) -> lis
     """Per phoneme: weight normalized to sum to one vs. corpus token frequency.
 
     Rows are in ARPABET_39 order: (symbol, normalized_weight, frequency).
+    The weights must not be all zero.
     """
-    if not corpus:
-        raise ValueError("weight_report requires a non-empty corpus")
-    total_weight = w.weights.sum()
-    if total_weight == 0:
-        raise ValueError("all-zero weight vector: normalization undefined")
     codes, _ = phoneme_codes(corpus)
     counts = np.bincount(codes, minlength=len(ARPABET_39)).astype(float)
     total_tokens = counts.sum()
     freqs = counts / total_tokens if total_tokens > 0 else counts
-    norm = w.weights / total_weight
+    norm = w.weights / w.weights.sum()
     return [(sym, float(norm[i]), float(freqs[i])) for i, sym in enumerate(ARPABET_39)]
 
 

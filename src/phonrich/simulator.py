@@ -18,6 +18,8 @@ _SPEAKER_STREAM = 1
 _MODEL_STREAM = 2
 _TEST_STREAM = 3
 
+SCORE_CHUNK = 1 << 12  # trials per matmul of cosine_score: two (chunk, dim) gathers, 1 MiB each at dim 32
+
 
 def cosine_score(models: np.ndarray, tests: np.ndarray, model_rows: np.ndarray,
                  test_rows: np.ndarray) -> np.ndarray:
@@ -26,9 +28,15 @@ def cosine_score(models: np.ndarray, tests: np.ndarray, model_rows: np.ndarray,
     A stack of (1, dim) @ (dim, 1) products, each equal bit for bit to the
     vector product ``models[i] @ tests[j]``; a row-wise einsum or
     multiply-and-sum rounds differently in the last bits. Rows of unequal
-    length raise a ValueError.
+    length raise a ValueError. The trials are scored SCORE_CHUNK at a time,
+    so the gathered rows take memory that does not grow with the trial count.
     """
-    return np.matmul(models[model_rows][:, None, :], tests[test_rows][:, :, None])[:, 0, 0]
+    scores = np.empty(len(model_rows))
+    for start in range(0, len(scores), SCORE_CHUNK):
+        part = slice(start, start + SCORE_CHUNK)
+        scores[part] = np.matmul(models[model_rows[part]][:, None, :],
+                                 tests[test_rows[part]][:, :, None])[:, 0, 0]
+    return scores
 
 
 @dataclass

@@ -59,7 +59,8 @@ def nnls_case(tmp_path):
 def fit_lr_case(tmp_path):
     features = np.array([[-2.0], [-1.0], [0.5], [-0.5], [1.0], [2.0]])
     is_target = np.array([False, False, False, True, True, True])
-    return (features, is_target), {"calibration.fit_lr.calls": 1, "calibration.fit_lr.unconverged": 0}
+    return (features, is_target, ("raw",)), {"calibration.fit_lr.calls": 1,
+                                             "calibration.fit_lr.unconverged": 0}
 
 
 def kendall_tau_case(tmp_path):

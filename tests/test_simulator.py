@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phonrich import simulator
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
 from phonrich.metrics import compute_eer, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
@@ -67,13 +68,17 @@ class TestSimulateCorpus:
         norms = np.linalg.norm(np.vstack([res.models, res.tests]), axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-9)
 
-    def test_each_score_is_its_pair_dot_product_exactly(self, protocol):
+    def test_each_score_is_its_pair_dot_product_exactly(self, protocol, monkeypatch):
         res = simulate(protocol)
         model_row = {m: i for i, m in enumerate(sorted(m.model_id for m in protocol.models))}
         test_row = {t: j for j, t in enumerate(sorted(t.test_id for t in protocol.tests))}
         expected = [float(res.models[model_row[m]] @ res.tests[test_row[t]])
                     for m, t, _ in trial_rows(res.trials)]
         assert res.trials.scores.tolist() == expected
+        # many chunks, the last one partial
+        monkeypatch.setattr(simulator, "SCORE_CHUNK", 7)
+        assert len(expected) > 7 * 100 and len(expected) % 7
+        assert simulate(protocol).trials.scores.tolist() == expected
 
     def test_reproducible(self, protocol):
         r1 = simulate(protocol)
