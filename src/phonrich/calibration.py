@@ -62,7 +62,7 @@ def _with_lns(qmfs: Qmfs) -> Qmfs:
     lns, net_speech = qmfs.columns(["lns", "net_speech"]).T
     derive = np.isnan(lns) & ~np.isnan(net_speech)
     lns[derive] = list(map(log_net_speech, net_speech[derive].tolist()))
-    return Qmfs.from_columns(qmfs.test_ids, {**dict(zip(qmfs.names, qmfs.values.T)), "lns": lns})
+    return Qmfs.from_columns(qmfs.test_ids, {**dict(zip(qmfs.names, qmfs.values.T)), "lns": lns}, qmfs.source)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
 from .inventory import PresenceVector
-from .io import (RowError, iter_jsonl, provenance_line, read_jsonl, read_qmfs, read_scores,
+from .io import (iter_jsonl, provenance_line, read_jsonl, read_qmfs, read_scores,
                  write_jsonl, write_qmfs, write_scatter, write_scores, write_tsv)
 from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
@@ -60,16 +60,12 @@ def cmd_g2p(args) -> None:
 
 def _read_presence(path) -> PresenceVector:
     """A presence JSONL file as one matrix; a bad bitstring or repeated id fails with its file and line."""
-    lines, bits, ids = [], [], []  # only each record's line, bits and id are kept
-    for lineno, rec in iter_jsonl(path, required={"utterance_id": "string", "bits": "string"},
-                                  unique="utterance_id"):
-        lines.append(lineno)
+    bits, ids = [], []  # only each record's bits and id are kept
+    for _, rec in iter_jsonl(path, required={"utterance_id": "string", "bits": "string of 39 0s and 1s"},
+                             unique="utterance_id"):
         bits.append(rec["bits"])
         ids.append(rec["utterance_id"])
-    try:
-        return PresenceVector.from_bitstring(bits, ids)
-    except RowError as exc:
-        raise ValueError(f"{path}:{lines[exc.row]}: {exc}") from None
+    return PresenceVector.from_bitstring(bits, ids)
 
 
 def cmd_richness(args) -> None:
@@ -175,6 +171,8 @@ def cmd_evaluate(args) -> None:
     feature_sets = [_parse_feature_set(f) for f in args.features] or [()]
     if not args.qmf and any(f != "raw" for fs in feature_sets for f in fs):
         raise ValueError("--qmf is required for features beyond raw")
+    if not args.qmf and args.correlation_out:
+        raise ValueError("--qmf is required for --correlation-out")
     trials = read_scores(args.scores)
     qmfs = read_qmfs(args.qmf) if args.qmf else Qmfs.from_columns([], {})
     rows = []
@@ -204,18 +202,13 @@ def cmd_report_weights(args) -> None:
     weights = load_weights(args.weights)
     if not weights.weights.any():
         raise ValueError(f"{args.weights}: all-zero weight vector: normalization undefined")
-    lines, corpus = [], []  # only each record's line and phonemes are kept
-    for lineno, rec in iter_jsonl(args.presence, required={"utterance_id": "string",
-                                                           "phonemes": "list of strings"},
-                                  unique="utterance_id"):
-        lines.append(lineno)
-        corpus.append(PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"])))
+    corpus = [PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"])) for _, rec in
+              iter_jsonl(args.presence, required={"utterance_id": "string",
+                                                  "phonemes": "list of ARPABET-39 symbols"},
+                         unique="utterance_id")]  # only each record's id and phonemes are kept
     if not corpus:
         raise ValueError(f"{args.presence}: no utterances: the report needs a non-empty corpus")
-    try:
-        rows = weight_report(weights, corpus)
-    except RowError as exc:
-        raise ValueError(f"{args.presence}:{lines[exc.row]}: {exc}") from None
+    rows = weight_report(weights, corpus)
     out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]
     header = ["phoneme", "normalized_weight", "frequency"]
     if args.out:

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import RowError
-
 # Stress-free ARPABET symbols of the CMU pronouncing dictionary, alphabetized
 # so vector indices are stable across runs.
 ARPABET_39 = (
@@ -39,17 +37,7 @@ class PresenceVector:
 
     @classmethod
     def from_bitstring(cls, strings: list[str], utterance_ids: list[str]) -> "PresenceVector":
-        """Parse one bitstring per utterance; the first bad one raises a RowError."""
-        n = len(ARPABET_39)
-        lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
-        if np.any(lengths != n):
-            row = int(np.argmax(lengths != n))
-            raise RowError(row, f"bits must have {n} characters, got {lengths[row]}")
-        # a non-ASCII character becomes '?', one byte, so every row stays n bytes
-        data = "".join(strings).encode("ascii", errors="replace")
-        bits = (np.frombuffer(data, dtype=np.uint8).reshape(len(strings), n) - ord("0")).view(np.int8)
-        bad = (bits != 0) & (bits != 1)
-        if bad.any():
-            row = int(np.argmax(bad.any(axis=1)))
-            raise RowError(row, f"bits must be 0s and 1s, got {strings[row]!r}")
+        """One row per string of 39 '0'/'1' characters, as io.iter_jsonl checks a presence file's bits."""
+        data = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
+        bits = (data.reshape(len(strings), len(ARPABET_39)) - ord("0")).view(np.int8)
         return cls(bits, list(utterance_ids))

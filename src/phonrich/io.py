@@ -14,25 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .inventory import ARPABET_39, PHONEME_INDEX
 from .metrics import NONTARGET, TARGET, Qmfs, Trials
 
 TRIAL_COLUMNS = ["model_id", "test_id", "label"]
 SCORE_COLUMNS = TRIAL_COLUMNS + ["raw_score"]
 SCATTER_COLUMNS = ["test_id", "qmf_name", "qmf_value", "score", "label"]
-SCATTER_CHUNK = 1 << 12  # trials per write: about 1 MB of text at four QMFs
-TRIAL_CHUNK = 1 << 12  # trials per write of a trial list or scores TSV: about 250 KB of text
+WRITE_CHUNK = 1 << 12  # trials per write: about 250 KB of TSV, or 1 MB of scatter CSV at four QMFs
 BLOCK_CHARS = 1 << 16  # characters per read of a text input
 # a byte that is not UTF-8, as errors="surrogateescape" decodes it
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
-class RowError(ValueError):
-    """A fault in item ``row`` of a list read from a file; the caller, which holds each item's
-    file line, names the line."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
 
 
 def file_digest(path: str | Path) -> str:
@@ -122,15 +113,16 @@ def write_jsonl(path: str | Path, records, provenance: str | None = None) -> Non
     write_lines(path, provenance, map(json.JSONEncoder(sort_keys=True, allow_nan=False).encode, records))
 
 
-# JSON type of a required or optional key -> (the Python types json.loads gives it, the test each
-# item of a list passes); exact types, so true and false are not numbers
+# JSON type of a required or optional key -> (the Python types json.loads gives it, the test the
+# whole value passes); exact types, so true and false are not numbers
 JSON_TYPES = {
     "string": ({str}, None),
     "number": ({int, float}, None),
     "integer": ({int}, None),
     "list": ({list}, None),
-    "list of strings": ({list}, lambda item: type(item) is str),
-    "list of numbers or null": ({list, type(None)}, lambda item: _is_finite_number(item)),
+    "string of 39 0s and 1s": ({str}, lambda v: len(v) == len(ARPABET_39) and not v.strip("01")),
+    "list of ARPABET-39 symbols": ({list}, lambda v: all(type(s) is str and s in PHONEME_INDEX for s in v)),
+    "list of numbers or null": ({list, type(None)}, lambda v: v is None or all(map(_is_finite_number, v))),
 }
 _MISSING = object()
 
@@ -173,8 +165,9 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
 
     ``required`` maps each key a record must hold to its JSON type, a key
     of JSON_TYPES, and ``optional`` each key it may hold. A missing
-    required key or a value of another type fails with the file and line,
-    as does a number that is not finite. NaN, Infinity and -Infinity,
+    required key, or a value of another type or one that fails its type's
+    test, fails with the file and line, as does a number that is not
+    finite. NaN, Infinity and -Infinity,
     which are not JSON, fail wherever they stand. No two
     records may share their value of the required key ``unique``: a
     repeat fails at its second record, naming the line of the first.
@@ -201,9 +194,9 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
                 raise ValueError(f"{path}:{lineno}: {error}")
         if not isinstance(rec, dict):
             raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
-        for key, kind, needed, types, item_test in checks:
+        for key, kind, needed, types, test in checks:
             value = rec.get(key, _MISSING)
-            if type(value) not in types or (item_test and value and not all(map(item_test, value))):
+            if type(value) not in types or (test and not test(value)):
                 if value is _MISSING:
                     if not needed:
                         continue
@@ -231,7 +224,7 @@ def write_trial_table(path: str | Path, trials: Trials, provenance: str | None =
 
     Scores are written with 17 significant digits, so they read back to
     the same floats. Each id is formatted once, from the id tables, and
-    the lines are written TRIAL_CHUNK trials at a time.
+    the lines are written WRITE_CHUNK trials at a time.
     """
     scored = trials.scores is not None
     end = "\t" if scored else "\n"  # of the label cell
@@ -242,8 +235,8 @@ def write_trial_table(path: str | Path, trials: Trials, provenance: str | None =
         if provenance:
             f.write(provenance + "\n")
         f.write("\t".join(SCORE_COLUMNS if scored else TRIAL_COLUMNS) + "\n")
-        for start in range(0, len(trials), TRIAL_CHUNK):
-            part = slice(start, start + TRIAL_CHUNK)
+        for start in range(0, len(trials), WRITE_CHUNK):
+            part = slice(start, start + WRITE_CHUNK)
             cells = [models[trials.model_codes[part]].tolist(), tests[trials.test_codes[part]].tolist(),
                      labels[trials.is_target[part].astype(np.intp)].tolist()]
             if scored:
@@ -263,7 +256,7 @@ def write_scatter(path: str | Path, trials: Trials, qmf_names: list[str], block:
     ``qmf_names``; ``block`` holds the QMFs ``qmf_names`` of each test of
     ``trials.tests``. Values and scores are written with 17 significant
     digits. Each test's cells and each trial's score and label are
-    formatted once, and the lines are written SCATTER_CHUNK trials at a time.
+    formatted once, and the lines are written WRITE_CHUNK trials at a time.
     """
     heads = [[f"{test_id},{name},{value:.17g}," for name, value in zip(qmf_names, row)]
              for test_id, row in zip(trials.tests, block.tolist())]
@@ -272,8 +265,8 @@ def write_scatter(path: str | Path, trials: Trials, qmf_names: list[str], block:
         f.write(",".join(SCATTER_COLUMNS) + "\n")
         if not qmf_names:
             return
-        for start in range(0, len(trials), SCATTER_CHUNK):
-            part = slice(start, start + SCATTER_CHUNK)
+        for start in range(0, len(trials), WRITE_CHUNK):
+            part = slice(start, start + WRITE_CHUNK)
             tails = [f"{score:.17g},{label}\n"
                      for score, label in zip(trials.scores[part].tolist(), labels[part])]
             # a trial's lines: each head of its test, each followed by the trial's tail
@@ -373,7 +366,8 @@ def read_qmfs(path: str | Path) -> Qmfs:
     """QMF JSONL as one table: a row per record, in file order, and a column per key but test_id.
 
     Every key but test_id must be a finite JSON number. Records may hold
-    different keys; a row is NaN where its record lacks one.
+    different keys; a row is NaN where its record lacks one. The table's
+    source is ``path``.
     """
     test_ids, records = [], []
     for lineno, rec in iter_jsonl(path, required={"test_id": "string"}, unique="test_id"):
@@ -383,7 +377,7 @@ def read_qmfs(path: str | Path) -> Qmfs:
                 raise ValueError(f"{path}:{lineno}: {error}")
         records.append(rec)
     return Qmfs.from_columns(test_ids, {name: [rec.get(name, math.nan) for rec in records]
-                                        for name in set().union(*records)})
+                                        for name in set().union(*records)}, str(path))
 
 
 def write_qmfs(path: str | Path, qmfs: Qmfs, provenance: str | None = None) -> None:

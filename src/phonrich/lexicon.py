@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
-from .io import RowError, numbered_lines
+from .io import numbered_lines
 
 _STRESS_RE = re.compile(r"^([A-Z]+)([0-2])$")
 _VARIANT_RE = re.compile(r"^(.*)\((\d+)\)$")
@@ -94,20 +93,12 @@ def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTr
 
 
 def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarray, np.ndarray]:
-    """ARPABET_39 index of every phoneme token, and the row of the transcription it is in.
-
-    A symbol outside ARPABET_39 raises a RowError naming its utterance.
-    """
+    """ARPABET_39 index of every phoneme token, and the row of the transcription it is in."""
     lengths = np.fromiter((len(t.phonemes) for t in transcriptions), dtype=np.intp,
                           count=len(transcriptions))
     tokens = [sym for t in transcriptions for sym in t.phonemes]
-    codes = np.fromiter(map(PHONEME_INDEX.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens))
-    rows = np.repeat(np.arange(len(transcriptions)), lengths)
-    if codes.size and codes.min() < 0:
-        k = int(np.argmin(codes))
-        raise RowError(int(rows[k]), f"{transcriptions[rows[k]].utterance_id}: phoneme {tokens[k]!r} "
-                                     f"is not an ARPABET-39 symbol")
-    return codes, rows
+    codes = np.fromiter(map(PHONEME_INDEX.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    return codes, np.repeat(np.arange(len(transcriptions)), lengths)
 
 
 def presence_vector(transcriptions: list[PhonemeTranscription]) -> PresenceVector:

@@ -15,14 +15,6 @@ TARGET = "target"
 NONTARGET = "nontarget"
 
 
-def target_mask(is_target) -> np.ndarray:
-    """A boolean per-trial target mask; strings or numbers are refused, not cast."""
-    mask = np.asarray(is_target)
-    if mask.size and mask.dtype != bool:
-        raise ValueError(f"target mask must be boolean, got dtype {mask.dtype}")
-    return mask.astype(bool, copy=False)
-
-
 def encode_ids(ids) -> tuple[list[str], np.ndarray]:
     """Distinct ids in order of first appearance, and each id's index into them."""
     table = list(dict.fromkeys(ids))
@@ -55,7 +47,10 @@ class Trials:
         return cls(models, tests, model_codes, test_codes, is_target, scores)
 
     def __post_init__(self):
-        self.is_target = target_mask(self.is_target)
+        mask = np.asarray(self.is_target)
+        if mask.size and mask.dtype != bool:  # strings or numbers are refused, not cast
+            raise ValueError(f"target mask must be boolean, got dtype {mask.dtype}")
+        self.is_target = mask.astype(bool, copy=False)
         self.model_codes = np.asarray(self.model_codes, dtype=np.intp)
         self.test_codes = np.asarray(self.test_codes, dtype=np.intp)
         columns = [self.model_codes, self.test_codes, self.is_target]
@@ -85,18 +80,21 @@ class Qmfs:
     """Quality measures (QMFs) per test: row i is test ``test_ids[i]``, column j QMF ``names[j]``.
 
     The names are sorted. A cell is NaN where its test has no such QMF.
+    ``source`` is the file the table was read from, which join's refusal
+    names; it is empty for a table built in memory.
     """
 
     test_ids: list[str]
     names: list[str]
     values: np.ndarray  # (len(test_ids), len(names)) float64
+    source: str = ""
 
     @classmethod
-    def from_columns(cls, test_ids, columns: dict) -> "Qmfs":
+    def from_columns(cls, test_ids, columns: dict, source: str = "") -> "Qmfs":
         """A table from a column of one value per test for each QMF name."""
         names = sorted(columns)
         values = np.array([columns[name] for name in names], dtype=float).reshape(len(names), len(test_ids))
-        return cls(list(test_ids), names, np.ascontiguousarray(values.T))
+        return cls(list(test_ids), names, np.ascontiguousarray(values.T), source)
 
     def columns(self, names) -> np.ndarray:
         """The (len(test_ids), len(names)) block of QMFs ``names``, NaN where a test lacks one."""
@@ -120,7 +118,8 @@ class Qmfs:
         if bad.any():
             i = int(np.argmax(bad))
             missing = "values" if rows[i] < 0 else repr(names[int(np.argmax(np.isnan(block[i])))])
-            raise ValueError(f"missing QMF {missing} for test {tests[i]!r}")
+            where = f"{self.source}: " if self.source else ""
+            raise ValueError(f"{where}missing QMF {missing} for test {tests[i]!r}")
         return block
 
 

@@ -856,11 +856,15 @@ class TestJsonlRequiredKeys:
 
 
 class TestReportWeightsPhonemes:
+    """A phoneme list holding anything but ARPABET-39 symbols fails report-weights with its file and line."""
+
     def test_unknown_phoneme_is_one_error_line(self, tmp_path, small_inputs, capsys):
-        small_inputs["presence"].write_text(json.dumps(presence_record("t1", ("XX",))) + "\n")
+        path = small_inputs["presence"]
+        path.write_text(json.dumps(presence_record("t1", ("XX",))) + "\n")
         assert run_with(tmp_path, small_inputs, REPORT_WEIGHTS) == 1
         captured = only_error_line(capsys)
-        assert "'XX'" in captured.err
+        assert captured.err == f'error: {path}:1: phonemes must be a list of ARPABET-39 symbols, got ["XX"]\n'
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_unknown_phoneme_names_file_and_line(self, tmp_path, small_inputs, capsys):
@@ -869,7 +873,22 @@ class TestReportWeightsPhonemes:
                         + json.dumps(presence_record("u1", ("K", "XX"))) + "\n")
         assert run_with(tmp_path, small_inputs, REPORT_WEIGHTS) == 1
         captured = only_error_line(capsys)
-        assert captured.err == f"error: {path}:4: u1: phoneme 'XX' is not an ARPABET-39 symbol\n"
+        assert captured.err == (f"error: {path}:4: phonemes must be a list of ARPABET-39 symbols, "
+                                'got ["K", "XX"]\n')
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("phonemes", [["T", "k"], ["K", 5], ["K", None]],
+                             ids=["lower-case", "number", "null"])
+    def test_bad_phoneme_names_file_and_line(self, tmp_path, small_inputs, capsys, phonemes):
+        path = small_inputs["presence"]
+        bad = dict(VALID_RECORDS["presence"], utterance_id="u1", phonemes=phonemes)
+        path.write_text("# provenance\n" + json.dumps(VALID_RECORDS["presence"]) + "\n\n"
+                        + json.dumps(bad) + "\n")
+        assert run_with(tmp_path, small_inputs, REPORT_WEIGHTS) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == (f"error: {path}:4: phonemes must be a list of ARPABET-39 symbols, "
+                                f"got {json.dumps(phonemes)}\n")
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
 
@@ -1078,11 +1097,11 @@ class TestJsonlValueTypes:
 
     @pytest.mark.parametrize("argv, bad, key, value, kind", [
         (G2P, "transcripts", "transcript", 5, "string"),
-        (RICHNESS, "presence", "bits", 5, "string"),
+        (RICHNESS, "presence", "bits", 5, "string of 39 0s and 1s"),
         (RICHNESS, "manifest", "net_speech", "abc", "number"),
-        (FIT_WEIGHTS, "presence", "bits", 5, "string"),
-        (REPORT_WEIGHTS, "presence", "phonemes", 5, "list of strings"),
-        (REPORT_WEIGHTS, "presence", "phonemes", ["K", ["AE"]], "list of strings"),
+        (FIT_WEIGHTS, "presence", "bits", 5, "string of 39 0s and 1s"),
+        (REPORT_WEIGHTS, "presence", "phonemes", 5, "list of ARPABET-39 symbols"),
+        (REPORT_WEIGHTS, "presence", "phonemes", ["K", ["AE"]], "list of ARPABET-39 symbols"),
         (SIMULATE, "manifest", "net_speech", True, "number"),
     ], ids=["g2p-transcript", "richness-bits", "richness-net-speech", "fit-weights-bits",
             "report-weights-phonemes", "report-weights-phoneme-list", "simulate-net-speech"])
@@ -1101,19 +1120,38 @@ class TestJsonlValueTypes:
 class TestPresenceBits:
     """A bad bitstring in a presence file fails richness and fit-weights with its file and line."""
 
-    @pytest.mark.parametrize("bits, message", [
-        ("010", "bits must have 39 characters, got 3"),
-        ("0" * 38 + "2", "bits must be 0s and 1s, got '" + "0" * 38 + "2'"),
-    ], ids=["length", "not-0-or-1"])
+    @pytest.mark.parametrize("bits", ["010", "0" * 38, "0" * 40, "0" * 38 + "2", "0" * 38 + " ",
+                                      "0" * 38 + "\u00e9", ""],
+                             ids=["length", "38-chars", "40-chars", "not-0-or-1", "trailing-space",
+                                  "non-ascii", "empty"])
     @pytest.mark.parametrize("argv", [RICHNESS, FIT_WEIGHTS], ids=["richness", "fit-weights"])
-    def test_bad_bits_names_file_and_line(self, tmp_path, small_inputs, capsys, argv, bits, message):
+    def test_bad_bits_names_file_and_line(self, tmp_path, small_inputs, capsys, argv, bits):
         path = small_inputs["presence"]
         bad = dict(VALID_RECORDS["presence"], utterance_id="t2", bits=bits)
         path.write_text("# provenance\n" + json.dumps(VALID_RECORDS["presence"]) + "\n\n"
-                        + json.dumps(bad) + "\n")
+                        + json.dumps(bad, ensure_ascii=False) + "\n")
         assert run_with(tmp_path, small_inputs, argv) == 1
         captured = only_error_line(capsys)
-        assert captured.err == f"error: {path}:4: {message}\n"
+        assert captured.err == (f"error: {path}:4: bits must be a string of 39 0s and 1s, "
+                                f"got {json.dumps(bits)}\n")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv, key, value, kind", [
+        (RICHNESS, "bits", "010", "string of 39 0s and 1s"),
+        (FIT_WEIGHTS, "bits", "010", "string of 39 0s and 1s"),
+        (REPORT_WEIGHTS, "phonemes", ["XX"], "list of ARPABET-39 symbols"),
+    ], ids=["richness", "fit-weights", "report-weights"])
+    def test_bad_record_before_a_repeated_id_is_named_first(self, tmp_path, small_inputs, capsys,
+                                                            argv, key, value, kind):
+        """Faults are found in file order: a bad record on line 2, not the repeat of line 1 on line 3."""
+        path = small_inputs["presence"]
+        valid = VALID_RECORDS["presence"]
+        records = [valid, dict(valid, utterance_id="t2", **{key: value}), valid]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {path}:2: {key} must be a {kind}, got {json.dumps(value)}\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
 
@@ -1134,7 +1172,8 @@ class TestJsonlLineBreaks:
         bad = dict(VALID_RECORDS["presence"], utterance_id="t2", bits="010")
         path.write_text(json.dumps(first, ensure_ascii=False) + "\n" + json.dumps(bad) + "\n")
         assert run_with(tmp_path, small_inputs, argv) == 1
-        assert only_error_line(capsys).err == f"error: {path}:2: bits must have 39 characters, got 3\n"
+        assert only_error_line(capsys).err == (f"error: {path}:2: bits must be a string of 39 0s and 1s, "
+                                               'got "010"\n')
 
 
 
@@ -1276,9 +1315,9 @@ class TestJsonlRecordLines:
         (GEN_PROTOCOL, "corpus", dict(VALID_RECORDS["corpus"], utterance_id="u1", net_speech=0),
          "u1: net_speech must be > 0"),
         (RICHNESS, "presence", dict(VALID_RECORDS["presence"], utterance_id="t2", bits="010"),
-         "bits must have 39 characters, got 3"),
+         'bits must be a string of 39 0s and 1s, got "010"'),
         (REPORT_WEIGHTS, "presence", presence_record("t2", ("K", "XX")),
-         "t2: phoneme 'XX' is not an ARPABET-39 symbol"),
+         'phonemes must be a list of ARPABET-39 symbols, got ["K", "XX"]'),
     ], ids=["qmf-value", "corpus-record", "presence-bits", "presence-phoneme"])
     def test_fault_names_its_line(self, tmp_path, small_inputs, capsys, argv, bad, record, message):
         path = small_inputs[bad]
@@ -1321,6 +1360,9 @@ class TestDeepJsonl:
         assert captured.out == ""
 
 
+QMF_T1 = json.dumps(VALID_RECORDS["qmf"]) + "\n"  # a QMF file with no record for t2
+
+
 class TestRefusals:
     """Each refusal ends with exit 1, one error line, nothing on stdout and no output file."""
 
@@ -1344,9 +1386,24 @@ class TestRefusals:
         (REPORT_WEIGHTS, "presence", "", "{path}: no utterances: the report needs a non-empty corpus"),
         (REPORT_WEIGHTS, "weights", "".join(f"{sym}\t0\n" for sym in ARPABET_39),
          "{path}: all-zero weight vector: normalization undefined"),
+        # refused before the scores file, which has no header, is read
+        (["evaluate", "--scores", "scores", "--features", "none", "--out", "out.tsv", "--correlation-out",
+          "out.csv"], "scores", "# provenance\n", "--qmf is required for --correlation-out"),
+        (["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "raw,cu", "--folds", "2",
+          "--out", "out.tsv"], "qmf", QMF_T1, "{path}: missing QMF values for test 't2'"),
+        (["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "cu", "--folds", "2", "--seed", "1",
+          "--out-scores", "out.tsv"], "qmf", QMF_T1, "{path}: missing QMF values for test 't2'"),
+        (["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--out", "out.tsv",
+          "--correlation-out", "out.csv"], "qmf", QMF_T1, "{path}: missing QMF values for test 't2'"),
+        # a refusal that is not about the QMF file does not name it
+        (["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "cu", "--folds", "3", "--seed", "1",
+          "--out-scores", "out.tsv"], "qmf", QMF_T1 + QMF_T1.replace('"t1"', '"t2"'),
+         "need at least 3 target trials for 3-fold split, got 2"),
     ], ids=["fit-weights-no-join", "clip-no-target", "calibrate-no-features", "weights-missing-symbol",
             "scores-only-comments", "manifest-overflow", "corpus-durations-count",
-            "fit-weights-all-zero-presence", "report-weights-empty-presence", "report-weights-zero-weights"])
+            "fit-weights-all-zero-presence", "report-weights-empty-presence", "report-weights-zero-weights",
+            "correlation-no-qmf", "evaluate-qmf-no-record", "calibrate-qmf-no-record",
+            "correlation-qmf-no-record", "calibrate-too-few-targets"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, bad, text, message):
         if bad is not None:
             small_inputs[bad].write_text(text)

@@ -111,7 +111,7 @@ def test_no_np_unique(module):
     assert unique_calls(module.read_text()) == []
 
 
-FAULTS = ("ValueError", "RowError")  # RowError is a ValueError
+FAULTS = ("ValueError",)
 
 
 def fault_exits(source: str) -> list[str]:
@@ -142,7 +142,7 @@ def test_finds_a_fault_exit():
               "def helper():\n    raise RuntimeError('x')\n"
               "def c():\n    raise make_error()\n"
               "def d():\n    try:\n        pass\n    except OSError:\n        raise\n"
-              "def main():\n    print(f'error: {1}')\n    raise RowError(0, 'x')\n")
+              "def main():\n    print(f'error: {1}')\n    raise ValueError('x')\n")
     assert fault_exits(source) == ["line 2: cmd_a prints an error line", "line 3: cmd_a returns a value",
                                    "line 9: raises RuntimeError", "line 11: raises make_error"]
 

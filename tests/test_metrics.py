@@ -3,7 +3,7 @@ import pytest
 
 import phonrich.io
 import phonrich.metrics
-from phonrich.io import write_scatter
+from phonrich.io import read_trial_table, write_scatter, write_trial_table
 from phonrich.metrics import (Qmfs, Trials, _count_inversions, compute_eer, compute_min_c_primary,
                               correlation_report, kendall_tau, protocol_stats)
 
@@ -311,7 +311,7 @@ class TestWriteScatter:
     @pytest.mark.parametrize("qmf_names", [["cu"], ["cu", "lns", "net_speech", "wcu"]])
     @pytest.mark.parametrize("chunk", [1, 5, 4096])
     def test_lines_match_the_per_row_format(self, tmp_path, monkeypatch, qmf_names, chunk):
-        monkeypatch.setattr(phonrich.io, "SCATTER_CHUNK", chunk)
+        monkeypatch.setattr(phonrich.io, "WRITE_CHUNK", chunk)
         trials = Trials.from_ids([f"m{k % 4}" for k in range(len(self.TEST_ORDER))],
                                  [f"spk{i}_word" for i in self.TEST_ORDER],
                                  [k % 3 == 0 for k in range(len(self.TEST_ORDER))], self.SCORES)
@@ -320,6 +320,31 @@ class TestWriteScatter:
         text = (tmp_path / "scatter.csv").read_text()
         assert text == self.per_row_text(trials, qmf_names, block)
         assert text.count("\n") == 1 + len(trials) * len(qmf_names)
+
+    @pytest.mark.parametrize("scored", [False, True], ids=["trial-list", "scores"])
+    @pytest.mark.parametrize("chunk", [1, 5, 4096])
+    def test_trial_tables_match_the_per_row_format(self, tmp_path, monkeypatch, scored, chunk):
+        """A trial list or scores TSV written in chunks, the last one partial (13 trials in chunks
+        of 5), is what formatting each row on its own gave, and reads back to the same trials."""
+        monkeypatch.setattr(phonrich.io, "WRITE_CHUNK", chunk)
+        trials = Trials.from_ids([f"m{k % 7}" for k in range(len(self.TEST_ORDER))],  # no pair repeats
+                                 [f"spk{i}_word" for i in self.TEST_ORDER],
+                                 [k % 3 == 0 for k in range(len(self.TEST_ORDER))],
+                                 self.SCORES if scored else None)
+        path = tmp_path / "trials.tsv"
+        write_trial_table(path, trials, "# provenance")
+        cells = [[trials.models[m], trials.tests[t], label] for m, t, label in
+                 zip(trials.model_codes.tolist(), trials.test_codes.tolist(), trials.labels())]
+        if scored:
+            for row, score in zip(cells, trials.scores.tolist()):
+                row.append(f"{score:.17g}")
+        header = "model_id\ttest_id\tlabel" + "\traw_score" * scored
+        assert path.read_text() == "".join(f"{line}\n" for line in ["# provenance", header,
+                                                                    *map("\t".join, cells)])
+        back, _ = read_trial_table(path, scored)
+        assert (back.models, back.tests) == (trials.models, trials.tests)
+        for column in ("model_codes", "test_codes", "is_target", "scores"):
+            assert np.array_equal(getattr(back, column), getattr(trials, column))
 
     def test_no_qmf_names_writes_the_header_only(self, tmp_path):
         trials = make_trials([0.9], [0.1])
