@@ -35,7 +35,6 @@ class CalibrationModel:
     feature_names: tuple[str, ...]
     class_weights: tuple[float, float] = (1.0, 1.0)  # (w_target, w_nontarget)
     converged: bool = True
-    seed: int | None = None
 
 
 def build_features(trials: Trials, qmfs: Qmfs, feature_set) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -52,8 +51,6 @@ def build_features(trials: Trials, qmfs: Qmfs, feature_set) -> tuple[np.ndarray,
         X = (_with_lns(qmfs) if "lns" in qmf_names else qmfs).join(trials.tests, qmf_names)[trials.test_codes]
     if "raw" in names:  # first in canonical order
         X = np.hstack([trials.scores[:, None], X])
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite feature value")
     return X, names
 
 
@@ -62,7 +59,8 @@ def _with_lns(qmfs: Qmfs) -> Qmfs:
     lns, net_speech = qmfs.columns(["lns", "net_speech"]).T
     derive = np.isnan(lns) & ~np.isnan(net_speech)
     lns[derive] = list(map(log_net_speech, net_speech[derive].tolist()))
-    return Qmfs.from_columns(qmfs.test_ids, {**dict(zip(qmfs.names, qmfs.values.T)), "lns": lns}, qmfs.source)
+    return Qmfs.from_columns(qmfs.test_ids, {**dict(zip(qmfs.names, qmfs.values.T)), "lns": lns},
+                             qmfs.source, qmfs.lines)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -84,7 +82,8 @@ def fit_lr(features: np.ndarray, is_target: np.ndarray, feature_names: tuple[str
     1e-8, ridge 1e-9 on the Hessian, and at most 100 iterations. A fit also stops, with
     ``converged`` False, at a floating-point fixed point: once an accepted
     Newton step leaves the coefficients bitwise unchanged, every later
-    iteration would repeat it.
+    iteration would repeat it. p(1 - p) <= 1/4 bounds the Hessian by the
+    feature values alone, so it overflows only where they are too large, which fails.
     """
     y = is_target.astype(float)
     n, d = features.shape
@@ -108,12 +107,15 @@ def fit_lr(features: np.ndarray, is_target: np.ndarray, feature_names: tuple[str
     converged = False
     for _ in range(MAX_ITER):
         p = _sigmoid(z)
-        grad = Xb.T @ (sample_w * (y - p))
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            converged = True
-            break
-        r = sample_w * p * (1.0 - p)
-        H = Xb.T @ (Xb * r[:, None]) + RIDGE * np.eye(d + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+            grad = Xb.T @ (sample_w * (y - p))
+            if np.max(np.abs(grad)) < GRAD_TOL:
+                converged = True
+                break
+            r = sample_w * p * (1.0 - p)
+            H = Xb.T @ (Xb * r[:, None]) + RIDGE * np.eye(d + 1)
+        if not np.isfinite(H).all():
+            raise ValueError(f"features {','.join(feature_names)} too large: the LR Hessian overflows")
         step = np.linalg.solve(H, grad)
         # halve the Newton step until the weighted log-likelihood does not
         # decrease; keeps separable data growing monotonically instead of
@@ -167,7 +169,7 @@ def cross_validated_calibration(trials: Trials, qmfs: Qmfs, feature_set, k: int 
 
     Each fold is scored by the model fit on the other k-1 folds; the
     trials come back in their original order with the pooled scores,
-    together with the per-fold models.
+    together with the per-fold models. A score that overflows fails.
     """
     X, names = build_features(trials, qmfs, feature_set)
     folds = stratified_folds(trials.is_target, k, seed)
@@ -178,18 +180,20 @@ def cross_validated_calibration(trials: Trials, qmfs: Qmfs, feature_set, k: int 
         test = folds == fold
         train = ~test if k > 1 else test  # one fold trains on every trial, as it scores every trial
         model = fit_lr(X[train], trials.is_target[train], feature_names=names)
-        model.seed = seed
-        pooled[test] = apply_lr(model, X[test])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with no warning
+            pooled[test] = apply_lr(model, X[test])
+        if not np.isfinite(pooled[test]).all():
+            raise ValueError(f"features {','.join(names)} too large: a calibrated score overflows")
         models.append(model)
     return replace(trials, scores=pooled), models
 
 
-def save_model(model: CalibrationModel, path: str | Path, provenance: str | None = None) -> None:
+def save_model(model: CalibrationModel, path: str | Path, seed: int, provenance: str | None = None) -> None:
     write_lines(path, provenance, [
         f"intercept\t{model.intercept:.17g}",
         f"class_weight_target\t{model.class_weights[0]:.17g}",
         f"class_weight_nontarget\t{model.class_weights[1]:.17g}",
         f"converged\t{int(model.converged)}",
-        f"seed\t{'' if model.seed is None else model.seed}",
+        f"seed\t{seed}",
         *(f"coef:{name}\t{coef:.17g}" for name, coef in zip(model.feature_names, model.coefficients))])
 

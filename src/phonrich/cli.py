@@ -116,12 +116,11 @@ def cmd_gen_protocol(args) -> None:
     inventory = load_inventory_jsonl(args.corpus)
     if args.protocol == "repetitive":
         probes = PROBES_PER_SPEAKER if args.probes_per_speaker is None else args.probes_per_speaker
-        spec = build_repetitive_protocol(inventory, probes, args.seed,
-                                         negatives_per_probe=args.negatives_per_probe)
+        spec = build_repetitive_protocol(inventory, probes, args.seed, args.negatives_per_probe, args.corpus)
     else:
         if args.target is None:
             raise ValueError("--target is required for the clip protocol")
-        spec = build_clip_protocol(inventory, args.target, args.seed, base_trials=args.base_trials)
+        spec = build_clip_protocol(inventory, args.target, args.seed, args.base_trials, args.corpus)
     prefix = args.out_prefix
     emit_trials(spec, f"{prefix}.trials.tsv", f"{prefix}.manifest.jsonl",
                 f"{prefix}.models.jsonl", _provenance(args))
@@ -162,7 +161,7 @@ def cmd_calibrate(args) -> None:
     write_scores(args.out_scores, calibrated, prov)
     if args.out_models:
         for i, model in enumerate(models):
-            save_model(model, f"{args.out_models}.fold{i}.txt", prov)
+            save_model(model, f"{args.out_models}.fold{i}.txt", args.seed, prov)
     print(f"calibrate: features={','.join(models[0].feature_names)} folds={args.folds} "
           f"trials={len(calibrated)}")
 

@@ -367,17 +367,18 @@ def read_qmfs(path: str | Path) -> Qmfs:
 
     Every key but test_id must be a finite JSON number. Records may hold
     different keys; a row is NaN where its record lacks one. The table's
-    source is ``path``.
+    source is ``path``, and its lines those of the records.
     """
-    test_ids, records = [], []
+    test_ids, records, lines = [], [], array("q")
     for lineno, rec in iter_jsonl(path, required={"test_id": "string"}, unique="test_id"):
         test_ids.append(rec.pop("test_id"))
         for key, value in rec.items():
             if error := _number_error(key, value):
                 raise ValueError(f"{path}:{lineno}: {error}")
         records.append(rec)
+        lines.append(lineno)
     return Qmfs.from_columns(test_ids, {name: [rec.get(name, math.nan) for rec in records]
-                                        for name in set().union(*records)}, str(path))
+                                        for name in set().union(*records)}, str(path), lines)
 
 
 def write_qmfs(path: str | Path, qmfs: Qmfs, provenance: str | None = None) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -41,28 +42,11 @@ class Trials:
 
     @classmethod
     def from_ids(cls, model_ids, test_ids, is_target, scores) -> "Trials":
-        """Trials from one model id and one test id per trial."""
+        """Trials from one model id, test id, target flag and (unless None) score per trial."""
         models, model_codes = encode_ids(model_ids)
         tests, test_codes = encode_ids(test_ids)
-        return cls(models, tests, model_codes, test_codes, is_target, scores)
-
-    def __post_init__(self):
-        mask = np.asarray(self.is_target)
-        if mask.size and mask.dtype != bool:  # strings or numbers are refused, not cast
-            raise ValueError(f"target mask must be boolean, got dtype {mask.dtype}")
-        self.is_target = mask.astype(bool, copy=False)
-        self.model_codes = np.asarray(self.model_codes, dtype=np.intp)
-        self.test_codes = np.asarray(self.test_codes, dtype=np.intp)
-        columns = [self.model_codes, self.test_codes, self.is_target]
-        if self.scores is not None:
-            self.scores = np.asarray(self.scores, dtype=float)
-            columns.append(self.scores)
-        if self.model_codes.ndim != 1 or len({column.shape for column in columns}) > 1:
-            raise ValueError("trial columns differ in length")
-        if self.scores is not None and not np.isfinite(self.scores).all():
-            i = int(np.argmin(np.isfinite(self.scores)))
-            raise ValueError(f"non-finite score for trial ({self.models[self.model_codes[i]]}, "
-                             f"{self.tests[self.test_codes[i]]})")
+        return cls(models, tests, model_codes, test_codes, np.asarray(is_target, dtype=bool),
+                   None if scores is None else np.asarray(scores, dtype=float))
 
     def __len__(self) -> int:
         return len(self.model_codes)
@@ -80,21 +64,22 @@ class Qmfs:
     """Quality measures (QMFs) per test: row i is test ``test_ids[i]``, column j QMF ``names[j]``.
 
     The names are sorted. A cell is NaN where its test has no such QMF.
-    ``source`` is the file the table was read from, which join's refusal
-    names; it is empty for a table built in memory.
+    ``source`` is the file the table was read from and ``lines`` each row's line in it, which
+    join's refusal names; both are empty for a table built in memory.
     """
 
     test_ids: list[str]
     names: list[str]
     values: np.ndarray  # (len(test_ids), len(names)) float64
     source: str = ""
+    lines: Sequence[int] = ()
 
     @classmethod
-    def from_columns(cls, test_ids, columns: dict, source: str = "") -> "Qmfs":
+    def from_columns(cls, test_ids, columns: dict, source: str = "", lines: Sequence[int] = ()) -> "Qmfs":
         """A table from a column of one value per test for each QMF name."""
         names = sorted(columns)
         values = np.array([columns[name] for name in names], dtype=float).reshape(len(names), len(test_ids))
-        return cls(list(test_ids), names, np.ascontiguousarray(values.T), source)
+        return cls(list(test_ids), names, np.ascontiguousarray(values.T), source, lines)
 
     def columns(self, names) -> np.ndarray:
         """The (len(test_ids), len(names)) block of QMFs ``names``, NaN where a test lacks one."""
@@ -109,7 +94,8 @@ class Qmfs:
     def join(self, tests: list[str], names) -> np.ndarray:
         """The (len(tests), len(names)) block of QMFs ``names`` of ``tests``.
 
-        The first of ``tests`` that has no row, or lacks one of ``names``, fails.
+        The first of ``tests`` that has no row, or lacks one of ``names``, fails, naming
+        the file of a table read from one and the line of the test's row, if it has one.
         """
         row_of = dict(zip(self.test_ids, range(len(self.test_ids))))
         rows = np.fromiter(map(row_of.get, tests, repeat(-1)), dtype=np.intp, count=len(tests))
@@ -118,7 +104,8 @@ class Qmfs:
         if bad.any():
             i = int(np.argmax(bad))
             missing = "values" if rows[i] < 0 else repr(names[int(np.argmax(np.isnan(block[i])))])
-            where = f"{self.source}: " if self.source else ""
+            line = f":{self.lines[rows[i]]}" if rows[i] >= 0 and self.lines else ""
+            where = f"{self.source}{line}: " if self.source else ""
             raise ValueError(f"{where}missing QMF {missing} for test {tests[i]!r}")
         return block
 

@@ -42,18 +42,6 @@ class UtteranceRecord:
     gender: str = ""
     word_durations: list[float] | None = None
 
-    def __post_init__(self):
-        if self.kind not in CORPUS_KINDS:
-            raise ValueError(f"{self.utterance_id}: kind must be one of {'|'.join(CORPUS_KINDS)}, "
-                             f"got {self.kind!r}")
-        if self.net_speech <= 0:
-            raise ValueError(f"{self.utterance_id}: net_speech must be > 0")
-        if self.kind == "word" and self.repetition_index < 1:
-            raise ValueError(f"{self.utterance_id}: word recordings need repetition_index >= 1")
-        for duration in self.word_durations or ():
-            if not duration > 0:  # a clip would never reach its target
-                raise ValueError(f"{self.utterance_id}: word_durations must be > 0, got {duration}")
-
 
 @dataclass
 class ProbeEntry:
@@ -88,10 +76,6 @@ class ProtocolSpec:
     tests: list[ProbeEntry]
     models: list[ModelRecord]
 
-    def __post_init__(self):
-        self.positive_trials = np.asarray(self.positive_trials, dtype=np.intp).reshape(-1, 2)
-        self.negative_trials = np.asarray(self.negative_trials, dtype=np.intp).reshape(-1, 2)
-
     def trials(self) -> Trials:
         """The trials as a table over the model and test ids, positives first, with no scores."""
         pairs = np.concatenate([self.positive_trials, self.negative_trials])
@@ -99,14 +83,16 @@ class ProtocolSpec:
                       pairs[:, 1], np.arange(len(pairs)) < len(self.positive_trials), None)
 
 
-def build_enrollment(inventory: list[UtteranceRecord]) -> list[ModelRecord]:
-    """One model per speaker from all of that speaker's sentence recordings."""
+def build_enrollment(inventory: list[UtteranceRecord], source: str = "") -> list[ModelRecord]:
+    """One model per speaker from all of that speaker's sentence recordings. A refusal that concerns
+    the whole corpus, here or in a protocol builder, names ``source``, the corpus file, if given."""
     by_speaker: dict[str, list[UtteranceRecord]] = {}
     for rec in inventory:
         if rec.kind == "sentence":
             by_speaker.setdefault(rec.speaker_id, []).append(rec)
     if not by_speaker:
-        raise ValueError("no sentence recordings to enroll from")
+        where = f"{source}: " if source else ""
+        raise ValueError(f"{where}no sentence recordings to enroll from")
     models = []
     for spk in sorted(by_speaker):
         recs = sorted(by_speaker[spk], key=lambda r: r.utterance_id)
@@ -152,7 +138,7 @@ def _clip_window(rec: UtteranceRecord, target: float, rng: np.random.Generator):
 
 
 def build_clip_protocol(inventory: list[UtteranceRecord], target: float, seed: int,
-                        base_trials: str | Path | None = None) -> ProtocolSpec:
+                        base_trials: str | Path | None = None, source: str = "") -> ProtocolSpec:
     """Fixed-duration protocol: one random word-boundary clip per base test, each sentence and
     free recording of the inventory, of ``target`` seconds (a finite number > 0).
 
@@ -161,20 +147,21 @@ def build_clip_protocol(inventory: list[UtteranceRecord], target: float, seed: i
     speech and transcript of each clip are fully determined by the chosen
     word window. ``base_trials`` is an optional trial list over the base
     utterance ids; its trials are joined onto the clips and onto the
-    enrollment models of the base sentences (see join_trials).
+    enrollment models of the base sentences (see join_trials). ``source``: see build_enrollment.
     """
+    where = f"{source}: " if source else ""
     base = [r for r in inventory if r.kind in ("sentence", "free")]
     if not base:
-        raise ValueError("empty base utterance list")
+        raise ValueError(f"{where}empty base utterance list")
     rng = np.random.default_rng(seed)
     tests = []
     for rec in sorted(base, key=lambda r: r.utterance_id):
         words = rec.transcript.split()
         if not words:
-            raise ValueError(f"{rec.utterance_id}: utterance has no words")
+            raise ValueError(f"{where}{rec.utterance_id}: utterance has no words")
         durations = rec.word_durations
         if durations is None or len(durations) != len(words):
-            raise ValueError(f"{rec.utterance_id}: word_durations must align with transcript words")
+            raise ValueError(f"{where}{rec.utterance_id}: word_durations must align with transcript words")
         idx = _clip_window(rec, target, rng)
         tests.append(ProbeEntry(
             test_id=f"{rec.utterance_id}@{target:g}s",
@@ -185,8 +172,9 @@ def build_clip_protocol(inventory: list[UtteranceRecord], target: float, seed: i
             gender=rec.gender,
         ))
     if base_trials is None:
-        return ProtocolSpec([], [], tests, [])
-    return join_trials(base_trials, tests, build_enrollment(inventory), [t.source_ids[0] for t in tests])
+        return ProtocolSpec(np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), tests, [])
+    return join_trials(base_trials, tests, build_enrollment(inventory, source),
+                       [t.source_ids[0] for t in tests])
 
 
 def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
@@ -213,7 +201,7 @@ def _draw_probe(word_types: list[str], reps: dict[str, list[UtteranceRecord]],
 
 
 def build_repetitive_protocol(inventory: list[UtteranceRecord], n_probes_per_speaker: int, seed: int,
-                              negatives_per_probe: int | None = None) -> ProtocolSpec:
+                              negatives_per_probe: int | None = None, source: str = "") -> ProtocolSpec:
     """Word-concatenation protocol with independently controlled length and diversity: probes
     of the inventory's word recordings, models of its sentences.
 
@@ -221,9 +209,9 @@ def build_repetitive_protocol(inventory: list[UtteranceRecord], n_probes_per_spe
     U ~ uniform{1..T} distinct word types; every repeated slot consumes a
     distinct repetition recording. Negative trials pair each probe with
     all other matching-gender models, optionally subsampled to
-    ``negatives_per_probe`` with the same seed stream.
+    ``negatives_per_probe`` with the same seed stream. ``source``: see build_enrollment.
     """
-    models = build_enrollment(inventory)
+    models = build_enrollment(inventory, source)
     model_row = {m.speaker_id: row for row, m in enumerate(models)}
 
     by_speaker: dict[str, dict[str, list[UtteranceRecord]]] = {}
@@ -232,7 +220,8 @@ def build_repetitive_protocol(inventory: list[UtteranceRecord], n_probes_per_spe
             by_speaker.setdefault(rec.speaker_id, {}).setdefault(rec.word_text, []).append(rec)
     for spk, types in by_speaker.items():
         if spk not in model_row:
-            raise ValueError(f"speaker {spk} has word recordings but no enrollment sentences")
+            where = f"{source}: " if source else ""
+            raise ValueError(f"{where}speaker {spk} has word recordings but no enrollment sentences")
         for w in types:
             types[w] = sorted(types[w], key=lambda r: r.repetition_index)
 
@@ -268,8 +257,8 @@ def build_repetitive_protocol(inventory: list[UtteranceRecord], n_probes_per_spe
         negative_models += impostors
         negative_tests += [row] * len(impostors)
 
-    return ProtocolSpec(positive, np.array([negative_models, negative_tests], dtype=np.intp).T,
-                        tests, models)
+    return ProtocolSpec(np.array(positive, dtype=np.intp).reshape(-1, 2),
+                        np.array([negative_models, negative_tests], dtype=np.intp).T, tests, models)
 
 
 def emit_trials(spec: ProtocolSpec, trials_path: str | Path, manifest_path: str | Path,
@@ -348,18 +337,23 @@ def load_inventory_jsonl(path: str | Path) -> list[UtteranceRecord]:
     """Utterance inventory JSONL -> records (see README for the field list).
 
     Records are built as the file streams in, and the strings that repeat
-    from record to record are shared through sys.intern. A record that
-    UtteranceRecord refuses fails with the file and line.
+    from record to record are shared through sys.intern. A record of an
+    unknown kind, with net_speech <= 0, a word recording with
+    repetition_index < 1 or a word duration <= 0 fails with the file and line.
     """
     records = []
     for lineno, rec in iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id",
                                   optional=CORPUS_OPTIONAL_KEYS):
-        try:
-            records.append(UtteranceRecord(
-                rec["utterance_id"], intern(rec["speaker_id"]), intern(rec["kind"]),
-                float(rec["net_speech"]), intern(rec.get("transcript", "")),
-                intern(rec.get("word_text", "")), rec.get("repetition_index", 0),
-                intern(rec.get("gender", "")), rec.get("word_durations")))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        kind, rep, durations = rec["kind"], rec.get("repetition_index", 0), rec.get("word_durations")
+        short = next((d for d in durations or () if not d > 0), None)  # a clip would never reach its target
+        error = (f"kind must be one of {'|'.join(CORPUS_KINDS)}, got {kind!r}" if kind not in CORPUS_KINDS else
+                 "net_speech must be > 0" if rec["net_speech"] <= 0 else
+                 "word recordings need repetition_index >= 1" if kind == "word" and rep < 1 else
+                 f"word_durations must be > 0, got {short}" if short is not None else None)
+        if error:
+            raise ValueError(f"{path}:{lineno}: {rec['utterance_id']}: {error}")
+        records.append(UtteranceRecord(
+            rec["utterance_id"], intern(rec["speaker_id"]), intern(kind), float(rec["net_speech"]),
+            intern(rec.get("transcript", "")), intern(rec.get("word_text", "")), rep,
+            intern(rec.get("gender", "")), durations))
     return records

@@ -112,12 +112,6 @@ class TestBuildFeatures:
         with pytest.raises(ValueError, match="missing QMF"):
             build_features(trials, Qmfs([], [], np.empty((0, 0))), ("cu",))
 
-    def test_non_finite_value_refused(self):
-        trials = make_trials([0.5], [0.1])
-        qmfs = Qmfs(trials.tests, ["cu"], np.array([[3.0], [np.inf]]))
-        with pytest.raises(ValueError, match="non-finite feature value"):
-            build_features(trials, qmfs, ("raw", "cu"))
-
 
 class TestStratifiedFolds:
     def test_counts_within_one(self):
@@ -199,9 +193,9 @@ class TestCrossValidatedCalibration:
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         model = CalibrationModel(np.array([1.5, -0.25]), 0.125, ("raw", "cu"),
-                                 (2.0, 0.6666666666666666), False, seed=11)
+                                 (2.0, 0.6666666666666666), False)
         path = tmp_path / "model.txt"
-        save_model(model, path, "# provenance")
+        save_model(model, path, 11, "# provenance")
         fields = read_model_fields(path)
         assert list(fields) == ["intercept", "class_weight_target", "class_weight_nontarget",
                                 "converged", "seed", "coef:raw", "coef:cu"]

@@ -410,6 +410,38 @@ class TestFolds:
         assert not out.exists()
 
 
+class TestLrOverflow:
+    """A feature value too large for the LR fit stops calibrate and evaluate with one error line and
+    no numpy warning: the Hessian overflows in a fold that fits on it, and the out-of-fold score in
+    a fold that only scores it. Test t0 (a target) holds the value; its fold, and so which check
+    meets it first, depends on the seed."""
+
+    HESSIAN = "features raw,cu too large: the LR Hessian overflows"
+    SCORE = "features raw,cu too large: a calibrated score overflows"
+
+    @pytest.mark.parametrize("cu, seed, message", [
+        ("1e300", 1, HESSIAN),
+        ("1.7e308", 3, SCORE),
+    ], ids=["hessian", "out-of-fold-score"])
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+    def test_is_one_error_line(self, tmp_path, capsys, command, cu, seed, message):
+        rows = [f"m{i % 3}\tt{i}\t{'target' if i % 4 == 0 else 'nontarget'}\t{0.01 * i}" for i in range(40)]
+        scores = tmp_path / "scores.tsv"
+        scores.write_text(SCORES_HEADER + "\n".join(rows) + "\n")
+        # cu separates the classes, so its coefficient is large enough to overflow a score
+        qmf = tmp_path / "qmf.jsonl"
+        cus = [cu] + [(i % 4 == 0) + 0.1 * (i % 3) for i in range(1, 40)]
+        qmf.write_text("".join(f'{{"test_id": "t{i}", "cu": {value}}}\n' for i, value in enumerate(cus)))
+        outputs = {"calibrate": ["--out-scores", tmp_path / "out.tsv", "--out-models", tmp_path / "out"],
+                   "evaluate": ["--out", tmp_path / "out.tsv"]}[command]
+        assert run([command, "--scores", scores, "--qmf", qmf, "--features", "raw,cu", "--folds", 2,
+                    "--seed", seed, *outputs]) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
 class TestScoresFile:
     """A malformed scores file fails with one error line naming the file and line."""
 
@@ -1361,6 +1393,7 @@ class TestDeepJsonl:
 
 
 QMF_T1 = json.dumps(VALID_RECORDS["qmf"]) + "\n"  # a QMF file with no record for t2
+CORPUS_WORD = dict(VALID_RECORDS["corpus"], utterance_id="u1", kind="word", word_text="cat", repetition_index=1)
 
 
 class TestRefusals:
@@ -1380,7 +1413,7 @@ class TestRefusals:
          "{path}:1: net_speech must be a finite number, got Infinity"),
         (CLIP + ["--target", "2"], "corpus",
          json.dumps(dict(VALID_RECORDS["corpus"], transcript="cat cat")) + "\n",
-         "u0: word_durations must align with transcript words"),
+         "{path}: u0: word_durations must align with transcript words"),
         (FIT_WEIGHTS, "presence", json.dumps(presence_record("t1", ())) + "\n",
          "{path}: all-zero presence matrix: no identifiable weights"),
         (REPORT_WEIGHTS, "presence", "", "{path}: no utterances: the report needs a non-empty corpus"),
@@ -1399,11 +1432,32 @@ class TestRefusals:
         (["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "cu", "--folds", "3", "--seed", "1",
           "--out-scores", "out.tsv"], "qmf", QMF_T1 + QMF_T1.replace('"t1"', '"t2"'),
          "need at least 3 target trials for 3-fold split, got 2"),
+        # a test whose record lacks a QMF is named with the record's line
+        (["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "lns", "--folds", "2",
+          "--out", "out.tsv"], "qmf", QMF_T1 + '{"test_id": "t2", "cu": 3.0}\n',
+         "{path}:2: missing QMF 'lns' for test 't2'"),
+        (["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "cu", "--folds", "2", "--seed", "1",
+          "--out-scores", "out.tsv"], "qmf", "# provenance\n" + QMF_T1 + '\n{"test_id": "t2", "lns": 0.5}\n',
+         "{path}:4: missing QMF 'cu' for test 't2'"),
+        (["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--out", "out.tsv",
+          "--correlation-out", "out.csv"], "qmf", QMF_T1 + '{"test_id": "t2", "cu": 3.0}\n',
+         "{path}:2: missing QMF 'net_speech' for test 't2'"),
+        # a refusal that concerns the whole corpus names the corpus file
+        (GEN_PROTOCOL, "corpus", json.dumps(CORPUS_WORD) + "\n", "{path}: no sentence recordings to enroll from"),
+        (GEN_PROTOCOL, "corpus", json.dumps(VALID_RECORDS["corpus"]) + "\n"
+         + json.dumps(dict(CORPUS_WORD, speaker_id="b")) + "\n",
+         "{path}: speaker b has word recordings but no enrollment sentences"),
+        (CLIP + ["--target", "2"], "corpus", json.dumps(CORPUS_WORD) + "\n", "{path}: empty base utterance list"),
+        (CLIP + ["--target", "2"], "corpus",
+         json.dumps(dict(VALID_RECORDS["corpus"], transcript="", word_durations=[])) + "\n",
+         "{path}: u0: utterance has no words"),
     ], ids=["fit-weights-no-join", "clip-no-target", "calibrate-no-features", "weights-missing-symbol",
             "scores-only-comments", "manifest-overflow", "corpus-durations-count",
             "fit-weights-all-zero-presence", "report-weights-empty-presence", "report-weights-zero-weights",
             "correlation-no-qmf", "evaluate-qmf-no-record", "calibrate-qmf-no-record",
-            "correlation-qmf-no-record", "calibrate-too-few-targets"])
+            "correlation-qmf-no-record", "calibrate-too-few-targets", "evaluate-qmf-no-value",
+            "calibrate-qmf-no-value", "correlation-qmf-no-value", "corpus-no-sentences",
+            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, bad, text, message):
         if bad is not None:
             small_inputs[bad].write_text(text)

@@ -1,7 +1,7 @@
 """Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
 no module splits text into lines on its own, only io opens files, in io only
-line_blocks reads text, no module calls np.unique, and a fault leaves the
-program only through cli.main."""
+line_blocks reads text, no module calls np.unique, a fault leaves the
+program only through cli.main, and no in-memory class checks what it is built from."""
 
 import ast
 from pathlib import Path
@@ -160,3 +160,25 @@ def test_cli_main_prints_the_error_line():
     main = next(node for node in tree.body if getattr(node, "name", None) == "main")
     assert [node.value for node in ast.walk(main)
             if isinstance(node, ast.Constant) and str(node.value).startswith("error:")] == ["error: "]
+
+
+def checking_constructors(source: str) -> list[str]:
+    """Each ``__post_init__`` that holds a ``raise``, as "line N: Class"."""
+    return [f"line {node.lineno}: {cls.name}" for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if getattr(node, "name", None) == "__post_init__"
+            and any(isinstance(inner, ast.Raise) for inner in ast.walk(node))]
+
+
+def test_finds_a_checking_constructor():
+    source = ("class A:\n    def __post_init__(self):\n        self.x = list(self.x)\n"
+              "class B:\n    def __post_init__(self):\n        if self.x < 0:\n            raise ValueError('x')\n"
+              "class C:\n    def check(self):\n        raise ValueError('x')\n")
+    assert checking_constructors(source) == ["line 5: B"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_no_checking_constructors(module):
+    """Each invariant is checked once, where data enters: by a file reader, a flag check or the LR
+    overflow refusal. A class built in memory holds what its producer built and checks nothing."""
+    assert checking_constructors(module.read_text()) == []

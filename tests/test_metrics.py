@@ -69,10 +69,6 @@ class TestEer:
             got, _ = compute_eer(tar, non)
             assert got == pytest.approx(brute_force_eer(tar, non), abs=1e-10)
 
-    def test_non_finite_score_rejected(self):
-        with pytest.raises(ValueError):
-            make_trials([float("nan")], [])
-
 
 class TestMinCPrimary:
     def test_perfect_separation(self):
@@ -222,14 +218,6 @@ class TestKendallTauRuns:
 
 
 class TestTrials:
-    def test_string_labels_refused_as_mask(self):
-        with pytest.raises(ValueError, match="boolean"):
-            Trials.from_ids(["m"], ["t"], ["nontarget"], [0.5])
-
-    def test_column_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            Trials.from_ids(["m", "m"], ["t"], [True], [0.5])
-
     def test_test_index_in_first_seen_order(self):
         trials = Trials.from_ids(["a", "b", "a"], ["t2", "t1", "t2"], [True, False, False],
                                  [0.1, 0.2, 0.3])

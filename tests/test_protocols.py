@@ -193,7 +193,7 @@ class TestEmitAndLoad:
             [(m.model_id, m.net_speech) for m in demo_protocol.models]
 
     def test_empty_spec_header_only(self, tmp_path):
-        spec = ProtocolSpec([], [], [], [])
+        spec = ProtocolSpec(np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), [], [])
         trials = tmp_path / "e.trials.tsv"
         manifest = tmp_path / "e.manifest.jsonl"
         models = tmp_path / "e.models.jsonl"
@@ -248,16 +248,6 @@ class TestEmitAndLoad:
         with pytest.raises(ValueError) as exc:
             join_trials(trials, tests, models)
         assert str(exc.value) == f"{trials}:2: trial (a, t2) names an unknown test"
-
-
-class TestUtteranceRecord:
-    def test_nonpositive_net_speech_rejected(self):
-        with pytest.raises(ValueError):
-            UtteranceRecord("u", "a", "word", 0.0, "cat", word_text="cat", repetition_index=1)
-
-    def test_word_needs_repetition_index(self):
-        with pytest.raises(ValueError):
-            UtteranceRecord("u", "a", "word", 1.0, "cat", word_text="cat", repetition_index=0)
 
 
 def reference_word_net_speech(n_speakers, seed):
