@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -14,16 +13,9 @@ from .metrics import NONTARGET, TARGET, Qmfs, Trials
 # canonical feature order; a feature set is any subset of these names
 FEATURE_ORDER = ("raw", "lns", "cu", "wcu")
 
-NET_SPEECH_FLOOR = 0.01  # seconds, applied before the log
-
 MAX_ITER = 100
 GRAD_TOL = 1e-8
 RIDGE = 1e-9
-
-
-def log_net_speech(net_speech: float) -> float:
-    """Natural log of net speech, floored at 0.01 s so zero duration stays finite."""
-    return math.log(max(net_speech, NET_SPEECH_FLOOR))
 
 
 @dataclass
@@ -41,26 +33,17 @@ def build_features(trials: Trials, qmfs: Qmfs, feature_set) -> tuple[np.ndarray,
     """Assemble the (n, d) feature matrix in canonical feature order.
 
     ``raw`` comes from the trial score; ``lns``, ``cu``, ``wcu`` come from
-    the QMF table (``lns`` may be given directly or derived from
-    ``net_speech``), joined once per test and gathered to the trials.
+    the QMF table (``lns`` as given, or derived from ``net_speech`` by
+    Qmfs.with_lns), joined once per test and gathered to the trials.
     """
     names = tuple(n for n in FEATURE_ORDER if n in set(feature_set))
     qmf_names = tuple(n for n in names if n != "raw")
     X = np.empty((len(trials), 0))
     if qmf_names:
-        X = (_with_lns(qmfs) if "lns" in qmf_names else qmfs).join(trials.tests, qmf_names)[trials.test_codes]
+        X = (qmfs.with_lns() if "lns" in qmf_names else qmfs).join(trials.tests, qmf_names)[trials.test_codes]
     if "raw" in names:  # first in canonical order
         X = np.hstack([trials.scores[:, None], X])
     return X, names
-
-
-def _with_lns(qmfs: Qmfs) -> Qmfs:
-    """The table with lns derived from net_speech, value by value, for each test that has no lns."""
-    lns, net_speech = qmfs.columns(["lns", "net_speech"]).T
-    derive = np.isnan(lns) & ~np.isnan(net_speech)
-    lns[derive] = list(map(log_net_speech, net_speech[derive].tolist()))
-    return Qmfs.from_columns(qmfs.test_ids, {**dict(zip(qmfs.names, qmfs.values.T)), "lns": lns},
-                             qmfs.source, qmfs.lines)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

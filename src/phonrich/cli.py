@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import FEATURE_ORDER, cross_validated_calibration, log_net_speech, save_model
+from .calibration import FEATURE_ORDER, cross_validated_calibration, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
 from .inventory import PresenceVector
 from .io import (iter_jsonl, provenance_line, read_jsonl, read_qmfs, read_scores,
@@ -20,8 +20,8 @@ from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transc
 from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
 from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
                         load_inventory_jsonl, load_protocol)
-from .richness import (count_unique, fit_weights, load_weights, save_weights, weight_report,
-                       weighted_count_unique)
+from .richness import (count_unique, fit_weights, load_weights, quality_measures, save_weights,
+                       weight_report)
 from .simulator import simulate_corpus
 
 
@@ -71,18 +71,10 @@ def _read_presence(path) -> PresenceVector:
 def cmd_richness(args) -> None:
     presence = _read_presence(args.presence)
     weights = load_weights(args.weights) if args.weights else None
-    columns = {"cu": count_unique(presence)}
-    if weights is not None:
-        columns["wcu"] = weighted_count_unique(presence, weights)
-    if args.manifest:
-        net_speech = {rec["test_id"]: float(rec["net_speech"]) for _, rec in
-                      iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"},
-                                 unique="test_id")}
-        # NaN, so no net_speech or lns in the record, for a test the manifest does not name
-        columns["net_speech"] = [net_speech.get(t, np.nan) for t in presence.utterance_ids]
-        columns["lns"] = [log_net_speech(net_speech[t]) if t in net_speech else np.nan
-                          for t in presence.utterance_ids]
-    qmfs = Qmfs.from_columns(presence.utterance_ids, columns)
+    net_speech = {rec["test_id"]: rec["net_speech"] for _, rec in
+                  iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"},
+                             unique="test_id")} if args.manifest else None
+    qmfs = quality_measures(presence, weights, net_speech)
     write_qmfs(args.out, qmfs, _provenance(args))
     print(f"richness: wrote {len(qmfs.test_ids)} QMF records to {args.out}")
 

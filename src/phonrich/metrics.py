@@ -11,6 +11,7 @@ import numpy as np
 
 # NIST SRE primary-cost operating points: two target priors, unit costs.
 MIN_C_PRIMARY_PRIORS = (0.01, 0.005)
+NET_SPEECH_FLOOR = 0.01  # seconds, applied before the log of net speech
 
 TARGET = "target"
 NONTARGET = "nontarget"
@@ -59,6 +60,11 @@ class Trials:
         return self.scores[self.is_target], self.scores[~self.is_target]
 
 
+def log_net_speech(net_speech: float) -> float:
+    """Natural log of net speech, floored at 0.01 s so zero duration stays finite."""
+    return math.log(max(net_speech, NET_SPEECH_FLOOR))
+
+
 @dataclass
 class Qmfs:
     """Quality measures (QMFs) per test: row i is test ``test_ids[i]``, column j QMF ``names[j]``.
@@ -80,6 +86,14 @@ class Qmfs:
         names = sorted(columns)
         values = np.array([columns[name] for name in names], dtype=float).reshape(len(names), len(test_ids))
         return cls(list(test_ids), names, np.ascontiguousarray(values.T), source, lines)
+
+    def with_lns(self) -> "Qmfs":
+        """The table with lns derived from net_speech, value by value, for each test that has no lns."""
+        lns, net_speech = self.columns(["lns", "net_speech"]).T
+        derive = np.isnan(lns) & ~np.isnan(net_speech)
+        lns[derive] = list(map(log_net_speech, net_speech[derive].tolist()))
+        return Qmfs.from_columns(self.test_ids, {**dict(zip(self.names, self.values.T)), "lns": lns},
+                                 self.source, self.lines)
 
     def columns(self, names) -> np.ndarray:
         """The (len(test_ids), len(names)) block of QMFs ``names``, NaN where a test lacks one."""

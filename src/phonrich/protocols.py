@@ -211,6 +211,7 @@ def build_repetitive_protocol(inventory: list[UtteranceRecord], n_probes_per_spe
     all other matching-gender models, optionally subsampled to
     ``negatives_per_probe`` with the same seed stream. ``source``: see build_enrollment.
     """
+    where = f"{source}: " if source else ""
     models = build_enrollment(inventory, source)
     model_row = {m.speaker_id: row for row, m in enumerate(models)}
 
@@ -220,7 +221,6 @@ def build_repetitive_protocol(inventory: list[UtteranceRecord], n_probes_per_spe
             by_speaker.setdefault(rec.speaker_id, {}).setdefault(rec.word_text, []).append(rec)
     for spk, types in by_speaker.items():
         if spk not in model_row:
-            where = f"{source}: " if source else ""
             raise ValueError(f"{where}speaker {spk} has word recordings but no enrollment sentences")
         for w in types:
             types[w] = sorted(types[w], key=lambda r: r.repetition_index)
@@ -233,7 +233,11 @@ def build_repetitive_protocol(inventory: list[UtteranceRecord], n_probes_per_spe
         word_types = sorted(reps)
         gender = models[model_row[spk]].gender
         for j in range(n_probes_per_speaker):
-            recs = _draw_probe(word_types, reps, rng)
+            try:
+                recs = _draw_probe(word_types, reps, rng)
+            except ValueError as exc:
+                fewest = min(word_types, key=lambda w: len(reps[w]))
+                raise ValueError(f"{where}speaker {spk}: {exc} ({fewest!r} has {len(reps[fewest])})") from None
             test_id = f"{spk}_probe{j:05d}"
             positive.append((model_row[spk], len(tests)))
             tests.append(ProbeEntry(

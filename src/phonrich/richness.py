@@ -10,6 +10,7 @@ import numpy as np
 from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
 from .io import numbered_lines, write_lines
 from .lexicon import PhonemeTranscription, phoneme_codes
+from .metrics import Qmfs
 from .nnls import nnls
 
 
@@ -35,6 +36,18 @@ def weighted_count_unique(p: PresenceVector, w: RichnessWeights) -> np.ndarray:
     the last bits on some rows.
     """
     return np.matmul(p.bits[:, None, :], w.weights[:, None])[:, 0, 0]
+
+
+def quality_measures(presence: PresenceVector, weights: RichnessWeights | None = None,
+                     net_speech: dict[str, float] | None = None) -> Qmfs:
+    """The QMFs of ``presence``'s rows: cu; wcu if weighted; net_speech where ``net_speech`` names
+    the utterance, NaN (no value) elsewhere; and lns derived from it by Qmfs.with_lns."""
+    columns = {"cu": count_unique(presence)}
+    if weights is not None:
+        columns["wcu"] = weighted_count_unique(presence, weights)
+    if net_speech is not None:
+        columns["net_speech"] = [net_speech.get(u, np.nan) for u in presence.utterance_ids]
+    return Qmfs.from_columns(presence.utterance_ids, columns).with_lns()
 
 
 def fit_weights(presence: np.ndarray, scores: np.ndarray) -> RichnessWeights:
@@ -108,5 +121,5 @@ def load_weights(path: str | Path) -> RichnessWeights:
         weights[PHONEME_INDEX[sym]] = weight
     missing = [s for s in ARPABET_39 if s not in first_line]
     if missing:
-        raise ValueError(f"weights file {path} missing symbols: {missing}")
+        raise ValueError(f"{path}: missing symbols: {missing}")
     return RichnessWeights(weights, fit_residual=fit_residual, n_train=n_train)

@@ -8,10 +8,9 @@ import numpy as np
 
 from .inventory import ARPABET_39
 from .lexicon import Lexicon, presence_vector, transcribe
-from .calibration import log_net_speech
 from .metrics import Qmfs, Trials
 from .protocols import ProtocolSpec
-from .richness import count_unique
+from .richness import quality_measures
 
 # substream tags so per-entity RNG draws are order-independent
 _SPEAKER_STREAM = 1
@@ -44,7 +43,7 @@ class SimResult:
     models: np.ndarray  # unit rows, one per model in sorted model-id order
     tests: np.ndarray  # unit rows, one per test in sorted test-id order
     trials: Trials
-    qmfs: Qmfs  # cu, lns and net_speech of each test, in sorted test-id order
+    qmfs: Qmfs  # richness.quality_measures of the tests (cu, net_speech, lns), in sorted test-id order
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -96,16 +95,13 @@ def simulate_corpus(protocol: ProtocolSpec, lexicon: Lexicon, sigma0: float, kap
         for idx, m in enumerate(models)], dtype=float).reshape(-1, dim)
 
     tests = [protocol.tests[i] for i in test_order]
-    cus = count_unique(presence_vector([transcribe(t.transcript, lexicon, t.test_id)
-                                        for t in tests])).tolist()
+    qmfs = quality_measures(presence_vector([transcribe(t.transcript, lexicon, t.test_id) for t in tests]),
+                            net_speech={t.test_id: t.net_speech for t in tests})
     test_vectors = []
-    for idx, (t, cu) in enumerate(zip(tests, cus)):
+    for idx, (t, cu) in enumerate(zip(tests, qmfs.columns(["cu"])[:, 0].tolist())):
         sigma = sigma0 * (1.0 + kappa * (n_phonemes - cu) / n_phonemes)
         rng = np.random.default_rng([seed, _TEST_STREAM, idx])
         test_vectors.append(_noisy_embedding(means[t.speaker_id], sigma, rng))
-    net_speech = [t.net_speech for t in tests]
-    qmfs = Qmfs.from_columns([t.test_id for t in tests], {
-        "cu": cus, "net_speech": net_speech, "lns": list(map(log_net_speech, net_speech))})
     test_matrix = np.array(test_vectors, dtype=float).reshape(-1, dim)
 
     scores = cosine_score(model_matrix, test_matrix, np.argsort(model_order)[trials.model_codes],

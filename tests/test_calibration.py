@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from phonrich.calibration import (CalibrationModel, apply_lr, build_features,
-                                  cross_validated_calibration, fit_lr, log_net_speech,
-                                  save_model, stratified_folds)
-from phonrich.metrics import Qmfs, Trials, compute_eer
+                                  cross_validated_calibration, fit_lr, save_model, stratified_folds)
+from phonrich.metrics import Qmfs, Trials, compute_eer, log_net_speech
 
 from conftest import read_model_fields, trial_rows
 

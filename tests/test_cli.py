@@ -366,6 +366,35 @@ class TestPinnedQmfBytes:
                 (tmp_path / from_file).read_text().partition("\n")[2]
 
 
+class TestQmfProducersAgree:
+    """simulate --out-qmf and g2p -> richness --manifest write the same QMF record for each test of
+    one protocol, whether simulate uses its built-in vocabulary or the same words as a lexicon file."""
+
+    @pytest.mark.parametrize("with_lexicon", [False, True], ids=["built-in-vocabulary", "lexicon-file"])
+    def test_records_are_equal_by_test_id(self, tmp_path, with_lexicon):
+        from phonrich.data import demo_lexicon_lines
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(demo_lexicon_lines())
+        corpus, prefix = tmp_path / "corpus.jsonl", tmp_path / "rep"
+        assert run(["make-demo", "--speakers", 6, "--seed", 41, "--out", corpus]) == 0
+        assert run(["gen-protocol", "--corpus", corpus, "--protocol", "repetitive",
+                    "--probes-per-speaker", 30, "--seed", 42, "--out-prefix", prefix]) == 0
+        assert run(["simulate", "--trials", f"{prefix}.trials.tsv", "--manifest", f"{prefix}.manifest.jsonl",
+                    "--models", f"{prefix}.models.jsonl", "--seed", 43,
+                    *(["--lexicon", lexicon] if with_lexicon else []),
+                    "--out-scores", tmp_path / "scores.tsv", "--out-qmf", tmp_path / "simulated.jsonl"]) == 0
+        manifest = read_jsonl(f"{prefix}.manifest.jsonl")
+        write_transcripts(tmp_path / "transcripts.jsonl", [(m["test_id"], m["transcript"]) for m in manifest])
+        assert run(["g2p", "--transcripts", tmp_path / "transcripts.jsonl", "--lexicon", lexicon,
+                    "--out", tmp_path / "presence.jsonl"]) == 0
+        assert run(["richness", "--presence", tmp_path / "presence.jsonl", "--manifest",
+                    f"{prefix}.manifest.jsonl", "--out", tmp_path / "richness.jsonl"]) == 0
+        simulated, computed = ({rec["test_id"]: rec for rec in read_jsonl(tmp_path / name)}
+                               for name in ("simulated.jsonl", "richness.jsonl"))
+        assert len(simulated) == len(manifest) == 6 * 30
+        assert simulated == computed
+
+
 SCORES_HEADER = "# provenance\nmodel_id\ttest_id\tlabel\traw_score\n"
 GOOD_ROWS = ["m1\tt1\ttarget\t0.9", "m1\tt2\tnontarget\t0.1", "m2\tt2\ttarget\t0.8",
              "m2\tt1\tnontarget\t0.2"]
@@ -1406,7 +1435,7 @@ class TestRefusals:
         (["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--seed", "1",
           "--out-scores", "out.tsv"], None, None, "calibrate needs a non-empty feature set"),
         (REPORT_WEIGHTS, "weights", "".join(f"{sym}\t1\n" for sym in ARPABET_39[1:]),
-         "weights file {path} missing symbols: ['AA']"),
+         "{path}: missing symbols: ['AA']"),
         (["evaluate", "--scores", "scores", "--out", "out.tsv"], "scores", "# provenance\n# note\n",
          "{path}: no header line found"),
         (SIMULATE, "manifest", json.dumps(VALID_RECORDS["manifest"]).replace("1.0", "1e999") + "\n",
@@ -1451,13 +1480,17 @@ class TestRefusals:
         (CLIP + ["--target", "2"], "corpus",
          json.dumps(dict(VALID_RECORDS["corpus"], transcript="", word_durations=[])) + "\n",
          "{path}: u0: utterance has no words"),
+        # one word type with one recording fills no probe of two or more words
+        (GEN_PROTOCOL, "corpus", json.dumps(VALID_RECORDS["corpus"]) + "\n" + json.dumps(CORPUS_WORD) + "\n",
+         "{path}: speaker a: could not assemble a probe: a word type has too few repetition recordings "
+         "('cat' has 1)"),
     ], ids=["fit-weights-no-join", "clip-no-target", "calibrate-no-features", "weights-missing-symbol",
             "scores-only-comments", "manifest-overflow", "corpus-durations-count",
             "fit-weights-all-zero-presence", "report-weights-empty-presence", "report-weights-zero-weights",
             "correlation-no-qmf", "evaluate-qmf-no-record", "calibrate-qmf-no-record",
             "correlation-qmf-no-record", "calibrate-too-few-targets", "evaluate-qmf-no-value",
             "calibrate-qmf-no-value", "correlation-qmf-no-value", "corpus-no-sentences",
-            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words"])
+            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words", "corpus-too-few-repetitions"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, bad, text, message):
         if bad is not None:
             small_inputs[bad].write_text(text)

@@ -1,7 +1,8 @@
 """Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
 no module splits text into lines on its own, only io opens files, in io only
 line_blocks reads text, no module calls np.unique, a fault leaves the
-program only through cli.main, and no in-memory class checks what it is built from."""
+program only through cli.main, no in-memory class checks what it is built from, and only metrics
+derives lns."""
 
 import ast
 from pathlib import Path
@@ -182,3 +183,40 @@ def test_no_checking_constructors(module):
     """Each invariant is checked once, where data enters: by a file reader, a flag check or the LR
     overflow refusal. A class built in memory holds what its producer built and checks nothing."""
     assert checking_constructors(module.read_text()) == []
+
+
+def lns_uses(source: str) -> list[str]:
+    """Each use of ``math.log`` or ``log_net_speech``, called or passed on (as to ``map``), and each
+    import of either, as "line N: name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name == "log_net_speech"
+                      or (node.module == "math" and alias.name == "log")]
+        elif isinstance(node, ast.Name) and node.id == "log_net_speech":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and (node.attr == "log_net_speech" or (
+                node.attr == "log" and getattr(node.value, "id", None) == "math")):
+            found.append((node.lineno, node.attr))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_finds_an_lns_use():
+    source = ("import math\nfrom math import log\nfrom .metrics import log_net_speech as lns\n"
+              "a = math.log(x)\nb = list(map(log_net_speech, xs))\nc = metrics.log_net_speech(x)\n"
+              "d = np.log(x) + math.log10(x) + catalog(x)\n")
+    assert lns_uses(source) == ["line 2: log", "line 3: log_net_speech", "line 4: log",
+                                "line 5: log_net_speech", "line 6: log_net_speech"]
+
+
+@pytest.mark.parametrize("module", [p for p in MODULES if p.name != "metrics.py"],
+                         ids=[p.name for p in MODULES if p.name != "metrics.py"])
+def test_only_metrics_derives_lns(module):
+    """lns is log(max(net_speech, 0.01)), derived by metrics.log_net_speech through Qmfs.with_lns
+    alone, so richness, simulate, calibrate and evaluate cannot disagree on a value of it."""
+    assert lns_uses(module.read_text()) == []
+
+
+def test_metrics_derives_lns():
+    """The guard above looks at something: metrics' own derivation is where it lets it be."""
+    assert lns_uses((SRC / "metrics.py").read_text()) != []
