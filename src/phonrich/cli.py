@@ -86,7 +86,7 @@ def cmd_fit_weights(args) -> None:
     rows = np.array([row_of.get(test_id, -1) for test_id in trials.tests], dtype=np.intp)[trials.test_codes]
     kept = trials.is_target & (rows >= 0)
     if not kept.any():
-        raise ValueError("no positive trials joined with presence vectors")
+        raise ValueError(f"{args.scores}: no target trial's test has a record in {args.presence}")
     try:
         w = fit_weights(presence.bits[rows[kept]], trials.scores[kept])
     except ValueError as exc:  # such as all-zero presence rows of the joined trials
@@ -123,7 +123,10 @@ def cmd_gen_protocol(args) -> None:
 def cmd_simulate(args) -> None:
     protocol = load_protocol(args.trials, args.manifest, args.models)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else DEMO_VOCABULARY
-    result = simulate_corpus(protocol, lexicon, args.sigma0, args.kappa, args.seed, args.dim)
+    try:
+        result = simulate_corpus(protocol, lexicon, args.sigma0, args.kappa, args.seed, args.dim)
+    except FloatingPointError:  # only the noise can overflow, so the flags are named, not the files
+        raise ValueError("an embedding's norm overflows: --sigma0 or --kappa is too large") from None
     prov = _provenance(args)
     write_scores(args.out_scores, result.trials, prov)
     write_qmfs(args.out_qmf, result.qmfs, prov)
@@ -172,7 +175,7 @@ def cmd_evaluate(args) -> None:
         if fs:  # labelled by the features of the fit model: canonical order, each name once
             scored, models = cross_validated_calibration(trials, qmfs, fs, k=args.folds, seed=args.seed)
             name = ",".join(models[0].feature_names)
-        eer, _ = compute_eer(*scored.class_scores())
+        eer = compute_eer(*scored.class_scores())
         minc = compute_min_c_primary(*scored.class_scores())
         rows.append((name, f"{100 * eer:.2f}", f"{minc:.3f}"))
     # the report can still fail, so it runs before anything is printed or written
@@ -338,14 +341,20 @@ def _check_flag_domains(args) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: 0 once it has written its outputs, or 1 and one error line."""
+    """Run one subcommand: 0 once it has written its outputs, or 1 and one error line. A float that
+    overflows, divides by zero or turns invalid is refused, naming the inputs; one that underflows is 0."""
     try:
         args = build_parser().parse_args(argv)
         for path in _inputs(args):
             if not Path(path).exists():
                 raise ValueError(f"input file not found: {path}")
         _check_flag_domains(args)
-        args.func(args)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                args.func(args)
+        except FloatingPointError as exc:
+            where = f"{', '.join(_inputs(args))}: " if _inputs(args) else ""
+            raise ValueError(f"{where}a value is too large to compute with ({exc})") from None
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -145,19 +145,16 @@ def roc_points(tar: np.ndarray, non: np.ndarray):
     return thresholds, far, frr
 
 
-def compute_eer(tar, non) -> tuple[float, float]:
+def compute_eer(tar, non) -> float:
     """Equal error rate with linear interpolation between adjacent ROC points."""
-    thresholds, far, frr = roc_points(tar, non)
+    _, far, frr = roc_points(tar, non)
     diff = far - frr  # non-increasing along the sweep, starts at 1, ends at -1
     idx = int(np.argmax(diff <= 0))
     if diff[idx] == 0 or idx == 0:
-        return float(far[idx]), float(thresholds[idx])
+        return float(far[idx])
     d0, d1 = diff[idx - 1], diff[idx]
     alpha = d0 / (d0 - d1)
-    eer = far[idx - 1] + alpha * (far[idx] - far[idx - 1])
-    t0, t1 = thresholds[idx - 1], thresholds[idx]
-    thr = t0 if not np.isfinite(t1) else t0 + alpha * (t1 - t0)
-    return float(eer), float(thr)
+    return float(far[idx - 1] + alpha * (far[idx] - far[idx - 1]))
 
 
 def compute_min_c_primary(tar, non) -> float:
@@ -266,7 +263,8 @@ def correlation_report(trials: Trials, qmfs: Qmfs):
     Tau-b sees a QMF only through how it orders and ties the tests, so a
     QMF that ranks them as an earlier one does (lns is log(net_speech))
     takes that one's taus, and kendall_tau runs once per class and
-    distinct order.
+    distinct order. A QMF whose tau is undefined in a class (one trial, or
+    one value over all of the class's trials) fails, naming the QMF file.
     """
     tests, codes = trials.tests, trials.test_codes
     qmf_names = qmfs.names_of(tests[codes[0]]) if len(codes) else []
@@ -274,6 +272,7 @@ def correlation_report(trials: Trials, qmfs: Qmfs):
     ranks = [_dense_ranks(column)[0] for column in block.T]
     # the first QMF that ranks the tests as QMF j does: j itself, or an earlier one
     same = [next(i for i in range(j + 1) if np.array_equal(ranks[i], ranks[j])) for j in range(len(ranks))]
+    where = f"{qmfs.source}: " if qmfs.source else ""
     taus: dict[tuple[str, str], float] = {}
     for label, mask in ((TARGET, trials.is_target), (NONTARGET, ~trials.is_target)):
         if not mask.any():
@@ -281,6 +280,11 @@ def correlation_report(trials: Trials, qmfs: Qmfs):
         scores, values = trials.scores[mask], block[codes[mask]]
         class_taus: list[float] = []
         for j, name in enumerate(qmf_names):
+            if len(scores) < 2:
+                raise ValueError(f"{where}{name} has one {label} trial: Kendall's tau-b needs at least 2")
+            if (values[:, j] == values[0, j]).all():
+                raise ValueError(f"{where}{name} is the same for every {label} trial: "
+                                 f"Kendall's tau-b is undefined")
             shared = same[j] < j
             class_taus.append(class_taus[same[j]] if shared else kendall_tau(values[:, j], scores))
             taus[(label, name)] = class_taus[j]
@@ -292,6 +296,6 @@ def protocol_stats(qmfs: Qmfs):
     both = qmfs.columns(["net_speech", "cu"])
     both = both[~np.isnan(both).any(axis=1)]
     if not len(both):
-        raise ValueError("QMF file has no records with both net_speech and cu")
+        raise ValueError(f"{qmfs.source or 'QMF table'}: no records with both net_speech and cu")
     ns, cu = both[:, 0], both[:, 1]
     return (float(ns.mean()), float(ns.std()), float(cu.mean()), float(cu.std()))

@@ -71,7 +71,7 @@ def test_criterion_1_metric_oracle_equivalence():
         else:
             tar = rng.standard_normal(n_tar) + 0.4
             non = rng.standard_normal(n_non)
-        worst_eer = max(worst_eer, abs(compute_eer(tar, non)[0] - brute_force_eer(tar, non)))
+        worst_eer = max(worst_eer, abs(compute_eer(tar, non) - brute_force_eer(tar, non)))
         worst_minc = max(worst_minc, abs(compute_min_c_primary(tar, non)
                                          - brute_force_min_c_primary(tar, non)))
         n = int(rng.integers(2, 201))
@@ -96,10 +96,10 @@ def test_criterion_2_eer_monotone_invariance():
         n_non = int(rng.integers(2, 80))
         tar = rng.standard_normal(n_tar) + rng.uniform(0, 1.5)
         non = rng.standard_normal(n_non)
-        ref, _ = compute_eer(tar, non)
+        ref = compute_eer(tar, non)
         for _ in range(100):
             f = random_monotone_transform(rng)
-            got, _ = compute_eer(f(tar), f(non))
+            got = compute_eer(f(tar), f(non))
             worst = max(worst, abs(got - ref))
     report(2, worst < 1e-12, f"max EER change under monotone transforms = {worst:.2e}")
 
@@ -152,7 +152,7 @@ def test_criterion_6_calibration_benefit_direction(simulator_run):
     for fs in [(), ("raw",), ("raw", "cu"), ("raw", "lns"), ("raw", "lns", "cu")]:
         scored = result.trials if not fs else \
             cross_validated_calibration(result.trials, result.qmfs, fs, k=5, seed=3)[0]
-        eer[fs] = compute_eer(*scored.class_scores())[0]
+        eer[fs] = compute_eer(*scored.class_scores())
     directions = (
         eer[("raw", "cu")] < eer[("raw",)]
         and eer[("raw",)] <= eer[()] + 0.001

@@ -151,8 +151,8 @@ class TestCrossValidatedCalibration:
     def test_raw_only_close_to_uncalibrated(self):
         trials, qmfs = self._simulated()
         calibrated, models = cross_validated_calibration(trials, qmfs, ("raw",), k=5, seed=1)
-        eer_raw, _ = compute_eer(*trials.class_scores())
-        eer_cal, _ = compute_eer(*calibrated.class_scores())
+        eer_raw = compute_eer(*trials.class_scores())
+        eer_cal = compute_eer(*calibrated.class_scores())
         assert abs(eer_cal - eer_raw) <= 0.001 + 1e-12
         assert len(models) == 5
 
@@ -160,8 +160,8 @@ class TestCrossValidatedCalibration:
         trials, qmfs = self._simulated()
         calibrated, models = cross_validated_calibration(trials, qmfs, ("raw",), k=1, seed=1)
         assert models[0].coefficients[0] > 0
-        eer_raw, _ = compute_eer(*trials.class_scores())
-        eer_cal, _ = compute_eer(*calibrated.class_scores())
+        eer_raw = compute_eer(*trials.class_scores())
+        eer_cal = compute_eer(*calibrated.class_scores())
         assert eer_cal == pytest.approx(eer_raw, abs=1e-12)
 
     def test_single_fold_needs_both_classes(self):

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phonrich import cli
@@ -440,20 +441,14 @@ class TestFolds:
 
 
 class TestLrOverflow:
-    """A feature value too large for the LR fit stops calibrate and evaluate with one error line and
-    no numpy warning: the Hessian overflows in a fold that fits on it, and the out-of-fold score in
-    a fold that only scores it. Test t0 (a target) holds the value; its fold, and so which check
-    meets it first, depends on the seed."""
+    """A feature value too large for the LR fit stops calibrate and evaluate with one error line,
+    naming the inputs, and no numpy warning: the Hessian overflows in a fold that fits on it, and
+    the out-of-fold score in a fold that only scores it. Test t0 (a target) holds the value; its
+    fold, and so which product meets it first, depends on the seed."""
 
-    HESSIAN = "features raw,cu too large: the LR Hessian overflows"
-    SCORE = "features raw,cu too large: a calibrated score overflows"
-
-    @pytest.mark.parametrize("cu, seed, message", [
-        ("1e300", 1, HESSIAN),
-        ("1.7e308", 3, SCORE),
-    ], ids=["hessian", "out-of-fold-score"])
+    @pytest.mark.parametrize("cu, seed", [("1e300", 1), ("1.7e308", 3)], ids=["hessian", "out-of-fold-score"])
     @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
-    def test_is_one_error_line(self, tmp_path, capsys, command, cu, seed, message):
+    def test_is_one_error_line(self, tmp_path, capsys, command, cu, seed):
         rows = [f"m{i % 3}\tt{i}\t{'target' if i % 4 == 0 else 'nontarget'}\t{0.01 * i}" for i in range(40)]
         scores = tmp_path / "scores.tsv"
         scores.write_text(SCORES_HEADER + "\n".join(rows) + "\n")
@@ -466,7 +461,8 @@ class TestLrOverflow:
         assert run([command, "--scores", scores, "--qmf", qmf, "--features", "raw,cu", "--folds", 2,
                     "--seed", seed, *outputs]) == 1
         captured = only_error_line(capsys)
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == (f"error: {scores}, {qmf}: a value is too large to compute with "
+                                f"(overflow encountered in matmul)\n")
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
 
@@ -611,7 +607,7 @@ class TestEvaluateOutputOrder:
         assert run(["evaluate", "--scores", scores, "--qmf", qmf, "--features", "none",
                     "--out", out, "--correlation-out", scatter]) == 1
         captured = only_error_line(capsys)
-        assert "kendall_tau needs at least 2 observations" in captured.err
+        assert captured.err == f"error: {qmf}: cu has one target trial: Kendall's tau-b needs at least 2\n"
         assert captured.out == ""
         assert not out.exists()
         assert not scatter.exists()
@@ -1129,8 +1125,7 @@ class TestFlagRanges:
         """An overflowing norm would turn every embedding into a zero vector and every score into 0."""
         assert run_with(tmp_path, small_inputs, SIMULATE + ["--sigma0", "1e200"]) == 1
         captured = only_error_line(capsys)
-        assert captured.err == ("error: an embedding's norm is inf, not a finite number > 0: "
-                                "--sigma0 or --kappa is too large\n")
+        assert captured.err == "error: an embedding's norm overflows: --sigma0 or --kappa is too large\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
 
@@ -1405,8 +1400,8 @@ class TestClipWordBound:
 
 
 class TestDeepJsonl:
-    """JSON nested deeper than the recursion limit lets the decoder, or the scan for a NaN, go is
-    a malformed line, reported with its file and line like any other."""
+    """JSON nested so deeply that the decoder, or the scan for a NaN, would pass the recursion limit
+    is a malformed line, reported with its file and line like any other."""
 
     @pytest.mark.parametrize("line", [
         "[" * 100_000 + "]" * 100_000,
@@ -1430,7 +1425,7 @@ class TestRefusals:
 
     @pytest.mark.parametrize("argv, bad, text, message", [
         (FIT_WEIGHTS, "presence", json.dumps(presence_record("t9", ("K",))) + "\n",
-         "no positive trials joined with presence vectors"),
+         "{scores}: no target trial's test has a record in {presence}"),
         (CLIP, None, None, "--target is required for the clip protocol"),
         (["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--seed", "1",
           "--out-scores", "out.tsv"], None, None, "calibrate needs a non-empty feature set"),
@@ -1484,21 +1479,82 @@ class TestRefusals:
         (GEN_PROTOCOL, "corpus", json.dumps(VALID_RECORDS["corpus"]) + "\n" + json.dumps(CORPUS_WORD) + "\n",
          "{path}: speaker a: could not assemble a probe: a word type has too few repetition recordings "
          "('cat' has 1)"),
+        # a refusal that concerns the QMF file, or a QMF of it, names the file
+        (["stats", "--qmf", "qmf"], "qmf", '{"test_id": "t1", "cu": 3.0}\n',
+         "{path}: no records with both net_speech and cu"),
+        (["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--out", "out.tsv",
+          "--correlation-out", "out.csv"], "qmf", QMF_T1 + QMF_T1.replace('"t1"', '"t2"'),
+         "{path}: cu is the same for every target trial: Kendall's tau-b is undefined"),
+        (["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--out", "out.tsv",
+          "--correlation-out", "out.csv"], "scores", SCORES_HEADER + "m1\tt1\ttarget\t0.9\nm2\tt1\tnontarget\t0.1\n",
+         "{qmf}: cu has one target trial: Kendall's tau-b needs at least 2"),
     ], ids=["fit-weights-no-join", "clip-no-target", "calibrate-no-features", "weights-missing-symbol",
             "scores-only-comments", "manifest-overflow", "corpus-durations-count",
             "fit-weights-all-zero-presence", "report-weights-empty-presence", "report-weights-zero-weights",
             "correlation-no-qmf", "evaluate-qmf-no-record", "calibrate-qmf-no-record",
             "correlation-qmf-no-record", "calibrate-too-few-targets", "evaluate-qmf-no-value",
             "calibrate-qmf-no-value", "correlation-qmf-no-value", "corpus-no-sentences",
-            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words", "corpus-too-few-repetitions"])
+            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words", "corpus-too-few-repetitions",
+            "stats-no-pairs", "correlation-constant-qmf", "correlation-one-target"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, bad, text, message):
         if bad is not None:
             small_inputs[bad].write_text(text)
         assert run_with(tmp_path, small_inputs, argv) == 1
         captured = only_error_line(capsys)
-        assert captured.err == f"error: {message.format(path=small_inputs.get(bad))}\n"
+        assert captured.err == f"error: {message.format(path=small_inputs.get(bad), **small_inputs)}\n"
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
+
+
+HUGE_WEIGHTS = "".join(f"{sym}\t1e308\n" for sym in ARPABET_39)
+
+
+class TestFloatPolicy:
+    """cli.main runs every command under one floating-point policy. A value that overflows stops it
+    with one error line naming the command's inputs, and no output: an inf, a zero or a half-written
+    file would be a wrong result. Scores whose EER needs no step that overflows evaluate."""
+
+    @pytest.mark.parametrize("argv, files, inputs", [
+        (["richness", "--presence", "presence", "--weights", "weights", "--out", "out"], {"weights": HUGE_WEIGHTS},
+         ["presence", "weights"]),
+        (REPORT_WEIGHTS, {"weights": HUGE_WEIGHTS}, ["weights", "presence"]),
+        (FIT_WEIGHTS, {"presence": "".join(json.dumps(presence_record(t, ("K", "AE", "T"))) + "\n"
+                                           for t in ("t1", "t2")),
+                       "scores": SCORES_HEADER + "m1\tt1\ttarget\t1e308\nm1\tt2\ttarget\t1.5e308\n"
+                                                 "m2\tt1\tnontarget\t0.1\n"},
+         ["presence", "scores"]),
+        (["stats", "--qmf", "qmf"], {"qmf": '{"test_id": "t1", "cu": 3, "net_speech": 1e308}\n'
+                                            '{"test_id": "t2", "cu": 4, "net_speech": 1.7e308}\n'}, ["qmf"]),
+        (CLIP + ["--target", "2"], {"corpus": json.dumps(dict(VALID_RECORDS["corpus"], transcript="cat cat",
+                                                              word_durations=[1e308, 1.5e308])) + "\n"},
+         ["corpus"]),
+    ], ids=["richness-wcu", "report-weights-sum", "fit-weights-nnls", "stats-mean", "clip-window"])
+    def test_overflow_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, files, inputs):
+        for name, text in files.items():
+            small_inputs[name].write_text(text)
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        named = ", ".join(str(small_inputs[name]) for name in inputs)
+        # numpy's name for the operation that overflowed follows in parentheses
+        assert captured.err.startswith(f"error: {named}: a value is too large to compute with (")
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+    def test_eer_over_extreme_scores_evaluates(self, tmp_path, small_inputs, capsys):
+        small_inputs["scores"].write_text(SCORES_HEADER + "m1\tt1\ttarget\t-1.7e308\n"
+                                          "m1\tt2\tnontarget\t-1.7e308\nm1\tt3\tnontarget\t1.6e308\n")
+        assert run_with(tmp_path, small_inputs, ["evaluate", "--scores", "scores"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "none\t66.67\t1.000\n"
+
+    def test_command_without_inputs_names_no_file(self, tmp_path, small_inputs, capsys, monkeypatch):
+        def cmd_make_demo(args):
+            np.full(1, 1e308) * 10
+        monkeypatch.setattr(cli, "cmd_make_demo", cmd_make_demo)
+        assert run_with(tmp_path, small_inputs, ["make-demo", "--seed", "1", "--out", "out"]) == 1
+        assert only_error_line(capsys).err == ("error: a value is too large to compute with "
+                                               "(overflow encountered in multiply)\n")
 
 
 class TestFlagFaults:

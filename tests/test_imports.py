@@ -1,8 +1,8 @@
 """Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
 no module splits text into lines on its own, only io opens files, in io only
 line_blocks reads text, no module calls np.unique, a fault leaves the
-program only through cli.main, no in-memory class checks what it is built from, and only metrics
-derives lns."""
+program only through cli.main, no in-memory class checks what it is built from, only metrics
+derives lns, and only cli.main sets numpy's floating-point policy."""
 
 import ast
 from pathlib import Path
@@ -220,3 +220,36 @@ def test_only_metrics_derives_lns(module):
 def test_metrics_derives_lns():
     """The guard above looks at something: metrics' own derivation is where it lets it be."""
     assert lns_uses((SRC / "metrics.py").read_text()) != []
+
+
+def float_policy_calls(source: str) -> list[str]:
+    """Each call of ``errstate`` or ``seterr``, by name or as an attribute (``np.errstate``), as
+    "line N: F", F being the top-level function that holds it."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and {getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)} & {"errstate", "seterr"}:
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_finds_a_float_policy_call():
+    source = ("import numpy as np\nfrom numpy import errstate\nnp.seterr(all='ignore')\n"
+              "def f(x):\n    with np.errstate(over='ignore'):\n        return x * 2\n"
+              "def g(x):\n    with errstate(divide='raise'), state(x):\n        return np.geterr()\n")
+    assert float_policy_calls(source) == ["line 3: <module>", "line 5: f", "line 8: g"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_only_cli_main_sets_the_float_policy(module):
+    """cli.main runs every command under one policy: a float that overflows, divides by zero or
+    turns invalid is refused. A module that set its own would decide that a second time."""
+    calls = float_policy_calls(module.read_text())
+    assert [call for call in calls if not (module.name == "cli.py" and call.endswith(": main"))] == []
+
+
+def test_cli_main_sets_the_float_policy():
+    """The guard above looks at something: main's own policy is where it lets it be."""
+    calls = float_policy_calls((SRC / "cli.py").read_text())
+    assert len(calls) == 1 and calls[0].endswith(": main")

@@ -100,7 +100,7 @@ class TestSimulateCorpus:
 
     def test_small_noise_separates_classes(self, protocol):
         res = simulate(protocol, sigma0=0.01, kappa=0.0)
-        eer, _ = compute_eer(*res.trials.class_scores())
+        eer = compute_eer(*res.trials.class_scores())
         assert eer == 0.0
         pos_scores = [s for _, s in targets(res.trials)]
         assert min(pos_scores) > 0.99
