@@ -14,7 +14,7 @@ from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, save_model
 from .data import DEMO_VOCABULARY, make_demo_inventory
 from .inventory import PresenceVector
-from .io import (iter_jsonl, provenance_line, read_jsonl, read_qmfs, read_scores,
+from .io import (Table, provenance_line, read_columns, read_jsonl, read_qmfs, read_scores,
                  write_jsonl, write_qmfs, write_scatter, write_scores, write_tsv)
 from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
 from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
@@ -41,14 +41,10 @@ def cmd_g2p(args) -> None:
                              unique="utterance_id")
     transcriptions = [transcribe(rec["transcript"], lexicon, rec["utterance_id"]) for rec in transcripts]
     presence = presence_vector(transcriptions)
-    records = [{
-        "utterance_id": trans.utterance_id,
-        "phonemes": list(trans.phonemes),
-        "bits": bits,
-        "cu": cu,
-        "oov_words": trans.oov_words,
-    } for trans, bits, cu in zip(transcriptions, presence.to_bitstring(),
-                                 count_unique(presence).tolist())]
+    records = Table({"utterance_id": [trans.utterance_id for trans in transcriptions],
+                     "phonemes": [list(trans.phonemes) for trans in transcriptions],
+                     "bits": presence.to_bitstring(), "cu": count_unique(presence).tolist(),
+                     "oov_words": [trans.oov_words for trans in transcriptions]})
     write_jsonl(args.out, records, _provenance(args))
     total_words = sum(trans.words for trans in transcriptions)
     total_oov = sum(trans.oov_words for trans in transcriptions)
@@ -60,20 +56,15 @@ def cmd_g2p(args) -> None:
 
 def _read_presence(path) -> PresenceVector:
     """A presence JSONL file as one matrix; a bad bitstring or repeated id fails with its file and line."""
-    bits, ids = [], []  # only each record's bits and id are kept
-    for _, rec in iter_jsonl(path, required={"utterance_id": "string", "bits": "string of 39 0s and 1s"},
-                             unique="utterance_id"):
-        bits.append(rec["bits"])
-        ids.append(rec["utterance_id"])
-    return PresenceVector.from_bitstring(bits, ids)
+    presence = read_columns(path, {"utterance_id": "string", "bits": "string of 39 0s and 1s"}, "utterance_id")
+    return PresenceVector.from_bitstring(presence["bits"], presence["utterance_id"])
 
 
 def cmd_richness(args) -> None:
     presence = _read_presence(args.presence)
     weights = load_weights(args.weights) if args.weights else None
-    net_speech = {rec["test_id"]: rec["net_speech"] for _, rec in
-                  iter_jsonl(args.manifest, required={"test_id": "string", "net_speech": "number"},
-                             unique="test_id")} if args.manifest else None
+    manifest = args.manifest and read_columns(args.manifest, {"test_id": "string", "net_speech": "number"}, "test_id")
+    net_speech = dict(zip(manifest["test_id"], manifest["net_speech"])) if args.manifest else None
     qmfs = quality_measures(presence, weights, net_speech)
     write_qmfs(args.out, qmfs, _provenance(args))
     print(f"richness: wrote {len(qmfs.test_ids)} QMF records to {args.out}")
@@ -130,7 +121,7 @@ def cmd_simulate(args) -> None:
     prov = _provenance(args)
     write_scores(args.out_scores, result.trials, prov)
     write_qmfs(args.out_qmf, result.qmfs, prov)
-    n_speakers = len({m.speaker_id for m in protocol.models})
+    n_speakers = len(set(protocol.models["speaker_id"]))
     print(f"simulate: scored {len(result.trials)} trials over {n_speakers} speakers")
 
 
@@ -196,13 +187,12 @@ def cmd_report_weights(args) -> None:
     weights = load_weights(args.weights)
     if not weights.weights.any():
         raise ValueError(f"{args.weights}: all-zero weight vector: normalization undefined")
-    corpus = [PhonemeTranscription(rec["utterance_id"], tuple(rec["phonemes"])) for _, rec in
-              iter_jsonl(args.presence, required={"utterance_id": "string",
-                                                  "phonemes": "list of ARPABET-39 symbols"},
-                         unique="utterance_id")]  # only each record's id and phonemes are kept
-    if not corpus:
+    presence = read_columns(args.presence, {"utterance_id": "string", "phonemes": "list of ARPABET-39 symbols"},
+                            "utterance_id")
+    if not len(presence):
         raise ValueError(f"{args.presence}: no utterances: the report needs a non-empty corpus")
-    rows = weight_report(weights, corpus)
+    rows = weight_report(weights, list(map(PhonemeTranscription, presence["utterance_id"],
+                                           map(tuple, presence["phonemes"]))))
     out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]
     header = ["phoneme", "normalized_weight", "frequency"]
     if args.out:
@@ -221,7 +211,7 @@ def cmd_stats(args) -> None:
 
 def cmd_make_demo(args) -> None:
     records = make_demo_inventory(args.speakers, args.seed)
-    write_jsonl(args.out, map(vars, records), _provenance(args))
+    write_jsonl(args.out, records, _provenance(args))
     print(f"make-demo: wrote {len(records)} utterance records for {args.speakers} speakers")
 
 

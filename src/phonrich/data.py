@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .protocols import UtteranceRecord
+from .io import Table
 
 # word -> pronunciation; union of all pronunciations covers the full inventory
 DEMO_VOCABULARY: dict[str, tuple[str, ...]] = {
@@ -96,45 +96,37 @@ def demo_sentences() -> list[str]:
     return [" ".join(words[k::N_SENTENCES]) for k in range(N_SENTENCES)]
 
 
-def make_demo_inventory(n_speakers: int, seed: int = 0) -> list[UtteranceRecord]:
-    """Aplawd-shaped inventory: per speaker, 5 sentences and 66 words x 10 reps.
+def make_demo_inventory(n_speakers: int, seed: int = 0) -> Table:
+    """Aplawd-shaped corpus table (see protocols.load_inventory_jsonl): per speaker, 5 sentences and
+    66 words x 10 reps.
 
     Word-recording durations get a small deterministic per-recording jitter
     so net speech is not exactly tied to word identity.
     """
-    records = []
     sentences = demo_sentences()
-    for s in range(n_speakers):
-        spk = f"spk{s:03d}"
-        gender = "m" if s % 2 == 0 else "f"
-        rng = np.random.default_rng([seed, 97, s])
-        for k, text in enumerate(sentences):
-            durations = [word_duration(w) for w in text.split()]
-            records.append(UtteranceRecord(
-                utterance_id=f"{spk}_sent{k}",
-                speaker_id=spk,
-                kind="sentence",
-                net_speech=float(sum(durations)),
-                transcript=text,
-                gender=gender,
-                word_durations=durations,
-            ))
-        # the stream of one scalar rng.random() per word recording, in recording order
-        draws = iter(rng.random(len(DEMO_VOCABULARY) * N_REPETITIONS).tolist())
-        for word in sorted(DEMO_VOCABULARY):
-            for rep in range(1, N_REPETITIONS + 1):
-                jitter = 1.0 + 0.1 * (next(draws) - 0.5)
-                records.append(UtteranceRecord(
-                    utterance_id=f"{spk}_{word}_{rep:02d}",
-                    speaker_id=spk,
-                    kind="word",
-                    net_speech=float(word_duration(word) * jitter),
-                    transcript=word,
-                    word_text=word,
-                    repetition_index=rep,
-                    gender=gender,
-                ))
-    return records
+    sentence_durations = [[word_duration(w) for w in text.split()] for text in sentences]
+    words = [word for word in sorted(DEMO_VOCABULARY) for _ in range(N_REPETITIONS)]
+    reps = list(range(1, N_REPETITIONS + 1)) * len(DEMO_VOCABULARY)
+    # per speaker, one draw per word recording, in recording order; a recording's net speech is
+    # word_duration * (1 + 0.1 * (draw - 0.5)), each operation as the scalar one rounds it
+    draws = np.array([np.random.default_rng([seed, 97, s]).random(len(words))
+                      for s in range(n_speakers)]).reshape(n_speakers, len(words))
+    word_net_speech = np.array([word_duration(word) for word in words]) * (1.0 + 0.1 * (draws - 0.5))
+    net_speech = np.hstack([np.tile([float(sum(d)) for d in sentence_durations], (n_speakers, 1)),
+                            word_net_speech])
+    suffixes = [f"_sent{k}" for k in range(len(sentences))] + [f"_{w}_{r:02d}" for w, r in zip(words, reps)]
+    speakers = [f"spk{s:03d}" for s in range(n_speakers)]
+    return Table({
+        "utterance_id": [spk + suffix for spk in speakers for suffix in suffixes],
+        "speaker_id": [spk for spk in speakers for _ in suffixes],
+        "kind": (["sentence"] * len(sentences) + ["word"] * len(words)) * n_speakers,
+        "net_speech": net_speech.ravel().tolist(),
+        "transcript": (sentences + words) * n_speakers,
+        "word_text": ([""] * len(sentences) + words) * n_speakers,
+        "repetition_index": ([0] * len(sentences) + reps) * n_speakers,
+        "gender": [("m", "f")[s % 2] for s in range(n_speakers) for _ in suffixes],
+        "word_durations": (sentence_durations + [None] * len(words)) * n_speakers,
+    })
 
 
 def demo_lexicon_lines() -> str:

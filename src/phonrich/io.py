@@ -8,7 +8,10 @@ import math
 import re
 import sys
 from array import array
-from itertools import chain, count, filterfalse, repeat
+from dataclasses import dataclass
+from itertools import chain, compress, count, filterfalse, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter, ne, not_
 from pathlib import Path
 
 import numpy as np
@@ -108,23 +111,69 @@ def read_tsv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return kept[0], kept[1:]
 
 
-def write_jsonl(path: str | Path, records, provenance: str | None = None) -> None:
-    """One line per record, as json.dumps(rec, sort_keys=True) writes it; NaN and infinities are refused."""
-    write_lines(path, provenance, map(json.JSONEncoder(sort_keys=True, allow_nan=False).encode, records))
+MISSING = object()  # the Table cell of a row that has no such key
 
 
-# JSON type of a required or optional key -> (the Python types json.loads gives it, the test the
-# whole value passes); exact types, so true and false are not numbers
+@dataclass
+class Table:
+    """Records as columns: each key's list holds a value per row, MISSING where the row has no such
+    key. A table of no columns has no rows."""
+
+    columns: dict[str, list]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, key: str) -> list:
+        return self.columns[key]
+
+
+# one encoder for every value that is not null or a plain string, int or float: the json module's C encoder
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
+def _json_cells(key: str, values: list) -> tuple:
+    """The ', "key": ' before each value and the value's text, as json.dumps(..., sort_keys=True,
+    allow_nan=False) writes the pair, made as they are read; "" and "" for MISSING. NaN and
+    infinities are refused."""
+    present = [value for value in values if value is not MISSING]
+    kinds = set(map(type, present))
+    if kinds <= {str}:
+        encode = encode_basestring_ascii
+    elif kinds <= {int} or (kinds <= {float} and all(map(math.isfinite, present))):
+        encode = repr  # json writes an int or a float as its repr
+    else:
+        encode = _ENCODER.encode
+    head = f", {encode_basestring_ascii(key)}: "
+    return (("" if value is MISSING else head for value in values),
+            ("" if value is MISSING else "null" if value is None else encode(value) for value in values))
+
+
+def write_jsonl(path: str | Path, table: Table, provenance: str | None = None) -> None:
+    """One line per row of ``table``, as json.dumps(row, sort_keys=True, allow_nan=False) writes the row's
+    dict, MISSING cells left out, after the provenance line (see write_lines). Each cell is encoded as
+    its line is written, so no more than a line of text is held. NaN and infinities are refused."""
+    rows = zip(*chain.from_iterable(_json_cells(key, table[key]) for key in sorted(table.columns)))
+    write_lines(path, provenance, (f"{{{''.join(row)[2:]}}}" for row in rows))  # [2:]: the first ", "
+
+
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a JSON number that a float holds: not true or false, NaN or an infinity."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+# JSON type of a required or optional key -> whether a value that json.loads gives is of that type;
+# exact types, so true and false are not numbers, and a number is finite
 JSON_TYPES = {
-    "string": ({str}, None),
-    "number": ({int, float}, None),
-    "integer": ({int}, None),
-    "list": ({list}, None),
-    "string of 39 0s and 1s": ({str}, lambda v: len(v) == len(ARPABET_39) and not v.strip("01")),
-    "list of ARPABET-39 symbols": ({list}, lambda v: all(type(s) is str and s in PHONEME_INDEX for s in v)),
-    "list of numbers or null": ({list, type(None)}, lambda v: v is None or all(map(_is_finite_number, v))),
+    "string": lambda v: type(v) is str,
+    "number": _is_finite_number,
+    "integer": lambda v: type(v) is int,
+    "list": lambda v: type(v) is list,
+    "string of 39 0s and 1s": lambda v: type(v) is str and len(v) == len(ARPABET_39) and not v.strip("01"),
+    "list of ARPABET-39 symbols": lambda v: type(v) is list and all(type(s) is str and s in PHONEME_INDEX
+                                                                    for s in v),
+    "list of numbers or null": lambda v: v is None or type(v) is list and all(map(_is_finite_number, v)),
 }
-_MISSING = object()
 
 
 def _refuse_constant(token: str):
@@ -144,78 +193,87 @@ def _holds_non_finite(value) -> bool:
     return any(map(_holds_non_finite, items))
 
 
-def _is_finite_number(value) -> bool:
-    """Whether ``value`` is a JSON number that a float holds: not true or false, NaN or an infinity."""
-    return type(value) in JSON_TYPES["number"][0] and abs(value) <= sys.float_info.max
+def _decode(texts) -> tuple[list[dict], str | None]:
+    """The JSON objects of lines up to the first that does not hold one, and why it does not (None: all do)."""
+    values = []
+    for text in texts:
+        try:
+            value = _DECODER.decode(text)
+        except (ValueError, RecursionError):
+            try:  # again as json.loads reads it, NaN and Infinity included, for its message
+                value = json.loads(text)
+                if isinstance(value, dict):  # so the line failed for a NaN or an infinity; name its key
+                    key, value = next((k, v) for k, v in value.items() if _holds_non_finite(v))
+                    return values, f"{key} must be a finite number, got {json.dumps(value)}"
+            except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer of more digits
+                # than int() reads, or nesting deeper than the decoder or the scan for a NaN can go
+                return values, f"malformed JSONL line: {exc}"
+        if not isinstance(value, dict):
+            return values, f"expected a JSON object, got {text.strip()}"
+        values.append(value)
+    return values, None
 
 
-def _number_error(key: str, value) -> str | None:
-    """Why ``value`` of ``key`` is not a finite JSON number (see _is_finite_number), or None."""
-    if _is_finite_number(value):
-        return None
-    if type(value) not in JSON_TYPES["number"][0]:
-        return f"{key} must be a number, got {json.dumps(value)}"
-    return f"{key} must be a finite number, got {json.dumps(value)}"
+def _column_fault(key: str, kind: str, needed: bool, values: list) -> tuple[int, str] | None:
+    """(row, why) of the first of a column of values of ``key`` (MISSING: none) not of its JSON type, or None."""
+    for row in compress(count(), map(not_, map(JSON_TYPES[kind], values))):
+        if values[row] is not MISSING:  # an int or a float that is not a "number" is not finite
+            kind = "finite number" if kind == "number" and type(values[row]) in (int, float) else kind
+            return row, f"{key} must be {'an' if kind[0] in 'aeiou' else 'a'} {kind}, got {json.dumps(values[row])}"
+        if needed:
+            return row, f"record has no {key}"
+    return None
 
 
 def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None,
-               optional: dict[str, str] | None = None):
-    """(line number, record) of each JSON object line, each yielded once read and checked;
-    blank lines and '#' lines are skipped.
+               optional: dict[str, str] | None = None, others: str | None = None):
+    """(line numbers, records) of the JSON object lines of each block of a file (see line_blocks), a
+    block yielded once read and checked a key at a time; blank lines and '#' lines are skipped.
 
-    ``required`` maps each key a record must hold to its JSON type, a key
-    of JSON_TYPES, and ``optional`` each key it may hold. A missing
-    required key, or a value of another type or one that fails its type's
-    test, fails with the file and line, as does a number that is not
-    finite. NaN, Infinity and -Infinity,
-    which are not JSON, fail wherever they stand. No two
-    records may share their value of the required key ``unique``: a
-    repeat fails at its second record, naming the line of the first.
+    ``required`` maps each key a record must hold to its JSON type, a key of JSON_TYPES, ``optional``
+    each key it may hold, and ``others``, if given, is the type of every other key. A missing required
+    key or a value of another type fails with the file and line, as do NaN, Infinity and -Infinity,
+    which are not JSON, wherever they stand, and a record that repeats an earlier one's value of the
+    required key ``unique``, naming the line of the first. The records before a fault are yielded
+    first, so of two faults, found here or by the caller, the one on the earlier line is named.
     """
-    required = required or {}
-    checks = [(key, kind, key in required, *JSON_TYPES[kind])
-              for key, kind in chain(required.items(), (optional or {}).items())]
+    checks = [(key, kind, needed) for keys, needed in ((required or {}, True), (optional or {}, False))
+              for key, kind in keys.items()]
+    named = {key for key, _, _ in checks}
     first_line: dict[str, int] = {}
-    for lineno, line in numbered_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        try:
-            rec = _DECODER.decode(line)
-        except (ValueError, RecursionError):
-            try:  # again as json.loads reads it, NaN and Infinity included, for its message
-                rec = json.loads(line)
-                if isinstance(rec, dict):  # so the line failed for a NaN or an infinity; name its key
-                    key, value = next((k, v) for k, v in rec.items() if _holds_non_finite(v))
-                    error = f"{key} must be a finite number, got {json.dumps(value)}"
-            except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer of more digits
-                # than int() reads, or nesting deeper than the decoder or the scan for a NaN can go
-                raise ValueError(f"{path}:{lineno}: malformed JSONL line: {exc}") from exc
-            if isinstance(rec, dict):
-                raise ValueError(f"{path}:{lineno}: {error}")
-        if not isinstance(rec, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
-        for key, kind, needed, types, test in checks:
-            value = rec.get(key, _MISSING)
-            if type(value) not in types or (test and not test(value)):
-                if value is _MISSING:
-                    if not needed:
-                        continue
-                    raise ValueError(f"{path}:{lineno}: record has no {key}")
-                article = "an" if kind[0] in "aeiou" else "a"
-                raise ValueError(f"{path}:{lineno}: {key} must be {article} {kind}, got {json.dumps(value)}")
-            if kind == "number" and (error := _number_error(key, value)):
-                raise ValueError(f"{path}:{lineno}: {error}")
-        if unique is not None:
-            if first_line.setdefault(rec[unique], lineno) != lineno:
-                raise ValueError(f"{path}:{lineno}: duplicate {unique} {rec[unique]!r}, "
-                                 f"first at line {first_line[rec[unique]]}")
-        yield lineno, rec
+    for first, block in line_blocks(path):
+        kept = [bool(line.strip()) and not line.startswith("#") for line in block]
+        numbers, (records, fault) = list(compress(count(first), kept)), _decode(compress(block, kept))
+        rest = [(key, others, False) for key in dict.fromkeys(chain.from_iterable(records))
+                if key not in named] if others else []
+        for key, kind, needed in checks + rest:  # each looks at the records before the first fault found so far
+            if found := _column_fault(key, kind, needed, list(map(dict.get, records, repeat(key), repeat(MISSING)))):
+                records, fault = records[:found[0]], found[1]
+        if unique is not None:  # each id's first line, this record's if it is the first
+            ids = list(map(itemgetter(unique), records))
+            firsts = list(map(first_line.setdefault, ids, numbers))
+            if (end := next(compress(count(), map(ne, firsts, numbers)), None)) is not None:
+                records, fault = records[:end], f"duplicate {unique} {ids[end]!r}, first at line {firsts[end]}"
+        if records:
+            yield numbers[:len(records)], records
+        if fault is not None:
+            raise ValueError(f"{path}:{numbers[len(records)]}: {fault}")
+
+
+def read_columns(path: str | Path, keys: dict[str, str], unique: str) -> Table:
+    """The ``keys``, each of its JSON type, of every record of a JSONL file in which no two records
+    share their ``unique`` key (see iter_jsonl), as a table; only these keys are kept."""
+    columns = {key: [] for key in keys}
+    for _, records in iter_jsonl(path, required=keys, unique=unique):
+        for key, column in columns.items():
+            column += map(itemgetter(key), records)
+    return Table(columns)
 
 
 def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
                unique: str | None = None) -> list[dict]:
     """Every record of iter_jsonl, as a list, without its line number."""
-    return [rec for _, rec in iter_jsonl(path, required, unique)]
+    return [rec for _, records in iter_jsonl(path, required, unique) for rec in records]
 
 
 def write_trial_table(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
@@ -317,13 +375,11 @@ def read_trial_table(path: str | Path, scored: bool = False) -> tuple[Trials, ar
         if not rows:
             continue
         tabs = list(map(str.count, rows, repeat("\t")))  # each row's, so no two faulty rows cancel out
-        if any(map((width - 1).__ne__, tabs)):
-            row = next(row for row, n in enumerate(tabs) if n != width - 1)
+        if (row := next(compress(count(), map((width - 1).__ne__, tabs)), None)) is not None:
             fail(row, f"expected {width} tab-separated fields, got {tabs[row] + 1}")
         cells = "\t".join(rows).split("\t")
         labels = cells[2::width]
-        if not {TARGET, NONTARGET}.issuperset(labels):
-            row = next(i for i, label in enumerate(labels) if label not in (TARGET, NONTARGET))
+        if (row := next(compress(count(), map(not_, map({TARGET, NONTARGET}.__contains__, labels))), None)) is not None:
             fail(row, f"label must be target/nontarget, got {labels[row]!r}")
         targets.append(np.fromiter(map(TARGET.__eq__, labels), dtype=bool, count=len(rows)))
         if scored:
@@ -349,7 +405,7 @@ def read_trial_table(path: str | Path, scored: bool = False) -> tuple[Trials, ar
         raise ValueError(f"{path}: no header line found")
     trials = Trials(list(model_index), list(test_index), np.concatenate(model_codes),
                     np.concatenate(test_codes), np.concatenate(targets),
-                    np.concatenate(values) if scored else None)
+                    np.concatenate(values) if scored else None, str(path))
     keys = trials.model_codes * len(trials.tests) + trials.test_codes
     ordered = np.sort(keys)
     if (ordered[1:] == ordered[:-1]).any():  # then find the first repeat in file order
@@ -370,19 +426,19 @@ def read_qmfs(path: str | Path) -> Qmfs:
     source is ``path``, and its lines those of the records.
     """
     test_ids, records, lines = [], [], array("q")
-    for lineno, rec in iter_jsonl(path, required={"test_id": "string"}, unique="test_id"):
-        test_ids.append(rec.pop("test_id"))
-        for key, value in rec.items():
-            if error := _number_error(key, value):
-                raise ValueError(f"{path}:{lineno}: {error}")
-        records.append(rec)
-        lines.append(lineno)
+    for numbers, block in iter_jsonl(path, required={"test_id": "string"}, unique="test_id", others="number"):
+        test_ids += map(dict.pop, block, repeat("test_id"))
+        records += block
+        lines.extend(numbers)
     return Qmfs.from_columns(test_ids, {name: [rec.get(name, math.nan) for rec in records]
                                         for name in set().union(*records)}, str(path), lines)
 
 
 def write_qmfs(path: str | Path, qmfs: Qmfs, provenance: str | None = None) -> None:
     """One JSONL record per row of ``qmfs``: its test_id and every value that is not NaN."""
-    write_jsonl(path, ({"test_id": test_id, **{name: value for name, value in zip(qmfs.names, row)
-                                               if not math.isnan(value)}}
-                       for test_id, row in zip(qmfs.test_ids, qmfs.values.tolist())), provenance)
+    columns = {"test_id": qmfs.test_ids}
+    for name, values in zip(qmfs.names, qmfs.values.T):
+        column = values.astype(object)
+        column[np.isnan(values)] = MISSING
+        columns[name] = column.tolist()
+    write_jsonl(path, Table(columns), provenance)

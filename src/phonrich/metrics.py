@@ -31,7 +31,8 @@ class Trials:
     Trial k pairs ``models[model_codes[k]]`` with ``tests[test_codes[k]]``.
     The id tables are distinct; read from a file they hold the ids its
     trials use, in order of first appearance. ``scores`` is None for a
-    trial list, which carries no scores.
+    trial list, which carries no scores. ``source`` is the file the trials
+    were read from, empty for trials built in memory.
     """
 
     models: list[str]
@@ -40,6 +41,7 @@ class Trials:
     test_codes: np.ndarray  # intp
     is_target: np.ndarray  # bool
     scores: np.ndarray | None  # float64
+    source: str = ""
 
     @classmethod
     def from_ids(cls, model_ids, test_ids, is_target, scores) -> "Trials":
@@ -264,7 +266,8 @@ def correlation_report(trials: Trials, qmfs: Qmfs):
     QMF that ranks them as an earlier one does (lns is log(net_speech))
     takes that one's taus, and kendall_tau runs once per class and
     distinct order. A QMF whose tau is undefined in a class (one trial, or
-    one value over all of the class's trials) fails, naming the QMF file.
+    one value over all of the class's trials) fails, naming the QMF file,
+    and then a class whose trials all have one score, naming the scores file.
     """
     tests, codes = trials.tests, trials.test_codes
     qmf_names = qmfs.names_of(tests[codes[0]]) if len(codes) else []
@@ -285,6 +288,9 @@ def correlation_report(trials: Trials, qmfs: Qmfs):
             if (values[:, j] == values[0, j]).all():
                 raise ValueError(f"{where}{name} is the same for every {label} trial: "
                                  f"Kendall's tau-b is undefined")
+            if (scores == scores[0]).all():
+                raise ValueError(f"{trials.source + ': ' if trials.source else ''}the score is the same "
+                                 f"for every {label} trial: Kendall's tau-b is undefined")
             shared = same[j] < j
             class_taus.append(class_taus[same[j]] if shared else kendall_tau(values[:, j], scores))
             taus[(label, name)] = class_taus[j]

@@ -70,8 +70,8 @@ def simulate_corpus(protocol: ProtocolSpec, lexicon: Lexicon, sigma0: float, kap
     """
     n_phonemes = len(ARPABET_39)
 
-    speakers = sorted({m.speaker_id for m in protocol.models} |
-                      {t.speaker_id for t in protocol.tests})
+    models, tests = protocol.models, protocol.tests
+    speakers = sorted(set(models["speaker_id"]) | set(tests["speaker_id"]))
     means = {}
     for idx, spk in enumerate(speakers):
         rng = np.random.default_rng([seed, _SPEAKER_STREAM, idx])
@@ -82,20 +82,19 @@ def simulate_corpus(protocol: ProtocolSpec, lexicon: Lexicon, sigma0: float, kap
     model_order = sorted(range(len(trials.models)), key=trials.models.__getitem__)
     test_order = sorted(range(len(trials.tests)), key=trials.tests.__getitem__)
 
-    models = [protocol.models[i] for i in model_order]
     model_matrix = np.array([
-        _noisy_embedding(means[m.speaker_id], sigma0 / 4.0,
+        _noisy_embedding(means[models["speaker_id"][row]], sigma0 / 4.0,
                          np.random.default_rng([seed, _MODEL_STREAM, idx]))
-        for idx, m in enumerate(models)], dtype=float).reshape(-1, dim)
+        for idx, row in enumerate(model_order)], dtype=float).reshape(-1, dim)
 
-    tests = [protocol.tests[i] for i in test_order]
-    qmfs = quality_measures(presence_vector([transcribe(t.transcript, lexicon, t.test_id) for t in tests]),
-                            net_speech={t.test_id: t.net_speech for t in tests})
+    qmfs = quality_measures(presence_vector([transcribe(tests["transcript"][row], lexicon, tests["test_id"][row])
+                                             for row in test_order]),
+                            net_speech=dict(zip(tests["test_id"], tests["net_speech"])))
     test_vectors = []
-    for idx, (t, cu) in enumerate(zip(tests, qmfs.columns(["cu"])[:, 0].tolist())):
+    for idx, (row, cu) in enumerate(zip(test_order, qmfs.columns(["cu"])[:, 0].tolist())):
         sigma = sigma0 * (1.0 + kappa * (n_phonemes - cu) / n_phonemes)
         rng = np.random.default_rng([seed, _TEST_STREAM, idx])
-        test_vectors.append(_noisy_embedding(means[t.speaker_id], sigma, rng))
+        test_vectors.append(_noisy_embedding(means[tests["speaker_id"][row]], sigma, rng))
     test_matrix = np.array(test_vectors, dtype=float).reshape(-1, dim)
 
     scores = cosine_score(model_matrix, test_matrix, np.argsort(model_order)[trials.model_codes],

@@ -13,7 +13,7 @@ from phonrich.calibration import cross_validated_calibration, stratified_folds
 from phonrich.cli import main as cli_main
 from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines, make_demo_inventory
 from phonrich.inventory import ARPABET_39, PresenceVector
-from phonrich.io import read_jsonl, write_jsonl
+from phonrich.io import Table, read_jsonl, write_jsonl
 from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
 from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
 from phonrich.protocols import build_repetitive_protocol
@@ -167,8 +167,8 @@ def test_criterion_7_repetitive_protocol_statistics():
     protocol = build_repetitive_protocol(make_demo_inventory(5, seed=21), 2000, seed=22,
                                          negatives_per_probe=0)
     assert len(protocol.tests) == 10_000
-    totals = np.array([len(t.transcript.split()) for t in protocol.tests])
-    uniques = np.array([len(set(t.transcript.split())) for t in protocol.tests])
+    totals = np.array([len(t.split()) for t in protocol.tests["transcript"]])
+    uniques = np.array([len(set(t.split())) for t in protocol.tests["transcript"]])
     mean_repeats = float((totals - uniques).mean())
     counts = np.bincount(totals, minlength=11)[2:11]
     expected = len(totals) / 9
@@ -204,8 +204,9 @@ def test_criterion_8_determinism(tmp_path):
                   "--features", "raw,cu", "--folds", "5", "--seed", "34", "--out", str(evaluated),
                   "--correlation-out", str(scatter)])
         transcripts = work / "transcripts.jsonl"
-        write_jsonl(transcripts, [{"utterance_id": m["test_id"], "transcript": m["transcript"]}
-                                  for m in read_jsonl(f"{prefix}.manifest.jsonl")])
+        manifest = read_jsonl(f"{prefix}.manifest.jsonl")
+        write_jsonl(transcripts, Table({"utterance_id": [m["test_id"] for m in manifest],
+                                        "transcript": [m["transcript"] for m in manifest]}))
         lexicon = work / "lexicon.txt"
         lexicon.write_text(demo_lexicon_lines())
         presence, weights = work / "presence.jsonl", work / "weights.txt"

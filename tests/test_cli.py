@@ -10,7 +10,7 @@ import pytest
 from phonrich import cli
 from phonrich.cli import FLAG_DOMAINS, build_parser, main
 from phonrich.inventory import ARPABET_39
-from phonrich.io import read_jsonl, read_scores, read_tsv
+from phonrich.io import WRITE_CHUNK, read_jsonl, read_scores, read_tsv
 from phonrich.protocols import MAX_CLIP_WORDS
 
 from conftest import CMUDICT_LINES, read_model_fields, trial_rows
@@ -267,6 +267,27 @@ class TestPinnedBytes:
                    for p in sorted(tmp_path.iterdir()) if p.name != "base.tsv"}
         assert digests == self.DIGESTS
 
+
+
+class TestPinnedChunkedBytes:
+    """A corpus of more records than one write chunk of io.WRITE_CHUNK rows, and its repetitive
+    protocol, pinned by SHA-256 across commits as TestPinnedBytes pins a corpus inside one chunk."""
+
+    DIGESTS = {
+        "corpus.jsonl": "c58e36505e6c4244ce089ee572d71e06249853bd410f1a0ec5ccbc55d3a22356",
+        "rep.manifest.jsonl": "8adbbb4f87e6f0dccf3eb007d1d9d0b5e7302eb5e151d7bb547678373ce74828",
+        "rep.models.jsonl": "92d6591b0fd856c033aa86c52c2818036edde189bad47089e37cedfb94004487",
+        "rep.trials.tsv": "9474609ee004640b95605df15b765ae7d027cffabae4df4f5a80cf690a4bb118",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # provenance names inputs by file name only
+        assert run(["make-demo", "--speakers", 7, "--seed", 5, "--out", "corpus.jsonl"]) == 0
+        assert run(["gen-protocol", "--corpus", "corpus.jsonl", "--protocol", "repetitive", "--seed", 6,
+                    "--out-prefix", "rep"]) == 0
+        assert len(read_jsonl("corpus.jsonl")) == 4655 > WRITE_CHUNK
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(tmp_path.iterdir())} == self.DIGESTS
 
 
 class TestPinnedQmfBytes:
@@ -1475,6 +1496,10 @@ class TestRefusals:
         (CLIP + ["--target", "2"], "corpus",
          json.dumps(dict(VALID_RECORDS["corpus"], transcript="", word_durations=[])) + "\n",
          "{path}: u0: utterance has no words"),
+        # integer net speech is read as a float, so a model's sum overflows to inf and is refused
+        (GEN_PROTOCOL, "corpus", "".join(json.dumps(dict(VALID_RECORDS["corpus"], utterance_id=f"u{k}",
+                                                         net_speech=10 ** 308)) + "\n" for k in range(2)),
+         "model a: net_speech of its recordings sums to inf, not a finite number"),
         # one word type with one recording fills no probe of two or more words
         (GEN_PROTOCOL, "corpus", json.dumps(VALID_RECORDS["corpus"]) + "\n" + json.dumps(CORPUS_WORD) + "\n",
          "{path}: speaker a: could not assemble a probe: a word type has too few repetition recordings "
@@ -1494,7 +1519,8 @@ class TestRefusals:
             "correlation-no-qmf", "evaluate-qmf-no-record", "calibrate-qmf-no-record",
             "correlation-qmf-no-record", "calibrate-too-few-targets", "evaluate-qmf-no-value",
             "calibrate-qmf-no-value", "correlation-qmf-no-value", "corpus-no-sentences",
-            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words", "corpus-too-few-repetitions",
+            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words", "corpus-integer-overflow",
+            "corpus-too-few-repetitions",
             "stats-no-pairs", "correlation-constant-qmf", "correlation-one-target"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, bad, text, message):
         if bad is not None:
@@ -1502,6 +1528,22 @@ class TestRefusals:
         assert run_with(tmp_path, small_inputs, argv) == 1
         captured = only_error_line(capsys)
         assert captured.err == f"error: {message.format(path=small_inputs.get(bad), **small_inputs)}\n"
+        assert captured.out == ""
+        assert not list(tmp_path.glob("out*"))
+
+
+    def test_tied_scores_name_the_scores_file(self, tmp_path, small_inputs, capsys):
+        """Scores equal over a class leave Kendall's tau-b undefined for every QMF: the refusal names the
+        scores file and the class, not the QMF file, whose QMFs vary."""
+        small_inputs["scores"].write_text(SCORES_HEADER + "m1\tt1\ttarget\t0.5\nm2\tt2\ttarget\t0.5\n"
+                                          "m2\tt1\tnontarget\t0.1\nm1\tt2\tnontarget\t0.2\n")
+        small_inputs["qmf"].write_text(QMF_T1 + '{"test_id": "t2", "cu": 4.0, "net_speech": 2.0}\n')
+        argv = ["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--out", "out.tsv",
+                "--correlation-out", "out.csv"]
+        assert run_with(tmp_path, small_inputs, argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == (f"error: {small_inputs['scores']}: the score is the same for every target trial: "
+                                f"Kendall's tau-b is undefined\n")
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
 

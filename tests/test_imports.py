@@ -1,5 +1,5 @@
 """Every name a phonrich module imports is used in that module (``__init__`` re-exports aside),
-no module splits text into lines on its own, only io opens files, in io only
+no module splits text into lines on its own, only io opens files and imports json, in io only
 line_blocks reads text, no module calls np.unique, a fault leaves the
 program only through cli.main, no in-memory class checks what it is built from, only metrics
 derives lns, and only cli.main sets numpy's floating-point policy."""
@@ -91,6 +91,33 @@ def test_only_line_blocks_reads_text():
 def test_only_io_opens_files(module):
     """io reads every input, so each goes through its one line rule and its UTF-8 check."""
     assert open_calls(module.read_text()) == []
+
+
+def json_imports(source: str) -> list[int]:
+    """Lines that import the json module, a submodule of it or a name from either."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "json" for alias in node.names))
+                  or (isinstance(node, ast.ImportFrom) and node.level == 0
+                      and (node.module or "").split(".")[0] == "json"))
+
+
+def test_finds_a_json_import():
+    source = ("import json\nimport json.decoder as d\nfrom json import dumps\nfrom json.encoder import x\n"
+              "import jsonschema\nfrom .io import json_texts\nfrom . import json\n")
+    assert json_imports(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("module", [p for p in MODULES if p.name != "io.py"],
+                         ids=[p.name for p in MODULES if p.name != "io.py"])
+def test_only_io_imports_json(module):
+    """io.write_jsonl, which encodes a table a column at a time, is the one JSON writer and
+    io.iter_jsonl the one reader: a module that imported json could encode or decode records apart."""
+    assert json_imports(module.read_text()) == []
+
+
+def test_io_imports_json():
+    """The guard above looks at something: io's own import is where it lets it be."""
+    assert json_imports((SRC / "io.py").read_text()) != []
 
 
 def unique_calls(source: str) -> list[int]:

@@ -1,15 +1,18 @@
 """The text readers give the same values and the same errors whatever the block size of
-io.line_blocks, and a score table survives write_scores -> read_scores."""
+io.line_blocks, a score table survives write_scores -> read_scores, and write_jsonl writes each
+row of a table as json.dumps writes the row."""
 
 import codecs
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import phonrich.io
-from phonrich.io import iter_jsonl, numbered_lines, read_scores, read_trial_table, write_scores
+from phonrich.io import (MISSING, Table, iter_jsonl, numbered_lines, read_scores, read_trial_table, write_jsonl,
+                         write_scores)
 from phonrich.metrics import Trials
 
 # block sizes that cut lines, line ends and characters at every place
@@ -76,7 +79,9 @@ def trial_list(path):
 
 
 def jsonl(path):
-    return list(iter_jsonl(path, required={"test_id": "string"}, unique="test_id"))
+    """(line number, record) of every record of iter_jsonl, whatever blocks it comes in."""
+    return [pair for numbers, records in iter_jsonl(path, required={"test_id": "string"}, unique="test_id")
+            for pair in zip(numbers, records)]
 
 
 def lines(path):
@@ -206,3 +211,44 @@ def test_scores_survive_a_round_trip(tmp_path_factory, rows):
     assert back.is_target.tolist() == trials.is_target.tolist()
     assert back.scores.tobytes() == trials.scores.tobytes()
     assert lines.tolist() == list(range(3, len(pairs) + 3))
+
+
+# JSON values of every kind the column writer encodes its own way: strings with quotes, backslashes,
+# control, non-ASCII and surrogate characters; ints; floats, -0.0 and the range's edges among them;
+# true and false; null; and lists of these
+json_text = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\U0001d11e\ud800'), st.characters()),
+                    max_size=6)
+json_scalars = [json_text, st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([-0.0, 5e-324, 1e308]), st.booleans(), st.none()]
+json_cells = json_scalars + [st.lists(st.one_of(*json_scalars), max_size=3)]
+
+
+@st.composite
+def tables(draw):
+    """A table of one to five rows whose columns each hold values of one kind, or of any mix, and MISSING."""
+    rows = draw(st.integers(1, 5))
+    columns = {}
+    for key in draw(st.lists(json_text, min_size=1, max_size=4, unique=True)):
+        cell = draw(st.sampled_from(json_cells + [st.one_of(*json_cells)]))
+        columns[key] = draw(st.lists(st.one_of(cell, st.just(MISSING)), min_size=rows, max_size=rows))
+    return Table(columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables())
+def test_each_written_line_is_its_rows_json(tmp_path_factory, table):
+    """write_jsonl against its definition: each line is json.dumps of its row, MISSING cells left out."""
+    path = tmp_path_factory.mktemp("jsonl") / "table.jsonl"
+    write_jsonl(path, table, "# provenance")
+    rows = [{key: column[row] for key, column in table.columns.items() if column[row] is not MISSING}
+            for row in range(len(table))]
+    assert path.read_text().split("\n") == (["# provenance"] + [json.dumps(row, sort_keys=True, allow_nan=False)
+                                                                  for row in rows] + [""])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [lambda v: [0.5, v], lambda v: [1, v], lambda v: ["a", MISSING, v],
+                                    lambda v: [None, [v]]], ids=["floats", "numbers", "mixed", "in-a-list"])
+def test_nan_and_infinities_are_refused(tmp_path, value, column):
+    with pytest.raises(ValueError):
+        write_jsonl(tmp_path / "table.jsonl", Table({"x": column(value)}))

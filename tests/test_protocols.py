@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from collections import Counter
 
@@ -5,27 +6,41 @@ import numpy as np
 import pytest
 
 from phonrich.data import DEMO_VOCABULARY, N_REPETITIONS, make_demo_inventory, word_duration
-from phonrich.io import write_jsonl
+import phonrich.io
+from phonrich.io import BLOCK_CHARS, Table, write_jsonl
 from phonrich.lexicon import presence_vector, transcribe
-from phonrich.protocols import (MAX_CLIP_WORDS, MAX_PROBE_REDRAWS, ModelRecord, ProtocolSpec, ProbeEntry,
-                                UtteranceRecord, _draw_probe, build_clip_protocol, build_enrollment,
-                                build_repetitive_protocol, emit_trials, join_trials,
-                                load_inventory_jsonl, load_protocol)
+from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, MAX_CLIP_WORDS,
+                                MAX_PROBE_REDRAWS, MODEL_COLUMNS, TEST_KEYS, ProtocolSpec, _draw_probe,
+                                build_clip_protocol, build_enrollment, build_repetitive_protocol, emit_trials,
+                                join_trials, load_inventory_jsonl, load_protocol)
 from phonrich.richness import count_unique
 
 
+def corpus(*records):
+    """The corpus table of ``records``, dicts of corpus keys, a key a record lacks taking its default."""
+    return Table({key: [rec.get(key, CORPUS_DEFAULTS.get(key)) for rec in records]
+                  for key in [*CORPUS_KEYS, *CORPUS_OPTIONAL_KEYS]})
+
+
 def word_rec(spk, word, rep, dur=0.5, gender="m"):
-    return UtteranceRecord(f"{spk}_{word}_{rep}", spk, "word", dur, word,
-                           word_text=word, repetition_index=rep, gender=gender)
+    return {"utterance_id": f"{spk}_{word}_{rep}", "speaker_id": spk, "kind": "word", "net_speech": dur,
+            "transcript": word, "word_text": word, "repetition_index": rep, "gender": gender}
 
 
 def sentence_rec(spk, idx, text, dur=10.0, gender="m"):
-    return UtteranceRecord(f"{spk}_sent{idx}", spk, "sentence", dur, text, gender=gender)
+    return {"utterance_id": f"{spk}_sent{idx}", "speaker_id": spk, "kind": "sentence", "net_speech": dur,
+            "transcript": text, "gender": gender}
+
+
+def base_rec(utterance_id, speaker_id, durations, words):
+    """A sentence recording of ``words``, one duration each."""
+    return {"utterance_id": utterance_id, "speaker_id": speaker_id, "kind": "sentence",
+            "net_speech": sum(durations), "transcript": words, "word_durations": durations}
 
 
 def id_pairs(spec, pairs):
     """(model_id, test_id) of each (model row, test row) pair of a spec."""
-    return [(spec.models[m].model_id, spec.tests[t].test_id) for m, t in pairs.tolist()]
+    return [(spec.models["model_id"][m], spec.tests["test_id"][t]) for m, t in pairs.tolist()]
 
 
 @pytest.fixture(scope="module")
@@ -40,108 +55,103 @@ def demo_protocol(demo_inventory):
 
 class TestBuildEnrollment:
     def test_net_speech_summation(self):
-        models = build_enrollment([sentence_rec("a", 0, "cat dog", 100.0),
-                                   sentence_rec("a", 1, "fish", 17.0)])
+        models = build_enrollment(corpus(sentence_rec("a", 0, "cat dog", 100.0),
+                                         sentence_rec("a", 1, "fish", 17.0)))
         assert len(models) == 1
-        assert models[0].net_speech == pytest.approx(117.0)
-        assert models[0].source_ids == ["a_sent0", "a_sent1"]
+        assert models["net_speech"][0] == pytest.approx(117.0)
+        assert models["source_ids"][0] == ["a_sent0", "a_sent1"]
 
     def test_full_inventory_enrollment_has_cu_39(self, demo_inventory):
         models = build_enrollment(demo_inventory)
-        cu = count_unique(presence_vector([transcribe(models[0].transcript, DEMO_VOCABULARY)]))
+        cu = count_unique(presence_vector([transcribe(models["transcript"][0], DEMO_VOCABULARY)]))
         assert cu.tolist() == [39]
 
     def test_no_sentences_error(self):
         with pytest.raises(ValueError, match="no sentence"):
-            build_enrollment([word_rec("a", "cat", 1)])
+            build_enrollment(corpus(word_rec("a", "cat", 1)))
 
 
 class TestClipProtocol:
     def base_utterance(self, n_words, dur):
-        words = " ".join(f"w{i}" for i in range(n_words))
-        return UtteranceRecord("u0", "a", "sentence", n_words * dur, words,
-                               word_durations=[dur] * n_words)
+        return corpus(base_rec("u0", "a", [dur] * n_words, " ".join(f"w{i}" for i in range(n_words))))
 
     def test_window_equals_whole_utterance(self):
-        spec = build_clip_protocol([self.base_utterance(10, 0.5)], target=5.0, seed=0)
+        spec = build_clip_protocol(self.base_utterance(10, 0.5), target=5.0, seed=0)
         assert len(spec.tests) == 1
-        t = spec.tests[0]
-        assert t.transcript.split() == [f"w{i}" for i in range(10)]
-        assert t.net_speech == pytest.approx(5.0)
+        assert spec.tests["transcript"][0].split() == [f"w{i}" for i in range(10)]
+        assert spec.tests["net_speech"][0] == pytest.approx(5.0)
 
     def test_wraparound_repetition(self):
-        spec = build_clip_protocol([self.base_utterance(4, 0.5)], target=3.0, seed=0)
-        words = spec.tests[0].transcript.split()
+        spec = build_clip_protocol(self.base_utterance(4, 0.5), target=3.0, seed=0)
+        words = spec.tests["transcript"][0].split()
         assert len(words) == 6
         assert len(set(words)) == 4  # repeated words present
-        assert spec.tests[0].net_speech == pytest.approx(3.0)
+        assert spec.tests["net_speech"][0] == pytest.approx(3.0)
 
     def test_window_duration_bound(self):
         rng = np.random.default_rng(1)
         for seed in range(20):
             n = int(rng.integers(3, 15))
             durs = rng.uniform(0.2, 0.9, n).tolist()
-            base = UtteranceRecord("u0", "a", "sentence", sum(durs),
-                                   " ".join(f"w{i}" for i in range(n)), word_durations=durs)
+            base = corpus(base_rec("u0", "a", durs, " ".join(f"w{i}" for i in range(n))))
             target = float(rng.uniform(0.5, 6.0))
-            spec = build_clip_protocol([base], target, seed=seed)
-            got = spec.tests[0].net_speech
+            spec = build_clip_protocol(base, target, seed=seed)
+            got = spec.tests["net_speech"][0]
             assert target <= got < target + max(durs) + 1e-12
 
     def test_window_takes_at_most_max_clip_words(self):
-        spec = build_clip_protocol([self.base_utterance(1, 1.0)], target=MAX_CLIP_WORDS, seed=0)
-        assert len(spec.tests[0].transcript.split()) == MAX_CLIP_WORDS
+        spec = build_clip_protocol(self.base_utterance(1, 1.0), target=MAX_CLIP_WORDS, seed=0)
+        assert len(spec.tests["transcript"][0].split()) == MAX_CLIP_WORDS
         with pytest.raises(ValueError, match=f"^u0: a {MAX_CLIP_WORDS + 0.5:g} s clip would take more "
                                              f"than {MAX_CLIP_WORDS} words$"):
-            build_clip_protocol([self.base_utterance(1, 1.0)], target=MAX_CLIP_WORDS + 0.5, seed=0)
+            build_clip_protocol(self.base_utterance(1, 1.0), target=MAX_CLIP_WORDS + 0.5, seed=0)
 
     def test_deterministic(self):
-        base = [self.base_utterance(8, 0.4)]
+        base = self.base_utterance(8, 0.4)
         a = build_clip_protocol(base, 2.0, seed=3)
         b = build_clip_protocol(base, 2.0, seed=3)
-        assert a.tests[0].transcript == b.tests[0].transcript
+        assert a.tests["transcript"] == b.tests["transcript"]
 
     def test_empty_base_error(self):
         with pytest.raises(ValueError, match="empty"):
-            build_clip_protocol([], 1.0, seed=0)
+            build_clip_protocol(corpus(), 1.0, seed=0)
 
     def test_no_words_error(self):
-        rec = UtteranceRecord("u0", "a", "sentence", 1.0, "", word_durations=[])
         with pytest.raises(ValueError, match="no words"):
-            build_clip_protocol([rec], 1.0, seed=0)
+            build_clip_protocol(corpus(base_rec("u0", "a", [], "")), 1.0, seed=0)
 
     def test_trials_passthrough_remaps_ids(self, tmp_path):
-        base = [self.base_utterance(10, 0.5),
-                UtteranceRecord("u1", "b", "sentence", 5.0, "w0 w1", word_durations=[2.5, 2.5])]
+        base = corpus(base_rec("u0", "a", [0.5] * 10, " ".join(f"w{i}" for i in range(10))),
+                      base_rec("u1", "b", [2.5, 2.5], "w0 w1"))
         trials = tmp_path / "base.tsv"
         trials.write_text("model_id\ttest_id\tlabel\nb\tu0\tnontarget\na\tu0\ttarget\n")
         spec = build_clip_protocol(base, 2.0, seed=0, base_trials=trials)
-        assert [m.model_id for m in spec.models] == ["a", "b"]
+        assert spec.models["model_id"] == ["a", "b"]
         assert id_pairs(spec, spec.positive_trials) == [("a", "u0@2s")]
         assert id_pairs(spec, spec.negative_trials) == [("b", "u0@2s")]
 
 
 class TestRepetitiveProtocol:
     def test_probe_shape(self, demo_protocol):
-        for t in demo_protocol.tests:
-            words = t.transcript.split()
+        for transcript, source_ids in zip(demo_protocol.tests["transcript"], demo_protocol.tests["source_ids"]):
+            words = transcript.split()
             assert 2 <= len(words) <= 10
             assert 1 <= len(set(words)) <= len(words)
-            assert len(t.source_ids) == len(words)
+            assert len(source_ids) == len(words)
 
     def test_no_recording_reused_within_probe(self, demo_protocol):
-        for t in demo_protocol.tests:
-            assert len(set(t.source_ids)) == len(t.source_ids)
+        for source_ids in demo_protocol.tests["source_ids"]:
+            assert len(set(source_ids)) == len(source_ids)
 
     def test_positive_trials_match_speakers(self, demo_protocol):
-        speaker_of_test = {t.test_id: t.speaker_id for t in demo_protocol.tests}
+        speaker_of_test = dict(zip(demo_protocol.tests["test_id"], demo_protocol.tests["speaker_id"]))
         for m_id, t_id in id_pairs(demo_protocol, demo_protocol.positive_trials):
             assert speaker_of_test[t_id] == m_id
 
     def test_negatives_within_gender(self, demo_protocol):
-        gender_of_model = {m.model_id: m.gender for m in demo_protocol.models}
-        gender_of_test = {t.test_id: t.gender for t in demo_protocol.tests}
-        speaker_of_test = {t.test_id: t.speaker_id for t in demo_protocol.tests}
+        gender_of_model = dict(zip(demo_protocol.models["model_id"], demo_protocol.models["gender"]))
+        gender_of_test = dict(zip(demo_protocol.tests["test_id"], demo_protocol.tests["gender"]))
+        speaker_of_test = dict(zip(demo_protocol.tests["test_id"], demo_protocol.tests["speaker_id"]))
         for m_id, t_id in id_pairs(demo_protocol, demo_protocol.negative_trials):
             assert gender_of_model[m_id] == gender_of_test[t_id]
             assert speaker_of_test[t_id] != m_id
@@ -163,18 +173,18 @@ class TestRepetitiveProtocol:
     def test_missing_enrollment_error(self):
         words = [word_rec("a", "cat", r) for r in range(1, 11)]
         with pytest.raises(ValueError, match="no enrollment"):
-            build_repetitive_protocol(words + [sentence_rec("b", 0, "cat")], 2, seed=0)
+            build_repetitive_protocol(corpus(*words, sentence_rec("b", 0, "cat")), 2, seed=0)
 
     def test_too_few_repetitions_error(self):
         # one word type with a single recording cannot fill probes of >= 2 slots
-        inventory = [word_rec("a", "cat", 1), sentence_rec("a", 0, "cat")]
+        inventory = corpus(word_rec("a", "cat", 1), sentence_rec("a", 0, "cat"))
         with pytest.raises(ValueError, match="too few repetition"):
             build_repetitive_protocol(inventory, 5, seed=0)
 
     def test_deterministic(self, demo_inventory):
         a = build_repetitive_protocol(demo_inventory, 10, seed=5)
         b = build_repetitive_protocol(demo_inventory, 10, seed=5)
-        assert [t.transcript for t in a.tests] == [t.transcript for t in b.tests]
+        assert a.tests["transcript"] == b.tests["transcript"]
         assert a.negative_trials.tolist() == b.negative_trials.tolist()
 
 
@@ -187,13 +197,14 @@ class TestEmitAndLoad:
         loaded = load_protocol(trials, manifest, models)
         assert loaded.positive_trials.tolist() == demo_protocol.positive_trials.tolist()
         assert loaded.negative_trials.tolist() == demo_protocol.negative_trials.tolist()
-        assert [(t.test_id, t.transcript, t.net_speech) for t in loaded.tests] == \
-            [(t.test_id, t.transcript, t.net_speech) for t in demo_protocol.tests]
-        assert [(m.model_id, m.net_speech) for m in loaded.models] == \
-            [(m.model_id, m.net_speech) for m in demo_protocol.models]
+        for key in ("test_id", "transcript", "net_speech"):
+            assert loaded.tests[key] == demo_protocol.tests[key]
+        for key in ("model_id", "net_speech"):
+            assert loaded.models[key] == demo_protocol.models[key]
 
     def test_empty_spec_header_only(self, tmp_path):
-        spec = ProtocolSpec(np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), [], [])
+        spec = ProtocolSpec(np.empty((0, 2), np.intp), np.empty((0, 2), np.intp),
+                            Table({key: [] for key in TEST_KEYS}), Table({key: [] for key in MODEL_COLUMNS}))
         trials = tmp_path / "e.trials.tsv"
         manifest = tmp_path / "e.manifest.jsonl"
         models = tmp_path / "e.models.jsonl"
@@ -211,8 +222,8 @@ class TestEmitAndLoad:
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
     # tests t1 (speaker a) and t2 (speaker b), and a model per speaker
-    TWO_SPEAKERS = ([ProbeEntry("t1", "a", "cat", 1.0, ["u"]), ProbeEntry("t2", "b", "cat", 1.0, ["u"])],
-                    [ModelRecord("a", "a", 10.0, ["s"]), ModelRecord("b", "b", 10.0, ["s"])])
+    TWO_SPEAKERS = (Table({"test_id": ["t1", "t2"], "speaker_id": ["a", "b"]}),
+                    Table({"model_id": ["a", "b"], "speaker_id": ["a", "b"]}))
 
     def join(self, tmp_path, rows):
         trials = tmp_path / "trials.tsv"
@@ -237,8 +248,8 @@ class TestEmitAndLoad:
         assert id_pairs(spec, spec.negative_trials) == [("b", "t1"), ("a", "t2")]
 
     def test_join_names_a_trial_with_an_unknown_id(self, tmp_path):
-        tests = [ProbeEntry("t1", "a", "cat", 1.0, ["u"])]
-        models = [ModelRecord("a", "a", 10.0, ["s"])]
+        tests = Table({"test_id": ["t1"], "speaker_id": ["a"]})
+        models = Table({"model_id": ["a"], "speaker_id": ["a"]})
         trials = tmp_path / "trials.tsv"
         trials.write_text("model_id\ttest_id\tlabel\na\tt1\ttarget\nb\tt1\tnontarget\n")
         with pytest.raises(ValueError) as exc:
@@ -287,7 +298,7 @@ def draws(draw, word_types, reps, seed, n):
     out = []
     try:
         for _ in range(n):
-            out.append([r.utterance_id for r in draw(word_types, reps, rng)])
+            out.append(draw(word_types, reps, rng))
     except ValueError as exc:
         out.append(str(exc))
     return out
@@ -298,14 +309,15 @@ class TestSetupDrawsMatchReferences:
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_demo_jitter_matches_scalar_loop(self, seed):
-        words = [r.net_speech for r in make_demo_inventory(3, seed) if r.kind == "word"]
+        inventory = make_demo_inventory(3, seed)
+        words = [ns for ns, kind in zip(inventory["net_speech"], inventory["kind"]) if kind == "word"]
         assert words == reference_word_net_speech(3, seed)
 
     @pytest.mark.parametrize("reps_per_word", [{w: 10 for w in sorted(DEMO_VOCABULARY)},
                                                {"cat": 4, "dog": 2, "fish": 1}],
                              ids=["demo-speaker", "short-of-repetitions"])
     def test_probe_draws_match_string_draws(self, reps_per_word):
-        reps = {w: [word_rec("a", w, r) for r in range(1, k + 1)] for w, k in reps_per_word.items()}
+        reps = {w: [f"a_{w}_{r}" for r in range(1, k + 1)] for w, k in reps_per_word.items()}
         word_types = sorted(reps)
         for seed in range(200):
             assert draws(_draw_probe, word_types, reps, seed, 20) == \
@@ -331,7 +343,44 @@ class TestCorpusMemory:
     def test_read_and_write_peaks_per_record(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         n = len(make_demo_inventory(self.SPEAKERS, 3))
-        write = traced_peak(lambda: write_jsonl(path, map(vars, make_demo_inventory(self.SPEAKERS, 3))))
+        write = traced_peak(lambda: write_jsonl(path, make_demo_inventory(self.SPEAKERS, 3)))
         load = traced_peak(lambda: load_inventory_jsonl(path))
         per_record = {"write_jsonl": write / n, "load_inventory_jsonl": load / n}
         assert all(peak < self.BOUND for peak in per_record.values()), per_record
+
+
+CORPUS_RECORD = {"utterance_id": "u0", "speaker_id": "a", "kind": "sentence", "net_speech": 1.0, "transcript": "cat",
+                 "word_durations": [1.0]}
+
+
+def corpus_lines(n, faults):
+    """n corpus lines of records u0, u1, ..., the record on line k changed by ``faults[k]``."""
+    return "".join(json.dumps({**CORPUS_RECORD, "utterance_id": f"u{row}", **faults.get(row + 1, {})}) + "\n"
+                   for row in range(n))
+
+
+class TestFirstFaultInFileOrder:
+    """The corpus reader checks a block of lines a key at a time and then a rule at a time; of two
+    faults, whichever check finds each, the one on the earlier line is named."""
+
+    @pytest.mark.parametrize("chars", [BLOCK_CHARS, 100])
+    def test_rule_fault_before_a_type_fault_past_the_block(self, tmp_path, monkeypatch, chars):
+        n = BLOCK_CHARS // len(corpus_lines(1, {})) + 10
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(corpus_lines(n, {3: {"net_speech": 0}, n: {"repetition_index": "x"}}))
+        assert path.stat().st_size - len(path.read_text().rsplit("\n", 2)[-2]) > BLOCK_CHARS
+        monkeypatch.setattr(phonrich.io, "BLOCK_CHARS", chars)
+        with pytest.raises(ValueError) as exc:
+            load_inventory_jsonl(path)
+        assert str(exc.value) == f"{path}:3: u2: net_speech must be > 0"
+
+    @pytest.mark.parametrize("faults, message", [
+        ({2: {"net_speech": "1"}, 5: {"net_speech": 0}}, '2: net_speech must be a number, got "1"'),
+        ({2: {"net_speech": 0}, 5: {"net_speech": "1"}}, "2: u1: net_speech must be > 0"),
+    ], ids=["type-then-rule", "rule-then-type"])
+    def test_two_faults_in_one_block(self, tmp_path, faults, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(corpus_lines(6, faults))
+        with pytest.raises(ValueError) as exc:
+            load_inventory_jsonl(path)
+        assert str(exc.value) == f"{path}:{message}"

@@ -70,8 +70,8 @@ class TestSimulateCorpus:
 
     def test_each_score_is_its_pair_dot_product_exactly(self, protocol, monkeypatch):
         res = simulate(protocol)
-        model_row = {m: i for i, m in enumerate(sorted(m.model_id for m in protocol.models))}
-        test_row = {t: j for j, t in enumerate(sorted(t.test_id for t in protocol.tests))}
+        model_row = {m: i for i, m in enumerate(sorted(protocol.models["model_id"]))}
+        test_row = {t: j for j, t in enumerate(sorted(protocol.tests["test_id"]))}
         expected = [float(res.models[model_row[m]] @ res.tests[test_row[t]])
                     for m, t, _ in trial_rows(res.trials)]
         assert res.trials.scores.tolist() == expected
@@ -115,7 +115,7 @@ class TestSimulateCorpus:
 
     def test_qmfs_carry_cu_and_lns(self, protocol):
         res = simulate(protocol)
-        cu, lns, net_speech = res.qmfs.join([t.test_id for t in protocol.tests],
+        cu, lns, net_speech = res.qmfs.join(protocol.tests["test_id"],
                                             ["cu", "lns", "net_speech"]).T
         assert np.all((0 <= cu) & (cu <= 39))
         assert lns == pytest.approx(np.log(net_speech))
