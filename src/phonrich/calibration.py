@@ -47,13 +47,9 @@ def build_features(trials: Trials, qmfs: Qmfs, feature_set) -> tuple[np.ndarray,
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # overflow-safe piecewise form
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so no exp overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def fit_lr(features: np.ndarray, is_target: np.ndarray, feature_names: tuple[str, ...]) -> CalibrationModel:
@@ -74,8 +70,7 @@ def fit_lr(features: np.ndarray, is_target: np.ndarray, feature_names: tuple[str
     if n_tar == 0 or n_non == 0:
         raise ValueError("fit_lr requires both classes present")
 
-    w_tar = n / (2.0 * n_tar)
-    w_non = n / (2.0 * n_non)
+    w_tar, w_non = n / (2.0 * n_tar), n / (2.0 * n_non)
     sample_w = np.where(y == 1.0, w_tar, w_non)
 
     Xb = np.hstack([np.ones((n, 1)), features])  # intercept first
@@ -127,17 +122,19 @@ def apply_lr(model: CalibrationModel, features: np.ndarray) -> np.ndarray:
     return model.intercept + features @ model.coefficients
 
 
-def stratified_folds(is_target: np.ndarray, k: int, seed: int) -> np.ndarray:
+def stratified_folds(is_target: np.ndarray, k: int, seed: int, source: str = "") -> np.ndarray:
     """Seeded shuffle then round-robin fold assignment within each class.
 
     Returns an array of fold indices in [0, k), k >= 1. Per-class fold
-    counts differ by at most one trial.
+    counts differ by at most one trial. A class of fewer than k trials is
+    refused, naming ``source``, the scores file, if given.
     """
     rng = np.random.default_rng(seed)
     folds = np.empty(is_target.size, dtype=int)
     for label, idx in ((TARGET, np.flatnonzero(is_target)), (NONTARGET, np.flatnonzero(~is_target))):
         if idx.size < k:
-            raise ValueError(f"need at least {k} {label} trials for {k}-fold split, got {idx.size}")
+            raise ValueError(f"{source + ': ' if source else ''}need at least {k} {label} trials for {k}-fold "
+                             f"split, got {idx.size}")
         rng.shuffle(idx)
         folds[idx] = np.arange(idx.size) % k
     return folds
@@ -151,7 +148,7 @@ def cross_validated_calibration(trials: Trials, qmfs: Qmfs, feature_set, k: int 
     together with the per-fold models.
     """
     X, names = build_features(trials, qmfs, feature_set)
-    folds = stratified_folds(trials.is_target, k, seed)
+    folds = stratified_folds(trials.is_target, k, seed, trials.source)
 
     pooled = np.empty(len(trials))
     models = []

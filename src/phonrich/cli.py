@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, save_model
-from .data import DEMO_VOCABULARY, make_demo_inventory
+from .data import DEMO_BLOCK, DEMO_VOCABULARY, RECORDS_PER_SPEAKER, make_demo_inventory
 from .inventory import PresenceVector
 from .io import (Table, provenance_line, read_columns, read_jsonl, read_qmfs, read_scores,
                  write_jsonl, write_qmfs, write_scatter, write_scores, write_tsv)
@@ -104,9 +104,8 @@ def cmd_gen_protocol(args) -> None:
         if args.target is None:
             raise ValueError("--target is required for the clip protocol")
         spec = build_clip_protocol(inventory, args.target, args.seed, args.base_trials, args.corpus)
-    prefix = args.out_prefix
-    emit_trials(spec, f"{prefix}.trials.tsv", f"{prefix}.manifest.jsonl",
-                f"{prefix}.models.jsonl", _provenance(args))
+    emit_trials(spec, *(f"{args.out_prefix}.{name}" for name in ("trials.tsv", "manifest.jsonl", "models.jsonl")),
+                _provenance(args))
     print(f"gen-protocol: {len(spec.positive_trials)} positive, "
           f"{len(spec.negative_trials)} negative trials, {len(spec.tests)} tests")
 
@@ -129,8 +128,7 @@ def _parse_feature_set(text: str) -> tuple[str, ...]:
     if text.lower() == "none":
         return ()
     names = tuple(n.strip().lower() for n in text.split(",") if n.strip())
-    unknown = set(names) - set(FEATURE_ORDER)
-    if unknown:
+    if unknown := set(names) - set(FEATURE_ORDER):
         raise ValueError(f"unknown features {sorted(unknown)}; pick from {FEATURE_ORDER}")
     return names
 
@@ -139,9 +137,7 @@ def cmd_calibrate(args) -> None:
     feature_set = _parse_feature_set(args.features)
     if not feature_set:
         raise ValueError("calibrate needs a non-empty feature set")
-    trials = read_scores(args.scores)
-    qmfs = read_qmfs(args.qmf)
-    calibrated, models = cross_validated_calibration(trials, qmfs, feature_set,
+    calibrated, models = cross_validated_calibration(read_scores(args.scores), read_qmfs(args.qmf), feature_set,
                                                      k=args.folds, seed=args.seed)
     prov = _provenance(args)
     write_scores(args.out_scores, calibrated, prov)
@@ -166,8 +162,10 @@ def cmd_evaluate(args) -> None:
         if fs:  # labelled by the features of the fit model: canonical order, each name once
             scored, models = cross_validated_calibration(trials, qmfs, fs, k=args.folds, seed=args.seed)
             name = ",".join(models[0].feature_names)
-        eer = compute_eer(*scored.class_scores())
-        minc = compute_min_c_primary(*scored.class_scores())
+        try:
+            eer, minc = compute_eer(*scored.class_scores()), compute_min_c_primary(*scored.class_scores())
+        except ValueError as exc:  # a class with no trials
+            raise ValueError(f"{trials.source}: {exc}") from None
         rows.append((name, f"{100 * eer:.2f}", f"{minc:.3f}"))
     # the report can still fail, so it runs before anything is printed or written
     report = correlation_report(trials, qmfs) if args.correlation_out else None
@@ -191,9 +189,8 @@ def cmd_report_weights(args) -> None:
                             "utterance_id")
     if not len(presence):
         raise ValueError(f"{args.presence}: no utterances: the report needs a non-empty corpus")
-    rows = weight_report(weights, list(map(PhonemeTranscription, presence["utterance_id"],
-                                           map(tuple, presence["phonemes"]))))
-    out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in rows]
+    transcriptions = list(map(PhonemeTranscription, presence["utterance_id"], map(tuple, presence["phonemes"])))
+    out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in weight_report(weights, transcriptions)]
     header = ["phoneme", "normalized_weight", "frequency"]
     if args.out:
         write_tsv(args.out, header, out_rows, _provenance(args))
@@ -210,9 +207,9 @@ def cmd_stats(args) -> None:
 
 
 def cmd_make_demo(args) -> None:
-    records = make_demo_inventory(args.speakers, args.seed)
-    write_jsonl(args.out, records, _provenance(args))
-    print(f"make-demo: wrote {len(records)} utterance records for {args.speakers} speakers")
+    write_jsonl(args.out, (make_demo_inventory(min(DEMO_BLOCK, args.speakers - first), args.seed, first)
+                           for first in range(0, args.speakers, DEMO_BLOCK)), _provenance(args))
+    print(f"make-demo: wrote {args.speakers * RECORDS_PER_SPEAKER} utterance records for {args.speakers} speakers")
 
 
 class ArgumentParser(argparse.ArgumentParser):

@@ -83,6 +83,8 @@ DEMO_VOCABULARY: dict[str, tuple[str, ...]] = {
 
 N_SENTENCES = 5
 N_REPETITIONS = 10
+RECORDS_PER_SPEAKER = N_SENTENCES + len(DEMO_VOCABULARY) * N_REPETITIONS
+DEMO_BLOCK = 4  # speakers per table that make-demo builds and writes at a time
 
 
 def word_duration(word: str) -> float:
@@ -96,26 +98,29 @@ def demo_sentences() -> list[str]:
     return [" ".join(words[k::N_SENTENCES]) for k in range(N_SENTENCES)]
 
 
-def make_demo_inventory(n_speakers: int, seed: int = 0) -> Table:
-    """Aplawd-shaped corpus table (see protocols.load_inventory_jsonl): per speaker, 5 sentences and
-    66 words x 10 reps.
+def make_demo_inventory(n_speakers: int, seed: int = 0, first: int = 0) -> Table:
+    """Aplawd-shaped corpus table (see protocols.Corpus) of speakers ``first`` to ``first + n_speakers - 1``:
+    per speaker, 5 sentences and 66 words x 10 reps.
 
     Word-recording durations get a small deterministic per-recording jitter
-    so net speech is not exactly tied to word identity.
+    so net speech is not exactly tied to word identity. Each speaker draws
+    from its own rng and every other step is elementwise, so tables of
+    consecutive speakers, one after another, hold the rows of one table of them all.
     """
     sentences = demo_sentences()
     sentence_durations = [[word_duration(w) for w in text.split()] for text in sentences]
     words = [word for word in sorted(DEMO_VOCABULARY) for _ in range(N_REPETITIONS)]
     reps = list(range(1, N_REPETITIONS + 1)) * len(DEMO_VOCABULARY)
+    numbers = range(first, first + n_speakers)
     # per speaker, one draw per word recording, in recording order; a recording's net speech is
     # word_duration * (1 + 0.1 * (draw - 0.5)), each operation as the scalar one rounds it
     draws = np.array([np.random.default_rng([seed, 97, s]).random(len(words))
-                      for s in range(n_speakers)]).reshape(n_speakers, len(words))
+                      for s in numbers]).reshape(n_speakers, len(words))
     word_net_speech = np.array([word_duration(word) for word in words]) * (1.0 + 0.1 * (draws - 0.5))
     net_speech = np.hstack([np.tile([float(sum(d)) for d in sentence_durations], (n_speakers, 1)),
                             word_net_speech])
     suffixes = [f"_sent{k}" for k in range(len(sentences))] + [f"_{w}_{r:02d}" for w, r in zip(words, reps)]
-    speakers = [f"spk{s:03d}" for s in range(n_speakers)]
+    speakers = [f"spk{s:03d}" for s in numbers]
     return Table({
         "utterance_id": [spk + suffix for spk in speakers for suffix in suffixes],
         "speaker_id": [spk for spk in speakers for _ in suffixes],
@@ -124,14 +129,11 @@ def make_demo_inventory(n_speakers: int, seed: int = 0) -> Table:
         "transcript": (sentences + words) * n_speakers,
         "word_text": ([""] * len(sentences) + words) * n_speakers,
         "repetition_index": ([0] * len(sentences) + reps) * n_speakers,
-        "gender": [("m", "f")[s % 2] for s in range(n_speakers) for _ in suffixes],
+        "gender": [("m", "f")[s % 2] for s in numbers for _ in suffixes],
         "word_durations": (sentence_durations + [None] * len(words)) * n_speakers,
     })
 
 
 def demo_lexicon_lines() -> str:
     """The demo vocabulary rendered as CMU-dictionary text."""
-    lines = []
-    for word in sorted(DEMO_VOCABULARY):
-        lines.append(word.upper() + "  " + " ".join(DEMO_VOCABULARY[word]))
-    return "\n".join(lines) + "\n"
+    return "".join(f"{word.upper()}  {' '.join(pron)}\n" for word, pron in sorted(DEMO_VOCABULARY.items()))

@@ -8,10 +8,11 @@ import math
 import re
 import sys
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, ne, not_
+from operator import itemgetter, not_
 from pathlib import Path
 
 import numpy as np
@@ -149,11 +150,13 @@ def _json_cells(key: str, values: list) -> tuple:
             ("" if value is MISSING else "null" if value is None else encode(value) for value in values))
 
 
-def write_jsonl(path: str | Path, table: Table, provenance: str | None = None) -> None:
-    """One line per row of ``table``, as json.dumps(row, sort_keys=True, allow_nan=False) writes the row's
-    dict, MISSING cells left out, after the provenance line (see write_lines). Each cell is encoded as
-    its line is written, so no more than a line of text is held. NaN and infinities are refused."""
-    rows = zip(*chain.from_iterable(_json_cells(key, table[key]) for key in sorted(table.columns)))
+def write_jsonl(path: str | Path, tables: Table | Iterable[Table], provenance: str | None = None) -> None:
+    """One line per row of ``tables``, a table or tables one after another, as json.dumps(row, sort_keys=True,
+    allow_nan=False) writes the row's dict, MISSING cells left out, after the provenance line (see
+    write_lines). Each cell is encoded as its line is written, so no more than a line of text is held,
+    and a table is made only once the rows before it are written. NaN and infinities are refused."""
+    rows = chain.from_iterable(zip(*chain.from_iterable(_json_cells(key, table[key]) for key in sorted(table.columns)))
+                               for table in ([tables] if isinstance(tables, Table) else tables))
     write_lines(path, provenance, (f"{{{''.join(row)[2:]}}}" for row in rows))  # [2:]: the first ", "
 
 
@@ -234,13 +237,14 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
     each key it may hold, and ``others``, if given, is the type of every other key. A missing required
     key or a value of another type fails with the file and line, as do NaN, Infinity and -Infinity,
     which are not JSON, wherever they stand, and a record that repeats an earlier one's value of the
-    required key ``unique``, naming the line of the first. The records before a fault are yielded
-    first, so of two faults, found here or by the caller, the one on the earlier line is named.
+    required key ``unique``, naming the line of the first, which the file is read again to find: only
+    the values are held, not their lines. The records before a fault are yielded first, so of two
+    faults, found here or by the caller, the one on the earlier line is named.
     """
     checks = [(key, kind, needed) for keys, needed in ((required or {}, True), (optional or {}, False))
               for key, kind in keys.items()]
     named = {key for key, _, _ in checks}
-    first_line: dict[str, int] = {}
+    seen: set = set()  # the values of ``unique`` so far
     for first, block in line_blocks(path):
         kept = [bool(line.strip()) and not line.startswith("#") for line in block]
         numbers, (records, fault) = list(compress(count(first), kept)), _decode(compress(block, kept))
@@ -249,11 +253,12 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
         for key, kind, needed in checks + rest:  # each looks at the records before the first fault found so far
             if found := _column_fault(key, kind, needed, list(map(dict.get, records, repeat(key), repeat(MISSING)))):
                 records, fault = records[:found[0]], found[1]
-        if unique is not None:  # each id's first line, this record's if it is the first
-            ids = list(map(itemgetter(unique), records))
-            firsts = list(map(first_line.setdefault, ids, numbers))
-            if (end := next(compress(count(), map(ne, firsts, numbers)), None)) is not None:
-                records, fault = records[:end], f"duplicate {unique} {ids[end]!r}, first at line {firsts[end]}"
+        if unique is not None and (end := next((row for row, value in enumerate(map(itemgetter(unique), records))
+                                                if value in seen or seen.add(value)), None)) is not None:
+            value = records[end][unique]  # its first line is found by reading the file again
+            first = next(n for lines, rows in iter_jsonl(path) for n, row in zip(lines, rows)
+                         if row.get(unique) == value)
+            records, fault = records[:end], f"duplicate {unique} {value!r}, first at line {first}"
         if records:
             yield numbers[:len(records)], records
         if fault is not None:
@@ -438,7 +443,5 @@ def write_qmfs(path: str | Path, qmfs: Qmfs, provenance: str | None = None) -> N
     """One JSONL record per row of ``qmfs``: its test_id and every value that is not NaN."""
     columns = {"test_id": qmfs.test_ids}
     for name, values in zip(qmfs.names, qmfs.values.T):
-        column = values.astype(object)
-        column[np.isnan(values)] = MISSING
-        columns[name] = column.tolist()
+        columns[name] = [MISSING if math.isnan(value) else value for value in values.tolist()]
     write_jsonl(path, Table(columns), provenance)

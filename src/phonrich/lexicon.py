@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,6 @@ _STRESS_RE = re.compile(r"^([A-Z]+)([0-2])$")
 _VARIANT_RE = re.compile(r"^(.*)\((\d+)\)$")
 # edges lose all non-alphanumerics; internal apostrophes ("don't") survive
 _EDGE_STRIP_RE = re.compile(r"^[^a-z0-9]+|[^a-z0-9]+$")
-
-
-def strip_stress(symbol: str) -> str:
-    m = _STRESS_RE.match(symbol)
-    return m.group(1) if m else symbol
 
 
 # lower-case word -> its first-listed, stress-free ARPABET_39 pronunciation
@@ -35,7 +31,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
     ``(n)`` suffix, are checked but not kept. Lines starting with ``;;;``
     are comments.
     """
-    path = Path(path)
     lexicon: Lexicon = {}
     for lineno, line in numbered_lines(path, errors="replace"):
         line = line.strip()
@@ -44,17 +39,11 @@ def load_lexicon(path: str | Path) -> Lexicon:
         parts = line.split()
         if len(parts) < 2:
             raise ValueError(f"{path}:{lineno}: malformed line (need word and pronunciation)")
-        word = parts[0]
-        m = _VARIANT_RE.match(word)
-        if m:
-            word = m.group(1)
-        pron = []
-        for raw in parts[1:]:
-            sym = strip_stress(raw.upper())
-            if sym not in PHONEME_INDEX:
-                raise ValueError(f"{path}:{lineno}: symbol {raw!r} not in inventory after stress stripping")
-            pron.append(sym)
-        lexicon.setdefault(word.lower(), tuple(pron))
+        word = _VARIANT_RE.sub(r"\1", parts[0])  # a variant's word without its (n)
+        pron = tuple(_STRESS_RE.sub(r"\1", raw.upper()) for raw in parts[1:])  # each without its stress digit
+        if (bad := next((raw for raw, sym in zip(parts[1:], pron) if sym not in PHONEME_INDEX), None)) is not None:
+            raise ValueError(f"{path}:{lineno}: symbol {bad!r} not in inventory after stress stripping")
+        lexicon.setdefault(word.lower(), pron)
     return lexicon
 
 
@@ -70,32 +59,19 @@ class PhonemeTranscription:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip non-alphanumeric edge characters."""
-    tokens = []
-    for raw in text.lower().split():
-        tok = _EDGE_STRIP_RE.sub("", raw)
-        if tok:
-            tokens.append(tok)
-    return tokens
+    return [token for token in (_EDGE_STRIP_RE.sub("", raw) for raw in text.lower().split()) if token]
 
 
 def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTranscription:
     """Look up each word's first-listed pronunciation; OOV words are counted, not fatal."""
-    phonemes: list[str] = []
-    oov = 0
-    words = tokenize(text)
-    for word in words:
-        pron = lexicon.get(word)
-        if pron:
-            phonemes.extend(pron)
-        else:
-            oov += 1
-    return PhonemeTranscription(utterance_id, tuple(phonemes), oov, len(words))
+    prons = [lexicon.get(word) for word in tokenize(text)]
+    return PhonemeTranscription(utterance_id, tuple(chain.from_iterable(filter(None, prons))),
+                                sum(not pron for pron in prons), len(prons))
 
 
 def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarray, np.ndarray]:
     """ARPABET_39 index of every phoneme token, and the row of the transcription it is in."""
-    lengths = np.fromiter((len(t.phonemes) for t in transcriptions), dtype=np.intp,
-                          count=len(transcriptions))
+    lengths = np.fromiter((len(t.phonemes) for t in transcriptions), dtype=np.intp, count=len(transcriptions))
     tokens = [sym for t in transcriptions for sym in t.phonemes]
     codes = np.fromiter(map(PHONEME_INDEX.__getitem__, tokens), dtype=np.intp, count=len(tokens))
     return codes, np.repeat(np.arange(len(transcriptions)), lengths)

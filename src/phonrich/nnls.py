@@ -60,5 +60,4 @@ def nnls(A: np.ndarray, b: np.ndarray):
 
         w = A.T @ (b - A @ x)
 
-    residual = b - A @ x
-    return x, float(np.linalg.norm(residual))
+    return x, float(np.linalg.norm(b - A @ x))

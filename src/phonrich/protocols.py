@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
-from operator import not_
+from itertools import chain, compress, count, filterfalse, groupby, pairwise, repeat
+from operator import itemgetter, not_
 from pathlib import Path
-from sys import intern
 
 import numpy as np
 
@@ -28,7 +28,7 @@ CORPUS_OPTIONAL_KEYS = {"transcript": "string", "word_text": "string", "repetiti
                         "gender": "string", "word_durations": "list of numbers or null"}
 CORPUS_DEFAULTS = {"transcript": "", "word_text": "", "repetition_index": 0, "gender": "", "word_durations": None}
 CORPUS_KINDS = ("sentence", "word", "digit", "free")
-INTERNED = ("speaker_id", "kind", "transcript", "word_text", "gender")  # corpus columns of repeated strings
+CODED = ("speaker_id", "kind", "transcript", "word_text", "gender")  # corpus columns of repeated strings
 # the columns of the tests and of the models that the protocol builders make
 TEST_KEYS = (*MANIFEST_KEYS, "gender")
 MODEL_COLUMNS = (*MODEL_KEYS, "transcript", "gender")
@@ -54,26 +54,65 @@ class ProtocolSpec:
                       np.arange(len(pairs)) < len(self.positive_trials), None)
 
 
+@dataclass
+class Corpus:
+    """A corpus, a row per record (see README for the fields): the utterance ids and word durations (a list of
+    numbers, or None) as lists, net speech and repetition index as float64 and int64 arrays, and each column
+    of CODED as its distinct strings, sorted, and a code per row into them of the fewest bytes that hold it."""
+
+    utterance_id: list[str]
+    word_durations: list
+    net_speech: np.ndarray
+    repetition_index: np.ndarray
+    strings: dict[str, list[str]]
+    codes: dict[str, np.ndarray]
+
+    @classmethod
+    def from_tables(cls, tables) -> "Corpus":
+        """The corpus of the rows of tables, one after another, each holding a list per corpus column."""
+        columns = {"utterance_id": [], "word_durations": [], "net_speech": array("d"), "repetition_index": array("q")}
+        # per column, string -> code in order of first appearance, and the codes of each table
+        coded = {key: ({}, [np.empty(0, np.uint8)]) for key in CODED}
+        for table in tables:
+            for key, column in columns.items():
+                column.extend(table[key])
+            for key, (known, codes) in coded.items():
+                known.update(zip(filterfalse(known.__contains__, dict.fromkeys(table[key])), count(len(known))))
+                codes.append(np.array(list(map(known.__getitem__, table[key])), np.min_scalar_type(len(known))))
+        strings = {key: sorted(known) for key, (known, _) in coded.items()}
+        # at each code in order of first appearance, its string's place among the sorted strings
+        places = {key: np.argsort([known[s] for s in strings[key]]).astype(np.min_scalar_type(len(known)))
+                  for key, (known, _) in coded.items()}
+        return cls(columns["utterance_id"], columns["word_durations"], np.asarray(columns["net_speech"]),
+                   np.asarray(columns["repetition_index"]), strings,
+                   {key: places[key][np.concatenate(codes)] for key, (_, codes) in coded.items()})
+
+    def values(self, key: str, rows) -> list[str]:
+        """The strings of column ``key``, of CODED, at ``rows``."""
+        return list(map(self.strings[key].__getitem__, self.codes[key][rows].tolist()))
+
+    def where(self, key: str, values) -> np.ndarray:
+        """Whether each row's ``key``, of CODED, is one of ``values``."""
+        return np.array([value in values for value in self.strings[key]], dtype=bool)[self.codes[key]]
+
+
 def _table(keys, rows: list[tuple]) -> Table:
     """The table of ``rows``, each a value per key of ``keys``."""
     return Table(dict(zip(keys, map(list, zip(*rows))))) if rows else Table({key: [] for key in keys})
 
 
-def build_enrollment(corpus: Table, source: str = "") -> Table:
+def build_enrollment(corpus: Corpus, source: str = "") -> Table:
     """One model per speaker from all of that speaker's sentence recordings. A refusal that concerns
     the whole corpus, here or in a protocol builder, names ``source``, the corpus file, if given."""
-    ids, speakers = corpus["utterance_id"], corpus["speaker_id"]
-    by_speaker: dict[str, list[int]] = {}
-    for row in compress(count(), map("sentence".__eq__, corpus["kind"])):
-        by_speaker.setdefault(speakers[row], []).append(row)
-    if not by_speaker:
-        where = f"{source}: " if source else ""
-        raise ValueError(f"{where}no sentence recordings to enroll from")
+    ids = corpus.utterance_id
+    rows = sorted(np.flatnonzero(corpus.where("kind", ("sentence",))).tolist(), key=ids.__getitem__)
+    if not rows:
+        raise ValueError(f"{source + ': ' if source else ''}no sentence recordings to enroll from")
     models = []
-    for spk in sorted(by_speaker):
-        rows = sorted(by_speaker[spk], key=ids.__getitem__)
-        models.append((spk, spk, sum(map(corpus["net_speech"].__getitem__, rows)), list(map(ids.__getitem__, rows)),
-                       " ".join(map(corpus["transcript"].__getitem__, rows)), corpus["gender"][rows[0]]))
+    for spk, group in groupby(sorted(zip(corpus.values("speaker_id", rows), rows), key=itemgetter(0)), itemgetter(0)):
+        rows = [row for _, row in group]  # by utterance id
+        models.append((spk, spk, sum(corpus.net_speech[rows].tolist()), list(map(ids.__getitem__, rows)),
+                       " ".join(corpus.values("transcript", rows)), corpus.values("gender", rows[:1])[0]))
     return _table(MODEL_COLUMNS, models)
 
 
@@ -93,20 +132,16 @@ def _clip_window(utterance_id: str, durations: list[float], target: float, rng: 
         start = valid[rng.integers(len(valid))]
     else:
         start = int(rng.integers(n))
-    idx = []
-    acc = 0.0
-    i = start
+    idx, acc = [], 0.0
     while acc < target:
         if len(idx) == MAX_CLIP_WORDS:
-            raise ValueError(f"{utterance_id}: a {target:g} s clip would take more than "
-                             f"{MAX_CLIP_WORDS} words")
-        idx.append(i % n)
-        acc += durations[i % n]
-        i += 1
+            raise ValueError(f"{utterance_id}: a {target:g} s clip would take more than {MAX_CLIP_WORDS} words")
+        idx.append((start + len(idx)) % n)
+        acc += durations[idx[-1]]
     return idx
 
 
-def build_clip_protocol(corpus: Table, target: float, seed: int,
+def build_clip_protocol(corpus: Corpus, target: float, seed: int,
                         base_trials: str | Path | None = None, source: str = "") -> ProtocolSpec:
     """Fixed-duration protocol: one random word-boundary clip per base test, each sentence and
     free recording of the corpus, of ``target`` seconds (a finite number > 0).
@@ -119,21 +154,22 @@ def build_clip_protocol(corpus: Table, target: float, seed: int,
     enrollment models of the base sentences (see join_trials). ``source``: see build_enrollment.
     """
     where = f"{source}: " if source else ""
-    ids = corpus["utterance_id"]
-    base = sorted(compress(count(), map({"sentence", "free"}.__contains__, corpus["kind"])), key=ids.__getitem__)
+    ids = corpus.utterance_id
+    base = sorted(np.flatnonzero(corpus.where("kind", ("sentence", "free"))).tolist(), key=ids.__getitem__)
     if not base:
         raise ValueError(f"{where}empty base utterance list")
     rng = np.random.default_rng(seed)
     tests = []
-    for row in base:
-        words, durations = corpus["transcript"][row].split(), corpus["word_durations"][row]
+    transcripts, speakers, genders = (corpus.values(key, base) for key in ("transcript", "speaker_id", "gender"))
+    for row, text, speaker, gender in zip(base, transcripts, speakers, genders):
+        words, durations = text.split(), corpus.word_durations[row]
         if not words:
             raise ValueError(f"{where}{ids[row]}: utterance has no words")
         if durations is None or len(durations) != len(words):
             raise ValueError(f"{where}{ids[row]}: word_durations must align with transcript words")
         idx = _clip_window(ids[row], durations, target, rng)
-        tests.append((f"{ids[row]}@{target:g}s", corpus["speaker_id"][row], " ".join(words[i] for i in idx),
-                      float(sum(durations[i] for i in idx)), [ids[row]], corpus["gender"][row]))
+        tests.append((f"{ids[row]}@{target:g}s", speaker, " ".join(words[i] for i in idx),
+                      float(sum(durations[i] for i in idx)), [ids[row]], gender))
     tests = _table(TEST_KEYS, tests)
     if base_trials is None:
         return ProtocolSpec(np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), tests, _table(MODEL_COLUMNS, []))
@@ -154,15 +190,14 @@ def _draw_probe(word_types: list[str], reps: dict[str, list], rng: np.random.Gen
         need = Counter(slots)
         if any(len(reps[w]) < k for w, k in need.items()):
             continue
-        # per word type, pick distinct repetition recordings, then hand them
-        # out to that type's slots in order
+        # per word type, pick distinct repetition recordings, then hand them out to its slots in order
         picks = {w: iter([reps[w][i] for i in rng.choice(len(reps[w]), size=need[w], replace=False)])
                  for w in sorted(need)}
         return [next(picks[w]) for w in slots]
     raise ValueError("could not assemble a probe: a word type has too few repetition recordings")
 
 
-def build_repetitive_protocol(corpus: Table, n_probes_per_speaker: int, seed: int,
+def build_repetitive_protocol(corpus: Corpus, n_probes_per_speaker: int, seed: int,
                               negatives_per_probe: int | None = None, source: str = "") -> ProtocolSpec:
     """Word-concatenation protocol with independently controlled length and diversity: probes
     of the corpus's word recordings, models of its sentences.
@@ -176,39 +211,37 @@ def build_repetitive_protocol(corpus: Table, n_probes_per_speaker: int, seed: in
     where = f"{source}: " if source else ""
     models = build_enrollment(corpus, source)
     model_row = dict(zip(models["speaker_id"], count()))
-    ids, speakers, words = corpus["utterance_id"], corpus["speaker_id"], corpus["word_text"]
-
-    # speaker -> word type -> the rows of its recordings, by repetition index
-    by_speaker: dict[str, dict[str, list[int]]] = {}
-    for row in compress(count(), map("word".__eq__, corpus["kind"])):
-        by_speaker.setdefault(speakers[row], {}).setdefault(words[row], []).append(row)
-    for spk, types in by_speaker.items():
-        if spk not in model_row:
-            raise ValueError(f"{where}speaker {spk} has word recordings but no enrollment sentences")
-        for rows in types.values():
-            rows.sort(key=corpus["repetition_index"].__getitem__)
+    # the word recordings by speaker id, word and repetition index, and in file order where these tie: the
+    # first rows of the corpus in an order that puts them first
+    is_word = corpus.where("kind", ("word",))
+    rows = np.lexsort((corpus.repetition_index, corpus.codes["word_text"], corpus.codes["speaker_id"], ~is_word))
+    rows = rows[:np.count_nonzero(is_word)]
+    speakers, words = corpus.codes["speaker_id"][rows], corpus.codes["word_text"][rows]
+    change = (speakers[1:] != speakers[:-1]) | (words[1:] != words[:-1])
+    starts = np.flatnonzero(np.r_[len(rows) > 0, change]).tolist() + [len(rows)]
 
     rng = np.random.default_rng(seed)
     tests = []
-    for spk in sorted(by_speaker):
-        reps = by_speaker[spk]
-        word_types = sorted(reps)
-        gender = models["gender"][model_row[spk]]
+    # the (start, end) of each speaker's recordings of each word, by speaker
+    for code, spoken in groupby(pairwise(starts), key=lambda group: speakers[group[0]]):
+        spk = corpus.strings["speaker_id"][code]
+        if spk not in model_row:
+            raise ValueError(f"{where}speaker {spk} has word recordings but no enrollment sentences")
+        reps = {corpus.strings["word_text"][words[start]]: rows[start:end].tolist() for start, end in spoken}
+        word_types = list(reps)  # sorted, as the codes are
         for j in range(n_probes_per_speaker):
             try:
-                rows = _draw_probe(word_types, reps, rng)
+                probe = _draw_probe(word_types, reps, rng)
             except ValueError as exc:
                 fewest = min(word_types, key=lambda w: len(reps[w]))
                 raise ValueError(f"{where}speaker {spk}: {exc} ({fewest!r} has {len(reps[fewest])})") from None
-            tests.append((f"{spk}_probe{j:05d}", spk, " ".join(map(words.__getitem__, rows)),
-                          float(sum(map(corpus["net_speech"].__getitem__, rows))), list(map(ids.__getitem__, rows)),
-                          gender))
+            tests.append((f"{spk}_probe{j:05d}", spk, " ".join(corpus.values("word_text", probe)),
+                          sum(corpus.net_speech[probe].tolist()), list(map(corpus.utterance_id.__getitem__, probe)),
+                          models["gender"][model_row[spk]]))
     tests = _table(TEST_KEYS, tests)
 
     # a probe's impostors: every other model of its speaker's gender
-    rows_by_gender: dict[str, list[int]] = {}
-    for row, gender in enumerate(models["gender"]):
-        rows_by_gender.setdefault(gender, []).append(row)
+    rows_by_gender = {g: [r for r, other in enumerate(models["gender"]) if other == g] for g in set(models["gender"])}
     negative_models, negative_tests = [], []
     for row, (spk, gender) in enumerate(zip(tests["speaker_id"], tests["gender"])):
         impostors = [i for i in rows_by_gender[gender] if models["speaker_id"][i] != spk]
@@ -292,27 +325,27 @@ def _corpus_fault(kind: str, net_speech: float, repetition_index: int, durations
     return (f"kind must be one of {'|'.join(CORPUS_KINDS)}, got {kind!r}" if kind not in CORPUS_KINDS else
             "net_speech must be > 0" if net_speech <= 0 else
             "word recordings need repetition_index >= 1" if kind == "word" and repetition_index < 1 else
+            "repetition_index must fit in 64 bits" if not -2**63 <= repetition_index < 2**63 else
             f"word_durations must be > 0, got {short}" if short is not None else None)
 
 
-def load_inventory_jsonl(path: str | Path) -> Table:
-    """Utterance inventory JSONL -> a corpus table (see README for the field list): a column per key
-    of CORPUS_KEYS and CORPUS_OPTIONAL_KEYS, which holds CORPUS_DEFAULTS where a record lacks the key;
-    net_speech is read as a float.
+def load_inventory_jsonl(path: str | Path) -> Corpus:
+    """Utterance inventory JSONL -> a Corpus (see README for the field list), in which a record that
+    lacks a key of CORPUS_OPTIONAL_KEYS holds its CORPUS_DEFAULTS value; net_speech is read as a float.
 
-    The columns grow a block at a time as the file streams in, and the strings that repeat from
-    record to record are shared through sys.intern. A record of an unknown kind, with net_speech <= 0,
-    a word recording with repetition_index < 1 or a word duration <= 0 fails with the file and line.
+    The columns grow a block at a time as the file streams in. A record of an unknown kind, with
+    net_speech <= 0, a word recording with repetition_index < 1, a repetition_index that does not fit
+    in 64 bits or a word duration <= 0 fails with the file and line.
     """
-    columns = {key: [] for key in chain(CORPUS_KEYS, CORPUS_OPTIONAL_KEYS)}
-    for lines, records in iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id",
-                                     optional=CORPUS_OPTIONAL_KEYS):
-        block = {key: list(map(dict.get, records, repeat(key), repeat(CORPUS_DEFAULTS.get(key)))) for key in columns}
-        block["net_speech"] = list(map(float, block["net_speech"]))  # so sums of it overflow to inf
-        faults = list(map(_corpus_fault, block["kind"], block["net_speech"], block["repetition_index"],
-                          block["word_durations"]))
-        if (row := next(compress(count(), faults), None)) is not None:
-            raise ValueError(f"{path}:{lines[row]}: {block['utterance_id'][row]}: {faults[row]}")
-        for key, column in columns.items():
-            column.extend(map(intern, block[key]) if key in INTERNED else block[key])
-    return Table(columns)
+    def blocks():
+        for lines, records in iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id",
+                                         optional=CORPUS_OPTIONAL_KEYS):
+            block = {key: list(map(dict.get, records, repeat(key), repeat(CORPUS_DEFAULTS.get(key))))
+                     for key in chain(CORPUS_KEYS, CORPUS_OPTIONAL_KEYS)}
+            faults = list(map(_corpus_fault, block["kind"], block["net_speech"], block["repetition_index"],
+                              block["word_durations"]))
+            if (row := next(compress(count(), faults), None)) is not None:
+                raise ValueError(f"{path}:{lines[row]}: {block['utterance_id'][row]}: {faults[row]}")
+            yield block
+
+    return Corpus.from_tables(blocks())

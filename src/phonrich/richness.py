@@ -63,8 +63,7 @@ def fit_weights(presence: np.ndarray, scores: np.ndarray) -> RichnessWeights:
     if not P.any():
         raise ValueError("all-zero presence matrix: no identifiable weights")
     w, rnorm = nnls(P, s)
-    rms = rnorm / np.sqrt(len(s))
-    return RichnessWeights(w, fit_residual=float(rms), n_train=len(s))
+    return RichnessWeights(w, fit_residual=float(rnorm / np.sqrt(len(s))), n_train=len(s))
 
 
 def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription]) -> list[tuple[str, float, float]]:
@@ -75,8 +74,7 @@ def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription]) -> lis
     """
     codes, _ = phoneme_codes(corpus)
     counts = np.bincount(codes, minlength=len(ARPABET_39)).astype(float)
-    total_tokens = counts.sum()
-    freqs = counts / total_tokens if total_tokens > 0 else counts
+    freqs = counts / counts.sum() if counts.any() else counts
     norm = w.weights / w.weights.sum()
     return [(sym, float(norm[i]), float(freqs[i])) for i, sym in enumerate(ARPABET_39)]
 
@@ -94,8 +92,7 @@ def load_weights(path: str | Path) -> RichnessWeights:
     weight that is not a finite non-negative number fails with the file
     and line.
     """
-    n_train = 0
-    fit_residual = 0.0
+    n_train, fit_residual = 0, 0.0
     weights = np.zeros(len(ARPABET_39))
     first_line: dict[str, int] = {}
     for lineno, line in numbered_lines(path):
@@ -119,7 +116,6 @@ def load_weights(path: str | Path) -> RichnessWeights:
             raise ValueError(f"{path}:{lineno}: weight must be finite and non-negative, got {val!r}")
         first_line[sym] = lineno
         weights[PHONEME_INDEX[sym]] = weight
-    missing = [s for s in ARPABET_39 if s not in first_line]
-    if missing:
+    if missing := [s for s in ARPABET_39 if s not in first_line]:
         raise ValueError(f"{path}: missing symbols: {missing}")
     return RichnessWeights(weights, fit_residual=fit_residual, n_train=n_train)

@@ -72,10 +72,8 @@ def simulate_corpus(protocol: ProtocolSpec, lexicon: Lexicon, sigma0: float, kap
 
     models, tests = protocol.models, protocol.tests
     speakers = sorted(set(models["speaker_id"]) | set(tests["speaker_id"]))
-    means = {}
-    for idx, spk in enumerate(speakers):
-        rng = np.random.default_rng([seed, _SPEAKER_STREAM, idx])
-        means[spk] = _unit(rng.standard_normal(dim))
+    means = {spk: _unit(np.random.default_rng([seed, _SPEAKER_STREAM, idx]).standard_normal(dim))
+             for idx, spk in enumerate(speakers)}
 
     # embeddings are drawn in sorted-id order; a trial finds its rows by their rank
     trials = protocol.trials()
@@ -90,12 +88,11 @@ def simulate_corpus(protocol: ProtocolSpec, lexicon: Lexicon, sigma0: float, kap
     qmfs = quality_measures(presence_vector([transcribe(tests["transcript"][row], lexicon, tests["test_id"][row])
                                              for row in test_order]),
                             net_speech=dict(zip(tests["test_id"], tests["net_speech"])))
-    test_vectors = []
-    for idx, (row, cu) in enumerate(zip(test_order, qmfs.columns(["cu"])[:, 0].tolist())):
-        sigma = sigma0 * (1.0 + kappa * (n_phonemes - cu) / n_phonemes)
-        rng = np.random.default_rng([seed, _TEST_STREAM, idx])
-        test_vectors.append(_noisy_embedding(means[tests["speaker_id"][row]], sigma, rng))
-    test_matrix = np.array(test_vectors, dtype=float).reshape(-1, dim)
+    test_matrix = np.array([
+        _noisy_embedding(means[tests["speaker_id"][row]], sigma0 * (1.0 + kappa * (n_phonemes - cu) / n_phonemes),
+                         np.random.default_rng([seed, _TEST_STREAM, idx]))
+        for idx, (row, cu) in enumerate(zip(test_order, qmfs.columns(["cu"])[:, 0].tolist()))],
+        dtype=float).reshape(-1, dim)
 
     scores = cosine_score(model_matrix, test_matrix, np.argsort(model_order)[trials.model_codes],
                           np.argsort(test_order)[trials.test_codes])

@@ -16,7 +16,7 @@ from phonrich.inventory import ARPABET_39, PresenceVector
 from phonrich.io import Table, read_jsonl, write_jsonl
 from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
 from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
-from phonrich.protocols import build_repetitive_protocol
+from phonrich.protocols import Corpus, build_repetitive_protocol
 from phonrich.richness import RichnessWeights, count_unique, fit_weights, weighted_count_unique
 from phonrich.simulator import simulate_corpus
 
@@ -51,7 +51,7 @@ def report(criterion, ok, detail=""):
 def simulator_run():
     """The pinned desk-scale run shared by criteria 5 and 6."""
     t0 = time.time()
-    protocol = build_repetitive_protocol(make_demo_inventory(50, seed=7), 200, seed=11,
+    protocol = build_repetitive_protocol(Corpus.from_tables([make_demo_inventory(50, seed=7)]), 200, seed=11,
                                          negatives_per_probe=4)
     result = simulate_corpus(protocol, DEMO_VOCABULARY, sigma0=0.6, kappa=2.0, seed=13, dim=80)
     return result, time.time() - t0
@@ -164,7 +164,7 @@ def test_criterion_6_calibration_benefit_direction(simulator_run):
 
 
 def test_criterion_7_repetitive_protocol_statistics():
-    protocol = build_repetitive_protocol(make_demo_inventory(5, seed=21), 2000, seed=22,
+    protocol = build_repetitive_protocol(Corpus.from_tables([make_demo_inventory(5, seed=21)]), 2000, seed=22,
                                          negatives_per_probe=0)
     assert len(protocol.tests) == 10_000
     totals = np.array([len(t.split()) for t in protocol.tests["transcript"]])

@@ -45,10 +45,11 @@ def read_scores_case(tmp_path):
 
 def repetitive_protocol_case(tmp_path):
     from phonrich.data import make_demo_inventory
+    from phonrich.protocols import Corpus
     inventory = make_demo_inventory(4, seed=3)
     gender = dict(zip(inventory["speaker_id"], inventory["gender"]))
     impostors = sum(g == other for spk, g in gender.items() for o, other in gender.items() if o != spk)
-    args = (inventory, 2, 5)
+    args = (Corpus.from_tables([inventory]), 2, 5)
     return args, {"protocols.tests": 2 * len(gender), "protocols.trials": 2 * (len(gender) + impostors)}
 
 

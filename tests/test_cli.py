@@ -980,10 +980,12 @@ class TestCorpusRecords:
         ({"repetition_index": "x"}, 'repetition_index must be an integer, got "x"'),
         ({"net_speech": 0}, "u1: net_speech must be > 0"),
         ({"repetition_index": 0}, "u1: word recordings need repetition_index >= 1"),
+        ({"repetition_index": 2 ** 63}, "u1: repetition_index must fit in 64 bits"),
         ({"kind": "wrd"}, "u1: kind must be one of sentence|word|digit|free, got 'wrd'"),
         ({"transcript": 5}, "transcript must be a string, got 5"),
         ({"word_durations": ["0.5"]}, 'word_durations must be a list of numbers or null, got ["0.5"]'),
-    ], ids=["repetition-index-not-integer", "net-speech-zero", "word-repetition-zero", "unknown-kind",
+    ], ids=["repetition-index-not-integer", "net-speech-zero", "word-repetition-zero", "repetition-index-64-bits",
+            "unknown-kind",
             "transcript-not-string", "word-durations-not-numbers"])
     def test_bad_record_names_file_and_line(self, tmp_path, small_inputs, capsys, changes, message):
         path = small_inputs["corpus"]
@@ -1473,10 +1475,16 @@ class TestRefusals:
           "--out-scores", "out.tsv"], "qmf", QMF_T1, "{path}: missing QMF values for test 't2'"),
         (["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "none", "--out", "out.tsv",
           "--correlation-out", "out.csv"], "qmf", QMF_T1, "{path}: missing QMF values for test 't2'"),
-        # a refusal that is not about the QMF file does not name it
+        # a class too small for the folds or the metrics is a refusal about the scores file, which it
+        # names, and not about the QMF file, which it does not
         (["calibrate", "--scores", "scores", "--qmf", "qmf", "--features", "cu", "--folds", "3", "--seed", "1",
           "--out-scores", "out.tsv"], "qmf", QMF_T1 + QMF_T1.replace('"t1"', '"t2"'),
-         "need at least 3 target trials for 3-fold split, got 2"),
+         "{scores}: need at least 3 target trials for 3-fold split, got 2"),
+        (["evaluate", "--scores", "scores", "--features", "raw", "--out", "out.tsv"], None, None,
+         "{scores}: need at least 5 target trials for 5-fold split, got 2"),
+        (["evaluate", "--scores", "scores", "--features", "none", "--out", "out.tsv"], "scores",
+         SCORES_HEADER + "m1\tt1\ttarget\t0.9\nm2\tt2\ttarget\t0.8\n",
+         "{path}: need at least one target and one nontarget trial"),
         # a test whose record lacks a QMF is named with the record's line
         (["evaluate", "--scores", "scores", "--qmf", "qmf", "--features", "lns", "--folds", "2",
           "--out", "out.tsv"], "qmf", QMF_T1 + '{"test_id": "t2", "cu": 3.0}\n',
@@ -1517,7 +1525,8 @@ class TestRefusals:
             "scores-only-comments", "manifest-overflow", "corpus-durations-count",
             "fit-weights-all-zero-presence", "report-weights-empty-presence", "report-weights-zero-weights",
             "correlation-no-qmf", "evaluate-qmf-no-record", "calibrate-qmf-no-record",
-            "correlation-qmf-no-record", "calibrate-too-few-targets", "evaluate-qmf-no-value",
+            "correlation-qmf-no-record", "calibrate-too-few-targets", "evaluate-too-few-targets",
+            "evaluate-no-nontargets", "evaluate-qmf-no-value",
             "calibrate-qmf-no-value", "correlation-qmf-no-value", "corpus-no-sentences",
             "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words", "corpus-integer-overflow",
             "corpus-too-few-repetitions",

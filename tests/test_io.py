@@ -160,6 +160,21 @@ class TestBlockBoundaries:
                     read.append(numbered)
             assert read == list(enumerate(SCORES, start=1))
 
+    @pytest.mark.parametrize("later", ['{"test_id": 5}', "{"], ids=["type-fault-after", "malformed-line-after"])
+    def test_repeated_id_names_its_first_line(self, tmp_path, monkeypatch, later):
+        """A repeated id is named with the line of its first record, which may be in an earlier block,
+        before a fault on a later line."""
+        path = tmp_path / "qmf.jsonl"
+        path.write_text("\n".join(["# provenance", JSONL[1], JSONL[2], JSONL[1], later]) + "\n")
+        assert same_at_every_block_size(monkeypatch, jsonl, path) == \
+            f"ValueError: {path}:4: duplicate test_id 't1', first at line 2"
+
+    def test_fault_before_a_repeated_id_is_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "qmf.jsonl"
+        path.write_text("\n".join([JSONL[1], json.dumps({"test_id": 5}), JSONL[1]]) + "\n")
+        assert same_at_every_block_size(monkeypatch, jsonl, path) == \
+            f'ValueError: {path}:2: test_id must be a string, got 5'
+
     @pytest.mark.parametrize("case", ["bad-byte", "bad-json-first"])
     def test_jsonl_faults_read_alike(self, tmp_path, monkeypatch, case):
         path = tmp_path / "qmf.jsonl"

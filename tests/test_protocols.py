@@ -5,21 +5,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from phonrich.data import DEMO_VOCABULARY, N_REPETITIONS, make_demo_inventory, word_duration
+from phonrich.cli import main
+from phonrich.data import (DEMO_BLOCK, DEMO_VOCABULARY, N_REPETITIONS, RECORDS_PER_SPEAKER, make_demo_inventory,
+                           word_duration)
 import phonrich.io
-from phonrich.io import BLOCK_CHARS, Table, write_jsonl
+from phonrich.io import BLOCK_CHARS, Table, provenance_line, write_jsonl
 from phonrich.lexicon import presence_vector, transcribe
 from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, MAX_CLIP_WORDS,
-                                MAX_PROBE_REDRAWS, MODEL_COLUMNS, TEST_KEYS, ProtocolSpec, _draw_probe,
+                                MAX_PROBE_REDRAWS, MODEL_COLUMNS, TEST_KEYS, Corpus, ProtocolSpec, _draw_probe,
                                 build_clip_protocol, build_enrollment, build_repetitive_protocol, emit_trials,
                                 join_trials, load_inventory_jsonl, load_protocol)
 from phonrich.richness import count_unique
 
 
 def corpus(*records):
-    """The corpus table of ``records``, dicts of corpus keys, a key a record lacks taking its default."""
-    return Table({key: [rec.get(key, CORPUS_DEFAULTS.get(key)) for rec in records]
-                  for key in [*CORPUS_KEYS, *CORPUS_OPTIONAL_KEYS]})
+    """The corpus of ``records``, dicts of corpus keys, a key a record lacks taking its default."""
+    return Corpus.from_tables([{key: [rec.get(key, CORPUS_DEFAULTS.get(key)) for rec in records]
+                                for key in [*CORPUS_KEYS, *CORPUS_OPTIONAL_KEYS]}])
 
 
 def word_rec(spk, word, rep, dur=0.5, gender="m"):
@@ -45,7 +47,7 @@ def id_pairs(spec, pairs):
 
 @pytest.fixture(scope="module")
 def demo_inventory():
-    return make_demo_inventory(6, seed=0)
+    return Corpus.from_tables([make_demo_inventory(6, seed=0)])
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +349,42 @@ class TestCorpusMemory:
         load = traced_peak(lambda: load_inventory_jsonl(path))
         per_record = {"write_jsonl": write / n, "load_inventory_jsonl": load / n}
         assert all(peak < self.BOUND for peak in per_record.values()), per_record
+
+
+class TestFlatSetup:
+    """make-demo writes the corpus a block of DEMO_BLOCK speakers at a time, and the corpus reader keeps
+    arrays and a code per record, so neither holds a Python object per record but the utterance ids."""
+
+    MARGIN = 1 << 18  # traced bytes; 24 more speakers held at once would take about 3 MB
+    BOUND = 250  # traced bytes per record; the parent's reader, with a line number per id, took 286
+
+    def test_make_demo_writes_the_whole_table_a_block_at_a_time(self, tmp_path):
+        speakers = 2 * DEMO_BLOCK + 1  # so the last block is short
+        streamed, whole = tmp_path / "streamed.jsonl", tmp_path / "whole.jsonl"
+        assert main(["make-demo", "--speakers", str(speakers), "--seed", "5", "--out", str(streamed)]) == 0
+        write_jsonl(whole, make_demo_inventory(speakers, 5), provenance_line("make-demo", 5))
+        assert streamed.read_bytes() == whole.read_bytes()
+
+    def test_make_demo_peak_does_not_grow_with_the_speakers(self, tmp_path):
+        def peak(speakers):
+            argv = ["make-demo", "--speakers", str(speakers), "--seed", "3", "--out", str(tmp_path / "corpus.jsonl")]
+            return traced_peak(lambda: main(argv))
+
+        peak(1)  # the first run's imports are not the corpus's
+        assert peak(32) - peak(8) < self.MARGIN
+
+    def test_corpus_reader_peak_per_record(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, make_demo_inventory(20, 3))
+        assert traced_peak(lambda: load_inventory_jsonl(path)) / (20 * RECORDS_PER_SPEAKER) < self.BOUND
+
+    def test_blocks_read_as_the_whole_table(self):
+        whole = Corpus.from_tables([make_demo_inventory(3, 4)])
+        blocks = Corpus.from_tables(make_demo_inventory(1, 4, first) for first in range(3))
+        assert blocks.utterance_id == whole.utterance_id and blocks.strings == whole.strings
+        assert all(np.array_equal(getattr(blocks, key), getattr(whole, key))
+                   for key in ("net_speech", "repetition_index"))
+        assert all(np.array_equal(blocks.codes[key], whole.codes[key]) for key in whole.codes)
 
 
 CORPUS_RECORD = {"utterance_id": "u0", "speaker_id": "a", "kind": "sentence", "net_speech": 1.0, "transcript": "cat",

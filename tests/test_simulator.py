@@ -4,7 +4,7 @@ import pytest
 from phonrich import simulator
 from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
 from phonrich.metrics import compute_eer, kendall_tau
-from phonrich.protocols import build_repetitive_protocol
+from phonrich.protocols import Corpus, build_repetitive_protocol
 from phonrich.simulator import cosine_score, simulate_corpus
 
 from conftest import trial_rows
@@ -17,7 +17,8 @@ def unit(v):
 
 @pytest.fixture(scope="module")
 def protocol():
-    return build_repetitive_protocol(make_demo_inventory(10, seed=1), 60, seed=2, negatives_per_probe=3)
+    return build_repetitive_protocol(Corpus.from_tables([make_demo_inventory(10, seed=1)]), 60, seed=2,
+                                     negatives_per_probe=3)
 
 
 def targets(trials):
