@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .io import Table
+from .protocols import left_sum
 
 # word -> pronunciation; union of all pronunciations covers the full inventory
 DEMO_VOCABULARY: dict[str, tuple[str, ...]] = {
@@ -117,7 +118,7 @@ def make_demo_inventory(n_speakers: int, seed: int = 0, first: int = 0) -> Table
     draws = np.array([np.random.default_rng([seed, 97, s]).random(len(words))
                       for s in numbers]).reshape(n_speakers, len(words))
     word_net_speech = np.array([word_duration(word) for word in words]) * (1.0 + 0.1 * (draws - 0.5))
-    net_speech = np.hstack([np.tile([float(sum(d)) for d in sentence_durations], (n_speakers, 1)),
+    net_speech = np.hstack([np.tile([float(left_sum(d)) for d in sentence_durations], (n_speakers, 1)),
                             word_net_speech])
     suffixes = [f"_sent{k}" for k in range(len(sentences))] + [f"_{w}_{r:02d}" for w, r in zip(words, reps)]
     speakers = [f"spk{s:03d}" for s in numbers]

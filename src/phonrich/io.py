@@ -26,6 +26,7 @@ SCORE_COLUMNS = TRIAL_COLUMNS + ["raw_score"]
 SCATTER_COLUMNS = ["test_id", "qmf_name", "qmf_value", "score", "label"]
 WRITE_CHUNK = 1 << 12  # trials per write: about 250 KB of TSV, or 1 MB of scatter CSV at four QMFs
 BLOCK_CHARS = 1 << 16  # characters per read of a text input
+JSONL_CHUNK = 1 << 7  # rows per write of a JSONL table: about 28 KB of corpus lines
 # a byte that is not UTF-8, as errors="surrogateescape" decodes it
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -131,51 +132,63 @@ class Table:
 
 # one encoder for every value that is not null or a plain string, int or float: the json module's C encoder
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_NOT_ENCODED = {type(MISSING), type(None)}  # the types of the cells that _json_cells writes without an encoder
 
 
-def _json_cells(key: str, values: list) -> tuple:
-    """The ', "key": ' before each value and the value's text, as json.dumps(..., sort_keys=True,
-    allow_nan=False) writes the pair, made as they are read; "" and "" for MISSING. NaN and
-    infinities are refused."""
-    present = [value for value in values if value is not MISSING]
-    kinds = set(map(type, present))
-    if kinds <= {str}:
-        encode = encode_basestring_ascii
-    elif kinds <= {int} or (kinds <= {float} and all(map(math.isfinite, present))):
-        encode = repr  # json writes an int or a float as its repr
-    else:
-        encode = _ENCODER.encode
+def _json_cells(key: str, values: list) -> list[str]:
+    """', "key": ' and the value's text of each value, as json.dumps(..., sort_keys=True, allow_nan=False)
+    writes the pair; "" for MISSING. NaN and infinities are refused."""
+    kinds = set(map(type, values))
+    present = values if kinds.isdisjoint(_NOT_ENCODED) else [v for v in values if v is not MISSING and v is not None]
+    kinds -= _NOT_ENCODED
+    encode = (encode_basestring_ascii if kinds <= {str} else  # json writes an int or a float as its repr
+              repr if kinds <= {int} or kinds <= {float} and all(map(math.isfinite, present)) else _ENCODER.encode)
     head = f", {encode_basestring_ascii(key)}: "
-    return (("" if value is MISSING else head for value in values),
-            ("" if value is MISSING else "null" if value is None else encode(value) for value in values))
+    # each distinct string or int encoded once; floats are not looked up by value, as -0.0 == 0.0
+    cells = (list(map({value: head + encode(value) for value in set(present)}.__getitem__, present))
+             if kinds <= {str} or kinds <= {int} else list(map(head.__add__, map(encode, present))))
+    if present is not values:
+        cells, null = iter(cells), head + "null"
+        return ["" if value is MISSING else null if value is None else next(cells) for value in values]
+    return cells
 
 
 def write_jsonl(path: str | Path, tables: Table | Iterable[Table], provenance: str | None = None) -> None:
     """One line per row of ``tables``, a table or tables one after another, as json.dumps(row, sort_keys=True,
     allow_nan=False) writes the row's dict, MISSING cells left out, after the provenance line (see
-    write_lines). Each cell is encoded as its line is written, so no more than a line of text is held,
+    write_lines). The rows are encoded and written JSONL_CHUNK at a time, a column of a chunk at a time,
     and a table is made only once the rows before it are written. NaN and infinities are refused."""
-    rows = chain.from_iterable(zip(*chain.from_iterable(_json_cells(key, table[key]) for key in sorted(table.columns)))
-                               for table in ([tables] if isinstance(tables, Table) else tables))
-    write_lines(path, provenance, (f"{{{''.join(row)[2:]}}}" for row in rows))  # [2:]: the first ", "
+    def chunks():
+        for table in [tables] if isinstance(tables, Table) else tables:
+            for i in range(0, len(table), JSONL_CHUNK):
+                rows = zip(*(_json_cells(key, table[key][i:i + JSONL_CHUNK]) for key in sorted(table.columns)))
+                yield "{" + "}\n{".join(map(itemgetter(slice(2, None)), map("".join, rows))) + "}"  # cut the first ", "
 
-
-def _is_finite_number(value) -> bool:
-    """Whether ``value`` is a JSON number that a float holds: not true or false, NaN or an infinity."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    write_lines(path, provenance, chunks())
 
 
 # JSON type of a required or optional key -> whether a value that json.loads gives is of that type;
 # exact types, so true and false are not numbers, and a number is finite
 JSON_TYPES = {
     "string": lambda v: type(v) is str,
-    "number": _is_finite_number,
+    "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
     "integer": lambda v: type(v) is int,
     "list": lambda v: type(v) is list,
     "string of 39 0s and 1s": lambda v: type(v) is str and len(v) == len(ARPABET_39) and not v.strip("01"),
-    "list of ARPABET-39 symbols": lambda v: type(v) is list and all(type(s) is str and s in PHONEME_INDEX
-                                                                    for s in v),
-    "list of numbers or null": lambda v: v is None or type(v) is list and all(map(_is_finite_number, v)),
+    "list of ARPABET-39 symbols": lambda v: type(v) is list and all(type(s) is str and s in PHONEME_INDEX for s in v),
+    "list of numbers or null": lambda v: v is None or type(v) is list and all(map(JSON_TYPES["number"], v)),
+}
+COLUMN_TYPES = {  # JSON type -> whether each value of a column is of that type (JSON_TYPES), in C-level passes
+    "string": lambda vs: set(map(type, vs)) <= {str},
+    "number": lambda vs: set(map(type, vs)) <= {int, float} and max(map(abs, vs), default=0) <= sys.float_info.max,
+    "integer": lambda vs: set(map(type, vs)) <= {int},
+    "list": lambda vs: set(map(type, vs)) <= {list},
+    "string of 39 0s and 1s": lambda vs: set(map(type, vs)) <= {str} and set(map(len, vs)) <= {len(ARPABET_39)}
+                                         and not "".join(vs).strip("01"),
+    "list of ARPABET-39 symbols": lambda vs: set(map(type, vs)) <= {list} and set(
+        map(type, chain.from_iterable(vs))) <= {str} and set(chain.from_iterable(vs)) <= PHONEME_INDEX.keys(),
+    "list of numbers or null": lambda vs: set(map(type, vs)) <= {list, type(None)}
+                                          and COLUMN_TYPES["number"](list(chain.from_iterable(filter(None, vs)))),
 }
 
 
@@ -219,6 +232,8 @@ def _decode(texts) -> tuple[list[dict], str | None]:
 
 def _column_fault(key: str, kind: str, needed: bool, values: list) -> tuple[int, str] | None:
     """(row, why) of the first of a column of values of ``key`` (MISSING: none) not of its JSON type, or None."""
+    if COLUMN_TYPES[kind](values) or not needed and COLUMN_TYPES[kind]([v for v in values if v is not MISSING]):
+        return None  # the column checked as one; value by value below only to find and name its first fault
     for row in compress(count(), map(not_, map(JSON_TYPES[kind], values))):
         if values[row] is not MISSING:  # an int or a float that is not a "number" is not finite
             kind = "finite number" if kind == "number" and type(values[row]) in (int, float) else kind
@@ -229,8 +244,8 @@ def _column_fault(key: str, kind: str, needed: bool, values: list) -> tuple[int,
 
 
 def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None,
-               optional: dict[str, str] | None = None, others: str | None = None):
-    """(line numbers, records) of the JSON object lines of each block of a file (see line_blocks), a
+               optional: dict[str, str] | None = None, others: str | None = None, defaults: dict | None = None):
+    """(line numbers, records, columns) of the JSON object lines of each block of a file (see line_blocks), a
     block yielded once read and checked a key at a time; blank lines and '#' lines are skipped.
 
     ``required`` maps each key a record must hold to its JSON type, a key of JSON_TYPES, ``optional``
@@ -238,8 +253,9 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
     key or a value of another type fails with the file and line, as do NaN, Infinity and -Infinity,
     which are not JSON, wherever they stand, and a record that repeats an earlier one's value of the
     required key ``unique``, naming the line of the first, which the file is read again to find: only
-    the values are held, not their lines. The records before a fault are yielded first, so of two
-    faults, found here or by the caller, the one on the earlier line is named.
+    the values are held, not their lines. ``columns`` holds each checked key's value in each record, or
+    its ``defaults`` value, checked too, or MISSING. The records before a fault are yielded first, so
+    of two faults, found here or by the caller, the one on the earlier line is named.
     """
     checks = [(key, kind, needed) for keys, needed in ((required or {}, True), (optional or {}, False))
               for key, kind in keys.items()]
@@ -250,17 +266,18 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
         numbers, (records, fault) = list(compress(count(first), kept)), _decode(compress(block, kept))
         rest = [(key, others, False) for key in dict.fromkeys(chain.from_iterable(records))
                 if key not in named] if others else []
+        columns = {}
         for key, kind, needed in checks + rest:  # each looks at the records before the first fault found so far
-            if found := _column_fault(key, kind, needed, list(map(dict.get, records, repeat(key), repeat(MISSING)))):
+            columns[key] = list(map(dict.get, records, repeat(key), repeat((defaults or {}).get(key, MISSING))))
+            if found := _column_fault(key, kind, needed, columns[key]):
                 records, fault = records[:found[0]], found[1]
-        if unique is not None and (end := next((row for row, value in enumerate(map(itemgetter(unique), records))
-                                                if value in seen or seen.add(value)), None)) is not None:
-            value = records[end][unique]  # its first line is found by reading the file again
-            first = next(n for lines, rows in iter_jsonl(path) for n, row in zip(lines, rows)
-                         if row.get(unique) == value)
-            records, fault = records[:end], f"duplicate {unique} {value!r}, first at line {first}"
+        ids = columns[unique][:len(records)] if unique is not None else []
+        if (end := next((row for row, value in enumerate(ids) if value in seen or seen.add(value)), None)) is not None:
+            first = next(n for lines, rows, _ in iter_jsonl(path) for n, row in zip(lines, rows)
+                         if row.get(unique) == ids[end])  # the repeated value's first line
+            records, fault = records[:end], f"duplicate {unique} {ids[end]!r}, first at line {first}"
         if records:
-            yield numbers[:len(records)], records
+            yield numbers[:len(records)], records, {key: values[:len(records)] for key, values in columns.items()}
         if fault is not None:
             raise ValueError(f"{path}:{numbers[len(records)]}: {fault}")
 
@@ -268,17 +285,14 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
 def read_columns(path: str | Path, keys: dict[str, str], unique: str) -> Table:
     """The ``keys``, each of its JSON type, of every record of a JSONL file in which no two records
     share their ``unique`` key (see iter_jsonl), as a table; only these keys are kept."""
-    columns = {key: [] for key in keys}
-    for _, records in iter_jsonl(path, required=keys, unique=unique):
-        for key, column in columns.items():
-            column += map(itemgetter(key), records)
-    return Table(columns)
+    blocks = [columns for _, _, columns in iter_jsonl(path, required=keys, unique=unique)]
+    return Table({key: list(chain.from_iterable(block[key] for block in blocks)) for key in keys})
 
 
 def read_jsonl(path: str | Path, required: dict[str, str] | None = None,
                unique: str | None = None) -> list[dict]:
     """Every record of iter_jsonl, as a list, without its line number."""
-    return [rec for _, records in iter_jsonl(path, required, unique) for rec in records]
+    return [rec for _, records, _ in iter_jsonl(path, required, unique) for rec in records]
 
 
 def write_trial_table(path: str | Path, trials: Trials, provenance: str | None = None) -> None:
@@ -430,13 +444,14 @@ def read_qmfs(path: str | Path) -> Qmfs:
     different keys; a row is NaN where its record lacks one. The table's
     source is ``path``, and its lines those of the records.
     """
-    test_ids, records, lines = [], [], array("q")
-    for numbers, block in iter_jsonl(path, required={"test_id": "string"}, unique="test_id", others="number"):
-        test_ids += map(dict.pop, block, repeat("test_id"))
-        records += block
+    blocks, lines = [], array("q")
+    for numbers, _, columns in iter_jsonl(path, required={"test_id": "string"}, unique="test_id", others="number"):
+        blocks.append(columns)
         lines.extend(numbers)
-    return Qmfs.from_columns(test_ids, {name: [rec.get(name, math.nan) for rec in records]
-                                        for name in set().union(*records)}, str(path), lines)
+    return Qmfs.from_columns([i for block in blocks for i in block["test_id"]], {
+        name: [math.nan if value is MISSING else value for block in blocks
+               for value in block.get(name, [MISSING] * len(block["test_id"]))]
+        for name in set().union(*blocks) - {"test_id"}}, str(path), lines)
 
 
 def write_qmfs(path: str | Path, qmfs: Qmfs, provenance: str | None = None) -> None:

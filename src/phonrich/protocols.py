@@ -6,8 +6,9 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, groupby, pairwise, repeat
-from operator import itemgetter, not_
+from functools import reduce
+from itertools import chain, compress, count, filterfalse, groupby, pairwise
+from operator import add, itemgetter, not_
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,11 @@ class Corpus:
         return np.array([value in values for value in self.strings[key]], dtype=bool)[self.codes[key]]
 
 
+def left_sum(values):
+    """The sum of ``values`` added left to right, as Python's sum adds floats up to 3.11 (3.12's compensates)."""
+    return reduce(add, values, 0)
+
+
 def _table(keys, rows: list[tuple]) -> Table:
     """The table of ``rows``, each a value per key of ``keys``."""
     return Table(dict(zip(keys, map(list, zip(*rows))))) if rows else Table({key: [] for key in keys})
@@ -111,7 +117,7 @@ def build_enrollment(corpus: Corpus, source: str = "") -> Table:
     models = []
     for spk, group in groupby(sorted(zip(corpus.values("speaker_id", rows), rows), key=itemgetter(0)), itemgetter(0)):
         rows = [row for _, row in group]  # by utterance id
-        models.append((spk, spk, sum(corpus.net_speech[rows].tolist()), list(map(ids.__getitem__, rows)),
+        models.append((spk, spk, left_sum(corpus.net_speech[rows].tolist()), list(map(ids.__getitem__, rows)),
                        " ".join(corpus.values("transcript", rows)), corpus.values("gender", rows[:1])[0]))
     return _table(MODEL_COLUMNS, models)
 
@@ -126,7 +132,7 @@ def _clip_window(utterance_id: str, durations: list[float], target: float, rng: 
     more than MAX_CLIP_WORDS words fails, naming the utterance.
     """
     n = len(durations)
-    if sum(durations) >= target:
+    if left_sum(durations) >= target:
         suffix = np.cumsum(durations[::-1])[::-1]
         valid = [s for s in range(n) if suffix[s] >= target]
         start = valid[rng.integers(len(valid))]
@@ -169,7 +175,7 @@ def build_clip_protocol(corpus: Corpus, target: float, seed: int,
             raise ValueError(f"{where}{ids[row]}: word_durations must align with transcript words")
         idx = _clip_window(ids[row], durations, target, rng)
         tests.append((f"{ids[row]}@{target:g}s", speaker, " ".join(words[i] for i in idx),
-                      float(sum(durations[i] for i in idx)), [ids[row]], gender))
+                      float(left_sum(durations[i] for i in idx)), [ids[row]], gender))
     tests = _table(TEST_KEYS, tests)
     if base_trials is None:
         return ProtocolSpec(np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), tests, _table(MODEL_COLUMNS, []))
@@ -236,15 +242,15 @@ def build_repetitive_protocol(corpus: Corpus, n_probes_per_speaker: int, seed: i
                 fewest = min(word_types, key=lambda w: len(reps[w]))
                 raise ValueError(f"{where}speaker {spk}: {exc} ({fewest!r} has {len(reps[fewest])})") from None
             tests.append((f"{spk}_probe{j:05d}", spk, " ".join(corpus.values("word_text", probe)),
-                          sum(corpus.net_speech[probe].tolist()), list(map(corpus.utterance_id.__getitem__, probe)),
-                          models["gender"][model_row[spk]]))
+                          left_sum(corpus.net_speech[probe].tolist()),
+                          list(map(corpus.utterance_id.__getitem__, probe)), models["gender"][model_row[spk]]))
     tests = _table(TEST_KEYS, tests)
 
-    # a probe's impostors: every other model of its speaker's gender
-    rows_by_gender = {g: [r for r, other in enumerate(models["gender"]) if other == g] for g in set(models["gender"])}
+    # a speaker's impostors: every other model of its gender, listed once per speaker
+    impostors_of = {spk: [i for i, other in enumerate(models["gender"]) if other == gender and i != row]
+                    for row, (spk, gender) in enumerate(zip(models["speaker_id"], models["gender"]))}
     negative_models, negative_tests = [], []
-    for row, (spk, gender) in enumerate(zip(tests["speaker_id"], tests["gender"])):
-        impostors = [i for i in rows_by_gender[gender] if models["speaker_id"][i] != spk]
+    for row, impostors in enumerate(map(impostors_of.__getitem__, tests["speaker_id"])):
         if negatives_per_probe is not None and len(impostors) > negatives_per_probe:
             chosen = rng.choice(len(impostors), size=negatives_per_probe, replace=False)
             impostors = [impostors[i] for i in sorted(chosen)]
@@ -333,19 +339,21 @@ def load_inventory_jsonl(path: str | Path) -> Corpus:
     """Utterance inventory JSONL -> a Corpus (see README for the field list), in which a record that
     lacks a key of CORPUS_OPTIONAL_KEYS holds its CORPUS_DEFAULTS value; net_speech is read as a float.
 
-    The columns grow a block at a time as the file streams in. A record of an unknown kind, with
-    net_speech <= 0, a word recording with repetition_index < 1, a repetition_index that does not fit
-    in 64 bits or a word duration <= 0 fails with the file and line.
+    The columns grow a block at a time as the file streams in, each rule checked over a block's columns
+    at once. A record of an unknown kind, with net_speech <= 0, a word recording with repetition_index
+    < 1, a repetition_index that does not fit in 64 bits or a word duration <= 0 fails with the file and line.
     """
     def blocks():
-        for lines, records in iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id",
-                                         optional=CORPUS_OPTIONAL_KEYS):
-            block = {key: list(map(dict.get, records, repeat(key), repeat(CORPUS_DEFAULTS.get(key))))
-                     for key in chain(CORPUS_KEYS, CORPUS_OPTIONAL_KEYS)}
-            faults = list(map(_corpus_fault, block["kind"], block["net_speech"], block["repetition_index"],
-                              block["word_durations"]))
-            if (row := next(compress(count(), faults), None)) is not None:
-                raise ValueError(f"{path}:{lines[row]}: {block['utterance_id'][row]}: {faults[row]}")
+        for lines, _, block in iter_jsonl(path, required=CORPUS_KEYS, unique="utterance_id",
+                                          optional=CORPUS_OPTIONAL_KEYS, defaults=CORPUS_DEFAULTS):
+            kinds, reps, durations = block["kind"], block["repetition_index"], block["word_durations"]
+            if not (set(kinds).issubset(CORPUS_KINDS) and min(block["net_speech"]) > 0
+                    and min(compress(reps, map("word".__eq__, kinds)), default=1) >= 1
+                    and -2**63 <= min(reps) <= max(reps) < 2**63
+                    and min(chain.from_iterable(filter(None, durations)), default=1) > 0):  # then word the first fault
+                faults = map(_corpus_fault, kinds, block["net_speech"], reps, durations)
+                row, why = next(fault for fault in enumerate(faults) if fault[1])
+                raise ValueError(f"{path}:{lines[row]}: {block['utterance_id'][row]}: {why}")
             yield block
 
     return Corpus.from_tables(blocks())

@@ -1,18 +1,20 @@
 """The text readers give the same values and the same errors whatever the block size of
-io.line_blocks, a score table survives write_scores -> read_scores, and write_jsonl writes each
-row of a table as json.dumps writes the row."""
+io.line_blocks, a score table survives write_scores -> read_scores, iter_jsonl's column checks agree
+with its value checks, and write_jsonl writes each row of a table as json.dumps writes the row."""
 
 import codecs
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import phonrich.io
-from phonrich.io import (MISSING, Table, iter_jsonl, numbered_lines, read_scores, read_trial_table, write_jsonl,
-                         write_scores)
+from phonrich.inventory import ARPABET_39
+from phonrich.io import (COLUMN_TYPES, JSON_TYPES, JSONL_CHUNK, MISSING, Table, _column_fault, iter_jsonl,
+                         numbered_lines, read_scores, read_trial_table, write_jsonl, write_scores)
 from phonrich.metrics import Trials
 
 # block sizes that cut lines, line ends and characters at every place
@@ -79,9 +81,9 @@ def trial_list(path):
 
 
 def jsonl(path):
-    """(line number, record) of every record of iter_jsonl, whatever blocks it comes in."""
-    return [pair for numbers, records in iter_jsonl(path, required={"test_id": "string"}, unique="test_id")
-            for pair in zip(numbers, records)]
+    """(line number, record, test_id column cell) of every record of iter_jsonl, whatever blocks it comes in."""
+    return [row for numbers, records, columns in iter_jsonl(path, required={"test_id": "string"}, unique="test_id")
+            for row in zip(numbers, records, columns["test_id"], strict=True)]
 
 
 def lines(path):
@@ -267,3 +269,125 @@ def test_each_written_line_is_its_rows_json(tmp_path_factory, table):
 def test_nan_and_infinities_are_refused(tmp_path, value, column):
     with pytest.raises(ValueError):
         write_jsonl(tmp_path / "table.jsonl", Table({"x": column(value)}))
+
+
+def rows_json(table):
+    """Each row of ``table`` as json.dumps writes it, MISSING cells left out."""
+    return [json.dumps({key: column[row] for key, column in table.columns.items() if column[row] is not MISSING},
+                       sort_keys=True, allow_nan=False) for row in range(len(table))]
+
+
+class TestChunkBoundaries:
+    """write_jsonl encodes a table JSONL_CHUNK rows at a time; the lines do not depend on where chunks end."""
+
+    @staticmethod
+    def mixed_table(rows):
+        """A table of ``rows`` rows whose columns hold MISSING, null, ints and floats together, true and
+        false, non-ASCII strings and nested lists, the same kinds in every chunk."""
+        rng = random.Random(7)
+        pick = lambda *values: [rng.choice(values) for _ in range(rows)]  # noqa: E731
+        return Table({
+            "id": [f"u{row:05d}" for row in range(rows)],
+            "number": [rng.choice([row, row + 0.25, -0.0, 10**20, 1e308, MISSING]) for row in range(rows)],
+            "int": pick(0, -1, 2**63, MISSING),
+            "float": pick(0.1, -0.0, 0.0, 5e-324, math.pi, MISSING),
+            "text": pick("é", "\u2028", "\U0001d11e", '"q"', "\\", "", None, MISSING),
+            "flag": pick(True, False, None),
+            "nested": pick([1, [2.5, None]], {"b": [True], "a": "ü"}, [], None, MISSING),
+            "gap": [MISSING] * rows,
+            "\u00e9 key": pick(1, MISSING),
+        })
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, JSONL_CHUNK])
+    def test_each_line_is_its_rows_json(self, tmp_path, monkeypatch, chunk):
+        table = self.mixed_table(2 * JSONL_CHUNK + 5)
+        monkeypatch.setattr(phonrich.io, "JSONL_CHUNK", chunk)
+        path = tmp_path / "table.jsonl"
+        write_jsonl(path, table, "# provenance")
+        assert path.read_text().split("\n") == ["# provenance"] + rows_json(table) + [""]
+
+    def test_tables_one_after_another_read_as_one(self, tmp_path):
+        table = self.mixed_table(JSONL_CHUNK + 3)
+        parts = [Table({key: column[start:end] for key, column in table.columns.items()})
+                 for start, end in [(0, 1), (1, JSONL_CHUNK + 1), (JSONL_CHUNK + 1, JSONL_CHUNK + 3)]]
+        whole, split = tmp_path / "whole.jsonl", tmp_path / "split.jsonl"
+        write_jsonl(whole, table)
+        write_jsonl(split, iter(parts))
+        assert split.read_bytes() == whole.read_bytes()
+        assert whole.read_text().splitlines() == rows_json(table)
+
+    def test_a_row_of_no_cells_is_an_empty_object(self, tmp_path):
+        path = tmp_path / "table.jsonl"
+        write_jsonl(path, Table({"a": [MISSING, 1, MISSING], "b": [MISSING, MISSING, None]}))
+        assert path.read_text() == '{}\n{"a": 1}\n{"b": null}\n'
+
+
+# values of each JSON type, and values that are not of it, as json.loads gives them: true and false, ints past
+# the float range, 1e400 and -1e400 (read as infinities), near bitstrings, near ARPABET lists, nested values
+INF = json.loads("1e400")
+JSON_NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+OF_TYPE = {
+    "string": st.text(max_size=4),
+    "number": JSON_NUMBERS,
+    "integer": st.integers(),
+    "list": st.lists(st.one_of(st.none(), st.booleans(), JSON_NUMBERS, st.text(max_size=2)), max_size=3),
+    "string of 39 0s and 1s": st.text("01", min_size=len(ARPABET_39), max_size=len(ARPABET_39)),
+    "list of ARPABET-39 symbols": st.lists(st.sampled_from(ARPABET_39), max_size=4),
+    "list of numbers or null": st.one_of(st.none(), st.lists(JSON_NUMBERS, max_size=3)),
+}
+# values that come close to each type and are not of it
+NEAR = {
+    "string": st.sampled_from([1, None, True, [], {}, ["a"]]),
+    "number": st.sampled_from([True, False, 10**400, -(10**309), INF, -INF, "1", None]),
+    "integer": st.sampled_from([True, False, 1.0, -0.0, "1", None]),
+    "list": st.sampled_from(["[]", {}, None, 1, ()]),
+    "string of 39 0s and 1s": st.one_of(st.text("01", min_size=len(ARPABET_39) - 1, max_size=len(ARPABET_39) + 1),
+                                        st.text("01x ", min_size=len(ARPABET_39), max_size=len(ARPABET_39))),
+    "list of ARPABET-39 symbols": st.lists(
+        st.sampled_from(ARPABET_39[:3] + ("aa", "ZZ", "", 1, None, True, [], ["AA"])), min_size=1, max_size=3),
+    "list of numbers or null": st.sampled_from([[True], [INF], [-INF], [10**400], ["1"], [[1]], [None], 1.0, {}]),
+}
+ODD = st.one_of(
+    st.booleans(), st.none(), st.just(MISSING), st.sampled_from([10**400, INF, 1.5, 2, "AA", "", {}, {"a": [1]}]),
+    st.lists(st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=2)), max_size=3),
+)
+
+
+@st.composite
+def columns(draw, kind):
+    """A column of values of ``kind``, empty at times, with a few values that may not be of it among them."""
+    values = draw(st.lists(OF_TYPE[kind], max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        values.insert(draw(st.integers(0, len(values))), draw(st.one_of(NEAR[kind], ODD)))
+    return values
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_TYPES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_column_check_agrees_with_value_checks(kind, data):
+    """A column passes its column check if and only if each value passes its value check, and a column
+    fault names the first value that fails it, or the first MISSING of a key a record must hold."""
+    values = data.draw(columns(kind))
+    present = [value for value in values if value is not MISSING]
+    assert COLUMN_TYPES[kind](present) == all(map(JSON_TYPES[kind], present))
+    assert COLUMN_TYPES[kind](values) == (MISSING not in values and all(map(JSON_TYPES[kind], values)))
+    for needed in (True, False):
+        first = next((row for row, value in enumerate(values) if (value is MISSING and needed)
+                      or (value is not MISSING and not JSON_TYPES[kind](value))), None)
+        found = _column_fault("k", kind, needed, values)
+        assert (found[0] if found else None) == first
+
+
+@pytest.mark.parametrize("later, earlier", [("a", "b"), ("b", "a")])
+def test_faults_in_two_columns_of_a_block_name_the_earlier_line(tmp_path, monkeypatch, later, earlier):
+    """Whichever key is checked first, the fault on the earlier line is named."""
+    good = {"a": 1, "b": 2}
+    lines = [good, {**good, earlier: "x"}, good, {**good, later: True}, good]
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(map(json.dumps, lines)) + "\n")
+    read = lambda path: [n for numbers, _, _ in iter_jsonl(path, required={"a": "number", "b": "integer"})  # noqa: E731
+                         for n in numbers]
+    kind = "a number" if earlier == "a" else "an integer"
+    assert same_at_every_block_size(monkeypatch, read, path) == \
+        f'ValueError: {path}:2: {earlier} must be {kind}, got "x"'

@@ -1,9 +1,12 @@
 import json
 import tracemalloc
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phonrich.cli import main
 from phonrich.data import (DEMO_BLOCK, DEMO_VOCABULARY, N_REPETITIONS, RECORDS_PER_SPEAKER, make_demo_inventory,
@@ -12,9 +15,9 @@ import phonrich.io
 from phonrich.io import BLOCK_CHARS, Table, provenance_line, write_jsonl
 from phonrich.lexicon import presence_vector, transcribe
 from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, MAX_CLIP_WORDS,
-                                MAX_PROBE_REDRAWS, MODEL_COLUMNS, TEST_KEYS, Corpus, ProtocolSpec, _draw_probe,
-                                build_clip_protocol, build_enrollment, build_repetitive_protocol, emit_trials,
-                                join_trials, load_inventory_jsonl, load_protocol)
+                                MAX_PROBE_REDRAWS, MODEL_COLUMNS, TEST_KEYS, Corpus, ProtocolSpec, _corpus_fault,
+                                _draw_probe, build_clip_protocol, build_enrollment, build_repetitive_protocol,
+                                emit_trials, join_trials, left_sum, load_inventory_jsonl, load_protocol)
 from phonrich.richness import count_unique
 
 
@@ -422,3 +425,60 @@ class TestFirstFaultInFileOrder:
         with pytest.raises(ValueError) as exc:
             load_inventory_jsonl(path)
         assert str(exc.value) == f"{path}:{message}"
+
+
+# values of each corpus key a rule reads that keep every rule (some at its edge), then values that break one
+# for some records: kinds that are not corpus kinds, net speech <= 0, repetition indices outside 64 bits or
+# below 1 in a word recording, and word durations <= 0
+RULE_VALUES = {
+    "kind": (["sentence", "word", "digit", "free"], ["wrd", ""]),
+    "net_speech": ([1.0, 5e-324, 7], [0, -0.0, -1.5]),
+    "repetition_index": ([1, 2, 2**63 - 1], [0, -1, -2**63, 2**63, -2**63 - 1]),
+    "word_durations": ([None, [], [0.5], [0.5, 2]], [[0], [0.5, -0.0], [1e-300, -1e-300]]),
+}
+# mostly values that keep the rules, so that a block often holds one fault, or none; a record may lack an
+# optional key, for its default
+corpus_records = st.fixed_dictionaries(
+    {"speaker_id": st.just("a"), **{key: st.sampled_from(RULE_VALUES[key][0] * 6 + RULE_VALUES[key][1])
+                                    for key in ("kind", "net_speech")}},
+    optional={key: st.sampled_from(RULE_VALUES[key][0] * 6 + RULE_VALUES[key][1])
+              for key in ("repetition_index", "word_durations")})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(corpus_records, min_size=1, max_size=8))
+def test_corpus_rule_checks_agree_with_each_record(tmp_path_factory, records):
+    """The corpus rules, checked over a block's columns at once, name the first record that _corpus_fault
+    words a fault for, and pass a block that has none."""
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_text("".join(json.dumps({"utterance_id": f"u{row}", **rec}) + "\n" for row, rec in enumerate(records)))
+    faults = [_corpus_fault(rec["kind"], rec["net_speech"], rec.get("repetition_index", 0), rec.get("word_durations"))
+              for rec in records]
+    row = next((row for row, fault in enumerate(faults) if fault), None)
+    try:
+        assert len(load_inventory_jsonl(path).utterance_id) == len(records) and row is None
+    except ValueError as exc:
+        assert str(exc) == f"{path}:{row + 1}: u{row}: {faults[row]}"
+
+
+class TestLeftSum:
+    """Net-speech sums add left to right on every Python version, as 3.11's builtin sum adds floats."""
+
+    @pytest.mark.parametrize("values, total", [
+        ([1e16, 1.0, -1e16], 0.0),  # a compensated sum gives 1.0
+        ([0.1] * 10, 0.9999999999999999),  # a compensated sum gives 1.0
+        ([0.5, 2, 0.25], 2.75),
+        ([2**53, 1, 1, 1.0], 9007199254740996.0),  # the ints add exactly before the first float
+        ([], 0),
+    ])
+    def test_known_sums(self, values, total):
+        assert repr(left_sum(values)) == repr(total) == repr(reduce(add, values, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=64), st.integers(-5, 5)),
+                    max_size=12))
+    def test_adds_left_to_right(self, values):
+        total = 0
+        for value in values:
+            total += value
+        assert repr(left_sum(values)) == repr(total) == repr(reduce(add, values, 0))
