@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ import numpy as np
 from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, save_model
 from .data import DEMO_BLOCK, DEMO_VOCABULARY, RECORDS_PER_SPEAKER, make_demo_inventory
-from .inventory import PresenceVector
-from .io import (Table, provenance_line, read_columns, read_jsonl, read_qmfs, read_scores,
+from .inventory import ARPABET_39, PresenceVector
+from .io import (Table, iter_jsonl, provenance_line, read_columns, read_jsonl, read_qmfs, read_scores,
                  write_jsonl, write_qmfs, write_scatter, write_scores, write_tsv)
-from .lexicon import PhonemeTranscription, load_lexicon, presence_vector, transcribe
+from .lexicon import load_lexicon, phoneme_codes, presence_vector, transcribe
 from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
 from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
                         load_inventory_jsonl, load_protocol)
@@ -39,15 +40,16 @@ def cmd_g2p(args) -> None:
     lexicon = load_lexicon(args.lexicon)
     transcripts = read_jsonl(args.transcripts, required={"utterance_id": "string", "transcript": "string"},
                              unique="utterance_id")
-    transcriptions = [transcribe(rec["transcript"], lexicon, rec["utterance_id"]) for rec in transcripts]
-    presence = presence_vector(transcriptions)
-    records = Table({"utterance_id": [trans.utterance_id for trans in transcriptions],
-                     "phonemes": [list(trans.phonemes) for trans in transcriptions],
+    utterance_ids = [rec["utterance_id"] for rec in transcripts]
+    codes, lengths, oov_words, words = transcribe([rec["transcript"] for rec in transcripts], lexicon)
+    presence = presence_vector(codes, lengths, utterance_ids)
+    symbols = list(map(ARPABET_39.__getitem__, codes.tolist()))
+    records = Table({"utterance_id": utterance_ids,
+                     "phonemes": [symbols[start:end] for start, end in pairwise([0, *np.cumsum(lengths).tolist()])],
                      "bits": presence.to_bitstring(), "cu": count_unique(presence).tolist(),
-                     "oov_words": [trans.oov_words for trans in transcriptions]})
+                     "oov_words": oov_words.tolist()})
     write_jsonl(args.out, records, _provenance(args))
-    total_words = sum(trans.words for trans in transcriptions)
-    total_oov = sum(trans.oov_words for trans in transcriptions)
+    total_words, total_oov = int(words.sum()), int(oov_words.sum())
     rate = total_oov / total_words if total_words else 0.0
     print(f"g2p: utterances={len(records)} oov_words={total_oov} oov_rate={rate:.4f}")
     if total_oov:
@@ -185,12 +187,12 @@ def cmd_report_weights(args) -> None:
     weights = load_weights(args.weights)
     if not weights.weights.any():
         raise ValueError(f"{args.weights}: all-zero weight vector: normalization undefined")
-    presence = read_columns(args.presence, {"utterance_id": "string", "phonemes": "list of ARPABET-39 symbols"},
-                            "utterance_id")
-    if not len(presence):
+    codes = [phoneme_codes(columns["phonemes"]) for _, _, columns in iter_jsonl(
+        args.presence, required={"utterance_id": "string", "phonemes": "list of ARPABET-39 symbols"},
+        unique="utterance_id")]
+    if not codes:
         raise ValueError(f"{args.presence}: no utterances: the report needs a non-empty corpus")
-    transcriptions = list(map(PhonemeTranscription, presence["utterance_id"], map(tuple, presence["phonemes"])))
-    out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in weight_report(weights, transcriptions)]
+    out_rows = [(sym, f"{w:.6f}", f"{f:.6f}") for sym, w, f in weight_report(weights, np.concatenate(codes))]
     header = ["phoneme", "normalized_weight", "frequency"]
     if args.out:
         write_tsv(args.out, header, out_rows, _provenance(args))

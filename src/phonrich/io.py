@@ -282,11 +282,13 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
             raise ValueError(f"{path}:{numbers[len(records)]}: {fault}")
 
 
-def read_columns(path: str | Path, keys: dict[str, str], unique: str) -> Table:
+def read_columns(path: str | Path, keys: dict[str, str], unique: str, kept=None) -> Table:
     """The ``keys``, each of its JSON type, of every record of a JSONL file in which no two records
-    share their ``unique`` key (see iter_jsonl), as a table; only these keys are kept."""
-    blocks = [columns for _, _, columns in iter_jsonl(path, required=keys, unique=unique)]
-    return Table({key: list(chain.from_iterable(block[key] for block in blocks)) for key in keys})
+    share their ``unique`` key (see iter_jsonl), as a table of the columns ``kept`` (default: every
+    key); the others are checked a block at a time and not kept."""
+    kept = keys if kept is None else kept
+    blocks = [{key: columns[key] for key in kept} for _, _, columns in iter_jsonl(path, required=keys, unique=unique)]
+    return Table({key: list(chain.from_iterable(block[key] for block in blocks)) for key in kept})
 
 
 def read_jsonl(path: str | Path, required: dict[str, str] | None = None,

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -47,39 +46,41 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return lexicon
 
 
-@dataclass
-class PhonemeTranscription:
-    """Phoneme sequence for one utterance, its out-of-vocabulary word count and its word count."""
-
-    utterance_id: str
-    phonemes: tuple[str, ...]
-    oov_words: int = 0
-    words: int = 0  # the tokens looked up, out-of-vocabulary ones included
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip non-alphanumeric edge characters."""
     return [token for token in (_EDGE_STRIP_RE.sub("", raw) for raw in text.lower().split()) if token]
 
 
-def transcribe(text: str, lexicon: Lexicon, utterance_id: str = "") -> PhonemeTranscription:
-    """Look up each word's first-listed pronunciation; OOV words are counted, not fatal."""
-    prons = [lexicon.get(word) for word in tokenize(text)]
-    return PhonemeTranscription(utterance_id, tuple(chain.from_iterable(filter(None, prons))),
-                                sum(not pron for pron in prons), len(prons))
+def transcribe(texts: list[str], lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The words of every text (see tokenize) looked up in one pass: the ARPABET_39 code of each phoneme
+    token, text after text, and per text its phoneme-token count, out-of-vocabulary word count and word
+    count. A word's phonemes are its first-listed pronunciation; an OOV word is counted, not fatal.
+
+    Each distinct raw token (a whitespace-separated field of a text) is lower-cased, stripped and
+    looked up once. The texts are split again for each column, so one text's tokens are held at a time.
+    """
+    distinct = dict.fromkeys(chain.from_iterable(map(str.split, texts)))
+    words = [_EDGE_STRIP_RE.sub("", token.lower()) for token in distinct]
+    prons = [lexicon.get(word, ()) if word else () for word in words]
+
+    def per_text(tallies) -> np.ndarray:
+        """Per text, the sum over its raw tokens of their tallies, given one per distinct raw token."""
+        tally = dict(zip(distinct, tallies)).__getitem__
+        return np.fromiter(map(sum, map(map, repeat(tally), map(str.split, texts))), dtype=np.int64, count=len(texts))
+
+    pron_of = dict(zip(distinct, prons)).__getitem__
+    return (phoneme_codes(map(pron_of, chain.from_iterable(map(str.split, texts)))), per_text(map(len, prons)),
+            per_text(bool(word) and not pron for word, pron in zip(words, prons)), per_text(map(bool, words)))
 
 
-def phoneme_codes(transcriptions: list[PhonemeTranscription]) -> tuple[np.ndarray, np.ndarray]:
-    """ARPABET_39 index of every phoneme token, and the row of the transcription it is in."""
-    lengths = np.fromiter((len(t.phonemes) for t in transcriptions), dtype=np.intp, count=len(transcriptions))
-    tokens = [sym for t in transcriptions for sym in t.phonemes]
-    codes = np.fromiter(map(PHONEME_INDEX.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    return codes, np.repeat(np.arange(len(transcriptions)), lengths)
+def phoneme_codes(phonemes) -> np.ndarray:
+    """The ARPABET_39 index of every symbol of some sequences of symbols, one sequence after another."""
+    return np.fromiter(map(PHONEME_INDEX.__getitem__, chain.from_iterable(phonemes)), dtype=np.uint8)
 
 
-def presence_vector(transcriptions: list[PhonemeTranscription]) -> PresenceVector:
-    """Row u, component i is 1 iff ARPABET_39[i] occurs in transcription u."""
-    codes, rows = phoneme_codes(transcriptions)
-    bits = np.zeros((len(transcriptions), len(ARPABET_39)), dtype=np.int8)
-    bits[rows, codes] = 1
-    return PresenceVector(bits, [t.utterance_id for t in transcriptions])
+def presence_vector(codes: np.ndarray, lengths: np.ndarray, utterance_ids: list[str]) -> PresenceVector:
+    """Row u, component i is 1 iff ARPABET_39[i] is among the ``lengths[u]`` codes of utterance u, which
+    follow those of the utterances before it in ``codes``."""
+    bits = np.zeros((len(lengths), len(ARPABET_39)), dtype=np.int8)
+    bits[np.repeat(np.arange(len(lengths)), lengths), codes] = 1
+    return PresenceVector(bits, list(utterance_ids))

@@ -18,7 +18,7 @@ from .metrics import Trials, encode_ids
 
 MAX_PROBE_REDRAWS = 20
 MAX_CLIP_WORDS = 10_000  # a clip window grows a word per step: tiny word durations would never end it
-# keys, with their JSON types, that load_protocol reads from each manifest and models
+# keys, with their JSON types, that load_protocol checks in each manifest and models
 # record and load_inventory_jsonl from each corpus record
 MANIFEST_KEYS = {"test_id": "string", "speaker_id": "string", "transcript": "string",
                  "net_speech": "number", "source_ids": "list"}
@@ -33,6 +33,9 @@ CODED = ("speaker_id", "kind", "transcript", "word_text", "gender")  # corpus co
 # the columns of the tests and of the models that the protocol builders make
 TEST_KEYS = (*MANIFEST_KEYS, "gender")
 MODEL_COLUMNS = (*MODEL_KEYS, "transcript", "gender")
+# the columns of each that load_protocol keeps: those that join_trials and simulate read
+LOADED_TEST_COLUMNS = ("test_id", "speaker_id", "transcript", "net_speech")
+LOADED_MODEL_COLUMNS = ("model_id", "speaker_id")
 
 
 @dataclass
@@ -40,7 +43,7 @@ class ProtocolSpec:
     """Trials as (n, 2) intp arrays of (row in ``models``, row in ``tests``) pairs.
 
     A builder's tables hold the columns TEST_KEYS and MODEL_COLUMNS, a loaded
-    protocol's the keys MANIFEST_KEYS and MODEL_KEYS.
+    protocol's LOADED_TEST_COLUMNS and LOADED_MODEL_COLUMNS.
     """
 
     positive_trials: np.ndarray
@@ -318,11 +321,13 @@ def load_protocol(trials_path: str | Path, manifest_path: str | Path,
                   models_path: str | Path) -> ProtocolSpec:
     """Manifest, models and trial list as one validated spec (see join_trials).
 
-    A test id repeated in the manifest, or a model id in the models file,
-    fails at its second record with the file and line.
+    Every key of MANIFEST_KEYS and MODEL_KEYS is checked, but only the
+    columns LOADED_TEST_COLUMNS and LOADED_MODEL_COLUMNS are kept. A test id
+    repeated in the manifest, or a model id in the models file, fails at its
+    second record with the file and line.
     """
-    tests = read_columns(manifest_path, MANIFEST_KEYS, "test_id")
-    return join_trials(trials_path, tests, read_columns(models_path, MODEL_KEYS, "model_id"))
+    return join_trials(trials_path, read_columns(manifest_path, MANIFEST_KEYS, "test_id", LOADED_TEST_COLUMNS),
+                       read_columns(models_path, MODEL_KEYS, "model_id", LOADED_MODEL_COLUMNS))
 
 
 def _corpus_fault(kind: str, net_speech: float, repetition_index: int, durations) -> str | None:

@@ -9,7 +9,6 @@ import numpy as np
 
 from .inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
 from .io import numbered_lines, write_lines
-from .lexicon import PhonemeTranscription, phoneme_codes
 from .metrics import Qmfs
 from .nnls import nnls
 
@@ -66,13 +65,13 @@ def fit_weights(presence: np.ndarray, scores: np.ndarray) -> RichnessWeights:
     return RichnessWeights(w, fit_residual=float(rnorm / np.sqrt(len(s))), n_train=len(s))
 
 
-def weight_report(w: RichnessWeights, corpus: list[PhonemeTranscription]) -> list[tuple[str, float, float]]:
-    """Per phoneme: weight normalized to sum to one vs. corpus token frequency.
+def weight_report(w: RichnessWeights, codes: np.ndarray) -> list[tuple[str, float, float]]:
+    """Per phoneme: weight normalized to sum to one vs. its frequency among a corpus's phoneme tokens,
+    ``codes`` holding the ARPABET_39 index of each.
 
     Rows are in ARPABET_39 order: (symbol, normalized_weight, frequency).
     The weights must not be all zero.
     """
-    codes, _ = phoneme_codes(corpus)
     counts = np.bincount(codes, minlength=len(ARPABET_39)).astype(float)
     freqs = counts / counts.sum() if counts.any() else counts
     norm = w.weights / w.weights.sum()

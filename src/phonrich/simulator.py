@@ -10,14 +10,16 @@ from .inventory import ARPABET_39
 from .lexicon import Lexicon, presence_vector, transcribe
 from .metrics import Qmfs, Trials
 from .protocols import ProtocolSpec
-from .richness import quality_measures
+from .richness import count_unique, quality_measures
 
 # substream tags so per-entity RNG draws are order-independent
 _SPEAKER_STREAM = 1
 _MODEL_STREAM = 2
 _TEST_STREAM = 3
 
-SCORE_CHUNK = 1 << 12  # trials per matmul of cosine_score: two (chunk, dim) gathers, 1 MiB each at dim 32
+# trials per matmul of cosine_score, two (chunk, dim) gathers of 256 KiB each at dim 32, and rows per
+# addition of the speaker means to the noise
+SCORE_CHUNK = 1 << 10
 
 
 def cosine_score(models: np.ndarray, tests: np.ndarray, model_rows: np.ndarray,
@@ -46,14 +48,20 @@ class SimResult:
     qmfs: Qmfs  # richness.quality_measures of the tests (cu, net_speech, lns), in sorted test-id order
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _draws(n: int, dim: int, seed: int, stream: int) -> np.ndarray:
+    """An (n, dim) matrix whose row idx is drawn from default_rng([seed, stream, idx]), so no row
+    depends on the order in which the others are drawn."""
+    rows = np.empty((n, dim))
+    for idx, row in enumerate(rows):
+        np.random.default_rng([seed, stream, idx]).standard_normal(out=row)
+    return rows
 
 
-def _noisy_embedding(mean: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    # per-component scale sigma/sqrt(dim), so ||noise|| is about sigma
-    noise = rng.standard_normal(mean.shape[0]) * (sigma / np.sqrt(mean.shape[0]))
-    return _unit(mean + noise)
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows``, each divided in place by its norm: the square root of its stacked product with itself,
+    as cosine_score takes it, equal bit for bit to np.linalg.norm of the row."""
+    rows /= np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
+    return rows
 
 
 def simulate_corpus(protocol: ProtocolSpec, lexicon: Lexicon, sigma0: float, kappa: float, seed: int,
@@ -71,28 +79,29 @@ def simulate_corpus(protocol: ProtocolSpec, lexicon: Lexicon, sigma0: float, kap
     n_phonemes = len(ARPABET_39)
 
     models, tests = protocol.models, protocol.tests
-    speakers = sorted(set(models["speaker_id"]) | set(tests["speaker_id"]))
-    means = {spk: _unit(np.random.default_rng([seed, _SPEAKER_STREAM, idx]).standard_normal(dim))
-             for idx, spk in enumerate(speakers)}
+    speakers = {spk: idx for idx, spk in enumerate(sorted(set(models["speaker_id"]) | set(tests["speaker_id"])))}
+    means = _unit_rows(_draws(len(speakers), dim, seed, _SPEAKER_STREAM))
 
     # embeddings are drawn in sorted-id order; a trial finds its rows by their rank
     trials = protocol.trials()
     model_order = sorted(range(len(trials.models)), key=trials.models.__getitem__)
     test_order = sorted(range(len(trials.tests)), key=trials.tests.__getitem__)
 
-    model_matrix = np.array([
-        _noisy_embedding(means[models["speaker_id"][row]], sigma0 / 4.0,
-                         np.random.default_rng([seed, _MODEL_STREAM, idx]))
-        for idx, row in enumerate(model_order)], dtype=float).reshape(-1, dim)
+    def embeddings(table, order, sigmas, stream) -> np.ndarray:
+        """Row idx: its speaker's mean plus noise of norm about sigmas[idx], scaled to unit norm."""
+        rows = _draws(len(order), dim, seed, stream)
+        rows *= (sigmas / np.sqrt(dim))[:, None]  # per-component scale sigma/sqrt(dim), so ||noise|| is about sigma
+        speaker_rows = np.array([speakers[table["speaker_id"][row]] for row in order], dtype=np.intp)
+        for start in range(0, len(rows), SCORE_CHUNK):  # a chunk of gathered means at a time, not a second matrix
+            rows[start:start + SCORE_CHUNK] += means[speaker_rows[start:start + SCORE_CHUNK]]
+        return _unit_rows(rows)
 
-    qmfs = quality_measures(presence_vector([transcribe(tests["transcript"][row], lexicon, tests["test_id"][row])
-                                             for row in test_order]),
-                            net_speech=dict(zip(tests["test_id"], tests["net_speech"])))
-    test_matrix = np.array([
-        _noisy_embedding(means[tests["speaker_id"][row]], sigma0 * (1.0 + kappa * (n_phonemes - cu) / n_phonemes),
-                         np.random.default_rng([seed, _TEST_STREAM, idx]))
-        for idx, (row, cu) in enumerate(zip(test_order, qmfs.columns(["cu"])[:, 0].tolist()))],
-        dtype=float).reshape(-1, dim)
+    model_matrix = embeddings(models, model_order, np.full(len(model_order), sigma0 / 4.0), _MODEL_STREAM)
+    codes, lengths, _, _ = transcribe([tests["transcript"][row] for row in test_order], lexicon)
+    presence = presence_vector(codes, lengths, [tests["test_id"][row] for row in test_order])
+    qmfs = quality_measures(presence, net_speech=dict(zip(tests["test_id"], tests["net_speech"])))
+    test_matrix = embeddings(tests, test_order, sigma0 * (1.0 + kappa * (n_phonemes - count_unique(presence))
+                                                          / n_phonemes), _TEST_STREAM)
 
     scores = cosine_score(model_matrix, test_matrix, np.argsort(model_order)[trials.model_codes],
                           np.argsort(test_order)[trials.test_codes])

@@ -14,7 +14,7 @@ from phonrich.cli import main as cli_main
 from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines, make_demo_inventory
 from phonrich.inventory import ARPABET_39, PresenceVector
 from phonrich.io import Table, read_jsonl, write_jsonl
-from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector
+from phonrich.lexicon import load_lexicon, phoneme_codes, presence_vector
 from phonrich.metrics import compute_eer, compute_min_c_primary, kendall_tau
 from phonrich.protocols import Corpus, build_repetitive_protocol
 from phonrich.richness import RichnessWeights, count_unique, fit_weights, weighted_count_unique
@@ -253,7 +253,7 @@ def test_criterion_9_g2p_correctness(tmp_path):
         seqs.append((tuple(symbols[rng.integers(0, 39, na)]), tuple(symbols[rng.integers(0, 39, nb)])))
 
     def presence(name, phonemes):
-        return presence_vector([PhonemeTranscription(name, p) for p in phonemes]).bits
+        return presence_vector(phoneme_codes(phonemes), list(map(len, phonemes)), [name] * len(phonemes)).bits
 
     pa = presence("a", [a for a, _ in seqs])
     pb = presence("b", [b for _, b in seqs])

@@ -1182,8 +1182,12 @@ class TestJsonlValueTypes:
         (REPORT_WEIGHTS, "presence", "phonemes", 5, "list of ARPABET-39 symbols"),
         (REPORT_WEIGHTS, "presence", "phonemes", ["K", ["AE"]], "list of ARPABET-39 symbols"),
         (SIMULATE, "manifest", "net_speech", True, "number"),
+        # simulate checks these columns but does not keep them
+        (SIMULATE, "manifest", "source_ids", "u0", "list"),
+        (SIMULATE, "models", "net_speech", "x", "number"),
     ], ids=["g2p-transcript", "richness-bits", "richness-net-speech", "fit-weights-bits",
-            "report-weights-phonemes", "report-weights-phoneme-list", "simulate-net-speech"])
+            "report-weights-phonemes", "report-weights-phoneme-list", "simulate-net-speech",
+            "simulate-source-ids", "simulate-models-net-speech"])
     def test_wrong_type_names_file_and_line(self, tmp_path, small_inputs, capsys,
                                             argv, bad, key, value, kind):
         path = small_inputs[bad]

@@ -1,14 +1,25 @@
+from itertools import chain
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phonrich.inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
 from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines
-from phonrich.lexicon import PhonemeTranscription, load_lexicon, presence_vector, tokenize, transcribe
+from phonrich.lexicon import load_lexicon, phoneme_codes, presence_vector, tokenize, transcribe
 
 from conftest import EXPECTED_PRONUNCIATIONS
 
 phoneme_seqs = st.lists(st.sampled_from(ARPABET_39), max_size=60)
+
+
+def transcribed(texts, lexicon):
+    """Per text: (its phonemes, OOV words, words), from one transcribe call over all the texts."""
+    codes, lengths, oov_words, words = transcribe(texts, lexicon)
+    symbols = [ARPABET_39[code] for code in codes.tolist()]
+    ends = np.cumsum(lengths).tolist()
+    return [(tuple(symbols[end - n:end]), oov, n_words)
+            for end, n, oov, n_words in zip(ends, lengths.tolist(), oov_words.tolist(), words.tolist())]
 
 
 class TestLoadLexicon:
@@ -23,7 +34,7 @@ class TestLoadLexicon:
         path.write_text("")
         lex = load_lexicon(path)
         assert len(lex) == 0
-        assert transcribe("anything", lex).oov_words == 1
+        assert transcribed(["anything"], lex) == [((), 1, 1)]
 
     def test_bad_symbol_names_line_and_symbol(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -79,46 +90,56 @@ class TestDemoVocabulary:
         assert load_lexicon(path) == DEMO_VOCABULARY
 
 
+LEXICON = {"cat": ("K", "AE", "T"), "dog": ("D", "AO", "G"), "don't": ("D", "OW", "N", "T")}
+CAT, DONT = ("K", "AE", "T"), ("D", "OW", "N", "T")
+# (text, its phonemes, its OOV words, its words) under LEXICON
+TRANSCRIPTS = [
+    ("cat", CAT, 0, 1),
+    ("", (), 0, 0),
+    ("zzqq cat", CAT, 1, 2),
+    ("cat -- zzz !!", CAT, 1, 2),  # fields of punctuation alone are not words
+    ('"Cat, DON\'T!!"', CAT + DONT, 0, 2),
+    ('(cat) dog "Cat, cat cat', CAT + ("D", "AO", "G") + CAT * 3, 0, 5),
+    ("Zzqq, zzqq (zzqq) -- dog", ("D", "AO", "G"), 3, 4),
+    ("don't 'don't' DON'T, dont", DONT * 3, 1, 4),
+]
+
+
 class TestTranscribe:
-    def test_simple_lookup(self):
-        lex = {"cat": ("K", "AE", "T")}
-        trans = transcribe("cat", lex)
-        assert trans.phonemes == ("K", "AE", "T")
-        assert trans.oov_words == 0
+    def test_one_call_agrees_with_each_text_alone(self):
+        """A raw token that one text holds is looked up once for all; each text keeps its own counts."""
+        texts = [text for text, *_ in TRANSCRIPTS]
+        expected = [tuple(counts) for _, *counts in TRANSCRIPTS]
+        assert [transcribed([text], LEXICON)[0] for text in texts] == expected
+        assert transcribed(texts, LEXICON) == expected
+        assert transcribed(texts[::-1] * 2, LEXICON) == expected[::-1] * 2
 
-    def test_empty_text(self):
-        lex = {"cat": ("K", "AE", "T")}
-        trans = transcribe("", lex)
-        assert trans.phonemes == ()
-        assert trans.oov_words == 0
+    @settings(max_examples=200)
+    @example(["aΣ-t aΣt cİt, (aς-T) I", "aΣ-"])
+    @given(st.lists(st.text(alphabet="catdogn'-\"(),. \t\n\u00a0\u2028ΣσςİI", max_size=24), max_size=6))
+    def test_agrees_with_the_definition_over_tokenize(self, texts):
+        """Lower-casing each raw token, not the whole text, finds the same words: a capital sigma lower-cases
+        by its context (final "ς" or "σ"), and a dotted capital I to two characters."""
+        lexicon = {**LEXICON, "aς-t": ("T",), "aσt": ("S",), "ci\u0307t": ("IY",), "i": ("AY",)}
+        expected = []
+        for text in texts:
+            prons = [lexicon.get(word) for word in tokenize(text)]
+            expected.append((tuple(chain.from_iterable(filter(None, prons))), sum(not p for p in prons), len(prons)))
+        assert transcribed(texts, lexicon) == expected
 
-    def test_oov_counted_not_fatal(self):
-        lex = {"cat": ("K", "AE", "T")}
-        trans = transcribe("zzqq cat", lex)
-        assert trans.phonemes == ("K", "AE", "T")
-        assert trans.oov_words == 1
-        assert trans.words == 2
-
-    def test_punctuation_only_fields_are_not_words(self):
-        trans = transcribe("cat -- zzz !!", {"cat": ("K", "AE", "T")})
-        assert (trans.oov_words, trans.words) == (1, 2)
+    def test_no_texts(self):
+        codes, lengths, oov_words, words = transcribe([], LEXICON)
+        assert [len(codes), len(lengths), len(oov_words), len(words)] == [0, 0, 0, 0]
 
     def test_first_pronunciation_used(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("HELLO  HH AH0 L OW1\nHELLO(1)  HH EH0 L OW1\n")
-        assert transcribe("hello", load_lexicon(path)).phonemes == ("HH", "AH", "L", "OW")
-
-    def test_case_and_punctuation(self):
-        lex = {"cat": ("K", "AE", "T"), "don't": ("D", "OW", "N", "T")}
-        trans = transcribe('"Cat, DON\'T!!"', lex)
-        assert trans.phonemes == ("K", "AE", "T", "D", "OW", "N", "T")
-        assert trans.oov_words == 0
+        assert transcribed(["hello"], load_lexicon(path)) == [(("HH", "AH", "L", "OW"), 0, 1)]
 
     def test_deterministic(self):
-        lex = {"cat": ("K", "AE", "T"), "dog": ("D", "AO", "G")}
-        a = transcribe("cat dog cat", lex)
-        b = transcribe("cat dog cat", lex)
-        assert a == b
+        a = transcribe(["cat dog cat", "dog"], LEXICON)
+        b = transcribe(["cat dog cat", "dog"], LEXICON)
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
     def test_tokenize_keeps_internal_apostrophe(self):
         assert tokenize("don't 'quoted'") == ["don't", "quoted"]
@@ -126,7 +147,7 @@ class TestTranscribe:
 
 def presence_bits(phonemes):
     """The presence row of one transcription."""
-    return presence_vector([PhonemeTranscription("u", tuple(phonemes))]).bits[0]
+    return presence_vector(phoneme_codes([phonemes]), [len(phonemes)], ["u"]).bits[0]
 
 
 class TestPresenceVector:
@@ -157,15 +178,15 @@ class TestPresenceVector:
 
     @given(st.lists(phoneme_seqs, max_size=12))
     def test_one_row_per_transcription_in_order(self, seqs):
-        transcriptions = [PhonemeTranscription(f"u{i}", tuple(seq)) for i, seq in enumerate(seqs)]
-        pv = presence_vector(transcriptions)
-        assert pv.utterance_ids == [t.utterance_id for t in transcriptions]
+        ids = [f"u{i}" for i in range(len(seqs))]
+        pv = presence_vector(phoneme_codes(seqs), list(map(len, seqs)), ids)
+        assert pv.utterance_ids == ids
         expected = [[int(sym in seq) for sym in ARPABET_39] for seq in seqs]
         assert pv.bits.dtype == np.int8
         assert pv.bits.reshape(len(seqs), 39).tolist() == expected
 
     def test_no_transcriptions_give_an_empty_int8_matrix(self):
-        pv = presence_vector([])
+        pv = presence_vector(phoneme_codes([]), [], [])
         assert (pv.bits.shape, pv.bits.dtype, pv.utterance_ids) == ((0, 39), np.int8, [])
 
 

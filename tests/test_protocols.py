@@ -12,10 +12,11 @@ from phonrich.cli import main
 from phonrich.data import (DEMO_BLOCK, DEMO_VOCABULARY, N_REPETITIONS, RECORDS_PER_SPEAKER, make_demo_inventory,
                            word_duration)
 import phonrich.io
-from phonrich.io import BLOCK_CHARS, Table, provenance_line, write_jsonl
+from phonrich.io import BLOCK_CHARS, Table, provenance_line, read_columns, write_jsonl
 from phonrich.lexicon import presence_vector, transcribe
-from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, MAX_CLIP_WORDS,
-                                MAX_PROBE_REDRAWS, MODEL_COLUMNS, TEST_KEYS, Corpus, ProtocolSpec, _corpus_fault,
+from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, LOADED_MODEL_COLUMNS,
+                                LOADED_TEST_COLUMNS, MANIFEST_KEYS, MAX_CLIP_WORDS, MAX_PROBE_REDRAWS,
+                                MODEL_COLUMNS, MODEL_KEYS, TEST_KEYS, Corpus, ProtocolSpec, _corpus_fault,
                                 _draw_probe, build_clip_protocol, build_enrollment, build_repetitive_protocol,
                                 emit_trials, join_trials, left_sum, load_inventory_jsonl, load_protocol)
 from phonrich.richness import count_unique
@@ -68,7 +69,8 @@ class TestBuildEnrollment:
 
     def test_full_inventory_enrollment_has_cu_39(self, demo_inventory):
         models = build_enrollment(demo_inventory)
-        cu = count_unique(presence_vector([transcribe(models["transcript"][0], DEMO_VOCABULARY)]))
+        codes, lengths, _, _ = transcribe(models["transcript"][:1], DEMO_VOCABULARY)
+        cu = count_unique(presence_vector(codes, lengths, models["model_id"][:1]))
         assert cu.tolist() == [39]
 
     def test_no_sentences_error(self):
@@ -202,10 +204,17 @@ class TestEmitAndLoad:
         loaded = load_protocol(trials, manifest, models)
         assert loaded.positive_trials.tolist() == demo_protocol.positive_trials.tolist()
         assert loaded.negative_trials.tolist() == demo_protocol.negative_trials.tolist()
-        for key in ("test_id", "transcript", "net_speech"):
-            assert loaded.tests[key] == demo_protocol.tests[key]
-        for key in ("model_id", "net_speech"):
-            assert loaded.models[key] == demo_protocol.models[key]
+        # the spec keeps the columns simulate reads; every key of the files reads back through io
+        assert list(loaded.tests.columns) == list(LOADED_TEST_COLUMNS)
+        assert list(loaded.models.columns) == list(LOADED_MODEL_COLUMNS)
+        for path, keys, unique, loaded_table, table in (
+                (manifest, MANIFEST_KEYS, "test_id", loaded.tests, demo_protocol.tests),
+                (models, MODEL_KEYS, "model_id", loaded.models, demo_protocol.models)):
+            written = read_columns(path, keys, unique)
+            for key in keys:
+                assert written[key] == table[key]
+            for key in loaded_table.columns:
+                assert loaded_table[key] == table[key]
 
     def test_empty_spec_header_only(self, tmp_path):
         spec = ProtocolSpec(np.empty((0, 2), np.intp), np.empty((0, 2), np.intp),

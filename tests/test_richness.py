@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phonrich.inventory import ARPABET_39, PresenceVector
-from phonrich.lexicon import PhonemeTranscription
+from phonrich.lexicon import phoneme_codes
 from phonrich.nnls import nnls
 from phonrich.richness import (RichnessWeights, count_unique, fit_weights, load_weights,
                                save_weights, weight_report, weighted_count_unique)
@@ -157,13 +157,13 @@ class TestNnlsOracle:
 class TestWeightReport:
     def test_uniform_weights(self):
         w = RichnessWeights(np.full(39, 0.7))
-        rows = weight_report(w, [PhonemeTranscription("u", ("K", "AE", "T"))])
+        rows = weight_report(w, phoneme_codes([("K", "AE", "T")]))
         for _, norm_w, _ in rows:
             assert norm_w == pytest.approx(1 / 39)
 
     def test_corpus_frequencies(self):
         w = RichnessWeights(np.ones(39))
-        rows = weight_report(w, [PhonemeTranscription("u", ("K", "AE", "T"))])
+        rows = weight_report(w, phoneme_codes([("K", "AE", "T")]))
         freqs = {sym: f for sym, _, f in rows}
         assert freqs["K"] == pytest.approx(1 / 3)
         assert freqs["AE"] == pytest.approx(1 / 3)
@@ -172,7 +172,7 @@ class TestWeightReport:
     def test_normalized_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
         w = RichnessWeights(np.abs(rng.standard_normal(39)))
-        rows = weight_report(w, [PhonemeTranscription("u", ("B",))])
+        rows = weight_report(w, phoneme_codes([("B",)]))
         assert sum(r[1] for r in rows) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -81,6 +81,30 @@ class TestSimulateCorpus:
         assert len(expected) > 7 * 100 and len(expected) % 7
         assert simulate(protocol).trials.scores.tolist() == expected
 
+    def test_every_row_is_its_definition_exactly(self, protocol):
+        """Row idx of the models and of the tests, each in sorted-id order, is v / np.linalg.norm(v),
+        v = mean + default_rng([seed, stream, idx]).standard_normal(dim) * (sigma / np.sqrt(dim)),
+        equal with ==: a row norm taken another way rounds differently in the last bits."""
+        seed, dim, sigma0, kappa = 4, 32, 0.6, 2.0
+        res = simulate(protocol, sigma0, kappa, seed)
+        models, tests = protocol.models, protocol.tests
+        speakers = sorted(set(models["speaker_id"]) | set(tests["speaker_id"]))
+        means = {spk: unit(np.random.default_rng([seed, simulator._SPEAKER_STREAM, i]).standard_normal(dim))
+                 for i, spk in enumerate(speakers)}
+
+        def rows(table, ids, sigmas, stream):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            vs = [means[table["speaker_id"][row]]
+                  + np.random.default_rng([seed, stream, idx]).standard_normal(dim) * (sigma / np.sqrt(dim))
+                  for idx, (row, sigma) in enumerate(zip(order, sigmas))]
+            return [(v / np.linalg.norm(v)).tolist() for v in vs]
+
+        cu = res.qmfs.join(sorted(tests["test_id"]), ["cu"])[:, 0].tolist()
+        assert res.models.tolist() == rows(models, models["model_id"], [sigma0 / 4.0] * len(models),
+                                           simulator._MODEL_STREAM)
+        assert res.tests.tolist() == rows(tests, tests["test_id"], [sigma0 * (1.0 + kappa * (39 - c) / 39) for c in cu],
+                                          simulator._TEST_STREAM)
+
     def test_reproducible(self, protocol):
         r1 = simulate(protocol)
         r2 = simulate(protocol)
