@@ -127,6 +127,21 @@ class TestTranscribe:
             expected.append((tuple(chain.from_iterable(filter(None, prons))), sum(not p for p in prons), len(prons)))
         assert transcribed(texts, lexicon) == expected
 
+    def test_simple_lookup(self):
+        assert transcribed(["cat"], {"cat": CAT}) == [(CAT, 0, 1)]
+
+    def test_empty_text(self):
+        assert transcribed([""], {"cat": CAT}) == [((), 0, 0)]
+
+    def test_oov_counted_not_fatal(self):
+        assert transcribed(["zzqq cat"], {"cat": CAT}) == [(CAT, 1, 2)]
+
+    def test_punctuation_only_fields_are_not_words(self):
+        assert transcribed(["cat -- zzz !!"], {"cat": CAT}) == [(CAT, 1, 2)]
+
+    def test_case_and_punctuation(self):
+        assert transcribed(['"Cat, DON\'T!!"'], {"cat": CAT, "don't": DONT}) == [(CAT + DONT, 0, 2)]
+
     def test_no_texts(self):
         codes, lengths, oov_words, words = transcribe([], LEXICON)
         assert [len(codes), len(lengths), len(oov_words), len(words)] == [0, 0, 0, 0]
