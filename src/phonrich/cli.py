@@ -15,11 +15,11 @@ from . import __version__
 from .calibration import FEATURE_ORDER, cross_validated_calibration, save_model
 from .data import DEMO_BLOCK, DEMO_VOCABULARY, RECORDS_PER_SPEAKER, make_demo_inventory
 from .inventory import ARPABET_39, PresenceVector
-from .io import (Table, iter_jsonl, provenance_line, read_columns, read_jsonl, read_qmfs, read_scores,
-                 write_jsonl, write_qmfs, write_scatter, write_scores, write_tsv)
+from .io import (Table, iter_jsonl, provenance_line, read_columns, read_qmfs, read_scores, write_jsonl,
+                 write_qmfs, write_scatter, write_scores, write_tsv)
 from .lexicon import load_lexicon, phoneme_codes, presence_vector, transcribe
-from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats
-from .protocols import (build_clip_protocol, build_repetitive_protocol, emit_trials,
+from .metrics import Qmfs, compute_eer, compute_min_c_primary, correlation_report, protocol_stats, rows_of
+from .protocols import (MANIFEST_KEYS, build_clip_protocol, build_repetitive_protocol, emit_trials,
                         load_inventory_jsonl, load_protocol)
 from .richness import (count_unique, fit_weights, load_weights, quality_measures, save_weights,
                        weight_report)
@@ -38,13 +38,11 @@ def _provenance(args) -> str:
 
 def cmd_g2p(args) -> None:
     lexicon = load_lexicon(args.lexicon)
-    transcripts = read_jsonl(args.transcripts, required={"utterance_id": "string", "transcript": "string"},
-                             unique="utterance_id")
-    utterance_ids = [rec["utterance_id"] for rec in transcripts]
-    codes, lengths, oov_words, words = transcribe([rec["transcript"] for rec in transcripts], lexicon)
-    presence = presence_vector(codes, lengths, utterance_ids)
+    transcripts = read_columns(args.transcripts, {"utterance_id": "string", "transcript": "string"}, "utterance_id")
+    codes, lengths, oov_words, words = transcribe(transcripts["transcript"], lexicon)
+    presence = presence_vector(codes, lengths, transcripts["utterance_id"])
     symbols = list(map(ARPABET_39.__getitem__, codes.tolist()))
-    records = Table({"utterance_id": utterance_ids,
+    records = Table({"utterance_id": transcripts["utterance_id"],
                      "phonemes": [symbols[start:end] for start, end in pairwise([0, *np.cumsum(lengths).tolist()])],
                      "bits": presence.to_bitstring(), "cu": count_unique(presence).tolist(),
                      "oov_words": oov_words.tolist()})
@@ -65,7 +63,8 @@ def _read_presence(path) -> PresenceVector:
 def cmd_richness(args) -> None:
     presence = _read_presence(args.presence)
     weights = load_weights(args.weights) if args.weights else None
-    manifest = args.manifest and read_columns(args.manifest, {"test_id": "string", "net_speech": "number"}, "test_id")
+    keys = {key: MANIFEST_KEYS[key] for key in ("test_id", "net_speech")}
+    manifest = args.manifest and read_columns(args.manifest, keys, "test_id")
     net_speech = dict(zip(manifest["test_id"], manifest["net_speech"])) if args.manifest else None
     qmfs = quality_measures(presence, weights, net_speech)
     write_qmfs(args.out, qmfs, _provenance(args))
@@ -74,9 +73,8 @@ def cmd_richness(args) -> None:
 
 def cmd_fit_weights(args) -> None:
     presence = _read_presence(args.presence)
-    row_of = {test_id: row for row, test_id in enumerate(presence.utterance_ids)}
     trials = read_scores(args.scores)
-    rows = np.array([row_of.get(test_id, -1) for test_id in trials.tests], dtype=np.intp)[trials.test_codes]
+    rows = rows_of(trials.tests, presence.utterance_ids)[trials.test_codes]
     kept = trials.is_target & (rows >= 0)
     if not kept.any():
         raise ValueError(f"{args.scores}: no target trial's test has a record in {args.presence}")

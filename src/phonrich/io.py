@@ -10,7 +10,7 @@ import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, repeat
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, not_
 from pathlib import Path
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .inventory import ARPABET_39, PHONEME_INDEX
-from .metrics import NONTARGET, TARGET, Qmfs, Trials
+from .metrics import NONTARGET, TARGET, Qmfs, Trials, encode_ids
 
 TRIAL_COLUMNS = ["model_id", "test_id", "label"]
 SCORE_COLUMNS = TRIAL_COLUMNS + ["raw_score"]
@@ -172,23 +172,27 @@ def write_jsonl(path: str | Path, tables: Table | Iterable[Table], provenance: s
 JSON_TYPES = {
     "string": lambda v: type(v) is str,
     "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-    "integer": lambda v: type(v) is int,
+    "positive number": lambda v: JSON_TYPES["number"](v) and v > 0,
+    "64-bit integer": lambda v: type(v) is int and -2**63 <= v < 2**63,
     "list": lambda v: type(v) is list,
     "string of 39 0s and 1s": lambda v: type(v) is str and len(v) == len(ARPABET_39) and not v.strip("01"),
     "list of ARPABET-39 symbols": lambda v: type(v) is list and all(type(s) is str and s in PHONEME_INDEX for s in v),
-    "list of numbers or null": lambda v: v is None or type(v) is list and all(map(JSON_TYPES["number"], v)),
+    "list of positive numbers or null": lambda v: v is None or type(v) is list
+                                                  and all(map(JSON_TYPES["positive number"], v)),
 }
 COLUMN_TYPES = {  # JSON type -> whether each value of a column is of that type (JSON_TYPES), in C-level passes
     "string": lambda vs: set(map(type, vs)) <= {str},
     "number": lambda vs: set(map(type, vs)) <= {int, float} and max(map(abs, vs), default=0) <= sys.float_info.max,
-    "integer": lambda vs: set(map(type, vs)) <= {int},
+    "positive number": lambda vs: COLUMN_TYPES["number"](vs) and min(vs, default=1) > 0,
+    "64-bit integer": lambda vs: set(map(type, vs)) <= {int}
+                                 and -2**63 <= min(vs, default=0) <= max(vs, default=0) < 2**63,
     "list": lambda vs: set(map(type, vs)) <= {list},
     "string of 39 0s and 1s": lambda vs: set(map(type, vs)) <= {str} and set(map(len, vs)) <= {len(ARPABET_39)}
                                          and not "".join(vs).strip("01"),
     "list of ARPABET-39 symbols": lambda vs: set(map(type, vs)) <= {list} and set(
         map(type, chain.from_iterable(vs))) <= {str} and set(chain.from_iterable(vs)) <= PHONEME_INDEX.keys(),
-    "list of numbers or null": lambda vs: set(map(type, vs)) <= {list, type(None)}
-                                          and COLUMN_TYPES["number"](list(chain.from_iterable(filter(None, vs)))),
+    "list of positive numbers or null": lambda vs: set(map(type, vs)) <= {list, type(None)} and COLUMN_TYPES[
+        "positive number"](list(chain.from_iterable(filter(None, vs)))),
 }
 
 
@@ -236,7 +240,8 @@ def _column_fault(key: str, kind: str, needed: bool, values: list) -> tuple[int,
         return None  # the column checked as one; value by value below only to find and name its first fault
     for row in compress(count(), map(not_, map(JSON_TYPES[kind], values))):
         if values[row] is not MISSING:  # an int or a float that is not a "number" is not finite
-            kind = "finite number" if kind == "number" and type(values[row]) in (int, float) else kind
+            infinite = type(values[row]) in (int, float) and not JSON_TYPES["number"](values[row])
+            kind = "finite number" if infinite and kind.endswith("number") else kind
             return row, f"{key} must be {'an' if kind[0] in 'aeiou' else 'a'} {kind}, got {json.dumps(values[row])}"
         if needed:
             return row, f"record has no {key}"
@@ -417,10 +422,8 @@ def read_trial_table(path: str | Path, scored: bool = False) -> tuple[Trials, ar
             if not finite.all():
                 row = int(np.argmin(finite))
                 fail(row, f"non-finite score {scores[row]!r}")
-        for ids, index, codes in ((cells[0::width], model_index, model_codes),
-                                  (cells[1::width], test_index, test_codes)):
-            index.update(zip(filterfalse(index.__contains__, dict.fromkeys(ids)), count(len(index))))
-            codes.append(np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(rows)))
+        model_codes.append(encode_ids(cells[0::width], model_index))
+        test_codes.append(encode_ids(cells[1::width], test_index))
         lines.extend(numbers)
     if header is None:
         raise ValueError(f"{path}: no header line found")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, filterfalse, repeat
 
 import numpy as np
 
@@ -17,11 +17,16 @@ TARGET = "target"
 NONTARGET = "nontarget"
 
 
-def encode_ids(ids) -> tuple[list[str], np.ndarray]:
-    """Distinct ids in order of first appearance, and each id's index into them."""
-    table = list(dict.fromkeys(ids))
-    index = dict(zip(table, range(len(table))))
-    return table, np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+def encode_ids(ids, index: dict) -> np.ndarray:
+    """Each id's code in ``index``, id -> code in order of first appearance, which gains the ids it lacks."""
+    index.update(zip(filterfalse(index.__contains__, dict.fromkeys(ids)), count(len(index))))
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
+def rows_of(ids, keys) -> np.ndarray:
+    """Each id's row in ``keys``, or -1 for an id that is not one of them."""
+    row = dict(zip(keys, count()))
+    return np.fromiter(map(row.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
 
 
 @dataclass
@@ -46,9 +51,8 @@ class Trials:
     @classmethod
     def from_ids(cls, model_ids, test_ids, is_target, scores) -> "Trials":
         """Trials from one model id, test id, target flag and (unless None) score per trial."""
-        models, model_codes = encode_ids(model_ids)
-        tests, test_codes = encode_ids(test_ids)
-        return cls(models, tests, model_codes, test_codes, np.asarray(is_target, dtype=bool),
+        codes = encode_ids(model_ids, models := {}), encode_ids(test_ids, tests := {})
+        return cls(list(models), list(tests), *codes, np.asarray(is_target, dtype=bool),
                    None if scores is None else np.asarray(scores, dtype=float))
 
     def __len__(self) -> int:
@@ -113,8 +117,7 @@ class Qmfs:
         The first of ``tests`` that has no row, or lacks one of ``names``, fails, naming
         the file of a table read from one and the line of the test's row, if it has one.
         """
-        row_of = dict(zip(self.test_ids, range(len(self.test_ids))))
-        rows = np.fromiter(map(row_of.get, tests, repeat(-1)), dtype=np.intp, count=len(tests))
+        rows = rows_of(tests, self.test_ids)
         block = np.vstack([self.columns(names), np.full((1, len(names)), np.nan)])[rows]  # row -1: no row
         bad = (rows < 0) | np.isnan(block).any(axis=1)
         if bad.any():

@@ -861,10 +861,10 @@ class TestWordDurations:
     with its file and line: a clip would never reach its target, or sum to infinity."""
 
     @pytest.mark.parametrize("durations, message", [
-        ("[0, 0]", "u0: word_durations must be > 0, got 0"),
-        ("[-1.0, 0.5]", "u0: word_durations must be > 0, got -1.0"),
-        ("[1e999, 1.0]", "word_durations must be a list of numbers or null, got [Infinity, 1.0]"),
-        ("[true, true]", "word_durations must be a list of numbers or null, got [true, true]"),
+        ("[0, 0]", "word_durations must be a list of positive numbers or null, got [0, 0]"),
+        ("[-1.0, 0.5]", "word_durations must be a list of positive numbers or null, got [-1.0, 0.5]"),
+        ("[1e999, 1.0]", "word_durations must be a list of positive numbers or null, got [Infinity, 1.0]"),
+        ("[true, true]", "word_durations must be a list of positive numbers or null, got [true, true]"),
     ], ids=["zero", "negative", "infinite", "booleans"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, durations, message):
         path = small_inputs["corpus"]
@@ -977,13 +977,13 @@ class TestCorpusRecords:
                 repetition_index=1, word_durations=None)
 
     @pytest.mark.parametrize("changes, message", [
-        ({"repetition_index": "x"}, 'repetition_index must be an integer, got "x"'),
-        ({"net_speech": 0}, "u1: net_speech must be > 0"),
+        ({"repetition_index": "x"}, 'repetition_index must be a 64-bit integer, got "x"'),
+        ({"net_speech": 0}, "net_speech must be a positive number, got 0"),
         ({"repetition_index": 0}, "u1: word recordings need repetition_index >= 1"),
-        ({"repetition_index": 2 ** 63}, "u1: repetition_index must fit in 64 bits"),
+        ({"repetition_index": 2 ** 63}, "repetition_index must be a 64-bit integer, got 9223372036854775808"),
         ({"kind": "wrd"}, "u1: kind must be one of sentence|word|digit|free, got 'wrd'"),
         ({"transcript": 5}, "transcript must be a string, got 5"),
-        ({"word_durations": ["0.5"]}, 'word_durations must be a list of numbers or null, got ["0.5"]'),
+        ({"word_durations": ["0.5"]}, 'word_durations must be a list of positive numbers or null, got ["0.5"]'),
     ], ids=["repetition-index-not-integer", "net-speech-zero", "word-repetition-zero", "repetition-index-64-bits",
             "unknown-kind",
             "transcript-not-string", "word-durations-not-numbers"])
@@ -1177,17 +1177,29 @@ class TestJsonlValueTypes:
     @pytest.mark.parametrize("argv, bad, key, value, kind", [
         (G2P, "transcripts", "transcript", 5, "string"),
         (RICHNESS, "presence", "bits", 5, "string of 39 0s and 1s"),
-        (RICHNESS, "manifest", "net_speech", "abc", "number"),
+        (RICHNESS, "manifest", "net_speech", "abc", "positive number"),
         (FIT_WEIGHTS, "presence", "bits", 5, "string of 39 0s and 1s"),
         (REPORT_WEIGHTS, "presence", "phonemes", 5, "list of ARPABET-39 symbols"),
         (REPORT_WEIGHTS, "presence", "phonemes", ["K", ["AE"]], "list of ARPABET-39 symbols"),
-        (SIMULATE, "manifest", "net_speech", True, "number"),
+        (SIMULATE, "manifest", "net_speech", True, "positive number"),
         # simulate checks these columns but does not keep them
         (SIMULATE, "manifest", "source_ids", "u0", "list"),
-        (SIMULATE, "models", "net_speech", "x", "number"),
+        (SIMULATE, "models", "net_speech", "x", "positive number"),
+        # net speech of zero or below, whose log would be floored into a wrong lns, in each file that gives it
+        (SIMULATE, "manifest", "net_speech", 0, "positive number"),
+        (SIMULATE, "manifest", "net_speech", -3, "positive number"),
+        (SIMULATE, "models", "net_speech", 0, "positive number"),
+        (SIMULATE, "models", "net_speech", -3, "positive number"),
+        (RICHNESS, "manifest", "net_speech", 0, "positive number"),
+        (RICHNESS, "manifest", "net_speech", -3, "positive number"),
+        (GEN_PROTOCOL, "corpus", "net_speech", 0, "positive number"),
+        (GEN_PROTOCOL, "corpus", "net_speech", -3, "positive number"),
     ], ids=["g2p-transcript", "richness-bits", "richness-net-speech", "fit-weights-bits",
             "report-weights-phonemes", "report-weights-phoneme-list", "simulate-net-speech",
-            "simulate-source-ids", "simulate-models-net-speech"])
+            "simulate-source-ids", "simulate-models-net-speech", "simulate-net-speech-zero",
+            "simulate-net-speech-negative", "simulate-models-net-speech-zero", "simulate-models-net-speech-negative",
+            "richness-net-speech-zero", "richness-net-speech-negative", "gen-protocol-net-speech-zero",
+            "gen-protocol-net-speech-negative"])
     def test_wrong_type_names_file_and_line(self, tmp_path, small_inputs, capsys,
                                             argv, bad, key, value, kind):
         path = small_inputs[bad]
@@ -1396,7 +1408,7 @@ class TestJsonlRecordLines:
         (["stats", "--qmf", "qmf"], "qmf", dict(VALID_RECORDS["qmf"], test_id="t2", cu="3"),
          'cu must be a number, got "3"'),
         (GEN_PROTOCOL, "corpus", dict(VALID_RECORDS["corpus"], utterance_id="u1", net_speech=0),
-         "u1: net_speech must be > 0"),
+         "net_speech must be a positive number, got 0"),
         (RICHNESS, "presence", dict(VALID_RECORDS["presence"], utterance_id="t2", bits="010"),
          'bits must be a string of 39 0s and 1s, got "010"'),
         (REPORT_WEIGHTS, "presence", presence_record("t2", ("K", "XX")),

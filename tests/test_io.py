@@ -323,29 +323,35 @@ class TestChunkBoundaries:
 
 
 # values of each JSON type, and values that are not of it, as json.loads gives them: true and false, ints past
-# the float range, 1e400 and -1e400 (read as infinities), near bitstrings, near ARPABET lists, nested values
+# the float range or 64 bits, 1e400 and -1e400 (read as infinities), zeros and negative numbers, near
+# bitstrings, near ARPABET lists, nested values
 INF = json.loads("1e400")
 JSON_NUMBERS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE_NUMBERS = st.one_of(st.integers(min_value=1), st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+                             st.sampled_from([5e-324, 1e308]))
 OF_TYPE = {
     "string": st.text(max_size=4),
     "number": JSON_NUMBERS,
-    "integer": st.integers(),
+    "positive number": POSITIVE_NUMBERS,
+    "64-bit integer": st.integers(-2**63, 2**63 - 1),
     "list": st.lists(st.one_of(st.none(), st.booleans(), JSON_NUMBERS, st.text(max_size=2)), max_size=3),
     "string of 39 0s and 1s": st.text("01", min_size=len(ARPABET_39), max_size=len(ARPABET_39)),
     "list of ARPABET-39 symbols": st.lists(st.sampled_from(ARPABET_39), max_size=4),
-    "list of numbers or null": st.one_of(st.none(), st.lists(JSON_NUMBERS, max_size=3)),
+    "list of positive numbers or null": st.one_of(st.none(), st.lists(POSITIVE_NUMBERS, max_size=3)),
 }
 # values that come close to each type and are not of it
 NEAR = {
     "string": st.sampled_from([1, None, True, [], {}, ["a"]]),
     "number": st.sampled_from([True, False, 10**400, -(10**309), INF, -INF, "1", None]),
-    "integer": st.sampled_from([True, False, 1.0, -0.0, "1", None]),
+    "positive number": st.sampled_from([0, -0.0, -5e-324, -1, True, 10**400, INF, -INF, "1", None]),
+    "64-bit integer": st.sampled_from([2**63, -2**63 - 1, 10**400, True, False, 1.0, -0.0, "1", None]),
     "list": st.sampled_from(["[]", {}, None, 1, ()]),
     "string of 39 0s and 1s": st.one_of(st.text("01", min_size=len(ARPABET_39) - 1, max_size=len(ARPABET_39) + 1),
                                         st.text("01x ", min_size=len(ARPABET_39), max_size=len(ARPABET_39))),
     "list of ARPABET-39 symbols": st.lists(
         st.sampled_from(ARPABET_39[:3] + ("aa", "ZZ", "", 1, None, True, [], ["AA"])), min_size=1, max_size=3),
-    "list of numbers or null": st.sampled_from([[True], [INF], [-INF], [10**400], ["1"], [[1]], [None], 1.0, {}]),
+    "list of positive numbers or null": st.sampled_from([[True], [INF], [-INF], [10**400], ["1"], [[1]], [None], 1.0,
+                                                         {}, [0], [1, -0.0], [0.5, -1e-300]]),
 }
 ODD = st.one_of(
     st.booleans(), st.none(), st.just(MISSING), st.sampled_from([10**400, INF, 1.5, 2, "AA", "", {}, {"a": [1]}]),
@@ -386,8 +392,8 @@ def test_faults_in_two_columns_of_a_block_name_the_earlier_line(tmp_path, monkey
     lines = [good, {**good, earlier: "x"}, good, {**good, later: True}, good]
     path = tmp_path / "records.jsonl"
     path.write_text("\n".join(map(json.dumps, lines)) + "\n")
-    read = lambda path: [n for numbers, _, _ in iter_jsonl(path, required={"a": "number", "b": "integer"})  # noqa: E731
-                         for n in numbers]
-    kind = "a number" if earlier == "a" else "an integer"
+    keys = {"a": "number", "b": "64-bit integer"}
+    read = lambda path: [n for numbers, _, _ in iter_jsonl(path, required=keys) for n in numbers]  # noqa: E731
+    kind = "a number" if earlier == "a" else "a 64-bit integer"
     assert same_at_every_block_size(monkeypatch, read, path) == \
         f'ValueError: {path}:2: {earlier} must be {kind}, got "x"'

@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from collections import Counter
 from functools import reduce
+from itertools import count
 from operator import add
 
 import numpy as np
@@ -12,7 +13,7 @@ from phonrich.cli import main
 from phonrich.data import (DEMO_BLOCK, DEMO_VOCABULARY, N_REPETITIONS, RECORDS_PER_SPEAKER, make_demo_inventory,
                            word_duration)
 import phonrich.io
-from phonrich.io import BLOCK_CHARS, Table, provenance_line, read_columns, write_jsonl
+from phonrich.io import BLOCK_CHARS, Table, _column_fault, provenance_line, read_columns, write_jsonl
 from phonrich.lexicon import presence_vector, transcribe
 from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, LOADED_MODEL_COLUMNS,
                                 LOADED_TEST_COLUMNS, MANIFEST_KEYS, MAX_CLIP_WORDS, MAX_PROBE_REDRAWS,
@@ -409,6 +410,9 @@ def corpus_lines(n, faults):
                    for row in range(n))
 
 
+WORD_REPETITION_ZERO = {"kind": "word", "word_text": "cat", "repetition_index": 0}  # breaks a corpus rule
+
+
 class TestFirstFaultInFileOrder:
     """The corpus reader checks a block of lines a key at a time and then a rule at a time; of two
     faults, whichever check finds each, the one on the earlier line is named."""
@@ -417,16 +421,16 @@ class TestFirstFaultInFileOrder:
     def test_rule_fault_before_a_type_fault_past_the_block(self, tmp_path, monkeypatch, chars):
         n = BLOCK_CHARS // len(corpus_lines(1, {})) + 10
         path = tmp_path / "corpus.jsonl"
-        path.write_text(corpus_lines(n, {3: {"net_speech": 0}, n: {"repetition_index": "x"}}))
+        path.write_text(corpus_lines(n, {3: WORD_REPETITION_ZERO, n: {"repetition_index": "x"}}))
         assert path.stat().st_size - len(path.read_text().rsplit("\n", 2)[-2]) > BLOCK_CHARS
         monkeypatch.setattr(phonrich.io, "BLOCK_CHARS", chars)
         with pytest.raises(ValueError) as exc:
             load_inventory_jsonl(path)
-        assert str(exc.value) == f"{path}:3: u2: net_speech must be > 0"
+        assert str(exc.value) == f"{path}:3: u2: word recordings need repetition_index >= 1"
 
     @pytest.mark.parametrize("faults, message", [
-        ({2: {"net_speech": "1"}, 5: {"net_speech": 0}}, '2: net_speech must be a number, got "1"'),
-        ({2: {"net_speech": 0}, 5: {"net_speech": "1"}}, "2: u1: net_speech must be > 0"),
+        ({2: {"net_speech": "1"}, 5: WORD_REPETITION_ZERO}, '2: net_speech must be a positive number, got "1"'),
+        ({2: WORD_REPETITION_ZERO, 5: {"net_speech": "1"}}, "2: u1: word recordings need repetition_index >= 1"),
     ], ids=["type-then-rule", "rule-then-type"])
     def test_two_faults_in_one_block(self, tmp_path, faults, message):
         path = tmp_path / "corpus.jsonl"
@@ -436,9 +440,9 @@ class TestFirstFaultInFileOrder:
         assert str(exc.value) == f"{path}:{message}"
 
 
-# values of each corpus key a rule reads that keep every rule (some at its edge), then values that break one
-# for some records: kinds that are not corpus kinds, net speech <= 0, repetition indices outside 64 bits or
-# below 1 in a word recording, and word durations <= 0
+# values of each corpus key that a rule or a JSON type checks that keep every rule and type (some at its
+# edge), then values that break one for some records: kinds that are not corpus kinds, net speech <= 0,
+# repetition indices outside 64 bits or below 1 in a word recording, and word durations <= 0
 RULE_VALUES = {
     "kind": (["sentence", "word", "digit", "free"], ["wrd", ""]),
     "net_speech": ([1.0, 5e-324, 7], [0, -0.0, -1.5]),
@@ -457,17 +461,27 @@ corpus_records = st.fixed_dictionaries(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(corpus_records, min_size=1, max_size=8))
 def test_corpus_rule_checks_agree_with_each_record(tmp_path_factory, records):
-    """The corpus rules, checked over a block's columns at once, name the first record that _corpus_fault
-    words a fault for, and pass a block that has none."""
+    """The JSON types and the corpus rules, checked over a block's columns at once, name the first record
+    that a value check of its own (_column_fault on its value alone), else _corpus_fault, words a fault
+    for, and pass a block that has none."""
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     path.write_text("".join(json.dumps({"utterance_id": f"u{row}", **rec}) + "\n" for row, rec in enumerate(records)))
-    faults = [_corpus_fault(rec["kind"], rec["net_speech"], rec.get("repetition_index", 0), rec.get("word_durations"))
-              for rec in records]
+
+    def refusal(row, rec):
+        """Why the reader refuses ``rec`` alone: its first value, in the order the keys are checked, not of its
+        key's JSON type, else a corpus rule; None if neither."""
+        for key, kind in {**CORPUS_KEYS, **CORPUS_OPTIONAL_KEYS}.items():
+            if key in rec and (found := _column_fault(key, kind, True, [rec[key]])):
+                return found[1]
+        rule = _corpus_fault(rec["kind"], rec.get("repetition_index", 0))
+        return rule and f"u{row}: {rule}"
+
+    faults = list(map(refusal, count(), records))
     row = next((row for row, fault in enumerate(faults) if fault), None)
     try:
         assert len(load_inventory_jsonl(path).utterance_id) == len(records) and row is None
     except ValueError as exc:
-        assert str(exc) == f"{path}:{row + 1}: u{row}: {faults[row]}"
+        assert str(exc) == f"{path}:{row + 1}: {faults[row]}"
 
 
 class TestLeftSum:
