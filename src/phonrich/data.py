@@ -11,6 +11,7 @@ import numpy as np
 
 from .io import Table
 from .protocols import left_sum
+from .simulator import substreams
 
 # word -> pronunciation; union of all pronunciations covers the full inventory
 DEMO_VOCABULARY: dict[str, tuple[str, ...]] = {
@@ -114,9 +115,11 @@ def make_demo_inventory(n_speakers: int, seed: int = 0, first: int = 0) -> Table
     reps = list(range(1, N_REPETITIONS + 1)) * len(DEMO_VOCABULARY)
     numbers = range(first, first + n_speakers)
     # per speaker, one draw per word recording, in recording order; a recording's net speech is
-    # word_duration * (1 + 0.1 * (draw - 0.5)), each operation as the scalar one rounds it
-    draws = np.array([np.random.default_rng([seed, 97, s]).random(len(words))
-                      for s in numbers]).reshape(n_speakers, len(words))
+    # word_duration * (1 + 0.1 * (draw - 0.5)), each operation as the scalar one rounds it; speaker s draws
+    # from substream [seed, 97, s]
+    draws = np.empty((n_speakers, len(words)))
+    for row, rng in zip(draws, substreams(seed, 97, numbers)):
+        rng.random(out=row)
     word_net_speech = np.array([word_duration(word) for word in words]) * (1.0 + 0.1 * (draws - 0.5))
     net_speech = np.hstack([np.tile([float(left_sum(d)) for d in sentence_durations], (n_speakers, 1)),
                             word_net_speech])
@@ -133,8 +136,3 @@ def make_demo_inventory(n_speakers: int, seed: int = 0, first: int = 0) -> Table
         "gender": [("m", "f")[s % 2] for s in numbers for _ in suffixes],
         "word_durations": (sentence_durations + [None] * len(words)) * n_speakers,
     })
-
-
-def demo_lexicon_lines() -> str:
-    """The demo vocabulary rendered as CMU-dictionary text."""
-    return "".join(f"{word.upper()}  {' '.join(pron)}\n" for word, pron in sorted(DEMO_VOCABULARY.items()))

@@ -445,18 +445,20 @@ def read_trial_table(path: str | Path, scored: bool = False) -> tuple[Trials, ar
 def read_qmfs(path: str | Path) -> Qmfs:
     """QMF JSONL as one table: a row per record, in file order, and a column per key but test_id.
 
-    Every key but test_id must be a finite JSON number. Records may hold
-    different keys; a row is NaN where its record lacks one. The table's
-    source is ``path``, and its lines those of the records.
+    Every key but test_id must be a finite JSON number, and net_speech a positive one. Records may
+    hold different keys; a row is NaN where its record lacks one, and a key no record holds has no
+    column. The table's source is ``path``, and its lines those of the records.
     """
     blocks, lines = [], array("q")
-    for numbers, _, columns in iter_jsonl(path, required={"test_id": "string"}, unique="test_id", others="number"):
+    for numbers, _, columns in iter_jsonl(path, required={"test_id": "string"}, unique="test_id",
+                                          optional={"net_speech": "positive number"}, others="number"):
         blocks.append(columns)
         lines.extend(numbers)
+    held = {name for block in blocks for name, values in block.items() if any(v is not MISSING for v in values)}
     return Qmfs.from_columns([i for block in blocks for i in block["test_id"]], {
         name: [math.nan if value is MISSING else value for block in blocks
                for value in block.get(name, [MISSING] * len(block["test_id"]))]
-        for name in set().union(*blocks) - {"test_id"}}, str(path), lines)
+        for name in held - {"test_id"}}, str(path), lines)
 
 
 def write_qmfs(path: str | Path, qmfs: Qmfs, provenance: str | None = None) -> None:

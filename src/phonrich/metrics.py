@@ -48,13 +48,6 @@ class Trials:
     scores: np.ndarray | None  # float64
     source: str = ""
 
-    @classmethod
-    def from_ids(cls, model_ids, test_ids, is_target, scores) -> "Trials":
-        """Trials from one model id, test id, target flag and (unless None) score per trial."""
-        codes = encode_ids(model_ids, models := {}), encode_ids(test_ids, tests := {})
-        return cls(list(models), list(tests), *codes, np.asarray(is_target, dtype=bool),
-                   None if scores is None else np.asarray(scores, dtype=float))
-
     def __len__(self) -> int:
         return len(self.model_codes)
 

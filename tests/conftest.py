@@ -1,6 +1,10 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from phonrich.data import DEMO_VOCABULARY
+from phonrich.metrics import Trials, encode_ids
 
 # 20 hand-verified CMU dictionary entries (with stress digits) and their
 # expected stress-free pronunciations
@@ -57,6 +61,18 @@ def lexicon_file(tmp_path):
     path = tmp_path / "cmudict.txt"
     path.write_text(CMUDICT_LINES)
     return path
+
+
+def trials_from_ids(model_ids, test_ids, is_target, scores):
+    """Trials from one model id, test id, target flag and (unless None) score per trial."""
+    codes = encode_ids(model_ids, models := {}), encode_ids(test_ids, tests := {})
+    return Trials(list(models), list(tests), *codes, np.asarray(is_target, dtype=bool),
+                  None if scores is None else np.asarray(scores, dtype=float))
+
+
+def demo_lexicon_lines():
+    """The demo vocabulary rendered as CMU-dictionary text."""
+    return "".join(f"{word.upper()}  {' '.join(pron)}\n" for word, pron in sorted(DEMO_VOCABULARY.items()))
 
 
 def trial_rows(trials):

@@ -11,7 +11,7 @@ import pytest
 
 from phonrich.calibration import cross_validated_calibration, stratified_folds
 from phonrich.cli import main as cli_main
-from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines, make_demo_inventory
+from phonrich.data import DEMO_VOCABULARY, make_demo_inventory
 from phonrich.inventory import ARPABET_39, PresenceVector
 from phonrich.io import Table, read_jsonl, write_jsonl
 from phonrich.lexicon import load_lexicon, phoneme_codes, presence_vector
@@ -20,7 +20,7 @@ from phonrich.protocols import Corpus, build_repetitive_protocol
 from phonrich.richness import RichnessWeights, count_unique, fit_weights, weighted_count_unique
 from phonrich.simulator import simulate_corpus
 
-from conftest import CMUDICT_LINES, EXPECTED_PRONUNCIATIONS
+from conftest import CMUDICT_LINES, EXPECTED_PRONUNCIATIONS, demo_lexicon_lines
 from oracles import (brute_force_eer, brute_force_min_c_primary, brute_force_tau,
                      random_monotone_transform)
 

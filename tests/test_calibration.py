@@ -5,13 +5,13 @@ import pytest
 
 from phonrich.calibration import (CalibrationModel, apply_lr, build_features,
                                   cross_validated_calibration, fit_lr, save_model, stratified_folds)
-from phonrich.metrics import Qmfs, Trials, compute_eer, log_net_speech
+from phonrich.metrics import Qmfs, compute_eer, log_net_speech
 
-from conftest import read_model_fields, trial_rows
+from conftest import read_model_fields, trial_rows, trials_from_ids
 
 
 def make_trials(tar, non):
-    return Trials.from_ids(["m"] * (len(tar) + len(non)),
+    return trials_from_ids(["m"] * (len(tar) + len(non)),
                            [f"t{i}" for i in range(len(tar))] + [f"n{i}" for i in range(len(non))],
                            [True] * len(tar) + [False] * len(non), list(tar) + list(non))
 

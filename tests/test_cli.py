@@ -13,7 +13,7 @@ from phonrich.inventory import ARPABET_39
 from phonrich.io import WRITE_CHUNK, read_jsonl, read_scores, read_tsv
 from phonrich.protocols import MAX_CLIP_WORDS
 
-from conftest import CMUDICT_LINES, read_model_fields, trial_rows
+from conftest import CMUDICT_LINES, demo_lexicon_lines, read_model_fields, trial_rows
 
 
 def run(argv):
@@ -115,7 +115,6 @@ class TestPipeline:
         transcripts = workspace / "tr.jsonl"
         write_transcripts(transcripts, [(m["test_id"], m["transcript"]) for m in manifest])
         lexfile = workspace / "demolex.txt"
-        from phonrich.data import demo_lexicon_lines
         lexfile.write_text(demo_lexicon_lines())
         presence = workspace / "presence.jsonl"
         assert run(["g2p", "--transcripts", transcripts, "--lexicon", lexfile,
@@ -332,7 +331,6 @@ class TestPinnedQmfBytes:
     }
 
     def test_outputs_match_pinned_digests(self, tmp_path, capsys, monkeypatch):
-        from phonrich.data import demo_lexicon_lines
         monkeypatch.chdir(tmp_path)  # provenance names inputs by file name only
         inputs = {"lexicon.txt", "transcripts.jsonl", "partial.jsonl", "nolns.jsonl"}
         (tmp_path / "lexicon.txt").write_text(demo_lexicon_lines())
@@ -394,7 +392,6 @@ class TestQmfProducersAgree:
 
     @pytest.mark.parametrize("with_lexicon", [False, True], ids=["built-in-vocabulary", "lexicon-file"])
     def test_records_are_equal_by_test_id(self, tmp_path, with_lexicon):
-        from phonrich.data import demo_lexicon_lines
         lexicon = tmp_path / "lexicon.txt"
         lexicon.write_text(demo_lexicon_lines())
         corpus, prefix = tmp_path / "corpus.jsonl", tmp_path / "rep"
@@ -565,6 +562,26 @@ class TestQmfFile:
         assert captured.err == f"error: {qmf}:3: cu must be a number, got {json.dumps(value)}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", [0, -3], ids=["zero", "negative"])
+    @pytest.mark.parametrize("command", ["stats", "evaluate", "calibrate"])
+    def test_net_speech_must_be_positive(self, tmp_path, capsys, command, value):
+        """net_speech, from which lns is derived, is a positive number here as in every other file."""
+        scores = tmp_path / "scores.tsv"  # five targets and five nontargets, enough for calibrate's 5 folds
+        scores.write_text(SCORES_HEADER + "".join(f"m{k}\tt1\ttarget\t0.{k}\nm{k}\tt2\tnontarget\t-0.{k}\n"
+                                                  for k in range(1, 6)))
+        qmf = tmp_path / "qmf.jsonl"
+        qmf.write_text('# provenance\n{"test_id": "t1", "cu": 5, "net_speech": 2.0}\n'
+                       + json.dumps({"test_id": "t2", "cu": 7, "net_speech": value}) + "\n")
+        argv = {"stats": ["stats", "--qmf", qmf],
+                "evaluate": ["evaluate", "--scores", scores, "--qmf", qmf, "--features", "lns"],
+                "calibrate": ["calibrate", "--scores", scores, "--qmf", qmf, "--features", "lns", "--seed", "1",
+                              "--out-scores", tmp_path / "out.tsv"]}[command]
+        assert run(argv) == 1
+        captured = only_error_line(capsys)
+        assert captured.err == f"error: {qmf}:3: net_speech must be a positive number, got {value}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out.tsv").exists()
+
 
 
 class TestNonFiniteNumbers:
@@ -696,7 +713,6 @@ class TestPinnedStall:
         import numpy as np
 
         from phonrich import calibration
-        from phonrich.data import demo_lexicon_lines
 
         corpus, prefix = tmp_path / "corpus.jsonl", tmp_path / "rep"
         scores, presence = tmp_path / "scores.tsv", tmp_path / "presence.jsonl"

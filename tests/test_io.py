@@ -15,7 +15,8 @@ import phonrich.io
 from phonrich.inventory import ARPABET_39
 from phonrich.io import (COLUMN_TYPES, JSON_TYPES, JSONL_CHUNK, MISSING, Table, _column_fault, iter_jsonl,
                          numbered_lines, read_scores, read_trial_table, write_jsonl, write_scores)
-from phonrich.metrics import Trials
+
+from conftest import trials_from_ids
 
 # block sizes that cut lines, line ends and characters at every place
 SMALL_BLOCKS = [1, 2, 3, 7]
@@ -217,7 +218,7 @@ model_ids = cell_text.filter(lambda text: not text.startswith("#"))
                                      min_size=len(pairs), max_size=len(pairs)))))
 def test_scores_survive_a_round_trip(tmp_path_factory, rows):
     pairs, labels, values = rows
-    trials = Trials.from_ids([m for m, _ in pairs], [t for _, t in pairs], np.array(labels, dtype=bool),
+    trials = trials_from_ids([m for m, _ in pairs], [t for _, t in pairs], np.array(labels, dtype=bool),
                              np.array(values, dtype=float))
     path = tmp_path_factory.mktemp("round") / "scores.tsv"
     write_scores(path, trials, "# provenance")

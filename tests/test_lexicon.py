@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phonrich.inventory import ARPABET_39, PHONEME_INDEX, PresenceVector
-from phonrich.data import DEMO_VOCABULARY, demo_lexicon_lines
+from phonrich.data import DEMO_VOCABULARY
 from phonrich.lexicon import load_lexicon, phoneme_codes, presence_vector, tokenize, transcribe
 
-from conftest import EXPECTED_PRONUNCIATIONS
+from conftest import EXPECTED_PRONUNCIATIONS, demo_lexicon_lines
 
 phoneme_seqs = st.lists(st.sampled_from(ARPABET_39), max_size=60)
 

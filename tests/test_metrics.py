@@ -4,15 +4,16 @@ import pytest
 import phonrich.io
 import phonrich.metrics
 from phonrich.io import read_trial_table, write_scatter, write_trial_table
-from phonrich.metrics import (Qmfs, Trials, _count_inversions, compute_eer, compute_min_c_primary,
-                              correlation_report, kendall_tau, protocol_stats)
+from phonrich.metrics import (Qmfs, _count_inversions, compute_eer, compute_min_c_primary, correlation_report,
+                              kendall_tau, protocol_stats)
 
+from conftest import trials_from_ids
 from oracles import (brute_force_eer, brute_force_min_c_primary, brute_force_tau,
                      random_monotone_transform)
 
 
 def make_trials(tar, non):
-    return Trials.from_ids(["m"] * (len(tar) + len(non)),
+    return trials_from_ids(["m"] * (len(tar) + len(non)),
                            [f"t{i}" for i in range(len(tar))] + [f"n{i}" for i in range(len(non))],
                            [True] * len(tar) + [False] * len(non), list(tar) + list(non))
 
@@ -219,7 +220,7 @@ class TestKendallTauRuns:
 
 class TestTrials:
     def test_test_index_in_first_seen_order(self):
-        trials = Trials.from_ids(["a", "b", "a"], ["t2", "t1", "t2"], [True, False, False],
+        trials = trials_from_ids(["a", "b", "a"], ["t2", "t1", "t2"], [True, False, False],
                                  [0.1, 0.2, 0.3])
         assert trials.tests == ["t2", "t1"]
         assert trials.test_codes.tolist() == [0, 1, 0]
@@ -227,7 +228,7 @@ class TestTrials:
         assert trials.model_codes.tolist() == [0, 1, 0]
 
     def test_class_scores_split_by_mask_in_trial_order(self):
-        trials = Trials.from_ids(["a", "b", "c", "d"], ["t1", "t2", "t3", "t4"],
+        trials = trials_from_ids(["a", "b", "c", "d"], ["t1", "t2", "t3", "t4"],
                                  [False, True, False, True], [0.1, 0.2, 0.3, 0.4])
         tar, non = trials.class_scores()
         assert tar.tolist() == [0.2, 0.4]
@@ -301,7 +302,7 @@ class TestWriteScatter:
     @pytest.mark.parametrize("chunk", [1, 5, 4096])
     def test_lines_match_the_per_row_format(self, tmp_path, monkeypatch, qmf_names, chunk):
         monkeypatch.setattr(phonrich.io, "WRITE_CHUNK", chunk)
-        trials = Trials.from_ids([f"m{k % 4}" for k in range(len(self.TEST_ORDER))],
+        trials = trials_from_ids([f"m{k % 4}" for k in range(len(self.TEST_ORDER))],
                                  [f"spk{i}_word" for i in self.TEST_ORDER],
                                  [k % 3 == 0 for k in range(len(self.TEST_ORDER))], self.SCORES)
         block = np.resize(self.VALUES, (len(trials.tests), len(qmf_names)))
@@ -316,7 +317,7 @@ class TestWriteScatter:
         """A trial list or scores TSV written in chunks, the last one partial (13 trials in chunks
         of 5), is what formatting each row on its own gave, and reads back to the same trials."""
         monkeypatch.setattr(phonrich.io, "WRITE_CHUNK", chunk)
-        trials = Trials.from_ids([f"m{k % 7}" for k in range(len(self.TEST_ORDER))],  # no pair repeats
+        trials = trials_from_ids([f"m{k % 7}" for k in range(len(self.TEST_ORDER))],  # no pair repeats
                                  [f"spk{i}_word" for i in self.TEST_ORDER],
                                  [k % 3 == 0 for k in range(len(self.TEST_ORDER))],
                                  self.SCORES if scored else None)

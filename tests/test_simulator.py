@@ -61,6 +61,23 @@ class TestCosineScore:
             cosine_score(np.ones((1, 2)), np.ones((1, 3)), [0], [0])
 
 
+class TestSubstreams:
+    """simulator.substreams gives, row by row, the state and draws of np.random.default_rng([seed, stream, idx])."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7])  # 1, 1, 1, 2, 3 and 4 words
+    @pytest.mark.parametrize("stream", [1, 2, 3, 97])
+    @pytest.mark.parametrize("rows", [range(0), range(1), range(17), range(1000, 1017)],
+                             ids=["none", "one", "chunks", "chunks-from-1000"])
+    def test_each_row_is_default_rng_exactly(self, monkeypatch, seed, stream, rows):
+        monkeypatch.setattr(simulator, "SCORE_CHUNK", 7)  # 17 rows end two chunks and start a third
+        with np.errstate(all="raise"):  # cli.main's float policy, or stricter
+            got = [(rng.bit_generator.state, rng.standard_normal())
+                   for rng in simulator.substreams(seed, stream, rows)]
+        want = [((rng := np.random.default_rng([seed, stream, idx])).bit_generator.state, rng.standard_normal())
+                for idx in rows]
+        assert got == want
+
+
 class TestSimulateCorpus:
     def test_all_embeddings_unit_norm(self, protocol):
         res = simulate(protocol)
