@@ -17,6 +17,7 @@ from .io import Table, iter_jsonl, read_columns, read_trial_table, write_jsonl, 
 from .metrics import Trials, encode_ids, rows_of
 
 MAX_PROBE_REDRAWS = 20
+DRAW_BLOCK = 256  # PCG64 outputs that Draws reads at a time: 2 KiB, about 20 KB as 512 Python ints
 MAX_CLIP_WORDS = 10_000  # a clip window grows a word per step: tiny word durations would never end it
 # keys, with their JSON types, that load_protocol checks in each manifest and models record (cmd_richness
 # a manifest's test_id and net_speech) and load_inventory_jsonl in each corpus record
@@ -104,6 +105,65 @@ def left_sum(values):
     return reduce(add, values, 0)
 
 
+class Draws:
+    """np.random.default_rng(seed)'s integers(low, high), choice(n, size, replace) and permutation(n), bit for
+    bit, as Python ints: numpy 2's algorithms applied to PCG64's raw output, DRAW_BLOCK outputs at a time, a stream
+    that NEP 19 keeps. A 32-bit draw is an output's low half, then its high half; a draw below n is Lemire's method,
+    and a range of one value draws nothing; choice without replacement is Floyd's sampling, then a shuffle of the
+    picks (over more than 10,000 picking more than 1 in 50, a shuffle of range(n)'s tail); permutation is
+    Fisher-Yates with masked rejection. Each range must be below 2**32 - 1, where numpy draws otherwise."""
+
+    def __init__(self, seed: int):
+        raw = np.random.default_rng(seed).bit_generator.random_raw
+
+        def words():
+            while True:
+                yield from raw(DRAW_BLOCK).astype("<u8").view("<u4").tolist()
+        self._word = words().__next__
+
+    def _below(self, n: int) -> int:
+        """A draw of [0, n), by Lemire's method."""
+        m = self._word() * n if n > 1 else 0  # a range of one value draws nothing
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._word() * n
+        return m >> 32
+
+    def _shuffle(self, items: list, first: int = 1) -> list:
+        """items, each place i from the last down to ``first`` swapped with a draw of [0, i]."""
+        for i in range(len(items) - 1, first - 1, -1):
+            j = self._below(i + 1)
+            items[i], items[j] = items[j], items[i]
+        return items
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """A draw of [low, high), or of [0, low) with no ``high``."""
+        return self._below(low) if high is None else low + self._below(high - low)
+
+    def choice(self, n: int, size: int, replace: bool) -> list[int]:
+        """``size`` draws of [0, n), distinct unless ``replace``."""
+        if replace:
+            return [self._below(n) for _ in range(size)]
+        if n > 10_000 and size > n // 50:
+            return self._shuffle(list(range(n)), n - size)[n - size:]
+        picks = {}  # in the order picked
+        for j in range(n - size, n):
+            pick = self._below(j + 1)
+            picks[j if pick in picks else pick] = None
+        return self._shuffle(list(picks))
+
+    def permutation(self, n: int) -> list[int]:
+        """range(n) shuffled."""
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while (j := self._word() & mask) > i:
+                pass
+            items[i], items[j] = items[j], items[i]
+        return items
+
+
 def _table(keys, rows: list[tuple]) -> Table:
     """The table of ``rows``, each a value per key of ``keys``."""
     return Table(dict(zip(keys, map(list, zip(*rows))))) if rows else Table({key: [] for key in keys})
@@ -124,7 +184,7 @@ def build_enrollment(corpus: Corpus, source: str = "") -> Table:
     return _table(MODEL_COLUMNS, models)
 
 
-def _clip_window(utterance_id: str, durations: list[float], target: float, rng: np.random.Generator):
+def _clip_window(utterance_id: str, durations: list[float], target: float, rng: Draws):
     """Pick a start word index and extend until the summed duration reaches target.
 
     When the whole utterance is long enough the window stays contiguous
@@ -139,7 +199,7 @@ def _clip_window(utterance_id: str, durations: list[float], target: float, rng: 
         valid = [s for s in range(n) if suffix[s] >= target]
         start = valid[rng.integers(len(valid))]
     else:
-        start = int(rng.integers(n))
+        start = rng.integers(n)
     idx, acc = [], 0.0
     while acc < target:
         if len(idx) == MAX_CLIP_WORDS:
@@ -166,7 +226,7 @@ def build_clip_protocol(corpus: Corpus, target: float, seed: int,
     base = sorted(np.flatnonzero(corpus.where("kind", ("sentence", "free"))).tolist(), key=ids.__getitem__)
     if not base:
         raise ValueError(f"{where}empty base utterance list")
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     tests = []
     transcripts, speakers, genders = (corpus.values(key, base) for key in ("transcript", "speaker_id", "gender"))
     for row, text, speaker, gender in zip(base, transcripts, speakers, genders):
@@ -184,16 +244,15 @@ def build_clip_protocol(corpus: Corpus, target: float, seed: int,
     return join_trials(base_trials, tests, build_enrollment(corpus, source), [ids[row] for row in base])
 
 
-def _draw_probe(word_types: list[str], reps: dict[str, list], rng: np.random.Generator):
+def _draw_probe(word_types: list[str], reps: dict[str, list], rng: Draws):
     """One repetitive probe: T total words, U unique, distinct recordings per slot."""
     for _ in range(MAX_PROBE_REDRAWS):
-        total = int(rng.integers(2, 11))
-        unique = int(rng.integers(1, min(10, total) + 1))
+        total = rng.integers(2, 11)
+        unique = rng.integers(1, min(10, total) + 1)
         if unique > len(word_types):
             continue
-        # draws over indices, not the strings, which numpy would copy into an array on each call
-        types = rng.choice(len(word_types), size=unique, replace=False).tolist()
-        slots = types + [types[i] for i in rng.choice(unique, size=total - unique, replace=True).tolist()]
+        types = rng.choice(len(word_types), size=unique, replace=False)
+        slots = types + [types[i] for i in rng.choice(unique, size=total - unique, replace=True)]
         slots = [word_types[slots[i]] for i in rng.permutation(total)]
         need = Counter(slots)
         if any(len(reps[w]) < k for w, k in need.items()):
@@ -228,7 +287,7 @@ def build_repetitive_protocol(corpus: Corpus, n_probes_per_speaker: int, seed: i
     change = (speakers[1:] != speakers[:-1]) | (words[1:] != words[:-1])
     starts = np.flatnonzero(np.r_[len(rows) > 0, change]).tolist() + [len(rows)]
 
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     tests = []
     # the (start, end) of each speaker's recordings of each word, by speaker
     for code, spoken in groupby(pairwise(starts), key=lambda group: speakers[group[0]]):

@@ -289,6 +289,28 @@ class TestPinnedChunkedBytes:
                 for p in sorted(tmp_path.iterdir())} == self.DIGESTS
 
 
+class TestPinnedNegativesBytes:
+    """A repetitive protocol whose negatives are subsampled by --negatives-per-probe, pinned by SHA-256
+    across commits: 8 speakers give each probe 3 impostors of its gender, of which 2 are drawn."""
+
+    DIGESTS = {
+        "corpus.jsonl": "e117b6cdbb8e487f22a8cfa3931af4e17eb5259045455430629ef8e73303a563",
+        "rep.manifest.jsonl": "1b9544d9dce93439c041d3f31e3b8b0a60f90c6aff4a8066eb0a912b1985af37",
+        "rep.models.jsonl": "5a389234a14901db8bf06854ec2ed2d45fc8b8bc3b3764fec8c2836c810a73ea",
+        "rep.trials.tsv": "92de98238a82ef73a71dbc1ddabeab0d45e675ee5ad6356b0e103d1e60cd3f98",
+    }
+
+    def test_outputs_match_pinned_digests(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # provenance names inputs by file name only
+        assert run(["make-demo", "--speakers", 8, "--seed", 31, "--out", "corpus.jsonl"]) == 0
+        assert run(["gen-protocol", "--corpus", "corpus.jsonl", "--protocol", "repetitive",
+                    "--probes-per-speaker", 25, "--negatives-per-probe", 2, "--seed", 32,
+                    "--out-prefix", "rep"]) == 0
+        assert len(read_jsonl("rep.manifest.jsonl")) * 3 == len(read_tsv("rep.trials.tsv")[1])
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(tmp_path.iterdir())} == self.DIGESTS
+
+
 class TestPinnedQmfBytes:
     """The outputs and stdout of the stages that read or write QMFs, weights and models, pinned.
 

@@ -2,7 +2,8 @@
 no module splits text into lines on its own, only io opens files and imports json, in io only
 line_blocks reads text, no module calls np.unique, a fault leaves the
 program only through cli.main, no in-memory class checks what it is built from, only metrics
-derives lns, and only cli.main sets numpy's floating-point policy."""
+derives lns, only cli.main sets numpy's floating-point policy, and in protocols only Draws opens a
+numpy Generator."""
 
 import ast
 from pathlib import Path
@@ -280,3 +281,28 @@ def test_cli_main_sets_the_float_policy():
     """The guard above looks at something: main's own policy is where it lets it be."""
     calls = float_policy_calls((SRC / "cli.py").read_text())
     assert len(calls) == 1 and calls[0].endswith(": main")
+
+
+def rng_calls(source: str) -> list[str]:
+    """Each call of ``default_rng``, by name or as an attribute (``np.random.default_rng``), as "line N: T",
+    T being the top-level class or function that holds it."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "default_rng" in (getattr(node.func, "id", None),
+                                                                getattr(node.func, "attr", None)):
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_finds_an_rng_call():
+    source = ("import numpy as np\nfrom numpy.random import default_rng\nrng = np.random.default_rng(0)\n"
+              "class D:\n    def __init__(self, seed):\n        self.rng = default_rng(seed)\n"
+              "def f(rng):\n    return rng.integers(3), np.random.Generator\n")
+    assert rng_calls(source) == ["line 3: <module>", "line 6: D"]
+
+
+def test_protocols_draws_only_through_draws():
+    """protocols.Draws works numpy's draws out of PCG64's raw output, so the protocols' bytes rest on that
+    stream alone; a Generator opened beside it would draw a second way. Its one call is where it is let be."""
+    assert [call.split(": ")[1] for call in rng_calls((SRC / "protocols.py").read_text())] == ["Draws"]

@@ -13,11 +13,12 @@ from phonrich.cli import main
 from phonrich.data import (DEMO_BLOCK, DEMO_VOCABULARY, N_REPETITIONS, RECORDS_PER_SPEAKER, make_demo_inventory,
                            word_duration)
 import phonrich.io
+import phonrich.protocols
 from phonrich.io import BLOCK_CHARS, Table, _column_fault, provenance_line, read_columns, write_jsonl
 from phonrich.lexicon import presence_vector, transcribe
 from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, LOADED_MODEL_COLUMNS,
                                 LOADED_TEST_COLUMNS, MANIFEST_KEYS, MAX_CLIP_WORDS, MAX_PROBE_REDRAWS,
-                                MODEL_COLUMNS, MODEL_KEYS, TEST_KEYS, Corpus, ProtocolSpec, _corpus_fault,
+                                MODEL_COLUMNS, MODEL_KEYS, TEST_KEYS, Corpus, Draws, ProtocolSpec, _corpus_fault,
                                 _draw_probe, build_clip_protocol, build_enrollment, build_repetitive_protocol,
                                 emit_trials, join_trials, left_sum, load_inventory_jsonl, load_protocol)
 from phonrich.richness import count_unique
@@ -307,9 +308,8 @@ def reference_draw_probe(word_types, reps, rng):
     raise ValueError("could not assemble a probe: a word type has too few repetition recordings")
 
 
-def draws(draw, word_types, reps, seed, n):
+def draws(draw, word_types, reps, rng, n):
     """The utterance ids of n probes drawn from one rng, or the error that ended the run."""
-    rng = np.random.default_rng(seed)
     out = []
     try:
         for _ in range(n):
@@ -335,8 +335,70 @@ class TestSetupDrawsMatchReferences:
         reps = {w: [f"a_{w}_{r}" for r in range(1, k + 1)] for w, k in reps_per_word.items()}
         word_types = sorted(reps)
         for seed in range(200):
-            assert draws(_draw_probe, word_types, reps, seed, 20) == \
-                draws(reference_draw_probe, word_types, reps, seed, 20)
+            assert draws(_draw_probe, word_types, reps, Draws(seed), 20) == \
+                draws(reference_draw_probe, word_types, reps, np.random.default_rng(seed), 20)
+
+
+def drawn(rng, calls):
+    """What each call, a (method, args, kwargs) of integers, choice or permutation, draws from rng, as ints
+    and lists."""
+    return [np.asarray(getattr(rng, method)(*args, **kwargs)).tolist() for method, args, kwargs in calls]
+
+
+def mixed_calls(seed, n):
+    """n random calls, each of a kind the protocol builders make, over populations of 1 to 60."""
+    pick = np.random.default_rng([seed, 7])
+    calls = []
+    for kind, pop in zip(pick.integers(5, size=n).tolist(), pick.integers(1, 61, size=n).tolist()):
+        size = int(pick.integers(pop + 1))
+        calls.append([("integers", (pop,), {}), ("integers", (pop, pop + size + 1), {}),
+                      ("choice", (pop,), {"size": size, "replace": False}),
+                      ("choice", (pop,), {"size": size, "replace": True}), ("permutation", (pop,), {})][kind])
+    return calls
+
+
+class TestDraws:
+    """protocols.Draws gives, call by call, the draws of np.random.default_rng(seed) making the same calls."""
+
+    def same_draws(self, seed, calls):
+        assert drawn(Draws(seed), calls) == drawn(np.random.default_rng(seed), calls)
+
+    def test_mixed_calls(self):
+        for seed in range(300):
+            self.same_draws(seed, mixed_calls(seed, 40))
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_across_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(phonrich.protocols, "DRAW_BLOCK", block)
+        for seed in range(30):
+            self.same_draws(seed, mixed_calls(seed, 40))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_range_of_one_value_draws_nothing(self, seed):
+        """Each call here draws nothing, so the integers after them are the stream's first."""
+        self.same_draws(seed, [("integers", (1,), {}), ("integers", (4, 5), {}),
+                               ("choice", (1,), {"size": 1, "replace": False}),
+                               ("choice", (1,), {"size": 4, "replace": True}),
+                               ("choice", (9,), {"size": 0, "replace": False}),
+                               ("choice", (9,), {"size": 0, "replace": True}),
+                               ("permutation", (0,), {}), ("permutation", (1,), {}), ("integers", (1000,), {})])
+
+    @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30, 2**32 - 5])  # rejecting about 1 in 2, 1 in 4 and never
+    def test_rejection_loop(self, n):
+        for seed in range(5):
+            self.same_draws(seed, [("integers", (n,), {})] * 50 + [("integers", (7, n), {})] * 50
+                            + [("choice", (n,), {"size": 50, "replace": replace}) for replace in (True, False)])
+
+    @pytest.mark.parametrize("n", [10_000, 10_001, 23_456, 50_000])
+    def test_tail_shuffle(self, n):
+        """Over more than 10,000, choice without replacement picks more than n // 50 by shuffling range(n)'s tail;
+        at 10,000 itself it still picks by Floyd's sampling."""
+        for size in (n // 50, n // 50 + 1, n // 3, n - 1, n):
+            self.same_draws(size, [("choice", (n,), {"size": size, "replace": False}), ("integers", (1000,), {})])
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 65_537, 70_000])
+    def test_permutation(self, n):
+        self.same_draws(n, [("permutation", (n,), {}), ("integers", (1000,), {})])
 
 
 def traced_peak(fn):
