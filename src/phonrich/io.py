@@ -167,20 +167,9 @@ def write_jsonl(path: str | Path, tables: Table | Iterable[Table], provenance: s
     write_lines(path, provenance, chunks())
 
 
-# JSON type of a required or optional key -> whether a value that json.loads gives is of that type;
-# exact types, so true and false are not numbers, and a number is finite
-JSON_TYPES = {
-    "string": lambda v: type(v) is str,
-    "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-    "positive number": lambda v: JSON_TYPES["number"](v) and v > 0,
-    "64-bit integer": lambda v: type(v) is int and -2**63 <= v < 2**63,
-    "list": lambda v: type(v) is list,
-    "string of 39 0s and 1s": lambda v: type(v) is str and len(v) == len(ARPABET_39) and not v.strip("01"),
-    "list of ARPABET-39 symbols": lambda v: type(v) is list and all(type(s) is str and s in PHONEME_INDEX for s in v),
-    "list of positive numbers or null": lambda v: v is None or type(v) is list
-                                                  and all(map(JSON_TYPES["positive number"], v)),
-}
-COLUMN_TYPES = {  # JSON type -> whether each value of a column is of that type (JSON_TYPES), in C-level passes
+# JSON type of a required or optional key -> whether each value of a column, as json.loads gives them, is of
+# that type, in C-level passes; exact types, so true and false are not numbers, and a number is finite
+COLUMN_TYPES = {
     "string": lambda vs: set(map(type, vs)) <= {str},
     "number": lambda vs: set(map(type, vs)) <= {int, float} and max(map(abs, vs), default=0) <= sys.float_info.max,
     "positive number": lambda vs: COLUMN_TYPES["number"](vs) and min(vs, default=1) > 0,
@@ -236,16 +225,16 @@ def _decode(texts) -> tuple[list[dict], str | None]:
 
 def _column_fault(key: str, kind: str, needed: bool, values: list) -> tuple[int, str] | None:
     """(row, why) of the first of a column of values of ``key`` (MISSING: none) not of its JSON type, or None."""
-    if COLUMN_TYPES[kind](values) or not needed and COLUMN_TYPES[kind]([v for v in values if v is not MISSING]):
+    check = COLUMN_TYPES[kind]
+    if check(values) or not needed and check([v for v in values if v is not MISSING]):
         return None  # the column checked as one; value by value below only to find and name its first fault
-    for row in compress(count(), map(not_, map(JSON_TYPES[kind], values))):
-        if values[row] is not MISSING:  # an int or a float that is not a "number" is not finite
-            infinite = type(values[row]) in (int, float) and not JSON_TYPES["number"](values[row])
-            kind = "finite number" if infinite and kind.endswith("number") else kind
-            return row, f"{key} must be {'an' if kind[0] in 'aeiou' else 'a'} {kind}, got {json.dumps(values[row])}"
-        if needed:
-            return row, f"record has no {key}"
-    return None
+    row, (value,) = next((row, one) for row, one in enumerate(zip(values))
+                         if not check(one) and (needed or one[0] is not MISSING))
+    if value is MISSING:
+        return row, f"record has no {key}"
+    if kind.endswith("number") and type(value) in (int, float) and not COLUMN_TYPES["number"]([value]):
+        kind = "finite number"  # an int or a float that is not a "number" is not finite
+    return row, f"{key} must be {'an' if kind[0] in 'aeiou' else 'a'} {kind}, got {json.dumps(value)}"
 
 
 def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique: str | None = None,
@@ -253,7 +242,7 @@ def iter_jsonl(path: str | Path, required: dict[str, str] | None = None, unique:
     """(line numbers, records, columns) of the JSON object lines of each block of a file (see line_blocks), a
     block yielded once read and checked a key at a time; blank lines and '#' lines are skipped.
 
-    ``required`` maps each key a record must hold to its JSON type, a key of JSON_TYPES, ``optional``
+    ``required`` maps each key a record must hold to its JSON type, a key of COLUMN_TYPES, ``optional``
     each key it may hold, and ``others``, if given, is the type of every other key. A missing required
     key or a value of another type fails with the file and line, as do NaN, Infinity and -Infinity,
     which are not JSON, wherever they stand, and a record that repeats an earlier one's value of the

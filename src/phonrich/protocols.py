@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -184,29 +185,26 @@ def build_enrollment(corpus: Corpus, source: str = "") -> Table:
     return _table(MODEL_COLUMNS, models)
 
 
-def _clip_window(utterance_id: str, durations: list[float], target: float, rng: Draws):
-    """Pick a start word index and extend until the summed duration reaches target.
+def _clip_window(durations: list[float], target: float, rng: Draws) -> tuple[list[int], float]:
+    """The word indices of a clip, and its net speech: the running sum of their durations, added left to right.
 
-    When the whole utterance is long enough the window stays contiguous
-    (no wraparound) and the start is uniform over the starts whose suffix
-    can still reach the target; otherwise the word sequence is logically
-    repeated end-to-end and any start is valid. A window that would take
-    more than MAX_CLIP_WORDS words fails, naming the utterance.
+    From a start word the window takes words, wrapping past the last to the first, until the running sum
+    reaches target, or it holds MAX_CLIP_WORDS words. A start fits when its running sum reaches target by
+    the last word; the start is uniform over the fitting starts, or over every start if none fits. The
+    fitting starts are those before the first that does not fit, since a word added in front of a running
+    sum never makes it smaller, so a binary search finds them.
     """
     n = len(durations)
-    if left_sum(durations) >= target:
-        suffix = np.cumsum(durations[::-1])[::-1]
-        valid = [s for s in range(n) if suffix[s] >= target]
-        start = valid[rng.integers(len(valid))]
-    else:
-        start = rng.integers(n)
-    idx, acc = [], 0.0
-    while acc < target:
-        if len(idx) == MAX_CLIP_WORDS:
-            raise ValueError(f"{utterance_id}: a {target:g} s clip would take more than {MAX_CLIP_WORDS} words")
-        idx.append((start + len(idx)) % n)
-        acc += durations[idx[-1]]
-    return idx
+
+    def window(start: int, most: int) -> tuple[list[int], float]:
+        idx, acc = [], 0.0
+        while acc < target and len(idx) < most:
+            idx.append((start + len(idx)) % n)
+            acc += durations[idx[-1]]
+        return idx, acc
+
+    fitting = bisect_left(range(n), True, key=lambda start: window(start, n - start)[1] < target)
+    return window(rng.integers(fitting or n), MAX_CLIP_WORDS)
 
 
 def build_clip_protocol(corpus: Corpus, target: float, seed: int,
@@ -235,9 +233,11 @@ def build_clip_protocol(corpus: Corpus, target: float, seed: int,
             raise ValueError(f"{where}{ids[row]}: utterance has no words")
         if durations is None or len(durations) != len(words):
             raise ValueError(f"{where}{ids[row]}: word_durations must align with transcript words")
-        idx = _clip_window(ids[row], durations, target, rng)
-        tests.append((f"{ids[row]}@{target:g}s", speaker, " ".join(words[i] for i in idx),
-                      float(left_sum(durations[i] for i in idx)), [ids[row]], gender))
+        idx, net_speech = _clip_window(durations, target, rng)
+        if net_speech < target:
+            raise ValueError(f"{where}{ids[row]}: a {target:g} s clip would take more than {MAX_CLIP_WORDS} words")
+        tests.append((f"{ids[row]}@{target:g}s", speaker, " ".join(words[i] for i in idx), net_speech,
+                      [ids[row]], gender))
     tests = _table(TEST_KEYS, tests)
     if base_trials is None:
         return ProtocolSpec(np.empty((0, 2), np.intp), np.empty((0, 2), np.intp), tests, _table(MODEL_COLUMNS, []))

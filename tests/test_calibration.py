@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phonrich.calibration import (CalibrationModel, apply_lr, build_features,
+import phonrich.calibration
+from phonrich.calibration import (MAX_ITER, RIDGE, CalibrationModel, _sigmoid, apply_lr, build_features,
                                   cross_validated_calibration, fit_lr, save_model, stratified_folds)
 from phonrich.metrics import Qmfs, compute_eer, log_net_speech
 
@@ -57,6 +58,21 @@ class TestFitLr:
     def test_single_class_error(self):
         with pytest.raises(ValueError, match="both classes"):
             fit_lr(np.ones((3, 1)), is_target(["target"] * 3), ("raw",))
+
+    def test_fit_ends_where_no_halved_step_climbs(self, monkeypatch):
+        """Scores near 1000 leave the intercept and the score column nearly collinear, and the gradient above
+        its bound where rounding hides every gain: the fit ends, not converged and before MAX_ITER Newton
+        steps, at coefficients from which the Newton step, halved 30 times, never regains their log-likelihood."""
+        X, y = np.array([[999.6], [1001.2], [1001.4], [1000.3]]), is_target(["target", "nontarget"] * 2)
+        steps = []
+        monkeypatch.setattr(phonrich.calibration, "_sigmoid", lambda z: steps.append(1) or _sigmoid(z))
+        model = fit_lr(X, y, ("raw",))
+        assert not model.converged and len(steps) < MAX_ITER
+        Xb, beta, w = np.hstack([np.ones((4, 1)), X]), np.r_[model.intercept, model.coefficients], np.ones(4)
+        loglik = lambda z: float(np.sum(w * (y * z - np.logaddexp(0.0, z))))  # noqa: E731
+        r = _sigmoid(Xb @ beta)
+        step = np.linalg.solve(Xb.T @ (Xb * (r * (1.0 - r))[:, None]) + RIDGE * np.eye(2), Xb.T @ (y - r))
+        assert all(loglik(Xb @ (beta + step / 2 ** k)) < loglik(Xb @ beta) for k in range(30))
 
 
 class TestApplyLr:

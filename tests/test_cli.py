@@ -1463,17 +1463,56 @@ class TestJsonlRecordLines:
 
 
 class TestClipWordBound:
-    """A clip whose window would take more than MAX_CLIP_WORDS words fails, naming its utterance,
-    where a tiny positive word duration would otherwise extend it without end."""
+    """A clip whose window would take more than MAX_CLIP_WORDS words fails, naming the corpus and its
+    utterance, where a tiny positive word duration would otherwise extend it without end."""
 
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys):
         record = dict(VALID_RECORDS["corpus"], word_durations=[1e-300])
         small_inputs["corpus"].write_text(json.dumps(record) + "\n")
         assert run_with(tmp_path, small_inputs, CLIP + ["--target", "2"]) == 1
         captured = only_error_line(capsys)
-        assert captured.err == f"error: u0: a 2 s clip would take more than {MAX_CLIP_WORDS} words\n"
+        assert captured.err == (f"error: {small_inputs['corpus']}: u0: a 2 s clip would take more than "
+                                f"{MAX_CLIP_WORDS} words\n")
         assert captured.out == ""
         assert not list(tmp_path.glob("out*"))
+
+
+CLIP_WORDS = ["cat", "dog", "egg", "fish", "ice", "owl"]
+
+
+def two_speaker_clip_corpus(durations):
+    """Two speakers, each with one sentence whose first words of CLIP_WORDS take ``durations``."""
+    text = " ".join(CLIP_WORDS[:len(durations)])
+    return "".join(json.dumps(dict(VALID_RECORDS["corpus"], utterance_id=f"{spk}0", speaker_id=spk, transcript=text,
+                                   word_durations=durations)) + "\n" for spk in "ab")
+
+
+class TestClipRunningSum:
+    """One running sum, added left to right, decides where a clip may start, where it ends and its
+    net_speech. Sums of the same words in another order differ in the last bit, and then a start was
+    drawn from no fitting start (an IndexError), or a clip wrapped where a start without a wrap fits."""
+
+    def clips(self, tmp_path, small_inputs, durations, target, seed):
+        small_inputs["corpus"].write_text(two_speaker_clip_corpus(durations))
+        argv = ["gen-protocol", "--corpus", "corpus", "--protocol", "clip", "--target", target, "--seed", seed,
+                "--out-prefix", "out"]
+        assert run_with(tmp_path, small_inputs, argv) == 0
+        return read_jsonl(tmp_path / "out.manifest.jsonl")
+
+    def test_start_drawn_among_fitting_starts(self, tmp_path, small_inputs):
+        durations = [0.25, 0.46, 0.15, 0.09, 0.9]
+        whole = 0.25 + 0.46 + 0.15 + 0.09 + 0.9
+        assert whole >= 1.85 > 0.46 + 0.15 + 0.09 + 0.9  # so only the first word starts a clip that fits
+        for test in self.clips(tmp_path, small_inputs, durations, "1.85", "1"):
+            assert (test["transcript"], test["net_speech"]) == ("cat dog egg fish ice", whole)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_no_wrap_where_a_start_fits(self, tmp_path, small_inputs, seed):
+        durations = [0.36, 0.58, 0.64, 0.85, 0.83, 0.9]
+        for test in self.clips(tmp_path, small_inputs, durations, "3.22", str(seed)):
+            clip = test["transcript"].split()
+            start = CLIP_WORDS.index(clip[0])
+            assert clip == CLIP_WORDS[start:start + len(clip)]
 
 
 class TestDeepJsonl:
@@ -1562,6 +1601,10 @@ class TestRefusals:
         (GEN_PROTOCOL, "corpus", "".join(json.dumps(dict(VALID_RECORDS["corpus"], utterance_id=f"u{k}",
                                                          net_speech=10 ** 308)) + "\n" for k in range(2)),
          "model a: net_speech of its recordings sums to inf, not a finite number"),
+        # a clip's net speech is the Python sum of its word durations, which overflows to inf and is refused
+        (CLIP + ["--target", "1.7e308"], "corpus", json.dumps(dict(VALID_RECORDS["corpus"], transcript="cat cat",
+                                                                   word_durations=[1e308, 1.5e308])) + "\n",
+         "test u0@1.7e+308s: net_speech of its recordings sums to inf, not a finite number"),
         # one word type with one recording fills no probe of two or more words
         (GEN_PROTOCOL, "corpus", json.dumps(VALID_RECORDS["corpus"]) + "\n" + json.dumps(CORPUS_WORD) + "\n",
          "{path}: speaker a: could not assemble a probe: a word type has too few repetition recordings "
@@ -1582,7 +1625,7 @@ class TestRefusals:
             "correlation-qmf-no-record", "calibrate-too-few-targets", "evaluate-too-few-targets",
             "evaluate-no-nontargets", "evaluate-qmf-no-value",
             "calibrate-qmf-no-value", "correlation-qmf-no-value", "corpus-no-sentences",
-            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words", "corpus-integer-overflow",
+            "corpus-speaker-no-sentences", "clip-no-base", "clip-no-words", "corpus-integer-overflow", "clip-overflow",
             "corpus-too-few-repetitions",
             "stats-no-pairs", "correlation-constant-qmf", "correlation-one-target"])
     def test_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, bad, text, message):
@@ -1630,10 +1673,7 @@ class TestFloatPolicy:
          ["presence", "scores"]),
         (["stats", "--qmf", "qmf"], {"qmf": '{"test_id": "t1", "cu": 3, "net_speech": 1e308}\n'
                                             '{"test_id": "t2", "cu": 4, "net_speech": 1.7e308}\n'}, ["qmf"]),
-        (CLIP + ["--target", "2"], {"corpus": json.dumps(dict(VALID_RECORDS["corpus"], transcript="cat cat",
-                                                              word_durations=[1e308, 1.5e308])) + "\n"},
-         ["corpus"]),
-    ], ids=["richness-wcu", "report-weights-sum", "fit-weights-nnls", "stats-mean", "clip-window"])
+    ], ids=["richness-wcu", "report-weights-sum", "fit-weights-nnls", "stats-mean"])
     def test_overflow_is_one_error_line(self, tmp_path, small_inputs, capsys, argv, files, inputs):
         for name, text in files.items():
             small_inputs[name].write_text(text)

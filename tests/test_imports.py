@@ -2,8 +2,8 @@
 no module splits text into lines on its own, only io opens files and imports json, in io only
 line_blocks reads text, no module calls np.unique, a fault leaves the
 program only through cli.main, no in-memory class checks what it is built from, only metrics
-derives lns, only cli.main sets numpy's floating-point policy, and in protocols only Draws opens a
-numpy Generator."""
+derives lns, only cli.main sets numpy's floating-point policy, in protocols only Draws opens a
+numpy Generator, and protocols and data add only left to right."""
 
 import ast
 from pathlib import Path
@@ -306,3 +306,33 @@ def test_protocols_draws_only_through_draws():
     """protocols.Draws works numpy's draws out of PCG64's raw output, so the protocols' bytes rest on that
     stream alone; a Generator opened beside it would draw a second way. Its one call is where it is let be."""
     assert [call.split(": ")[1] for call in rng_calls((SRC / "protocols.py").read_text())] == ["Draws"]
+
+
+def reordered_sums(source: str) -> list[str]:
+    """Each call of a sum that may not add left to right, as "line N: name": ``sum`` or ``cumsum`` by name or as an
+    attribute (``np.sum``, ``x.cumsum()``; Python's own sum compensates since 3.12), or ``reduce`` or
+    ``accumulate`` on ``add`` (``np.add.reduce``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = getattr(node, "func", None)
+        name = getattr(func, "attr", getattr(func, "id", None))
+        on = getattr(func, "value", None)  # what an attribute is taken of
+        if isinstance(node, ast.Call) and (name in ("sum", "cumsum") or name in ("reduce", "accumulate")
+                                           and getattr(on, "attr", getattr(on, "id", None)) == "add"):
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_finds_a_reordered_sum():
+    source = ("import numpy as np\nfrom numpy import add\na = np.cumsum(x[::-1])\nb = x.sum() + numpy.sum(y)\n"
+              "c = np.add.reduce(x), add.accumulate(y)\nd = sum(x) + left_sum(x) + reduce(add, x, 0) + f.add(x)\n")
+    assert reordered_sums(source) == ["line 3: cumsum", "line 4: sum", "line 4: sum", "line 5: accumulate",
+                                      "line 5: reduce", "line 6: sum"]
+
+
+@pytest.mark.parametrize("name", ["protocols.py", "data.py"])
+def test_durations_are_added_left_to_right(name):
+    """A net speech or a clip's running sum is added left to right (protocols.left_sum, or one loop),
+    so the same words always give the same bits: numpy's sums add in pairs or from another end, and
+    two orders of one sum can differ in the last bit."""
+    assert reordered_sums((SRC / name).read_text()) == []

@@ -6,15 +6,16 @@ import codecs
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import phonrich.io
-from phonrich.inventory import ARPABET_39
-from phonrich.io import (COLUMN_TYPES, JSON_TYPES, JSONL_CHUNK, MISSING, Table, _column_fault, iter_jsonl,
-                         numbered_lines, read_scores, read_trial_table, write_jsonl, write_scores)
+from phonrich.inventory import ARPABET_39, PHONEME_INDEX
+from phonrich.io import (COLUMN_TYPES, JSONL_CHUNK, MISSING, Table, _column_fault, iter_jsonl, numbered_lines,
+                         read_scores, read_trial_table, write_jsonl, write_scores)
 
 from conftest import trials_from_ids
 
@@ -323,6 +324,20 @@ class TestChunkBoundaries:
         assert path.read_text() == '{}\n{"a": 1}\n{"b": null}\n'
 
 
+# JSON type -> whether one value that json.loads gives is of that type, by its definition: the reference that
+# io.COLUMN_TYPES, which checks a column at a time, is held to; exact types, so true and false are not numbers,
+# and a number is finite
+JSON_TYPES = {
+    "string": lambda v: type(v) is str,
+    "number": lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    "positive number": lambda v: JSON_TYPES["number"](v) and v > 0,
+    "64-bit integer": lambda v: type(v) is int and -2**63 <= v < 2**63,
+    "list": lambda v: type(v) is list,
+    "string of 39 0s and 1s": lambda v: type(v) is str and len(v) == len(ARPABET_39) and not v.strip("01"),
+    "list of ARPABET-39 symbols": lambda v: type(v) is list and all(type(s) is str and s in PHONEME_INDEX for s in v),
+    "list of positive numbers or null": lambda v: v is None or type(v) is list
+                                                  and all(map(JSON_TYPES["positive number"], v)),
+}
 # values of each JSON type, and values that are not of it, as json.loads gives them: true and false, ints past
 # the float range or 64 bits, 1e400 and -1e400 (read as infinities), zeros and negative numbers, near
 # bitstrings, near ARPABET lists, nested values
@@ -369,7 +384,7 @@ def columns(draw, kind):
     return values
 
 
-@pytest.mark.parametrize("kind", sorted(JSON_TYPES))
+@pytest.mark.parametrize("kind", sorted(COLUMN_TYPES))
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_column_check_agrees_with_value_checks(kind, data):
@@ -384,6 +399,9 @@ def test_column_check_agrees_with_value_checks(kind, data):
                       or (value is not MISSING and not JSON_TYPES[kind](value))), None)
         found = _column_fault("k", kind, needed, values)
         assert (found[0] if found else None) == first
+        if found and values[first] is not MISSING:  # a number of its kind but for its size is named "finite"
+            infinite = type(values[first]) in (int, float) and not JSON_TYPES["number"](values[first])
+            assert ("k must be a finite number, got" in found[1]) == (infinite and kind.endswith("number"))
 
 
 @pytest.mark.parametrize("later, earlier", [("a", "b"), ("b", "a")])

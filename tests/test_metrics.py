@@ -126,6 +126,11 @@ class TestKendallTau:
         with pytest.raises(ValueError):
             kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_raises(self, n):
+        with pytest.raises(ValueError, match="^kendall_tau needs at least 2 observations$"):
+            kendall_tau([1.0] * n, [2.0] * n)
+
     @pytest.mark.parametrize("tied", ["x", "y", "both"])
     def test_equals_brute_force_exactly_under_heavy_ties(self, tied):
         rng = np.random.default_rng(8)
@@ -247,6 +252,13 @@ class TestCorrelationReport:
         rows = (tmp_path / "scatter.csv").read_text().splitlines()[1:]
         assert len(rows) == len(trials) * len(qmf_names)
         assert rows[0].split(",")[1] == "cu"
+
+    def test_class_without_trials_has_no_taus(self):
+        trials = make_trials([0.9, 0.7, 0.5], [])
+        qmfs = Qmfs.from_columns(trials.tests, {"cu": [3.0, 1.0, 2.0]})
+        taus, qmf_names, block = correlation_report(trials, qmfs)
+        assert taus == {("target", "cu"): kendall_tau([3.0, 1.0, 2.0], [0.9, 0.7, 0.5])}
+        assert qmf_names == ["cu"] and block.tolist() == [[3.0], [1.0], [2.0]]
 
     def test_missing_qmf_error(self):
         trials = make_trials([0.9], [0.1])

@@ -115,6 +115,25 @@ class TestClipProtocol:
                                              f"than {MAX_CLIP_WORDS} words$"):
             build_clip_protocol(self.base_utterance(1, 1.0), target=MAX_CLIP_WORDS + 0.5, seed=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(cents=st.lists(st.integers(1, 99), min_size=2, max_size=8), data=st.data())
+    def test_one_running_sum_decides_the_clip(self, cents, data):
+        """Word durations of 0.01-0.99 s and a target that is the decimal sum of a suffix of them, so that sums
+        of the same words in two orders can fall on either side of it: the builder raises nothing but a
+        ValueError, a clip does not wrap where the running sum from the first word reaches the target,
+        and its net_speech is the left-to-right sum of its words' durations, at least the target."""
+        durations = [c / 100 for c in cents]
+        target = sum(cents[data.draw(st.integers(0, len(cents) - 1)):]) / 100
+        base = corpus(base_rec("u0", "a", durations, " ".join(f"w{i}" for i in range(len(cents)))))
+        try:
+            spec = build_clip_protocol(base, target, seed=data.draw(st.integers(0, 2**32 - 1)))
+        except ValueError:
+            return
+        idx = [int(word[1:]) for word in spec.tests["transcript"][0].split()]
+        if left_sum(durations) >= target:
+            assert idx == list(range(idx[0], idx[0] + len(idx)))
+        assert spec.tests["net_speech"][0] == left_sum(durations[i] for i in idx) >= target
+
     def test_deterministic(self):
         base = self.base_utterance(8, 0.4)
         a = build_clip_protocol(base, 2.0, seed=3)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import phonrich.nnls
 from phonrich.inventory import ARPABET_39, PresenceVector
 from phonrich.lexicon import phoneme_codes
 from phonrich.nnls import nnls
@@ -152,6 +153,13 @@ class TestNnlsOracle:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             nnls(np.ones((3, 2)), np.ones(4))
+
+    def test_no_convergence_is_refused(self, monkeypatch):
+        """A solve that takes more than ITERATIONS_PER_COLUMN inner steps per column is abandoned with a
+        ValueError, not returned half done: with no steps allowed, the first one is refused."""
+        monkeypatch.setattr(phonrich.nnls, "ITERATIONS_PER_COLUMN", 0)
+        with pytest.raises(ValueError, match="^nnls did not converge in 0 iterations$"):
+            nnls(np.eye(2), np.ones(2))
 
 
 class TestWeightReport:
