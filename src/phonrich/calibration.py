@@ -9,6 +9,7 @@ import numpy as np
 
 from .io import write_lines
 from .metrics import NONTARGET, TARGET, Qmfs, Trials
+from .protocols import Draws
 
 # canonical feature order; a feature set is any subset of these names
 FEATURE_ORDER = ("raw", "lns", "cu", "wcu")
@@ -126,17 +127,19 @@ def stratified_folds(is_target: np.ndarray, k: int, seed: int, source: str = "")
     """Seeded shuffle then round-robin fold assignment within each class.
 
     Returns an array of fold indices in [0, k), k >= 1. Per-class fold
-    counts differ by at most one trial. A class of fewer than k trials is
-    refused, naming ``source``, the scores file, if given.
+    counts differ by at most one trial. The target trials, then the
+    nontarget trials, are shuffled as np.random.default_rng(seed).shuffle
+    shuffles them one after the other: Draws.permutation makes its swaps.
+    A class of fewer than k trials is refused, naming ``source``, the
+    scores file, if given.
     """
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     folds = np.empty(is_target.size, dtype=int)
     for label, idx in ((TARGET, np.flatnonzero(is_target)), (NONTARGET, np.flatnonzero(~is_target))):
         if idx.size < k:
             raise ValueError(f"{source + ': ' if source else ''}need at least {k} {label} trials for {k}-fold "
                              f"split, got {idx.size}")
-        rng.shuffle(idx)
-        folds[idx] = np.arange(idx.size) % k
+        folds[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % k
     return folds
 
 

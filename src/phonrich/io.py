@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -32,6 +31,9 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def file_digest(path: str | Path) -> str:
+    """The first 12 hex digits of the file's SHA-256. hashlib, which maps OpenSSL's libcrypto, is imported here,
+    so a run loads it only when it writes a provenance line."""
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
+from array import array
+from collections import defaultdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -56,21 +58,35 @@ def transcribe(texts: list[str], lexicon: Lexicon) -> tuple[np.ndarray, np.ndarr
     token, text after text, and per text its phoneme-token count, out-of-vocabulary word count and word
     count. A word's phonemes are its first-listed pronunciation; an OOV word is counted, not fatal.
 
-    Each distinct raw token (a whitespace-separated field of a text) is lower-cased, stripped and
-    looked up once. The texts are split again for each column, so one text's tokens are held at a time.
+    Each text is split once, into raw tokens (its whitespace-separated fields), and each token becomes the
+    number of its distinct raw token, so one text's strings are held at a time. Each distinct raw token is
+    lower-cased, stripped and looked up once; the codes are then joined as bytes, and the counts summed by
+    numpy, a column at a time.
     """
-    distinct = dict.fromkeys(chain.from_iterable(map(str.split, texts)))
+    distinct = defaultdict()  # raw token -> its number, in order of first appearance
+    distinct.default_factory = distinct.__len__
+    counts = array("q")  # raw tokens per text
+
+    def raw_tokens():
+        for text in texts:
+            tokens = text.split()
+            counts.append(len(tokens))
+            yield from tokens
+    ids = array("q", map(distinct.__getitem__, raw_tokens()))
     words = [_EDGE_STRIP_RE.sub("", token.lower()) for token in distinct]
     prons = [lexicon.get(word, ()) if word else () for word in words]
+    spelled = [bytes(map(PHONEME_INDEX.__getitem__, pron)) for pron in prons]
+    codes = np.frombuffer(bytearray().join(map(spelled.__getitem__, ids)), dtype=np.uint8)
+
+    tokens, bounds = np.frombuffer(ids, dtype=np.int64), np.cumsum([0, *counts])  # each text's first token, and the end
+    running = np.zeros(len(ids) + 1, dtype=np.int64)  # a column's sum over the tokens before each
 
     def per_text(tallies) -> np.ndarray:
-        """Per text, the sum over its raw tokens of their tallies, given one per distinct raw token."""
-        tally = dict(zip(distinct, tallies)).__getitem__
-        return np.fromiter(map(sum, map(map, repeat(tally), map(str.split, texts))), dtype=np.int64, count=len(texts))
-
-    pron_of = dict(zip(distinct, prons)).__getitem__
-    return (phoneme_codes(map(pron_of, chain.from_iterable(map(str.split, texts)))), per_text(map(len, prons)),
-            per_text(bool(word) and not pron for word, pron in zip(words, prons)), per_text(map(bool, words)))
+        """Per text, the sum of ``tallies``, one per distinct raw token, over its raw tokens."""
+        np.cumsum(np.fromiter(tallies, dtype=np.int64, count=len(prons))[tokens], out=running[1:])
+        return np.diff(running[bounds])
+    return (codes, per_text(map(len, prons)), per_text(bool(word) and not pron for word, pron in zip(words, prons)),
+            per_text(map(bool, words)))
 
 
 def phoneme_codes(phonemes) -> np.ndarray:

@@ -16,9 +16,10 @@ import numpy as np
 
 from .io import Table, iter_jsonl, read_columns, read_trial_table, write_jsonl, write_trial_table
 from .metrics import Trials, encode_ids, rows_of
+from .pcg64 import words
 
 MAX_PROBE_REDRAWS = 20
-DRAW_BLOCK = 256  # PCG64 outputs that Draws reads at a time: 2 KiB, about 20 KB as 512 Python ints
+DRAW_BLOCK = 1024  # PCG64 outputs that Draws makes at a time: 8 KiB, about 80 KB as 2,048 Python ints
 MAX_CLIP_WORDS = 10_000  # a clip window grows a word per step: tiny word durations would never end it
 # keys, with their JSON types, that load_protocol checks in each manifest and models record (cmd_richness
 # a manifest's test_id and net_speech) and load_inventory_jsonl in each corpus record
@@ -108,19 +109,15 @@ def left_sum(values):
 
 class Draws:
     """np.random.default_rng(seed)'s integers(low, high), choice(n, size, replace) and permutation(n), bit for
-    bit, as Python ints: numpy 2's algorithms applied to PCG64's raw output, DRAW_BLOCK outputs at a time, a stream
-    that NEP 19 keeps. A 32-bit draw is an output's low half, then its high half; a draw below n is Lemire's method,
-    and a range of one value draws nothing; choice without replacement is Floyd's sampling, then a shuffle of the
-    picks (over more than 10,000 picking more than 1 in 50, a shuffle of range(n)'s tail); permutation is
-    Fisher-Yates with masked rejection. Each range must be below 2**32 - 1, where numpy draws otherwise."""
+    bit, as Python ints: numpy 2's algorithms applied to PCG64's raw output, which pcg64.words makes DRAW_BLOCK
+    outputs at a time, a stream that NEP 19 keeps. A 32-bit draw is an output's low half, then its high half; a
+    draw below n is Lemire's method, and a range of one value draws nothing; choice without replacement is Floyd's
+    sampling, then a shuffle of the picks (over more than 10,000 picking more than 1 in 50, a shuffle of range(n)'s
+    tail); permutation is Fisher-Yates with masked rejection, as Generator.shuffle swaps. Each range must be below
+    2**32 - 1, where numpy draws otherwise."""
 
     def __init__(self, seed: int):
-        raw = np.random.default_rng(seed).bit_generator.random_raw
-
-        def words():
-            while True:
-                yield from raw(DRAW_BLOCK).astype("<u8").view("<u4").tolist()
-        self._word = words().__next__
+        self._word = words(seed, DRAW_BLOCK).__next__
 
     def _below(self, n: int) -> int:
         """A draw of [0, n), by Lemire's method."""

@@ -10,6 +10,7 @@ import numpy as np
 from .inventory import ARPABET_39
 from .lexicon import Lexicon, presence_vector, transcribe
 from .metrics import Qmfs, Trials
+from .pcg64 import entropy_words, seeded
 from .protocols import ProtocolSpec
 from .richness import count_unique, quality_measures
 
@@ -22,50 +23,19 @@ _TEST_STREAM = 3
 # addition of the speaker means to the noise and per seeding pass of substreams
 SCORE_CHUNK = 1 << 10
 
-# numpy's SeedSequence hash constants and pool size, and PCG64's 128-bit multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
-_MIX_L, _MIX_R, _POOL, _PCG_MULT = 0xca01f9dd, 0x4973f715, 4, 0x2360ed051fc65da44385df649fccf645
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix of a uint32 column, its hash constant carried from call to call."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * mult & 0xFFFFFFFF
-        value *= const
-        return value ^ value >> 16
-    return hashmix
-
 
 def substreams(seed: int, stream: int, rows: range) -> Iterator[np.random.Generator]:
     """For each idx in ``rows``, one Generator, its PCG64 state set anew to that of
     np.random.default_rng([seed, stream, idx]) (seed, stream >= 0, idx < 2**32): take a row's draws before
-    the next. SCORE_CHUNK rows at a time, SeedSequence's entropy pool and generate_state(4, uint64) are
-    worked out as uint32 columns, whose arithmetic wraps as SeedSequence's does, and PCG64's seeding step
-    in 128-bit ints; numpy's stream-compatibility policy (NEP 19) keeps both as they are.
+    the next. The states are worked out by pcg64.seeded, SCORE_CHUNK rows at a time.
     """
     rng = np.random.default_rng()
-    # seed and stream as SeedSequence takes them: 32-bit words, least significant first, [0] for 0
-    head = [n >> shift & 0xFFFFFFFF for n in (seed, stream) for shift in range(0, max(n.bit_length(), 1), 32)]
+    head = entropy_words(seed) + entropy_words(stream)
     for start in range(0, len(rows), SCORE_CHUNK):
         idx = np.asarray(rows[start:start + SCORE_CHUNK], dtype=np.uint32)
-        entropy = [np.full(len(idx), word, dtype=np.uint32) for word in head] + [idx]
-        entropy += [np.zeros_like(idx)] * (_POOL - len(entropy))
-        hashmix = _hasher(_INIT_A, _MULT_A)
-        pool = [hashmix(word) for word in entropy[:_POOL]]
-        for src in range(len(entropy)):  # the pool words into each other, then the entropy words past the pool
-            for dst in range(_POOL):
-                if src != dst:
-                    mixed = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src] if src < _POOL else entropy[src])
-                    pool[dst] = mixed ^ mixed >> 16
-        hashmix = _hasher(_INIT_B, _MULT_B)
-        state = [hashmix(pool[k % _POOL]).astype(np.uint64) for k in range(8)]
-        halves = [(state[k] | state[k + 1] << 32).tolist() for k in range(0, 8, 2)]
-        for high, low, seq_high, seq_low in zip(*halves):
-            inc = ((seq_high << 64 | seq_low) << 1 | 1) & ((1 << 128) - 1)
-            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
-                "state": ((inc + (high << 64 | low)) * _PCG_MULT + inc) & ((1 << 128) - 1), "inc": inc}}
+        for state, inc in seeded([np.full(len(idx), word, dtype=np.uint32) for word in head] + [idx]):
+            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                       "state": {"state": state, "inc": inc}}
             yield rng
 
 

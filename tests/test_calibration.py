@@ -143,6 +143,20 @@ class TestStratifiedFolds:
         np.testing.assert_array_equal(stratified_folds(is_target(labels), 5, 7), stratified_folds(is_target(labels), 5, 7))
         assert not np.array_equal(stratified_folds(is_target(labels), 5, 7), stratified_folds(is_target(labels), 5, 8))
 
+    @pytest.mark.parametrize("n_target, n_nontarget, k", [(1, 2, 1), (2, 1, 1), (2, 17, 1), (17, 24_500, 1),
+                                                          (17, 24_500, 5), (24_500, 17, 5)])
+    @pytest.mark.parametrize("seed", [0, 2**40 + 9])
+    def test_is_numpys_shuffle_then_round_robin(self, n_target, n_nontarget, k, seed):
+        """The targets, then the nontargets, shuffled by one np.random.default_rng(seed), each class's folds
+        then handed out round-robin in its shuffled order."""
+        is_target = np.random.default_rng(n_target).permutation(np.arange(n_target + n_nontarget) < n_target)
+        rng = np.random.default_rng(seed)
+        want = np.empty(is_target.size, dtype=int)
+        for idx in (np.flatnonzero(is_target), np.flatnonzero(~is_target)):
+            rng.shuffle(idx)
+            want[idx] = np.arange(idx.size) % k
+        np.testing.assert_array_equal(stratified_folds(is_target, k, seed), want)
+
     def test_insufficient_class_error(self):
         with pytest.raises(ValueError, match="at least"):
             stratified_folds(is_target(["target"] * 3 + ["nontarget"] * 30), 5, 0)

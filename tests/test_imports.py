@@ -2,13 +2,19 @@
 no module splits text into lines on its own, only io opens files and imports json, in io only
 line_blocks reads text, no module calls np.unique, a fault leaves the
 program only through cli.main, no in-memory class checks what it is built from, only metrics
-derives lns, only cli.main sets numpy's floating-point policy, in protocols only Draws opens a
-numpy Generator, and protocols and data add only left to right."""
+derives lns, only cli.main sets numpy's floating-point policy, only simulator.substreams opens a
+numpy Generator, protocols and data add only left to right, and a command that draws no
+normals or writes no provenance line leaves numpy.random or OpenSSL's hashlib unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from phonrich.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "phonrich"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -302,10 +308,13 @@ def test_finds_an_rng_call():
     assert rng_calls(source) == ["line 3: <module>", "line 6: D"]
 
 
-def test_protocols_draws_only_through_draws():
-    """protocols.Draws works numpy's draws out of PCG64's raw output, so the protocols' bytes rest on that
-    stream alone; a Generator opened beside it would draw a second way. Its one call is where it is let be."""
-    assert [call.split(": ")[1] for call in rng_calls((SRC / "protocols.py").read_text())] == ["Draws"]
+def test_only_substreams_opens_a_generator():
+    """pcg64 works default_rng(seed)'s PCG64 words out without numpy.random, and protocols.Draws, which both
+    protocol builders and calibration.stratified_folds draw through, reads them: a Generator opened beside it
+    would draw a second way, and would import numpy.random into gen-protocol, evaluate and calibrate. The
+    one call, in simulator.substreams, gives simulate its normals and make-demo its uniforms."""
+    assert [f"{path.stem}.{call.split(': ')[1]}" for path in MODULES
+            for call in rng_calls(path.read_text())] == ["simulator.substreams"]
 
 
 def reordered_sums(source: str) -> list[str]:
@@ -336,3 +345,53 @@ def test_durations_are_added_left_to_right(name):
     so the same words always give the same bits: numpy's sums add in pairs or from another end, and
     two orders of one sum can differ in the last bit."""
     assert reordered_sums((SRC / name).read_text()) == []
+
+
+# runs phonrich.cli.main on its arguments, then prints those of LAZY that the process has loaded
+LAZY = ("numpy.random", "_hashlib")
+PROBE = ("import sys\nfrom phonrich.cli import main\ncode = main(sys.argv[1:])\n"
+         f"print(*(name for name in {LAZY!r} if name in sys.modules))\nsys.exit(code)")
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A small demo corpus, its repetitive protocol, and simulate's scores and QMFs."""
+    work = tmp_path_factory.mktemp("pipeline")
+    steps = [["make-demo", "--speakers", "4", "--seed", "1", "--out", work / "corpus.jsonl"],
+             ["gen-protocol", "--corpus", work / "corpus.jsonl", "--protocol", "repetitive",
+              "--probes-per-speaker", "10", "--seed", "2", "--out-prefix", work / "rep"],
+             ["simulate", "--trials", work / "rep.trials.tsv", "--manifest", work / "rep.manifest.jsonl",
+              "--models", work / "rep.models.jsonl", "--seed", "3", "--out-scores", work / "scores.tsv",
+              "--out-qmf", work / "qmf.jsonl"]]
+    for argv in steps:
+        assert main([str(arg) for arg in argv]) == 0
+    return work
+
+
+# each command, with what it loads of LAZY: only simulate and make-demo draw through numpy.random, and only a
+# command that writes a provenance line hashes its inputs
+LOADS = {
+    "stats": (["stats", "--qmf", "qmf.jsonl"], ""),
+    "correlation": (["evaluate", "--scores", "scores.tsv", "--qmf", "qmf.jsonl", "--features", "none",
+                     "--correlation-out", "scatter.csv"], ""),
+    "evaluate-raw": (["evaluate", "--scores", "scores.tsv", "--features", "raw", "--folds", "3"], ""),
+    "calibrate": (["calibrate", "--scores", "scores.tsv", "--qmf", "qmf.jsonl", "--features", "raw,cu",
+                   "--seed", "4", "--out-scores", "calibrated.tsv"], "_hashlib"),
+    "gen-protocol": (["gen-protocol", "--corpus", "corpus.jsonl", "--protocol", "repetitive",
+                      "--probes-per-speaker", "10", "--seed", "5", "--out-prefix", "again"], "_hashlib"),
+    "simulate": (["simulate", "--trials", "rep.trials.tsv", "--manifest", "rep.manifest.jsonl",
+                  "--models", "rep.models.jsonl", "--seed", "6", "--out-scores", "s.tsv", "--out-qmf", "q.jsonl"],
+                 "numpy.random _hashlib"),
+}
+
+
+@pytest.mark.parametrize("command", LOADS)
+def test_a_command_loads_only_what_it_uses(pipeline, command):
+    """numpy.random takes about 2 MB of a process and OpenSSL's libcrypto about 3.7 MB; each command runs in a
+    process of its own, as a user runs it, so that an import at a module's top cannot load them back unseen.
+    simulate, which loads both, shows that the probe sees a loaded module."""
+    argv, loaded = LOADS[command]
+    result = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=pipeline, capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == loaded

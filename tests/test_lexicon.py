@@ -133,6 +133,12 @@ class TestTranscribe:
     def test_empty_text(self):
         assert transcribed([""], {"cat": CAT}) == [((), 0, 0)]
 
+    def test_empty_texts_among_others(self):
+        """A text with no raw token counts zero of each, wherever it stands, and every count is an integer."""
+        codes, *counts = transcribe(["", "cat zzqq", "", " ", "cat", ""], {"cat": CAT})
+        assert codes.dtype == np.uint8 and [column.dtype for column in counts] == [np.int64] * 3
+        assert [column.tolist() for column in counts] == [[0, 3, 0, 0, 3, 0], [0, 1, 0, 0, 0, 0], [0, 2, 0, 0, 1, 0]]
+
     def test_oov_counted_not_fatal(self):
         assert transcribed(["zzqq cat"], {"cat": CAT}) == [(CAT, 1, 2)]
 

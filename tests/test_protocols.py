@@ -16,7 +16,7 @@ import phonrich.io
 import phonrich.protocols
 from phonrich.io import BLOCK_CHARS, Table, _column_fault, provenance_line, read_columns, write_jsonl
 from phonrich.lexicon import presence_vector, transcribe
-from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, LOADED_MODEL_COLUMNS,
+from phonrich.protocols import (CORPUS_DEFAULTS, CORPUS_KEYS, CORPUS_OPTIONAL_KEYS, DRAW_BLOCK, LOADED_MODEL_COLUMNS,
                                 LOADED_TEST_COLUMNS, MANIFEST_KEYS, MAX_CLIP_WORDS, MAX_PROBE_REDRAWS,
                                 MODEL_COLUMNS, MODEL_KEYS, TEST_KEYS, Corpus, Draws, ProtocolSpec, _corpus_fault,
                                 _draw_probe, build_clip_protocol, build_enrollment, build_repetitive_protocol,
@@ -418,6 +418,21 @@ class TestDraws:
     @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 65_537, 70_000])
     def test_permutation(self, n):
         self.same_draws(n, [("permutation", (n,), {}), ("integers", (1000,), {})])
+
+
+class TestWords:
+    """Draws reads pcg64.words: np.random.default_rng(seed)'s raw PCG64 outputs, each as its low 32 bits, then its
+    high 32 bits, worked out without numpy.random a block of DRAW_BLOCK outputs at a time."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7])  # 1, 1, 1, 2, 3 and 4 words
+    @pytest.mark.parametrize("block", [1, 3, None], ids=["1", "3", "DRAW_BLOCK"])
+    def test_words_are_random_raw(self, monkeypatch, seed, block):
+        if block is not None:
+            monkeypatch.setattr(phonrich.protocols, "DRAW_BLOCK", block)
+        n = 2 * DRAW_BLOCK + 5  # outputs: into the third block of each size
+        word = Draws(seed)._word
+        raw = np.random.default_rng(seed).bit_generator.random_raw(n)
+        assert [word() for _ in range(2 * n)] == raw.astype("<u8").view("<u4").tolist()
 
 
 def traced_peak(fn):
